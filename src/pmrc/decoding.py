@@ -1,7 +1,8 @@
-"""Errors-and-erasures decoding.
+"""Reference errors-and-erasures decoders and the per-block response type.
 
-Two scalar decoders recover a length-`msg_len` coefficient vector from noisy
-evaluations of it:
+The shipping codec is the batched one in `pmrc.shards`; nothing in the
+package calls the decoders below. They stay as independent references that
+tests compare the codec against:
 
 * ``subset_decode_oracle`` is the normative brute-force reference: it solves
   every msg_len-subset of the received entries and accepts a candidate that
@@ -10,8 +11,8 @@ evaluations of it:
   candidate is unique; finding two distinct ones means the caller exceeded the
   budget.
 
-* ``rs_decode_ee`` is the polynomial-time production path. Erasures are fixed
-  by dropping their positions; the error locator is found algebraically from
+* ``rs_decode_ee`` is a polynomial-time decoder. Erasures are fixed by
+  dropping their positions; the error locator is found algebraically from
   the Berlekamp-Welch key equation N(x_i) = v_i * E(x_i), solved as a linear
   system with E monic of degree tau = min(t_max, (R - msg_len) // 2). Any
   solution yields the message as N / E when at most tau entries are wrong, so

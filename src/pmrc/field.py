@@ -46,12 +46,13 @@ class Fq:
 
     __slots__ = ("q",)
 
-    # q is capped below 2**31 so that q**2 row updates stay inside int64.
-    MAX_Q = 2**31 - 1
+    # Shard symbols are 16-bit, so the codec needs q < 65536; that also keeps
+    # every int64 product and row update far from overflow.
+    MAX_Q = 65535
 
     def __init__(self, q: int):
         if not isinstance(q, int) or q < 2 or q > self.MAX_Q:
-            raise ParameterError(f"modulus must be an integer in [2, 2**31): got {q!r}")
+            raise ParameterError(f"modulus must be an integer in [2, 65536): got {q!r}")
         if not is_prime(q):
             raise ParameterError(f"modulus {q} is not prime")
         self.q = q
@@ -73,18 +74,6 @@ class Fq:
         if not 0 <= a < self.q:
             raise ParameterError(f"{a} is not a reduced element of F_{self.q}")
         return a
-
-    def add(self, a: int, b: int) -> int:
-        return (self.check(a) + self.check(b)) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (self.check(a) - self.check(b)) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (self.check(a) * self.check(b)) % self.q
-
-    def neg(self, a: int) -> int:
-        return -self.check(a) % self.q
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; a must be nonzero."""

@@ -19,10 +19,6 @@ from .errors import (
 )
 from .field import Fq
 
-# int64 matmul is exact while cols * (q-1)^2 < 2**63; this bound is generous
-# for every modulus the shard format can carry.
-_FAST_MUL_Q = 1 << 20
-
 
 class MatrixFq:
     """Immutable dense matrix over F_q."""
@@ -99,12 +95,8 @@ class MatrixFq:
             raise ParameterError(
                 f"shape mismatch for product: {self.shape} @ {other.shape}"
             )
-        q = self.field.q
-        if q <= _FAST_MUL_Q:
-            prod = (self._a @ other._a) % q
-        else:
-            prod = np.dot(self._a.astype(object), other._a.astype(object)) % q
-            prod = prod.astype(np.int64)
+        # exact in int64 while cols * (q-1)^2 < 2**63, which Fq's cap ensures
+        prod = (self._a @ other._a) % self.field.q
         return MatrixFq(self.field, prod, _trusted=True)
 
     def __add__(self, other: "MatrixFq") -> "MatrixFq":
@@ -163,17 +155,19 @@ def _rref(arr: np.ndarray, q: int, stop_col: int) -> list[int]:
     for c in range(stop_col):
         if r == rows:
             break
-        nz = np.flatnonzero(arr[r:, c])
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
+        pivot = int(arr[r, c])
+        if not pivot:
+            nz = arr[r:, c].nonzero()[0]
+            if nz.size == 0:
+                continue
+            p = r + int(nz[0])
             arr[[r, p]] = arr[[p, r]]
-        inv = pow(int(arr[r, c]), q - 2, q)
-        arr[r] = arr[r] * inv % q
-        col = arr[:, c].copy()
-        col[r] = 0
-        arr -= np.outer(col, arr[r])
+            pivot = int(arr[r, c])
+        # row stays below q**2 and the products below q**3 < 2**63 (q < 2**16),
+        # so one reduction per pivot suffices
+        row = arr[r] * pow(pivot, q - 2, q)
+        arr -= arr[:, c : c + 1] * row
+        arr[r] = row
         arr %= q
         pivots.append(c)
         r += 1
@@ -185,7 +179,7 @@ def _solve_common(a: MatrixFq, y: MatrixFq, require_unique: bool) -> MatrixFq:
     if a.rows != y.rows:
         raise ParameterError(f"rhs has {y.rows} rows, matrix has {a.rows}")
     q = a.field.q
-    aug = np.concatenate([a.array(), y.array()], axis=1).copy()
+    aug = np.concatenate([a.array(), y.array()], axis=1)
     pivots = _rref(aug, q, a.cols)
     rank_a = len(pivots)
     # rows below rank_a are zero in the A block; any nonzero rhs there means
@@ -197,8 +191,7 @@ def _solve_common(a: MatrixFq, y: MatrixFq, require_unique: bool) -> MatrixFq:
             f"matrix has column rank {rank_a} < {a.cols}; solution not unique"
         )
     x = np.zeros((a.cols, y.cols), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = aug[i, a.cols :]
+    x[pivots] = aug[:rank_a, a.cols :]
     return MatrixFq(a.field, x, _trusted=True)
 
 

@@ -1,4 +1,4 @@
-"""Minimum-bandwidth (MBR) encode, repair, and reconstruction for any [n,k,d].
+"""Minimum-bandwidth (MBR) codes for any [n,k,d]: message layout and per-block calls.
 
 Per slice the message is the symmetric d x d matrix
 
@@ -10,6 +10,10 @@ psi_i^t M; a helper sends its stored row dotted with psi_f, the evaluations of
 m_f = M psi_f, and symmetry of M makes the decoded m_f^t exactly the lost
 share. A replacement node downloads exactly what it stores (alpha = d*beta)
 when s = t = 0.
+
+The codec is the batched one in `pmrc.shards`. mbr_encode, mbr_helper_symbol,
+mbr_repair and mbr_reconstruct check their per-block arguments and run it on
+a batch of one block.
 """
 
 from __future__ import annotations
@@ -19,16 +23,16 @@ from typing import Sequence
 
 import numpy as np
 
-from . import decoding, linalg
 from .decoding import Response
-from .errors import DecodeFailure, ParameterError
+from .errors import ParameterError
 from .field import Fq
 from .linalg import MatrixFq
 from .msr import (
     NodeShare,
-    _check_repair_word,
-    _check_reconstruct_word,
-    _slice_view,
+    _encode_one,
+    _helper_one,
+    _reconstruct_one,
+    _repair_one,
     _triangle,
     sym_from_triangle,
     triangle_from_sym,
@@ -118,22 +122,12 @@ def mbr_read_message(
 def mbr_encode(
     slices: Sequence[MbrMessageMatrix], enc: EncodingMatrix
 ) -> list[NodeShare]:
+    """Code matrix psi @ M per slice; node i's share concatenates row i of
+    every slice."""
     params = enc.params
-    _check_mbr(params)
-    if len(slices) != params.beta:
-        raise ParameterError(f"expected {params.beta} slices, got {len(slices)}")
-    per_slice = []
-    for sl in slices:
-        if sl.k != params.k or sl.d != params.d:
-            raise ParameterError("slice shape does not match parameters")
-        per_slice.append((enc.psi @ sl.assembled()).array())
-    shares = []
-    for i in range(params.n):
-        symbols: list[int] = []
-        for c in per_slice:
-            symbols.extend(int(v) for v in c[i])
-        shares.append(NodeShare(node_id=i + 1, symbols=tuple(symbols)))
-    return shares
+    if any(sl.k != params.k or sl.d != params.d for sl in slices):
+        raise ParameterError("slice shape does not match parameters")
+    return _encode_one(mbr_read_message(slices, params), slices[0].s.field, enc)
 
 
 def mbr_helper_symbol(
@@ -141,21 +135,8 @@ def mbr_helper_symbol(
 ) -> tuple[int, ...]:
     """Per slice, the helper's stored d-row dotted with psi_f; a function of
     the helper's own share and the failed id only."""
-    params = enc.params
-    _check_mbr(params)
-    enc.check_node(failed_id)
-    enc.check_node(helper_share.node_id)
-    if failed_id == helper_share.node_id:
-        raise ParameterError("a node cannot help repair itself")
-    if len(helper_share.symbols) != params.alpha:
-        raise ParameterError("helper share has wrong length")
-    q = enc.field.q
-    psi_f = enc.psi_row(failed_id)
-    out = []
-    for j in range(params.beta):
-        row = _slice_view(helper_share.symbols, j, params.d)
-        out.append(sum(a * b for a, b in zip(row, psi_f)) % q)
-    return tuple(out)
+    _check_mbr(enc.params)
+    return _helper_one(helper_share, failed_id, enc)
 
 
 def mbr_repair(
@@ -167,67 +148,8 @@ def mbr_repair(
 ) -> NodeShare:
     """Exact repair from d+s+2t responses; the decoded m_f = M psi_f is the
     lost share itself because M is symmetric."""
-    params = enc.params
-    _check_mbr(params)
-    enc.check_node(failed_id)
-    _check_repair_word(responses, failed_id, enc, s, t)
-    points = [enc.point_of(r.node_id) for r in responses]
-    symbols: list[int] = []
-    for j in range(params.beta):
-        values = [None if r.erased else r.symbols[j] for r in responses]
-        try:
-            m_f = decoding.rs_decode_ee(values, points, params.d, t, enc.field)
-        except DecodeFailure as e:
-            raise DecodeFailure(f"repair of node {failed_id} failed: {e}") from e
-        symbols.extend(m_f)
-    return NodeShare(node_id=failed_id, symbols=tuple(symbols))
-
-
-def mbr_share_map(enc: EncodingMatrix) -> np.ndarray:
-    """Coefficient tensor (n, d, B') mapping one slice of message symbols to
-    every node's stored slice."""
-    params = enc.params
-    _check_mbr(params)
-    k, d = params.k, params.d
-    bprime = params.slice_symbols
-    psi = enc.psi.array()
-    a = np.zeros((params.n, d, bprime), dtype=np.int64)
-    u = 0
-    for r in range(k):  # S upper triangle
-        for c in range(r, k):
-            a[:, c, u] += psi[:, r]
-            if r != c:
-                a[:, r, u] += psi[:, c]
-            u += 1
-    for r in range(d - k):  # T row-major: M[k+r, c] and M[c, k+r]
-        for c in range(k):
-            a[:, c, u] += psi[:, k + r]
-            a[:, k + r, u] += psi[:, c]
-            u += 1
-    return a % enc.field.q
-
-
-def _fast_reconstruct_slice(
-    word: Sequence[Response], enc: EncodingMatrix
-) -> tuple[int, ...]:
-    """Structured error-free decode: T falls out of the phi-block columns,
-    then S after stripping sigma @ T. Must agree bit-exactly with the generic
-    consistency solve; exercised only when t = 0."""
-    params = enc.params
-    k, d = params.k, params.d
-    field = enc.field
-    received = [r for r in word if not r.erased][:k]
-    idx = [r.node_id - 1 for r in received]
-    phi = enc.phi.take_rows(idx)
-    sigma = enc.sigma.take_rows(idx)
-    y = MatrixFq(field, [list(r.symbols) for r in received])
-    y_left, y_right = y.slice_cols(0, k), y.slice_cols(k, d)
-    t_t = linalg.solve(phi, y_right)  # T^t, k x (d-k)
-    s_blk = linalg.solve(phi, y_left - (sigma @ t_t.T))
-    sl = MbrMessageMatrix(s=s_blk, t_blk=t_t.T)
-    return tuple(triangle_from_sym(sl.s)) + tuple(
-        int(v) for v in sl.t_blk.array().ravel()
-    )
+    _check_mbr(enc.params)
+    return _repair_one(responses, failed_id, enc, s, t)
 
 
 def mbr_reconstruct(
@@ -235,44 +157,8 @@ def mbr_reconstruct(
     enc: EncodingMatrix,
     s: int = 0,
     t: int = 0,
-    use_fast_path: bool = False,
 ) -> tuple[int, ...]:
     """All B message symbols from k+s+2t responses; at most s erased, at most
-    t corrupted. The structured fast path is an optional error-free-only
-    shortcut kept bit-identical to the generic solve."""
-    params = enc.params
-    _check_mbr(params)
-    _check_reconstruct_word(responses, enc, s, t)
-    field = enc.field
-    amap = mbr_share_map(enc)
-
-    def solve_k(ids, shares):
-        rows = np.concatenate([amap[i - 1] for i in ids], axis=0)
-        rhs = [v for share in shares for v in share]
-        sol = linalg.solve(
-            MatrixFq(field, rows, _trusted=True), MatrixFq.column(field, rhs)
-        )
-        return tuple(int(v) for v in sol.array()[:, 0])
-
-    def reencode(cand, node_id):
-        vec = amap[node_id - 1] @ np.asarray(cand, dtype=np.int64) % field.q
-        return tuple(int(v) for v in vec)
-
-    payload: list[int] = []
-    for j in range(params.beta):
-        word = [
-            Response(r.node_id, None)
-            if r.erased
-            else Response(r.node_id, tuple(_slice_view(r.symbols, j, params.d)))
-            for r in responses
-        ]
-        if use_fast_path and t == 0:
-            payload.extend(_fast_reconstruct_slice(word, enc))
-            continue
-        try:
-            payload.extend(
-                decoding.consistency_reconstruct(word, params.k, t, solve_k, reencode)
-            )
-        except DecodeFailure as e:
-            raise DecodeFailure(f"reconstruction failed: {e}") from e
-    return tuple(payload)
+    t corrupted."""
+    _check_mbr(enc.params)
+    return _reconstruct_one(responses, enc, s, t)

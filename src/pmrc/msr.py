@@ -1,13 +1,16 @@
-"""Minimum-storage (MSR) encode, repair, and reconstruction at d = 2k-2.
+"""Minimum-storage (MSR) codes at d = 2k-2: message layout and per-block calls.
 
 Per beta-slice the message lives in two symmetric (k-1)x(k-1) matrices S1, S2
 stacked into M = [S1; S2]; node i stores the row psi_i^t M. A helper h sends
 the single symbol (h's stored row) . phi_f for the failed node f, so the
 replacement sees evaluations of the degree-<d polynomial with coefficients
-m_f = M phi_f and can decode them through the errors-and-erasures layer. The
-failed share is then rebuilt as phi_f^t S1 + lambda_f phi_f^t S2 using the
-symmetry of S1 and S2. Slices are independent; a block's share is the
-concatenation of its slice shares.
+m_f = M phi_f. The failed share is then rebuilt as phi_f^t S1 + lambda_f
+phi_f^t S2 using the symmetry of S1 and S2. Slices are independent; a block's
+share is the concatenation of its slice shares.
+
+The codec is the batched one in `pmrc.shards`. msr_encode, msr_helper_symbol,
+msr_repair and msr_reconstruct check their per-block arguments and run it on
+a batch of one block; the helpers they share with `pmrc.mbr` live here.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import decoding, linalg
+from . import linalg, shards
 from .decoding import Response
-from .errors import DecodeFailure, InfeasibleError, ParameterError
+from .errors import FieldMismatchError, InfeasibleError, ParameterError
 from .field import Fq
 from .linalg import MatrixFq
 from .params import CodeMode, EncodingMatrix, SystemParams, resilience_feasible
@@ -126,31 +129,48 @@ def msr_read_message(
     return tuple(out)
 
 
+def _ints(row) -> tuple[int, ...]:
+    return tuple(int(v) for v in row)
+
+
+def _received(responses: Sequence[Response]) -> dict[int, np.ndarray]:
+    """node_id -> one-block batch of the responses that arrived."""
+    return {
+        r.node_id: np.asarray([r.symbols], dtype=np.int64)
+        for r in responses
+        if not r.erased
+    }
+
+
+def _encode_one(payload: Sequence[int], field: Fq, enc: EncodingMatrix) -> list[NodeShare]:
+    if field != enc.field:
+        raise FieldMismatchError(f"fields differ: F_{field.q} vs F_{enc.field.q}")
+    bodies = shards.encode_blocks(np.asarray([payload], dtype=np.int64), enc)
+    return [NodeShare(i, _ints(body[0])) for i, body in bodies.items()]
+
+
 def msr_encode(
     slices: Sequence[MsrMessageMatrix], enc: EncodingMatrix
 ) -> list[NodeShare]:
     """Code matrix psi @ M per slice; node i's share concatenates row i of
     every slice."""
     params = enc.params
-    _check_msr(params)
-    if len(slices) != params.beta:
-        raise ParameterError(f"expected {params.beta} slices, got {len(slices)}")
-    per_slice = []
-    for sl in slices:
-        if sl.alpha_prime != params.k - 1:
-            raise ParameterError("slice size does not match parameters")
-        per_slice.append((enc.psi @ sl.stacked()).array())
-    shares = []
-    for i in range(params.n):
-        symbols: list[int] = []
-        for c in per_slice:
-            symbols.extend(int(v) for v in c[i])
-        shares.append(NodeShare(node_id=i + 1, symbols=tuple(symbols)))
-    return shares
+    if any(sl.alpha_prime != params.k - 1 for sl in slices):
+        raise ParameterError("slice size does not match parameters")
+    return _encode_one(msr_read_message(slices, params), slices[0].s1.field, enc)
 
 
-def _slice_view(share: Sequence[int], j: int, width: int) -> Sequence[int]:
-    return share[j * width : (j + 1) * width]
+def _helper_one(
+    helper_share: NodeShare, failed_id: int, enc: EncodingMatrix
+) -> tuple[int, ...]:
+    enc.check_node(failed_id)
+    enc.check_node(helper_share.node_id)
+    if failed_id == helper_share.node_id:
+        raise ParameterError("a node cannot help repair itself")
+    if len(helper_share.symbols) != enc.params.alpha:
+        raise ParameterError("helper share has wrong length")
+    share = np.asarray([helper_share.symbols], dtype=np.int64)
+    return _ints(shards.helper_symbols(share, failed_id, enc)[0])
 
 
 def msr_helper_symbol(
@@ -159,22 +179,17 @@ def msr_helper_symbol(
     """The beta repair symbols helper h sends for failed node f: per slice the
     inner product of h's stored row with phi_f. Depends only on h's own share
     and f, never on which other helpers take part."""
-    params = enc.params
-    _check_msr(params)
-    enc.check_node(failed_id)
-    enc.check_node(helper_share.node_id)
-    if failed_id == helper_share.node_id:
-        raise ParameterError("a node cannot help repair itself")
-    if len(helper_share.symbols) != params.alpha:
-        raise ParameterError("helper share has wrong length")
-    q = enc.field.q
-    phi_f = enc.phi_row(failed_id)
-    ap = params.k - 1
-    out = []
-    for j in range(params.beta):
-        row = _slice_view(helper_share.symbols, j, ap)
-        out.append(sum(a * b for a, b in zip(row, phi_f)) % q)
-    return tuple(out)
+    _check_msr(enc.params)
+    return _helper_one(helper_share, failed_id, enc)
+
+
+def _check_symbols(r: Response, count: int, field: Fq, what: str):
+    if r.erased:
+        return
+    if len(r.symbols) != count:
+        raise ParameterError(f"{what} responses must carry {count} symbols")
+    for v in r.symbols:
+        field.check(v)
 
 
 def _check_repair_word(
@@ -201,11 +216,19 @@ def _check_repair_word(
         enc.check_node(r.node_id)
         if r.node_id == failed_id:
             raise ParameterError("failed node cannot be its own helper")
-        if not r.erased and len(r.symbols) != params.beta:
-            raise ParameterError("repair responses must carry beta symbols")
+        _check_symbols(r, params.beta, enc.field, "repair")
     erased = sum(r.erased for r in responses)
     if erased > s:
         raise ParameterError(f"{erased} erased responses exceed the budget s={s}")
+
+
+def _repair_one(
+    responses: Sequence[Response], failed_id: int, enc: EncodingMatrix, s: int, t: int
+) -> NodeShare:
+    enc.check_node(failed_id)
+    _check_repair_word(responses, failed_id, enc, s, t)
+    share = shards.decode_repair(_received(responses), failed_id, enc, t)
+    return NodeShare(node_id=failed_id, symbols=_ints(share[0]))
 
 
 def msr_repair(
@@ -217,52 +240,16 @@ def msr_repair(
 ) -> NodeShare:
     """Exact repair of the failed node's share from d+s+2t helper responses
     with at most s erased and at most t silently corrupted."""
-    params = enc.params
-    _check_msr(params)
-    enc.check_node(failed_id)
-    _check_repair_word(responses, failed_id, enc, s, t)
-    ap = params.k - 1
-    lam_f = enc.lam_of(failed_id)
-    points = [enc.point_of(r.node_id) for r in responses]
-    symbols: list[int] = []
-    q = enc.field.q
-    for j in range(params.beta):
-        values = [None if r.erased else r.symbols[j] for r in responses]
-        try:
-            m_f = decoding.rs_decode_ee(values, points, params.d, t, enc.field)
-        except DecodeFailure as e:
-            raise DecodeFailure(f"repair of node {failed_id} failed: {e}") from e
-        symbols.extend((m_f[c] + lam_f * m_f[ap + c]) % q for c in range(ap))
-    return NodeShare(node_id=failed_id, symbols=tuple(symbols))
-
-
-def msr_share_map(enc: EncodingMatrix) -> np.ndarray:
-    """Coefficient tensor A with shape (n, alpha', B') mapping one slice of
-    message symbols to every node's stored slice: share_i = A[i] @ u."""
-    params = enc.params
-    _check_msr(params)
-    ap = params.k - 1
-    bprime = params.slice_symbols
-    psi = enc.psi.array()
-    a = np.zeros((params.n, ap, bprime), dtype=np.int64)
-    q = enc.field.q
-    u = 0
-    for half in range(2):  # S1 then S2
-        base = half * ap
-        for r in range(ap):
-            for c in range(r, ap):
-                # symbol u sits at M[base+r, c] and M[base+c, r]
-                a[:, c, u] += psi[:, base + r]
-                if r != c:
-                    a[:, r, u] += psi[:, base + c]
-                u += 1
-    return a % q
+    _check_msr(enc.params)
+    return _repair_one(responses, failed_id, enc, s, t)
 
 
 def _check_reconstruct_word(
     responses: Sequence[Response], enc: EncodingMatrix, s: int, t: int
 ):
     params = enc.params
+    if s < 0 or t < 0:
+        raise ParameterError("s and t must be nonnegative")
     extra = s + 2 * t
     if params.k + extra > params.n:
         raise InfeasibleError(
@@ -279,11 +266,17 @@ def _check_reconstruct_word(
         raise ParameterError("duplicate node ids")
     for r in responses:
         enc.check_node(r.node_id)
-        if not r.erased and len(r.symbols) != params.alpha:
-            raise ParameterError("share responses must carry alpha symbols")
+        _check_symbols(r, params.alpha, enc.field, "share")
     erased = sum(r.erased for r in responses)
     if erased > s:
         raise ParameterError(f"{erased} erased responses exceed the budget s={s}")
+
+
+def _reconstruct_one(
+    responses: Sequence[Response], enc: EncodingMatrix, s: int, t: int
+) -> tuple[int, ...]:
+    _check_reconstruct_word(responses, enc, s, t)
+    return _ints(shards.decode_reconstruct(_received(responses), enc, t)[0])
 
 
 def msr_reconstruct(
@@ -294,40 +287,8 @@ def msr_reconstruct(
 ) -> tuple[int, ...]:
     """All B message symbols from k+s+2t share responses with at most s
     erased and at most t corrupted."""
-    params = enc.params
-    _check_msr(params)
-    _check_reconstruct_word(responses, enc, s, t)
-    field = enc.field
-    amap = msr_share_map(enc)
-    ap = params.k - 1
-
-    def solve_k(ids, shares):
-        rows = np.concatenate([amap[i - 1] for i in ids], axis=0)
-        rhs = [v for share in shares for v in share]
-        sol = linalg.solve(
-            MatrixFq(field, rows, _trusted=True), MatrixFq.column(field, rhs)
-        )
-        return tuple(int(v) for v in sol.array()[:, 0])
-
-    def reencode(cand, node_id):
-        vec = amap[node_id - 1] @ np.asarray(cand, dtype=np.int64) % field.q
-        return tuple(int(v) for v in vec)
-
-    payload: list[int] = []
-    for j in range(params.beta):
-        word = [
-            Response(r.node_id, None)
-            if r.erased
-            else Response(r.node_id, tuple(_slice_view(r.symbols, j, ap)))
-            for r in responses
-        ]
-        try:
-            payload.extend(
-                decoding.consistency_reconstruct(word, params.k, t, solve_k, reencode)
-            )
-        except DecodeFailure as e:
-            raise DecodeFailure(f"reconstruction failed: {e}") from e
-    return tuple(payload)
+    _check_msr(enc.params)
+    return _reconstruct_one(responses, enc, s, t)
 
 
 def msr_systematic_remap(
@@ -349,7 +310,7 @@ def msr_systematic_remap(
             f"payload must have {params.message_symbols} symbols, got {len(payload)}"
         )
     field = enc.field
-    amap = msr_share_map(enc)
+    amap = shards.share_map(enc)
     a_sys = MatrixFq(
         field, np.concatenate([amap[i - 1] for i in sys_nodes], axis=0), _trusted=True
     )

@@ -23,11 +23,16 @@ Layout (little-endian):
 File payloads pack one byte per symbol (q >= 257 keeps every byte value a
 field element) and are zero-padded to a whole number of B-symbol blocks.
 
-Blocks are independent, so the codec works on all blocks at once with numpy;
-the decode loops run over candidate clean subsets in canonical order and
-accept a block's candidate when its re-encoding matches at least R - t of the
-R shards read, the same accept rule (and, within budget, the same answer) as
-the per-block decoders in `decoding`.
+This module is the package's one codec. Blocks are independent, so every
+step works on all blocks at once with numpy: `encode_blocks`, the helper step
+`helper_symbols`, and the two decode steps `decode_repair` and
+`decode_reconstruct`, which take only the responses that arrived (erased ones
+dropped) plus the corruption budget t. Each decode tries candidate clean
+subsets in canonical order and accepts a block's candidate once it agrees
+with at least R - t of the R responses. The file-level calls
+(`repair_blocks`, `reconstruct_blocks`), the simulator and the per-block
+`msr_*`/`mbr_*` calls (batches of one block) all run these steps; the
+reference decoders in `decoding` are kept for tests to compare against.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import os
 import struct
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -45,8 +51,6 @@ from . import linalg
 from .errors import DecodeFailure, InfeasibleError, ParameterError
 from .field import Fq
 from .linalg import MatrixFq
-from .mbr import mbr_share_map
-from .msr import msr_share_map
 from .params import (
     CodeMode,
     EncodingMatrix,
@@ -84,15 +88,15 @@ class ShardHeader:
     def encoding(self) -> EncodingMatrix:
         return encoding_from_points(self.params(), Fq(self.q), self.points)
 
-    def same_shard_set(self, other: "ShardHeader") -> bool:
+    def set_key(self) -> tuple:
+        """Every header field but node_id: equal for shards of one set."""
         return (
-            self.mode == other.mode
-            and (self.n, self.k, self.d, self.beta, self.q) ==
-                (other.n, other.k, other.d, other.beta, other.q)
-            and self.block_count == other.block_count
-            and self.data_len == other.data_len
-            and self.points == other.points
+            self.mode, self.n, self.k, self.d, self.beta, self.q,
+            self.block_count, self.data_len, self.points,
         )
+
+    def same_shard_set(self, other: "ShardHeader") -> bool:
+        return self.set_key() == other.set_key()
 
     def pack(self) -> bytes:
         head = _HEAD.pack(
@@ -157,8 +161,6 @@ def write_shard(path, header: ShardHeader, body: np.ndarray) -> None:
             f"body shape {body.shape} != (blocks={header.block_count}, "
             f"alpha={params.alpha})"
         )
-    if header.q > 0xFFFF:
-        raise ParameterError("shard symbols are 16-bit; q must be < 65536")
     with open(path, "wb") as fp:
         fp.write(header.pack())
         fp.write(body.astype("<u2").tobytes())
@@ -180,17 +182,20 @@ def read_shard(path) -> tuple[ShardHeader, np.ndarray]:
 
 
 def load_shard_set(directory) -> tuple[ShardHeader, dict[int, np.ndarray]]:
-    """All readable, mutually consistent shards in a directory. Unreadable or
-    inconsistent files are skipped (a deleted/garbled shard is an erasure, not
-    a fatal error); returns the reference header and node_id -> body."""
+    """All readable shards of the majority shard set in a directory.
+
+    The reference header is the one shared by the most readable files (ties
+    go to the set holding the lowest node id). Unreadable files, files of
+    another set and repeated node ids are skipped: a deleted or garbled shard
+    is an erasure, not a fatal error. Returns the reference header and
+    node_id -> body."""
     names = sorted(
         f for f in os.listdir(directory)
         if f.startswith("node") and f.endswith(".shard")
     )
     if not names:
         raise InfeasibleError(f"no shard files in {directory}")
-    reference: ShardHeader | None = None
-    bodies: dict[int, np.ndarray] = {}
+    readable: list[tuple[str, ShardHeader, np.ndarray]] = []
     skipped: list[str] = []
     for name in names:
         try:
@@ -198,20 +203,27 @@ def load_shard_set(directory) -> tuple[ShardHeader, dict[int, np.ndarray]]:
         except (ParameterError, OSError):
             skipped.append(name)
             continue
-        if reference is None:
-            reference = header
-        if not reference.same_shard_set(header) or header.node_id in bodies:
+        readable.append((name, header, body))
+    if not readable:
+        raise InfeasibleError(f"no readable shards in {directory}")
+    keys = [header.set_key() for _, header, _ in readable]
+    support = Counter(keys)
+    ref = min(
+        range(len(readable)),
+        key=lambda i: (-support[keys[i]], readable[i][1].node_id),
+    )
+    bodies: dict[int, np.ndarray] = {}
+    for (name, header, body), key in zip(readable, keys):
+        if key != keys[ref] or header.node_id in bodies:
             skipped.append(name)
             continue
         bodies[header.node_id] = body
-    if reference is None:
-        raise InfeasibleError(f"no readable shards in {directory}")
     if skipped:
         print(
             f"warning: skipped inconsistent shard files: {', '.join(skipped)}",
             file=sys.stderr,
         )
-    return reference, bodies
+    return readable[ref][1], bodies
 
 
 # --- file payload packing -------------------------------------------------
@@ -270,21 +282,22 @@ def _slice_matrix_index(params: SystemParams) -> np.ndarray:
     return idx
 
 
-def _share_map(enc: EncodingMatrix) -> np.ndarray:
-    if enc.params.mode is CodeMode.MSR:
-        return msr_share_map(enc)
-    return mbr_share_map(enc)
+def share_map(enc: EncodingMatrix) -> np.ndarray:
+    """Coefficient tensor A with shape (n, alpha', B') mapping one slice of
+    payload symbols u to every node's stored slice: share_i = A[i] @ u."""
+    params = enc.params
+    idx = _slice_matrix_index(params)
+    onehot = (idx[:, :, None] == np.arange(params.slice_symbols)).astype(np.int64)
+    return np.einsum("nd,dwu->nwu", enc.psi.array(), onehot) % enc.field.q
 
 
-# --- bulk encode / decode ---------------------------------------------------
+# --- the batched codec ------------------------------------------------------
 
 
 def encode_blocks(blocks: np.ndarray, enc: EncodingMatrix) -> dict[int, np.ndarray]:
     """Encode (nblocks, B) payload symbols; returns node_id -> (nblocks, alpha)."""
     params = enc.params
     q = enc.field.q
-    if q > 0xFFFF:
-        raise ParameterError("file codec requires q < 65536 (16-bit symbols)")
     nb = blocks.shape[0]
     if blocks.shape[1] != params.message_symbols:
         raise ParameterError("payload block width must be B")
@@ -306,38 +319,120 @@ def encode_blocks(blocks: np.ndarray, enc: EncodingMatrix) -> dict[int, np.ndarr
     return out
 
 
-def _bulk_poly_decode(
+def helper_symbols(
+    share: np.ndarray, failed_id: int, enc: EncodingMatrix
+) -> np.ndarray:
+    """The (nblocks, beta) repair symbols a helper holding the (nblocks, alpha)
+    ``share`` sends for ``failed_id``: per slice, its stored row dotted with
+    phi_f (MSR) or psi_f (MBR). They depend on the helper's own share and the
+    failed id only, never on which other helpers take part."""
+    params = enc.params
+    if params.mode is CodeMode.MSR:
+        target = enc.phi_row(failed_id)
+    else:
+        target = enc.psi_row(failed_id)
+    slices = share.reshape(share.shape[0], params.beta, params.alpha_prime)
+    return slices @ np.asarray(target, dtype=np.int64) % enc.field.q
+
+
+def poly_decode(
     y: np.ndarray, points: Sequence[int], msg_len: int, t: int, field: Fq
 ) -> np.ndarray:
-    """Decode (N, nblocks) polynomial evaluations to (msg_len, nblocks)
+    """Decode (R, nblocks) polynomial evaluations to (msg_len, nblocks)
     coefficients, tolerating up to t wrong rows per block. Candidate clean
     subsets are tried in canonical order; a block accepts the first candidate
-    agreeing with at least N - t of its symbols."""
+    agreeing with at least R - t of its symbols."""
     n_rows = y.shape[0]
     q = field.q
     vdm = linalg.vandermonde(field, points, msg_len).array()
     out = np.zeros((msg_len, y.shape[1]), dtype=np.int64)
     undecided = np.arange(y.shape[1])
-    if undecided.size == 0:
-        return out
     for subset in combinations(range(n_rows), msg_len):
+        if not undecided.size:
+            break
         sub = list(subset)
         inv = linalg.inverse(
             MatrixFq(field, vdm[sub], _trusted=True)
         ).array()
-        cand = inv @ y[sub][:, undecided] % q
-        preds = vdm @ cand % q
-        agree = (preds == y[:, undecided]).sum(axis=0)
-        ok = agree >= n_rows - t
+        cand = inv @ y[sub] % q
+        ok = (vdm @ cand % q == y).sum(axis=0) >= n_rows - t
         if ok.any():
-            taken = undecided[ok]
-            out[:, taken] = cand[:, ok]
+            out[:, undecided[ok]] = cand[:, ok]
             undecided = undecided[~ok]
-            if undecided.size == 0:
-                return out
-    raise DecodeFailure(
-        f"{undecided.size} blocks exceeded the (t={t}) corruption budget"
-    )
+            y = y[:, ~ok]
+    if undecided.size:
+        raise DecodeFailure(
+            f"{undecided.size} blocks exceeded the (t={t}) corruption budget"
+        )
+    return out
+
+
+def decode_repair(
+    symbols: dict[int, np.ndarray], failed_id: int, enc: EncodingMatrix, t: int
+) -> np.ndarray:
+    """The failed node's (nblocks, alpha) share from helper_id -> (nblocks,
+    beta) repair symbols of the helpers that answered, up to t of them
+    corrupt; exact when at least d + 2t answered. Per slice the symbols are
+    evaluations of m_f = M phi_f (MSR) or M psi_f (MBR) at the helpers'
+    points."""
+    params = enc.params
+    q = enc.field.q
+    points = [enc.point_of(h) for h in symbols]
+    y = np.stack(list(symbols.values()))  # (R, nblocks, beta)
+    nb, ap = y.shape[1], params.alpha_prime
+    share = np.empty((nb, params.beta, ap), dtype=np.int64)
+    for j in range(params.beta):
+        m = poly_decode(y[:, :, j], points, params.d, t, enc.field)
+        if params.mode is CodeMode.MSR:
+            # phi_f^t S1 + lambda_f phi_f^t S2, by the symmetry of S1 and S2
+            m = (m[:ap] + enc.lam_of(failed_id) * m[ap:]) % q
+        # MBR: M is symmetric, so m_f itself is the lost slice share
+        share[:, j, :] = m.T
+    return share.reshape(nb, params.alpha)
+
+
+def decode_reconstruct(
+    shares: dict[int, np.ndarray], enc: EncodingMatrix, t: int
+) -> np.ndarray:
+    """The (nblocks, B) payload from node_id -> (nblocks, alpha) shares of the
+    nodes that answered, up to t of them corrupt; exact when at least k + 2t
+    answered. Per slice, each k-subset's candidate is its stacked share map's
+    left inverse applied to its shares."""
+    params = enc.params
+    ids = list(shares)
+    q = enc.field.q
+    nb = shares[ids[0]].shape[0]
+    amap = share_map(enc)
+    width = params.alpha_prime
+    bprime = params.slice_symbols
+    out = np.empty((nb, params.message_symbols), dtype=np.int64)
+    for j in range(params.beta):
+        # node -> (alpha', blocks not yet decided) received slice shares
+        ys = {i: shares[i][:, j * width : (j + 1) * width].T for i in ids}
+        undecided = np.arange(nb)
+        got = np.zeros((bprime, nb), dtype=np.int64)
+        for subset in combinations(ids, params.k):
+            if not undecided.size:
+                break
+            a_sub = MatrixFq(
+                enc.field,
+                np.concatenate([amap[i - 1] for i in subset], axis=0),
+                _trusted=True,
+            )
+            lsolve = linalg.left_inverse(a_sub).array()
+            cand = lsolve @ np.concatenate([ys[i] for i in subset], axis=0) % q
+            agree = sum((amap[i - 1] @ cand % q == ys[i]).all(axis=0) for i in ids)
+            ok = agree >= len(ids) - t
+            if ok.any():
+                got[:, undecided[ok]] = cand[:, ok]
+                undecided = undecided[~ok]
+                ys = {i: y[:, ~ok] for i, y in ys.items()}
+        if undecided.size:
+            raise DecodeFailure(
+                f"{undecided.size} blocks exceeded the (t={t}) corruption budget"
+            )
+        out[:, j * bprime : (j + 1) * bprime] = got.T
+    return out
 
 
 def repair_blocks(
@@ -350,7 +445,7 @@ def repair_blocks(
     """Regenerate the failed node's (nblocks, alpha) body from shard bodies.
 
     Helpers are the lowest-id present nodes; each contributes its per-block
-    repair symbol, computed exactly as a live helper would.
+    repair symbols, computed exactly as a live helper would.
     """
     params = enc.params
     enc.check_node(failed_id)
@@ -361,32 +456,12 @@ def repair_blocks(
     if len(helpers) < delta:
         raise InfeasibleError(f"repair needs {delta} helper shards, found {len(helpers)}")
     helpers = helpers[:delta]
-    q = enc.field.q
-    nb = next(iter(bodies.values())).shape[0]
-    if params.mode is CodeMode.MSR:
-        width = params.k - 1
-        target = np.asarray(enc.phi_row(failed_id), dtype=np.int64)
-    else:
-        width = params.d
-        target = np.asarray(enc.psi_row(failed_id), dtype=np.int64)
-    points = [enc.point_of(h) for h in helpers]
-    share = np.empty((nb, params.alpha), dtype=np.int64)
-    for j in range(params.beta):
-        y = np.stack(
-            [bodies[h][:, j * width : (j + 1) * width] @ target % q for h in helpers]
-        )
-        m = _bulk_poly_decode(y, points, params.d, t, enc.field)
-        if params.mode is CodeMode.MSR:
-            lam_f = enc.lam_of(failed_id)
-            ap = params.k - 1
-            slice_share = (m[:ap] + lam_f * m[ap:]) % q
-        else:
-            slice_share = m
-        share[:, j * width : (j + 1) * width] = slice_share.T
+    symbols = {h: helper_symbols(bodies[h], failed_id, enc) for h in helpers}
+    share = decode_repair(symbols, failed_id, enc, t)
     info = {
         "helpers": helpers,
         "connectivity": delta,
-        "downloaded": delta * params.beta * nb,
+        "downloaded": delta * params.beta * share.shape[0],
     }
     return share, info
 
@@ -408,48 +483,10 @@ def reconstruct_blocks(
             f"reconstruction needs {kappa} shards, found {len(present)}"
         )
     chosen = present[:kappa]
-    q = enc.field.q
-    nb = bodies[chosen[0]].shape[0]
-    amap = _share_map(enc)
-    width = amap.shape[1]  # alpha'
-    bprime = params.slice_symbols
-    out = np.empty((nb, params.message_symbols), dtype=np.int64)
-    for j in range(params.beta):
-        ys = {i: bodies[i][:, j * width : (j + 1) * width].T for i in chosen}
-        undecided = np.arange(nb)
-        got = np.zeros((bprime, nb), dtype=np.int64)
-        solved = undecided.size == 0
-        for subset in combinations(chosen, params.k):
-            if solved:
-                break
-            a_sub = MatrixFq(
-                enc.field,
-                np.concatenate([amap[i - 1] for i in subset], axis=0),
-                _trusted=True,
-            )
-            lsolve = linalg.left_inverse(a_sub).array()
-            y_sub = np.concatenate([ys[i][:, undecided] for i in subset], axis=0)
-            cand = lsolve @ y_sub % q
-            agree = np.zeros(undecided.size, dtype=np.int64)
-            for i in chosen:
-                preds = amap[i - 1] @ cand % q
-                agree += (preds == ys[i][:, undecided]).all(axis=0)
-            ok = agree >= kappa - t
-            if ok.any():
-                taken = undecided[ok]
-                got[:, taken] = cand[:, ok]
-                undecided = undecided[~ok]
-                if undecided.size == 0:
-                    solved = True
-                    break
-        if not solved:
-            raise DecodeFailure(
-                f"{undecided.size} blocks exceeded the (t={t}) corruption budget"
-            )
-        out[:, j * bprime : (j + 1) * bprime] = got.T
+    out = decode_reconstruct({i: bodies[i] for i in chosen}, enc, t)
     info = {
         "providers": chosen,
         "connectivity": kappa,
-        "downloaded": kappa * params.alpha * nb,
+        "downloaded": kappa * params.alpha * out.shape[0],
     }
     return out, info

@@ -1,10 +1,12 @@
 """Block-granular storage-cluster simulator with fault injection.
 
-The cluster holds one encoded share set per block and retains the ground
-truth, so every repair/reconstruction outcome is checked: the codes under
-test never see the truth, the harness always does. Adversaries act at block
-granularity: an erased helper drops its whole response, a corrupt helper
-replaces all of its response symbols with seeded-random values.
+The cluster holds each node's shares for all blocks as one (nblocks, alpha)
+array and retains the ground truth (the payloads and their `encode_blocks`
+encoding), so every repair/reconstruction outcome is checked: the codec
+under test never sees the truth, the harness always does. Each event runs
+the batched codec of `pmrc.shards` once over all blocks. Adversaries act at
+block granularity: an erased helper drops its whole response, a corrupt
+helper replaces all of its response symbols with seeded-random values.
 
 Helper/provider selection is deterministic (lowest alive ids) by default; an
 event may ask for a seeded permutation instead to exercise the "any Delta
@@ -18,11 +20,11 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .decoding import Response
+import numpy as np
+
 from .errors import DecodeFailure, InfeasibleError, ParameterError
 from .field import Fq, default_modulus
-from .msr import NodeShare, msr_encode, msr_fill_message, msr_helper_symbol, msr_repair, msr_reconstruct
-from .mbr import mbr_encode, mbr_fill_message, mbr_helper_symbol, mbr_repair, mbr_reconstruct
+from .msr import NodeShare
 from .params import (
     CodeMode,
     EncodingMatrix,
@@ -32,6 +34,11 @@ from .params import (
     msr_params,
     resilience_feasible,
 )
+from .shards import decode_reconstruct, decode_repair, encode_blocks, helper_symbols
+
+# Not called here: bound so the benchmark tracer (perfbench/tracer.py) resolves them.
+from .mbr import mbr_encode, mbr_helper_symbol, mbr_reconstruct, mbr_repair  # noqa: F401
+from .msr import msr_encode, msr_helper_symbol, msr_reconstruct, msr_repair  # noqa: F401
 
 SUCCESS = "success"
 DETECTED = "detected-failure"
@@ -85,7 +92,8 @@ def _random_symbols(rng: random.Random, count: int, q: int) -> tuple[int, ...]:
 
 
 class ClusterState:
-    """n node slots, each alive with per-block shares or failed."""
+    """n node slots, each alive with an (nblocks, alpha) share array or
+    failed."""
 
     def __init__(self, enc: EncodingMatrix, payloads: Sequence[Sequence[int]]):
         self.enc = enc
@@ -93,21 +101,11 @@ class ClusterState:
         self.field = enc.field
         self.blocks = list(range(len(payloads)))
         self.payloads = [tuple(p) for p in payloads]
-        self._shares: dict[int, list[tuple[int, ...]] | None] = {
-            i: [] for i in range(1, self.params.n + 1)
-        }
-        for payload in self.payloads:
-            for share in self._encode_block(payload):
-                self._shares[share.node_id].append(share.symbols)
-
-    def _encode_block(self, payload: Sequence[int]) -> list[NodeShare]:
-        if self.params.mode is CodeMode.MSR:
-            return msr_encode(msr_fill_message(payload, self.params, self.field), self.enc)
-        return mbr_encode(mbr_fill_message(payload, self.params, self.field), self.enc)
-
-    def _truth_share(self, node: int, block: int) -> tuple[int, ...]:
-        shares = self._encode_block(self.payloads[block])
-        return shares[node - 1].symbols
+        blocks = np.asarray(self.payloads, dtype=np.int64)
+        self._truth = encode_blocks(
+            blocks.reshape(len(self.blocks), self.params.message_symbols), enc
+        )
+        self._shares: dict[int, np.ndarray | None] = dict(self._truth)
 
     def alive(self) -> list[int]:
         return sorted(i for i, s in self._shares.items() if s is not None)
@@ -119,7 +117,7 @@ class ClusterState:
     def share(self, node: int, block: int) -> NodeShare:
         if not self.is_alive(node):
             raise ParameterError(f"node {node} is failed")
-        return NodeShare(node, self._shares[node][block])
+        return NodeShare(node, tuple(int(v) for v in self._shares[node][block]))
 
     def fail(self, node: int) -> None:
         """Discard a live node's shares (it is replaced by an empty node)."""
@@ -135,6 +133,28 @@ class ClusterState:
         picked = list(candidates)
         rng.shuffle(picked)
         return sorted(picked[:count])
+
+    def _responses(
+        self, chosen: list[int], plan: AdversaryPlan, s: int, send
+    ) -> dict[int, np.ndarray]:
+        """node -> (nblocks, width) response arrays of the chosen nodes that
+        are not erased, where send(node) is a node's honest response. Corrupt
+        responses are seeded-random, drawn block by block in node order."""
+        erased = len(plan.erase.intersection(chosen))
+        if erased > s:
+            raise ParameterError(f"{erased} erased responses exceed the budget s={s}")
+        received = {i: send(i) for i in chosen if i not in plan.erase}
+        bad = [i for i in received if i in plan.corrupt]
+        if bad:
+            rng = random.Random(f"corrupt:{plan.seed}")
+            nb, width = received[bad[0]].shape
+            fake = np.asarray(
+                _random_symbols(rng, nb * len(bad) * width, self.field.q),
+                dtype=np.int64,
+            ).reshape(nb, len(bad), width)
+            for c, i in enumerate(bad):
+                received[i] = fake[:, c, :]
+        return received
 
     def repair(
         self,
@@ -159,37 +179,23 @@ class ClusterState:
                 f"only {len(helpers)} alive helpers, repair needs {delta}"
             )
         chosen = self._select(helpers, delta, permute_rng)
-        plan = adversary or AdversaryPlan()
-        rng = random.Random(f"corrupt:{plan.seed}")
-        helper_fn = (
-            msr_helper_symbol if params.mode is CodeMode.MSR else mbr_helper_symbol
+        received = self._responses(
+            chosen,
+            adversary or AdversaryPlan(),
+            s,
+            lambda h: helper_symbols(self._shares[h], failed, self.enc),
         )
-        repair_fn = msr_repair if params.mode is CodeMode.MSR else mbr_repair
-
-        rebuilt: list[tuple[int, ...]] = []
         outcome = SUCCESS
         detail = ""
-        for block in self.blocks:
-            responses = []
-            for h in chosen:
-                if h in plan.erase:
-                    responses.append(Response(h, None))
-                    continue
-                symbols = helper_fn(self.share(h, block), failed, self.enc)
-                if h in plan.corrupt:
-                    symbols = _random_symbols(rng, params.beta, self.field.q)
-                responses.append(Response(h, symbols))
-            try:
-                rebuilt.append(repair_fn(responses, failed, self.enc, s, t).symbols)
-            except DecodeFailure as e:
-                outcome, detail = DETECTED, str(e)
-                break
-        if outcome == SUCCESS:
-            for block in self.blocks:
-                if rebuilt[block] != self._truth_share(failed, block):
-                    outcome = MISMATCH
-                    detail = f"block {block} share differs from ground truth"
-                    break
+        try:
+            rebuilt = decode_repair(received, failed, self.enc, t)
+        except DecodeFailure as e:
+            outcome, detail = DETECTED, str(e)
+        else:
+            mismatch = np.flatnonzero((rebuilt != self._truth[failed]).any(axis=1))
+            if mismatch.size:
+                outcome = MISMATCH
+                detail = f"block {mismatch[0]} share differs from ground truth"
             self._shares[failed] = rebuilt
         return EventReport(
             kind="repair",
@@ -212,6 +218,8 @@ class ClusterState:
         """Data-collector read from kappa = k+s+2t providers; the recovered
         payload is compared against ground truth."""
         params = self.params
+        if s < 0 or t < 0:
+            raise ParameterError("s and t must be nonnegative")
         kappa = params.k + s + 2 * t
         if kappa > params.n:
             raise InfeasibleError(f"(s={s}, t={t}) needs k+s+2t <= n")
@@ -221,31 +229,21 @@ class ClusterState:
                 f"only {len(providers)} alive nodes, reconstruction needs {kappa}"
             )
         chosen = self._select(providers, kappa, permute_rng)
-        plan = adversary or AdversaryPlan()
-        rng = random.Random(f"corrupt:{plan.seed}")
-        rec_fn = msr_reconstruct if params.mode is CodeMode.MSR else mbr_reconstruct
-
-        recovered: list[tuple[int, ...]] = []
+        received = self._responses(
+            chosen, adversary or AdversaryPlan(), s, lambda i: self._shares[i]
+        )
         outcome = SUCCESS
         detail = ""
-        for block in self.blocks:
-            responses = []
-            for i in chosen:
-                if i in plan.erase:
-                    responses.append(Response(i, None))
-                    continue
-                symbols = self.share(i, block).symbols
-                if i in plan.corrupt:
-                    symbols = _random_symbols(rng, params.alpha, self.field.q)
-                responses.append(Response(i, symbols))
-            try:
-                recovered.append(rec_fn(responses, self.enc, s, t))
-            except DecodeFailure as e:
-                outcome, detail = DETECTED, str(e)
-                break
-        if outcome == SUCCESS and recovered != self.payloads:
-            outcome = MISMATCH
-            detail = "recovered payload differs from ground truth"
+        recovered = None
+        try:
+            blocks = decode_reconstruct(received, self.enc, t)
+        except DecodeFailure as e:
+            outcome, detail = DETECTED, str(e)
+        else:
+            recovered = [tuple(int(v) for v in row) for row in blocks]
+            if recovered != self.payloads:
+                outcome = MISMATCH
+                detail = "recovered payload differs from ground truth"
         report = EventReport(
             kind="reconstruct",
             s=s,
@@ -255,16 +253,15 @@ class ClusterState:
             outcome=outcome,
             detail=detail,
         )
-        return report, (recovered if outcome != DETECTED else None)
+        return report, recovered
 
     def verify_consistent(self) -> bool:
-        """Debug sweep: every alive share matches a fresh encode of the
+        """Debug sweep: every alive share matches the encoding of the
         retained payloads."""
-        for node in self.alive():
-            for block in self.blocks:
-                if self._shares[node][block] != self._truth_share(node, block):
-                    return False
-        return True
+        return all(
+            np.array_equal(self._shares[node], self._truth[node])
+            for node in self.alive()
+        )
 
 
 def adversary_patterns(nodes: Sequence[int], s: int, t: int, seed: int = 0):

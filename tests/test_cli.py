@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -12,7 +13,7 @@ from pmrc.cli import (
     EXIT_OK,
     main,
 )
-from pmrc.shards import shard_filename
+from pmrc.shards import read_shard, shard_filename, write_shard
 
 
 def write_random_file(path, size, seed=0):
@@ -105,6 +106,18 @@ def test_reconstruct_with_too_few_shards(tmp_path):
     assert main([
         "reconstruct", str(out), "-o", str(tmp_path / "nope.bin"), "-s", "1",
     ]) == EXIT_INFEASIBLE
+
+
+def test_one_bad_header_does_not_discard_good_shards(tmp_path):
+    # node 1's header claims another data_len; the other 7 shards agree, so
+    # node 1 is skipped as an erasure and the file still comes back exactly
+    data, out = encode(tmp_path, mode="mbr", k=3, d=5, n=8)
+    path = out / shard_filename(1)
+    header, body = read_shard(path)
+    write_shard(path, dataclasses.replace(header, data_len=header.data_len + 1), body)
+    dest = tmp_path / "back.bin"
+    assert main(["reconstruct", str(out), "-o", str(dest), "-t", "1"]) == EXIT_OK
+    assert dest.read_bytes() == data
 
 
 def test_reconstruct_beyond_budget_exits_decode_failure(tmp_path):

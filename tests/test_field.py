@@ -2,20 +2,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pmrc import Fq, ParameterError, default_modulus, is_prime, smallest_prime_at_least
+from pmrc import (
+    Fq,
+    MatrixFq,
+    ParameterError,
+    default_modulus,
+    is_prime,
+    smallest_prime_at_least,
+)
 
 FIELDS = [Fq(13), Fq(29), Fq(257)]
+
+
+def scalar(f, a):
+    """a as a 1x1 matrix: the codec's field arithmetic is MatrixFq's."""
+    return MatrixFq(f, [[a]])
 
 
 def test_mul_identity_exhaustive():
     f = Fq(29)
     for x in range(29):
-        assert f.mul(1, x) == x
+        assert scalar(f, 1) @ scalar(f, x) == scalar(f, x)
 
 
 def test_frozen_examples():
-    assert Fq(29).mul(2, 15) == 1
-    assert Fq(13).add(7, 8) == 2
     assert Fq(29).inv(2) == 15
     assert Fq(13).inv(5) == 8
     assert Fq(29).pow(2, 5) == 3
@@ -39,17 +49,20 @@ def test_inv_zero_raises():
 
 
 def test_non_prime_modulus_rejected():
-    for bad in (0, 1, 6, 256, 2**31):
+    for bad in (0, 1, 6, 256, 2**31, 65537):  # 65537 is prime but not 16-bit
         with pytest.raises(ParameterError):
             Fq(bad)
+    assert Fq(65521).q == 65521  # the largest 16-bit prime
 
 
 def test_out_of_range_operands_rejected():
     f = Fq(13)
     with pytest.raises(ParameterError):
-        f.add(13, 1)
+        f.inv(13)
     with pytest.raises(ParameterError):
-        f.mul(-1, 2)
+        f.pow(-1, 2)
+    with pytest.raises(ParameterError):
+        scalar(f, 13)
     assert f.element(13) == 0
     assert f.element(-1) == 12
 
@@ -62,19 +75,20 @@ def test_out_of_range_operands_rejected():
 )
 def test_field_axioms(q, a, b, c):
     f = Fq(q)
-    a, b, c = f.element(a), f.element(b), f.element(c)
-    assert f.add(a, b) == f.add(b, a)
-    assert f.mul(a, b) == f.mul(b, a)
-    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-    assert f.sub(a, b) == f.add(a, f.neg(b))
+    a, b, c = (scalar(f, f.element(v)) for v in (a, b, c))
+    zero = scalar(f, 0)
+    assert a + b == b + a
+    assert a @ b == b @ a
+    assert (a + b) + c == a + (b + c)
+    assert (a @ b) @ c == a @ (b @ c)
+    assert a @ (b + c) == a @ b + a @ c
+    assert a - b == a + (zero - b)
 
 
 def test_inverse_involution_exhaustive():
     f = Fq(29)
     for a in range(1, 29):
-        assert f.mul(a, f.inv(a)) == 1
+        assert a * f.inv(a) % 29 == 1
         assert f.inv(f.inv(a)) == a
 
 

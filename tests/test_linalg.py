@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from pmrc import (
@@ -145,10 +146,13 @@ def test_stacking_and_slicing():
     assert a.T.to_lists() == [[1, 3], [2, 4]]
 
 
-def test_large_modulus_object_path():
-    # crosses the int64 fast-multiply threshold, exercising the object path
-    q = smallest_prime_at_least(2**20 + 1)
-    f = Fq(q)
+def test_modulus_capped_at_16_bits():
+    # shard symbols are u16, so the field stops below 65536 and every int64
+    # product stays exact
+    with pytest.raises(ParameterError):
+        Fq(smallest_prime_at_least(2**16))
+    f = Fq(65521)
+    q = f.q
     a = MatrixFq(f, [[q - 1, q - 2], [1, q - 1]])
     b = MatrixFq(f, [[q - 1], [q - 1]])
     got = (a @ b).to_lists()
@@ -161,13 +165,14 @@ def test_large_modulus_object_path():
 
 def test_product_reproduces_node_share():
     # one psi row times the message matrix equals that node's stored share
-    from pmrc import msr_encode, msr_fill_message, msr_params, build_encoding
+    from pmrc import msr_fill_message, msr_params, build_encoding
+    from pmrc.shards import encode_blocks
 
     params = msr_params(k=3, n=7)
     enc = build_encoding(params, F29)
     payload = tuple(range(1, 7))
     slices = msr_fill_message(payload, params, F29)
-    shares = msr_encode(slices, enc)
+    bodies = encode_blocks(np.array([payload]), enc)
     for i in range(params.n):
         row = enc.psi.take_rows([i]) @ slices[0].stacked()
-        assert tuple(row.array()[0]) == shares[i].symbols
+        assert tuple(row.array()[0]) == tuple(bodies[i + 1][0])

@@ -14,7 +14,6 @@ from pmrc import (
     mbr_helper_symbol,
     mbr_params,
     mbr_read_message,
-    mbr_reconstruct,
     mbr_repair,
 )
 from pmrc.decoding import Response
@@ -223,21 +222,3 @@ def test_beta_concatenation_matches_slicewise_encoding():
         for i in range(6):
             assert shares[i].symbols[j * ap : (j + 1) * ap] == sl_shares[i].symbols
 
-
-def test_fast_path_matches_generic_solve():
-    params = mbr_params(k=3, d=5, n=8, beta=2)
-    enc, encode_payload, _, _, _ = make_code(params, 257)
-    rng = random.Random(6)
-    payload = random_payload(rng, params, 257)
-    shares = encode_payload(payload)
-    # clean kappa = k
-    resp = [Response(s.node_id, s.symbols) for s in shares[:3]]
-    slow = mbr_reconstruct(resp, enc)
-    fast = mbr_reconstruct(resp, enc, use_fast_path=True)
-    assert slow == fast == payload
-    # erasure case within the s budget
-    resp = [Response(s.node_id, s.symbols) for s in shares[:4]]
-    resp[1] = Response(resp[1].node_id, None)
-    slow = mbr_reconstruct(resp, enc, s=1)
-    fast = mbr_reconstruct(resp, enc, s=1, use_fast_path=True)
-    assert slow == fast == payload

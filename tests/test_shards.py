@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 
 from pmrc import (
+    CodeMode,
     DecodeFailure,
+    Fq,
     InfeasibleError,
     ParameterError,
     build_encoding,
+    mbr_fill_message,
     mbr_params,
+    msr_fill_message,
     msr_params,
 )
 from pmrc.shards import (
@@ -101,23 +105,32 @@ def test_shard_file_round_trip(tmp_path):
 
 
 def test_encode_blocks_matches_unit_encoder():
+    """Every block's shares equal the product-matrix definition psi @ M,
+    slice by slice, with M laid out by the *_fill_message layout."""
     rng = random.Random(3)
     for params, q in (
         (msr_params(k=3, n=7, beta=2), 257),
         (mbr_params(k=3, d=5, n=8), 257),
         (mbr_params(k=2, d=3, n=5, beta=3), 263),
     ):
-        enc, encode_payload, _, _, _ = make_code(params, q)
+        enc = build_encoding(params, Fq(q))
         nb = 4
         blocks = np.array(
             [random_payload(rng, params, min(q, 257)) for _ in range(nb)],
             dtype=np.int64,
         ).reshape(nb, params.message_symbols)
         bodies = encode_blocks(blocks, enc)
+        ap = params.alpha_prime
         for b in range(nb):
-            shares = encode_payload(tuple(int(v) for v in blocks[b]))
-            for s in shares:
-                assert tuple(int(v) for v in bodies[s.node_id][b]) == s.symbols
+            payload = tuple(int(v) for v in blocks[b])
+            if params.mode is CodeMode.MSR:
+                ms = [sl.stacked() for sl in msr_fill_message(payload, params, enc.field)]
+            else:
+                ms = [sl.assembled() for sl in mbr_fill_message(payload, params, enc.field)]
+            for j, m in enumerate(ms):
+                code = (enc.psi @ m).array()
+                for i in range(1, params.n + 1):
+                    assert (bodies[i][b, j * ap : (j + 1) * ap] == code[i - 1]).all()
 
 
 def test_repair_blocks_matches_unit_repair(tmp_path):
