@@ -1,8 +1,9 @@
-"""Reference errors-and-erasures decoders and the per-block response type.
+"""Errors-and-erasures decoders and the per-block response type.
 
-The shipping codec is the batched one in `pmrc.shards`; nothing in the
-package calls the decoders below. They stay as independent references that
-tests compare the codec against:
+The shipping codec is the batched one in `pmrc.shards`. It calls
+``rs_decode_ee`` to locate the wrong responses of a block that fails its
+clean path; the other two decoders below are references only, which tests
+compare the codec against:
 
 * ``subset_decode_oracle`` is the normative brute-force reference: it solves
   every msg_len-subset of the received entries and accepts a candidate that

@@ -27,9 +27,14 @@ This module is the package's one codec. Blocks are independent, so every
 step works on all blocks at once with numpy: `encode_blocks`, the helper step
 `helper_symbols`, and the two decode steps `decode_repair` and
 `decode_reconstruct`, which take only the responses that arrived (erased ones
-dropped) plus the corruption budget t. Each decode tries candidate clean
-subsets in canonical order and accepts a block's candidate once it agrees
-with at least R - t of the R responses. The file-level calls
+dropped) plus the corruption budget t, and need R >= msg_len + 2t of them.
+A block's candidate is accepted once it agrees with at least R - t of the R
+responses; that candidate is unique. Each decode first inverts the first
+responses once for all blocks (the clean path). For a block left over it
+locates the wrong responses by Reed-Solomon errors-and-erasures decoding
+(`decoding.rs_decode_ee`, directly for repair and through the product-matrix
+reduction for reconstruction), then erases them and inverts once more for
+every remaining block. The file-level calls
 (`repair_blocks`, `reconstruct_blocks`), the simulator and the per-block
 `msr_*`/`mbr_*` calls (batches of one block) all run these steps; the
 reference decoders in `decoding` are kept for tests to compare against.
@@ -42,12 +47,11 @@ import struct
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from . import linalg
+from . import decoding, linalg
 from .errors import DecodeFailure, InfeasibleError, ParameterError
 from .field import Fq
 from .linalg import MatrixFq
@@ -335,36 +339,79 @@ def helper_symbols(
     return slices @ np.asarray(target, dtype=np.int64) % enc.field.q
 
 
+def _locate_then_erase(
+    ys: list[np.ndarray], gen: np.ndarray, need: int, t: int, field: Fq,
+    invert, locate,
+) -> np.ndarray:
+    """Messages (L, nblocks) from the R positions that answered: ys[r] holds
+    position r's (w, nblocks) symbols of the codeword gen @ m, gen[r] is its
+    (w, L) code map, and any ``need`` positions determine m. Up to t
+    positions per block may be wrong. R >= need + 2t makes the codeword
+    agreeing with at least R - t positions unique; it is returned for every
+    block, or DecodeFailure when some block has none.
+
+    Clean pass: one ``invert`` (``linalg.inverse`` or ``left_inverse``) of
+    the first ``need`` positions gives every block a candidate, accepted when
+    it agrees with at least R - t positions. While blocks remain, ``locate``
+    maps the first remaining block's (R, w) symbols to the mask of its wrong
+    positions (exact whenever the block has an acceptable codeword); those
+    positions are erased, and one inverse of the first ``need`` other
+    positions gives the remaining blocks new candidates, accepted by the
+    same rule. The call fails as soon as the located block is not accepted.
+    """
+    n_pos = len(ys)
+    if t < 0 or n_pos < need + 2 * t:
+        raise ParameterError(
+            f"{n_pos} responses cannot correct {t} errors; "
+            f"need t >= 0 and at least {need} + 2t"
+        )
+    q = field.q
+    out = np.empty((gen.shape[2], ys[0].shape[1]), dtype=np.int64)
+    undecided = np.arange(out.shape[1])
+    erased = np.zeros(n_pos, dtype=bool)
+    located = False
+    while undecided.size:
+        rows = np.flatnonzero(~erased)[:need]
+        inv = invert(
+            MatrixFq(field, np.concatenate(gen[rows]), _trusted=True)
+        ).array()
+        cand = inv @ np.concatenate([ys[r] for r in rows]) % q
+        agree = sum((g @ cand % q == y).all(axis=0) for g, y in zip(gen, ys))
+        ok = agree >= n_pos - t
+        if located and not ok[0]:
+            break
+        out[:, undecided[ok]] = cand[:, ok]
+        undecided = undecided[~ok]
+        ys = [y[:, ~ok] for y in ys]
+        if undecided.size:
+            erased = locate(np.stack([y[:, 0] for y in ys]))
+            located = True
+            if erased.sum() > t:
+                break
+    else:
+        return out
+    raise DecodeFailure(
+        f"block {undecided[0]} exceeded the (t={t}) corruption budget"
+    )
+
+
 def poly_decode(
     y: np.ndarray, points: Sequence[int], msg_len: int, t: int, field: Fq
 ) -> np.ndarray:
     """Decode (R, nblocks) polynomial evaluations to (msg_len, nblocks)
-    coefficients, tolerating up to t wrong rows per block. Candidate clean
-    subsets are tried in canonical order; a block accepts the first candidate
-    agreeing with at least R - t of its symbols."""
-    n_rows = y.shape[0]
-    q = field.q
+    coefficients, tolerating up to t wrong rows per block; needs R >=
+    msg_len + 2t. A block that is not clean is located by the
+    Berlekamp-Welch key equation (`decoding.rs_decode_ee`)."""
     vdm = linalg.vandermonde(field, points, msg_len).array()
-    out = np.zeros((msg_len, y.shape[1]), dtype=np.int64)
-    undecided = np.arange(y.shape[1])
-    for subset in combinations(range(n_rows), msg_len):
-        if not undecided.size:
-            break
-        sub = list(subset)
-        inv = linalg.inverse(
-            MatrixFq(field, vdm[sub], _trusted=True)
-        ).array()
-        cand = inv @ y[sub] % q
-        ok = (vdm @ cand % q == y).sum(axis=0) >= n_rows - t
-        if ok.any():
-            out[:, undecided[ok]] = cand[:, ok]
-            undecided = undecided[~ok]
-            y = y[:, ~ok]
-    if undecided.size:
-        raise DecodeFailure(
-            f"{undecided.size} blocks exceeded the (t={t}) corruption budget"
-        )
-    return out
+
+    def locate(word: np.ndarray) -> np.ndarray:
+        coeffs = decoding.rs_decode_ee(word[:, 0].tolist(), points, msg_len, t, field)
+        return vdm @ np.asarray(coeffs, dtype=np.int64) % field.q != word[:, 0]
+
+    return _locate_then_erase(
+        list(y[:, None, :]), vdm[:, None, :], msg_len, t, field,
+        linalg.inverse, locate,
+    )
 
 
 def decode_repair(
@@ -391,48 +438,89 @@ def decode_repair(
     return share.reshape(nb, params.alpha)
 
 
+def _locate_msr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> np.ndarray:
+    """Mask of the wrong shares among one MSR slice's (R, alpha') shares y
+    of nodes ids.
+
+    With Phi the providers' phi rows, Y Phi^t = P + Lambda Q where P = Phi S1
+    Phi^t and Q = Phi S2 Phi^t are symmetric, so each off-diagonal pair
+    (i, j), (j, i) of Y Phi^t gives Q_ij. Off the diagonal, row i of Q holds
+    the evaluations of S2 phi_i at the other providers' points, and a wrong
+    share y_j = y_j' + e_j spoils entry j of row i unless e_j . phi_i = 0.
+    RS decoding a clean row therefore flags only wrong providers; a wrong
+    provider is flagged by all but at most alpha' - 1 of the R - t or more
+    clean rows, that is by more than t rows, and a correct one only by the t
+    or fewer wrong rows."""
+    field = enc.field
+    q = field.q
+    points = [enc.point_of(i) for i in ids]
+    phi = enc.phi.array()[[i - 1 for i in ids]]
+    lam = np.asarray([enc.lam_of(i) for i in ids], dtype=np.int64)
+    c = y @ phi.T % q  # c[i, j] = P_ij + lam_i Q_ij
+    gap = (lam[:, None] - lam[None, :]) % q
+    np.fill_diagonal(gap, 1)
+    gap_inv = np.array([[pow(int(v), q - 2, q) for v in row] for row in gap])
+    q_mat = (c - c.T) * gap_inv % q
+    votes = np.zeros(len(ids), dtype=np.int64)
+    for i, row in enumerate(q_mat.tolist()):
+        row[i] = None
+        try:
+            coeffs = decoding.rs_decode_ee(row, points, phi.shape[1], t, field)
+        except DecodeFailure:
+            continue  # a wrong row; the clean rows flag it
+        flagged = phi @ np.asarray(coeffs, dtype=np.int64) % q != q_mat[i]
+        flagged[i] = False
+        votes += flagged
+    return votes > t
+
+
+def _locate_mbr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> np.ndarray:
+    """Mask of the wrong shares among one MBR slice's (R, d) shares y of
+    nodes ids. With M = [[S, T], [T^t, 0]], columns k..d-1 of y are
+    evaluations of the columns of T (degree < k); once the sigma rows times
+    T are subtracted, columns 0..k-1 are evaluations of the columns of S.
+    The decoded M is re-encoded and compared with y."""
+    field = enc.field
+    k, d = enc.params.k, enc.params.d
+    points = [enc.point_of(i) for i in ids]
+    rows = [i - 1 for i in ids]
+
+    def rs_columns(word: np.ndarray) -> np.ndarray:
+        return np.array(
+            [decoding.rs_decode_ee(col, points, k, t, field) for col in word.T.tolist()],
+            dtype=np.int64,
+        ).reshape(-1, k).T
+
+    t_blk = rs_columns(y[:, k:])
+    m = np.zeros((d, d), dtype=np.int64)
+    m[:k, :k] = rs_columns((y[:, :k] - enc.sigma.array()[rows] @ t_blk.T) % field.q)
+    m[:k, k:] = t_blk
+    m[k:, :k] = t_blk.T
+    return (enc.psi.array()[rows] @ m % field.q != y).any(axis=1)
+
+
 def decode_reconstruct(
     shares: dict[int, np.ndarray], enc: EncodingMatrix, t: int
 ) -> np.ndarray:
     """The (nblocks, B) payload from node_id -> (nblocks, alpha) shares of the
     nodes that answered, up to t of them corrupt; exact when at least k + 2t
-    answered. Per slice, each k-subset's candidate is its stacked share map's
-    left inverse applied to its shares."""
+    answered. Per slice a candidate is the left inverse of k providers'
+    stacked share maps applied to their shares; the wrong shares of a block
+    that is not clean are located by the product-matrix reduction to RS
+    decoding."""
     params = enc.params
     ids = list(shares)
-    q = enc.field.q
-    nb = shares[ids[0]].shape[0]
-    amap = share_map(enc)
+    gen = share_map(enc)[[i - 1 for i in ids]]
     width = params.alpha_prime
-    bprime = params.slice_symbols
-    out = np.empty((nb, params.message_symbols), dtype=np.int64)
-    for j in range(params.beta):
-        # node -> (alpha', blocks not yet decided) received slice shares
-        ys = {i: shares[i][:, j * width : (j + 1) * width].T for i in ids}
-        undecided = np.arange(nb)
-        got = np.zeros((bprime, nb), dtype=np.int64)
-        for subset in combinations(ids, params.k):
-            if not undecided.size:
-                break
-            a_sub = MatrixFq(
-                enc.field,
-                np.concatenate([amap[i - 1] for i in subset], axis=0),
-                _trusted=True,
-            )
-            lsolve = linalg.left_inverse(a_sub).array()
-            cand = lsolve @ np.concatenate([ys[i] for i in subset], axis=0) % q
-            agree = sum((amap[i - 1] @ cand % q == ys[i]).all(axis=0) for i in ids)
-            ok = agree >= len(ids) - t
-            if ok.any():
-                got[:, undecided[ok]] = cand[:, ok]
-                undecided = undecided[~ok]
-                ys = {i: y[:, ~ok] for i, y in ys.items()}
-        if undecided.size:
-            raise DecodeFailure(
-                f"{undecided.size} blocks exceeded the (t={t}) corruption budget"
-            )
-        out[:, j * bprime : (j + 1) * bprime] = got.T
-    return out
+    locate_mode = _locate_msr if params.mode is CodeMode.MSR else _locate_mbr
+    return np.concatenate([
+        _locate_then_erase(
+            [shares[i][:, j * width : (j + 1) * width].T for i in ids],
+            gen, params.k, t, enc.field, linalg.left_inverse,
+            lambda word: locate_mode(word, ids, enc, t),
+        ).T
+        for j in range(params.beta)
+    ], axis=1)
 
 
 def repair_blocks(
@@ -449,6 +537,8 @@ def repair_blocks(
     """
     params = enc.params
     enc.check_node(failed_id)
+    if s < 0 or t < 0:
+        raise ParameterError("s and t must be nonnegative")
     delta = params.d + s + 2 * t
     if delta > params.n - 1:
         raise InfeasibleError(f"(s={s}, t={t}) needs d+s+2t <= n-1")
@@ -474,6 +564,8 @@ def reconstruct_blocks(
 ) -> tuple[np.ndarray, dict]:
     """Recover (nblocks, B) payload symbols from kappa = k+s+2t shards."""
     params = enc.params
+    if s < 0 or t < 0:
+        raise ParameterError("s and t must be nonnegative")
     kappa = params.k + s + 2 * t
     if kappa > params.n:
         raise InfeasibleError(f"(s={s}, t={t}) needs k+s+2t <= n")

@@ -128,6 +128,18 @@ def test_reconstruct_beyond_budget_exits_decode_failure(tmp_path):
     ]) == EXIT_DECODE
 
 
+def test_negative_budget_is_a_bad_argument(tmp_path):
+    data, out = encode(tmp_path, mode="mbr", k=3, d=5, n=8)
+    dest = str(tmp_path / "x.bin")
+    for argv in (
+        ["reconstruct", str(out), "-o", dest, "-s", "-3"],
+        ["reconstruct", str(out), "-o", dest, "-s", "2", "-t", "-1"],
+        ["repair", str(out), "--node", "1", "-s", "-1"],
+    ):
+        assert main(argv) == EXIT_BAD_ARGS, argv
+    assert not os.path.exists(dest)
+
+
 def test_io_error_exit(tmp_path):
     assert main([
         "encode", str(tmp_path / "missing.bin"), "-o", str(tmp_path / "sh"),

@@ -3,29 +3,40 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmrc import (
     CodeMode,
     DecodeFailure,
     Fq,
     InfeasibleError,
+    MatrixFq,
     ParameterError,
+    Response,
     build_encoding,
+    consistency_reconstruct,
+    linalg,
     mbr_fill_message,
     mbr_params,
     msr_fill_message,
     msr_params,
+    subset_decode_oracle,
 )
 from pmrc.shards import (
     ShardHeader,
     blocks_to_bytes,
     bytes_to_blocks,
+    decode_reconstruct,
+    decode_repair,
     encode_blocks,
+    helper_symbols,
     load_shard_set,
     read_shard,
     reconstruct_blocks,
     repair_blocks,
     shard_filename,
+    share_map,
     write_shard,
 )
 from util import make_code, random_payload
@@ -216,3 +227,226 @@ def test_load_shard_set_skips_bad_files(tmp_path, capsys):
         load_shard_set(empty)
     with pytest.raises(OSError):
         load_shard_set(tmp_path / "nowhere")
+
+
+# --- the decode steps against the exhaustive references --------------------
+
+ORACLE_Q = 29
+ORACLE_CODES = [
+    msr_params(k=3, n=8),
+    msr_params(k=3, n=8, beta=2),
+    mbr_params(k=2, d=3, n=7),
+    mbr_params(k=3, d=4, n=8, beta=2),
+]
+
+
+def _draw_code(data):
+    params = data.draw(st.sampled_from(ORACLE_CODES), label="code")
+    enc = build_encoding(params, Fq(ORACLE_Q))
+    rng = random.Random(data.draw(st.integers(0, 2**16), label="seed"))
+    nb = data.draw(st.integers(1, 3), label="blocks")
+    blocks = np.array(
+        [random_payload(rng, params, ORACLE_Q) for _ in range(nb)], dtype=np.int64
+    ).reshape(nb, params.message_symbols)
+    return params, enc, rng, blocks
+
+
+def _fewest_or_more(lo, hi):
+    """A response count, often the fewest the budget allows (the hardest)."""
+    return st.one_of(st.just(lo), st.integers(lo, hi))
+
+
+def _draw_faults(data, rng, truth, t):
+    """Exactly t, t + 1 or all of the responding nodes turn bad. A bad node
+    errs in the blocks a drawn mask picks (so the wrong set differs from
+    block to block) with random, possibly zero, error symbols."""
+    ids = list(truth)
+    n_bad = data.draw(st.sampled_from([t, t + 1, len(ids)]), label="bad nodes")
+    bad = data.draw(st.permutations(ids), label="order")[:n_bad]
+    got = {i: truth[i].copy() for i in ids}
+    for i in bad:
+        nb, width = got[i].shape
+        errs = data.draw(st.lists(st.booleans(), min_size=nb, max_size=nb), label="errs")
+        for b in range(nb):
+            if errs[b]:
+                err = [rng.randrange(ORACLE_Q) for _ in range(width)]
+                got[i][b] = (got[i][b] + err) % ORACLE_Q
+    return got, n_bad <= t
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_decode_repair_matches_subset_oracle(data):
+    """decode_repair equals subset_decode_oracle run per block and slice, or
+    both fail; within budget both give the lost share."""
+    params, enc, rng, blocks = _draw_code(data)
+    bodies = encode_blocks(blocks, enc)
+    n, ap = params.n, params.alpha_prime
+    failed = data.draw(st.integers(1, n), label="failed")
+    t = data.draw(st.integers(0, (n - 1 - params.d) // 2), label="t")
+    r_count = data.draw(_fewest_or_more(params.d + 2 * t, n - 1), label="R")
+    others = [i for i in range(1, n + 1) if i != failed]
+    helpers = data.draw(st.permutations(others), label="helpers")[:r_count]
+    truth = {h: helper_symbols(bodies[h], failed, enc) for h in helpers}
+    received, in_budget = _draw_faults(data, rng, truth, t)
+
+    rows = linalg.vandermonde(enc.field, [enc.point_of(h) for h in helpers], params.d)
+    want = np.empty_like(bodies[failed])
+    try:
+        for b in range(len(blocks)):
+            for j in range(params.beta):
+                values = [int(received[h][b, j]) for h in helpers]
+                m = np.array(subset_decode_oracle(values, rows, t))
+                if params.mode is CodeMode.MSR:
+                    m = (m[:ap] + enc.lam_of(failed) * m[ap:]) % ORACLE_Q
+                want[b, j * ap : (j + 1) * ap] = m
+    except DecodeFailure:
+        want = None
+    try:
+        got = decode_repair(received, failed, enc, t)
+    except DecodeFailure:
+        got = None
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and (got == want).all()
+    if in_budget:
+        assert (got == bodies[failed]).all()
+
+
+def _oracle_reconstruct(received, ids, enc, t):
+    """consistency_reconstruct per block, with share_map as the code."""
+    params = enc.params
+    amap = share_map(enc)
+    ap, bp = params.alpha_prime, params.slice_symbols
+
+    def solve_k(sub_ids, sub_shares):
+        a = MatrixFq(enc.field, np.concatenate([amap[i - 1] for i in sub_ids]))
+        out = []
+        for j in range(params.beta):
+            y = [v for sh in sub_shares for v in sh[j * ap : (j + 1) * ap]]
+            out.extend(linalg.solve(a, MatrixFq.column(enc.field, y)).col(0))
+        return tuple(out)
+
+    def reencode(u, node):
+        return tuple(
+            int(v)
+            for j in range(params.beta)
+            for v in amap[node - 1] @ np.array(u[j * bp : (j + 1) * bp]) % ORACLE_Q
+        )
+
+    nb = received[ids[0]].shape[0]
+    return np.array([
+        consistency_reconstruct(
+            [Response(i, tuple(int(v) for v in received[i][b])) for i in ids],
+            params.k, t, solve_k, reencode,
+        )
+        for b in range(nb)
+    ], dtype=np.int64).reshape(nb, params.message_symbols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_decode_reconstruct_matches_consistency_oracle(data):
+    """decode_reconstruct equals consistency_reconstruct run per block, or
+    both fail; within budget both give the payload."""
+    params, enc, rng, blocks = _draw_code(data)
+    bodies = encode_blocks(blocks, enc)
+    n = params.n
+    t = data.draw(st.integers(0, (n - params.k) // 2), label="t")
+    r_count = data.draw(_fewest_or_more(params.k + 2 * t, n), label="R")
+    ids = data.draw(st.permutations(range(1, n + 1)), label="providers")[:r_count]
+    received, in_budget = _draw_faults(data, rng, {i: bodies[i] for i in ids}, t)
+    try:
+        want = _oracle_reconstruct(received, ids, enc, t)
+    except DecodeFailure:
+        want = None
+    try:
+        got = decode_reconstruct(received, enc, t)
+    except DecodeFailure:
+        got = None
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and (got == want).all()
+    if in_budget:
+        assert (got == blocks).all()
+
+
+def test_decode_reconstruct_fails_when_column_errors_spread():
+    """MBR [7,2,3] at t = 2 from 6 providers: each column of the one block
+    has two wrong entries, on different nodes, so every column decodes but
+    six shares are wrong. No payload is within 2 shares, and too few
+    providers are left to erase around them."""
+    params = mbr_params(k=2, d=3, n=7)
+    enc = build_encoding(params, Fq(ORACLE_Q))
+    blocks = np.arange(params.message_symbols, dtype=np.int64)[None, :]
+    bodies = encode_blocks(blocks, enc)
+    word = {i: bodies[i].copy() for i in range(1, 7)}
+    for col, nodes in enumerate(((3, 4), (5, 6), (1, 2))):
+        for i in nodes:
+            word[i][0, col] = (word[i][0, col] + 1) % ORACLE_Q
+    with pytest.raises(DecodeFailure):
+        _oracle_reconstruct(word, list(word), enc, 2)
+    with pytest.raises(DecodeFailure):
+        decode_reconstruct(word, enc, 2)
+
+
+def test_decode_steps_need_unique_decoding():
+    params = mbr_params(k=2, d=3, n=7)
+    enc = build_encoding(params, Fq(ORACLE_Q))
+    bodies = encode_blocks(np.zeros((2, params.message_symbols), dtype=np.int64), enc)
+    symbols = {h: helper_symbols(bodies[h], 1, enc) for h in (2, 3, 4, 5)}
+    with pytest.raises(ParameterError):
+        decode_repair(symbols, 1, enc, 1)  # 4 < d + 2t = 5
+    with pytest.raises(ParameterError):
+        decode_repair(symbols, 1, enc, -1)
+    with pytest.raises(ParameterError):
+        decode_reconstruct({i: bodies[i] for i in (1, 2, 3)}, enc, 1)  # 3 < k + 2t
+    with pytest.raises(ParameterError):
+        decode_reconstruct({}, enc, 0)
+
+
+def _count_inverses(monkeypatch):
+    calls = []
+    for name in ("inverse", "left_inverse"):
+        orig = getattr(linalg, name)
+
+        def counted(a, orig=orig):
+            calls.append(a.shape)
+            return orig(a)
+
+        monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
+def test_whole_shard_corruption_costs_two_inverses_per_slice(monkeypatch):
+    """With the lowest-id shards corrupt in every block, a decode inverts the
+    clean-path rows once and, after locating the bad shards, the rows around
+    them once more; a subset search needed hundreds of inverses here."""
+    rng = random.Random(11)
+    nb = 24
+    for params, op in (
+        (msr_params(k=8, n=20), "reconstruct"),
+        (mbr_params(k=5, d=8, n=16), "repair"),
+    ):
+        enc = build_encoding(params)
+        q = enc.field.q
+        blocks = np.array(
+            [random_payload(rng, params, 257) for _ in range(nb)], dtype=np.int64
+        )
+        bodies = encode_blocks(blocks, enc)
+        truth = bodies[params.n].copy()
+        del bodies[params.n]
+        for i in (1, 2):
+            bodies[i] = (bodies[i] + 1 + (np.arange(bodies[i].size) % (q - 1)).reshape(
+                bodies[i].shape)) % q
+        calls = _count_inverses(monkeypatch)
+        if op == "reconstruct":
+            got, _ = reconstruct_blocks(bodies, enc, s=0, t=2)
+            assert (got == blocks).all()
+        else:
+            got, _ = repair_blocks(bodies, params.n, enc, s=0, t=2)
+            assert (got == truth).all()
+        assert 1 <= len(calls) <= 2 * params.beta, (op, len(calls))
+        monkeypatch.undo()
