@@ -8,6 +8,7 @@ Commands: encode, damage, repair, reconstruct, info, simulate. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -117,10 +118,12 @@ def cmd_damage(args) -> int:
         print(f"erased shard of node {node}")
     rng = np.random.default_rng(args.seed)
     for node in corrupt:
-        path = os.path.join(args.dir, shard_filename(node))
-        node_header, body = shards.read_shard(path)
-        fake = rng.integers(0, node_header.q, size=body.shape, dtype=np.int64)
-        shards.write_shard(path, node_header, fake)
+        fake = rng.integers(0, header.q, size=bodies[node].shape, dtype=np.int64)
+        shards.write_shard(
+            os.path.join(args.dir, shard_filename(node)),
+            dataclasses.replace(header, node_id=node),
+            fake,
+        )
         print(f"corrupted shard of node {node}")
     if not erase and not corrupt:
         print("nothing to damage")
@@ -133,20 +136,10 @@ def cmd_repair(args) -> int:
     body, info = shards.repair_blocks(bodies, args.node, enc, args.s, args.t)
     out_dir = args.out_dir or args.dir
     os.makedirs(out_dir, exist_ok=True)
-    new_header = ShardHeader(
-        mode=header.mode,
-        n=header.n,
-        k=header.k,
-        d=header.d,
-        beta=header.beta,
-        q=header.q,
-        node_id=args.node,
-        block_count=header.block_count,
-        data_len=header.data_len,
-        points=header.points,
-    )
     shards.write_shard(
-        os.path.join(out_dir, shard_filename(args.node)), new_header, body
+        os.path.join(out_dir, shard_filename(args.node)),
+        dataclasses.replace(header, node_id=args.node),
+        body,
     )
     print(
         f"repaired node {args.node} from {info['connectivity']} helpers "

@@ -48,9 +48,6 @@ from .errors import (
 from .field import Fq
 from .linalg import MatrixFq
 
-RECEIVED = "received"
-ERASED = "erased"
-
 
 @dataclass(frozen=True)
 class Response:
@@ -59,10 +56,6 @@ class Response:
 
     node_id: int
     symbols: tuple[int, ...] | None = None
-
-    @property
-    def status(self) -> str:
-        return ERASED if self.symbols is None else RECEIVED
 
     @property
     def erased(self) -> bool:

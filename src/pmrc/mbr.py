@@ -11,9 +11,10 @@ m_f = M psi_f, and symmetry of M makes the decoded m_f^t exactly the lost
 share. A replacement node downloads exactly what it stores (alpha = d*beta)
 when s = t = 0.
 
-The codec is the batched one in `pmrc.shards`. mbr_encode, mbr_helper_symbol,
-mbr_repair and mbr_reconstruct check their per-block arguments and run it on
-a batch of one block.
+The codec is the batched one in `pmrc.shards`, which also holds the message
+layout that mbr_fill_message and mbr_read_message use. mbr_encode,
+mbr_helper_symbol, mbr_repair and mbr_reconstruct check their per-block
+arguments and run the codec on a batch of one block.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from .msr import (
     _helper_one,
     _reconstruct_one,
     _repair_one,
-    _triangle,
-    sym_from_triangle,
-    triangle_from_sym,
+    _slice_matrices,
+    _slice_payload,
 )
 from .params import CodeMode, EncodingMatrix, SystemParams
 
@@ -85,24 +85,11 @@ def mbr_fill_message(
     """Per slice, the first k(k+1)/2 symbols fill S's upper triangle and the
     remaining k(d-k) fill T row-major."""
     _check_mbr(params)
-    if len(payload) != params.message_symbols:
-        raise ParameterError(
-            f"payload must have {params.message_symbols} symbols, got {len(payload)}"
-        )
-    k, d = params.k, params.d
-    tri = _triangle(k)
-    per_slice = params.slice_symbols
-    slices = []
-    for j in range(params.beta):
-        chunk = payload[j * per_slice : (j + 1) * per_slice]
-        t_vals = np.asarray(chunk[tri:], dtype=np.int64).reshape(d - k, k)
-        slices.append(
-            MbrMessageMatrix(
-                s=sym_from_triangle(chunk[:tri], k, field),
-                t_blk=MatrixFq(field, t_vals),
-            )
-        )
-    return slices
+    k = params.k
+    return [
+        MbrMessageMatrix(s=MatrixFq(field, m[:k, :k]), t_blk=MatrixFq(field, m[k:, :k]))
+        for m in _slice_matrices(payload, params)
+    ]
 
 
 def mbr_read_message(
@@ -110,13 +97,7 @@ def mbr_read_message(
 ) -> tuple[int, ...]:
     """Inverse of mbr_fill_message."""
     _check_mbr(params)
-    if len(slices) != params.beta:
-        raise ParameterError(f"expected {params.beta} slices, got {len(slices)}")
-    out: list[int] = []
-    for sl in slices:
-        out.extend(triangle_from_sym(sl.s))
-        out.extend(int(v) for v in sl.t_blk.array().ravel())
-    return tuple(out)
+    return _slice_payload([sl.assembled() for sl in slices], params)
 
 
 def mbr_encode(

@@ -8,9 +8,12 @@ m_f = M phi_f. The failed share is then rebuilt as phi_f^t S1 + lambda_f
 phi_f^t S2 using the symmetry of S1 and S2. Slices are independent; a block's
 share is the concatenation of its slice shares.
 
-The codec is the batched one in `pmrc.shards`. msr_encode, msr_helper_symbol,
-msr_repair and msr_reconstruct check their per-block arguments and run it on
-a batch of one block; the helpers they share with `pmrc.mbr` live here.
+The codec is the batched one in `pmrc.shards`, which also holds the message
+layout: msr_fill_message and msr_read_message build and read the message
+matrices through `shards.message_matrices` and `shards.payload_of_matrices`.
+msr_encode, msr_helper_symbol, msr_repair and msr_reconstruct check their
+per-block arguments and run the codec on a batch of one block; the helpers
+they share with `pmrc.mbr` live here.
 """
 
 from __future__ import annotations
@@ -34,32 +37,6 @@ class NodeShare:
 
     node_id: int
     symbols: tuple[int, ...]
-
-
-def _triangle(m: int) -> int:
-    return m * (m + 1) // 2
-
-
-def sym_from_triangle(values: Sequence[int], size: int, field: Fq) -> MatrixFq:
-    """Symmetric matrix from its upper triangle listed row-major."""
-    if len(values) != _triangle(size):
-        raise ParameterError(f"need {_triangle(size)} values for size {size}")
-    a = np.zeros((size, size), dtype=np.int64)
-    it = iter(values)
-    for i in range(size):
-        for j in range(i, size):
-            v = next(it)
-            a[i, j] = v
-            a[j, i] = v
-    return MatrixFq(field, a)
-
-
-def triangle_from_sym(mat: MatrixFq) -> tuple[int, ...]:
-    out = []
-    for i in range(mat.rows):
-        for j in range(i, mat.cols):
-            out.append(mat.entry(i, j))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -90,29 +67,38 @@ def _check_msr(params: SystemParams):
         raise ParameterError("MSR operation on non-MSR parameters")
 
 
+def _ints(row) -> tuple[int, ...]:
+    return tuple(int(v) for v in row)
+
+
+def _slice_matrices(payload: Sequence[int], params: SystemParams) -> np.ndarray:
+    """The (beta, d, alpha') operands of one block's B payload symbols."""
+    if len(payload) != params.message_symbols:
+        raise ParameterError(
+            f"payload must have {params.message_symbols} symbols, got {len(payload)}"
+        )
+    return shards.message_matrices(np.asarray([payload], dtype=np.int64), params)[0]
+
+
+def _slice_payload(mats: Sequence[MatrixFq], params: SystemParams) -> tuple[int, ...]:
+    """Inverse of _slice_matrices on the slices' (d, alpha') operands."""
+    if len(mats) != params.beta:
+        raise ParameterError(f"expected {params.beta} slices, got {len(mats)}")
+    stacked = np.stack([m.array() for m in mats])[None]
+    return _ints(shards.payload_of_matrices(stacked, params)[0])
+
+
 def msr_fill_message(
     payload: Sequence[int], params: SystemParams, field: Fq
 ) -> list[MsrMessageMatrix]:
     """Pack B payload symbols into beta slices: per slice, the first
     triangle fills S1 and the second fills S2."""
     _check_msr(params)
-    if len(payload) != params.message_symbols:
-        raise ParameterError(
-            f"payload must have {params.message_symbols} symbols, got {len(payload)}"
-        )
     ap = params.k - 1
-    tri = _triangle(ap)
-    per_slice = params.slice_symbols
-    slices = []
-    for j in range(params.beta):
-        chunk = payload[j * per_slice : (j + 1) * per_slice]
-        slices.append(
-            MsrMessageMatrix(
-                s1=sym_from_triangle(chunk[:tri], ap, field),
-                s2=sym_from_triangle(chunk[tri:], ap, field),
-            )
-        )
-    return slices
+    return [
+        MsrMessageMatrix(s1=MatrixFq(field, m[:ap]), s2=MatrixFq(field, m[ap:]))
+        for m in _slice_matrices(payload, params)
+    ]
 
 
 def msr_read_message(
@@ -120,17 +106,7 @@ def msr_read_message(
 ) -> tuple[int, ...]:
     """Inverse of msr_fill_message."""
     _check_msr(params)
-    if len(slices) != params.beta:
-        raise ParameterError(f"expected {params.beta} slices, got {len(slices)}")
-    out: list[int] = []
-    for sl in slices:
-        out.extend(triangle_from_sym(sl.s1))
-        out.extend(triangle_from_sym(sl.s2))
-    return tuple(out)
-
-
-def _ints(row) -> tuple[int, ...]:
-    return tuple(int(v) for v in row)
+    return _slice_payload([sl.stacked() for sl in slices], params)
 
 
 def _received(responses: Sequence[Response]) -> dict[int, np.ndarray]:
@@ -314,22 +290,9 @@ def msr_systematic_remap(
     a_sys = MatrixFq(
         field, np.concatenate([amap[i - 1] for i in sys_nodes], axis=0), _trusted=True
     )
-    ap = params.k - 1
-    slices = []
-    for j in range(params.beta):
-        # per slice, the target stacked shares gather each node's slice-j
-        # segment of its designated alpha-symbol run
-        target = []
-        for r in range(params.k):
-            seg = payload[r * params.alpha + j * ap : r * params.alpha + (j + 1) * ap]
-            target.extend(field.check(v) for v in seg)
-        u = linalg.solve(a_sys, MatrixFq.column(field, target))
-        vals = tuple(int(v) for v in u.array()[:, 0])
-        tri = _triangle(ap)
-        slices.append(
-            MsrMessageMatrix(
-                s1=sym_from_triangle(vals[:tri], ap, field),
-                s2=sym_from_triangle(vals[tri:], ap, field),
-            )
-        )
-    return slices
+    # column j of the target stacks each designated node's slice-j segment of
+    # its alpha-symbol run; one solve gives every slice's B' symbols
+    runs = np.asarray(payload, dtype=np.int64).reshape(params.k, params.beta, -1)
+    target = MatrixFq(field, runs.transpose(0, 2, 1).reshape(-1, params.beta))
+    u = linalg.solve(a_sys, target)
+    return msr_fill_message(u.array().T.ravel().tolist(), params, field)

@@ -204,38 +204,19 @@ def build_psi_msr(params: SystemParams, field: Fq) -> EncodingMatrix:
     """
     if params.mode is not CodeMode.MSR:
         raise ParameterError("params are not MSR")
-    ap = params.k - 1
-    points = _msr_points(params.n, ap, field)
-    psi = linalg.vandermonde(field, points, params.d)
-    phi = psi.slice_cols(0, ap)
-    lam = tuple(pow(x, ap, field.q) for x in points)
-    if len(set(lam)) != params.n or len(set(points)) != params.n:
-        raise ConstructionError("point scan produced repeated values")  # unreachable
-    return EncodingMatrix(
-        params=params, field=field, points=tuple(points), psi=psi, phi=phi, lam=lam
-    )
+    return encoding_from_points(params, field, _msr_points(params.n, params.k - 1, field))
 
 
 def build_psi_mbr(params: SystemParams, field: Fq) -> EncodingMatrix:
-    """Vandermonde MBR encoding matrix; phi is the k-column prefix."""
+    """Vandermonde MBR encoding matrix at the points 1..n; phi is the
+    k-column prefix."""
     if params.mode is not CodeMode.MBR:
         raise ParameterError("params are not MBR")
     if field.q - 1 < params.n:
         raise ConstructionError(
             f"F_{field.q} has only {field.q - 1} nonzero points, need {params.n}"
         )
-    points = list(range(1, params.n + 1))
-    psi = linalg.vandermonde(field, points, params.d)
-    phi = psi.slice_cols(0, params.k)
-    sigma = psi.slice_cols(params.k, params.d)
-    return EncodingMatrix(
-        params=params,
-        field=field,
-        points=tuple(points),
-        psi=psi,
-        phi=phi,
-        sigma=sigma,
-    )
+    return encoding_from_points(params, field, range(1, params.n + 1))
 
 
 def build_encoding(params: SystemParams, field: Fq | None = None) -> EncodingMatrix:

@@ -23,21 +23,27 @@ Layout (little-endian):
 File payloads pack one byte per symbol (q >= 257 keeps every byte value a
 field element) and are zero-padded to a whole number of B-symbol blocks.
 
-This module is the package's one codec. Blocks are independent, so every
-step works on all blocks at once with numpy: `encode_blocks`, the helper step
-`helper_symbols`, and the two decode steps `decode_repair` and
-`decode_reconstruct`, which take only the responses that arrived (erased ones
-dropped) plus the corruption budget t, and need R >= msg_len + 2t of them.
-A block's candidate is accepted once it agrees with at least R - t of the R
-responses; that candidate is unique. Each decode first inverts the first
-responses once for all blocks (the clean path). For a block left over it
-locates the wrong responses by Reed-Solomon errors-and-erasures decoding
+The message layout is stated once, in `_slice_matrix_index`:
+`message_matrices` gathers payload symbols into the per-slice product-matrix
+operands and `payload_of_matrices` reads them back.
+
+This module is the package's one codec. Blocks are independent, and so is
+each beta-slice of a block (a copy of the beta = 1 code), so every step works
+on all slices of all blocks at once with numpy: `encode_blocks` (one
+product), the helper step `helper_symbols`, and the two decode steps
+`decode_repair` and `decode_reconstruct`, which take only the responses that
+arrived (erased ones dropped) plus the corruption budget t, and need
+R >= msg_len + 2t of them. A decode sees nblocks * beta columns. A column's
+candidate is accepted once it agrees with at least R - t of the R responses;
+that candidate is unique. Each decode first inverts the first responses once
+for all columns (the clean path). For a column left over it locates the wrong
+responses by Reed-Solomon errors-and-erasures decoding
 (`decoding.rs_decode_ee`, directly for repair and through the product-matrix
 reduction for reconstruction), then erases them and inverts once more for
-every remaining block. The file-level calls
-(`repair_blocks`, `reconstruct_blocks`), the simulator and the per-block
-`msr_*`/`mbr_*` calls (batches of one block) all run these steps; the
-reference decoders in `decoding` are kept for tests to compare against.
+every remaining column. The file-level calls (`repair_blocks`,
+`reconstruct_blocks`), the simulator and the per-block `msr_*`/`mbr_*` calls
+(batches of one block) all run these steps; the reference decoders in
+`decoding` are kept for tests to compare against.
 """
 
 from __future__ import annotations
@@ -250,40 +256,55 @@ def blocks_to_bytes(blocks: np.ndarray, data_len: int) -> bytes:
     return flat[:data_len].astype(np.uint8).tobytes()
 
 
-# --- block-layout index maps ----------------------------------------------
+# --- the message layout ------------------------------------------------------
 
 
-def _tri_index(i: int, j: int, m: int) -> int:
-    """Position of upper-triangle entry (i <= j) in row-major order."""
-    return i * m - i * (i - 1) // 2 + (j - i)
+def _sym_index(m: int) -> np.ndarray:
+    """(m, m) map of a symmetric matrix to its upper triangle listed
+    row-major."""
+    idx = np.empty((m, m), dtype=np.int64)
+    rows, cols = np.triu_indices(m)
+    idx[rows, cols] = idx[cols, rows] = np.arange(rows.size)
+    return idx
 
 
 def _slice_matrix_index(params: SystemParams) -> np.ndarray:
     """Index map from one slice of payload symbols to the product-matrix
-    operand; -1 marks structurally-zero cells (MBR lower-right corner)."""
+    operand; -1 marks structurally-zero cells (MBR lower-right corner).
+
+    MSR: [S1; S2], each symmetric half filled from one upper triangle.
+    MBR: [[S, T^t], [T, 0]], S from its upper triangle, then T row-major."""
     if params.mode is CodeMode.MSR:
-        ap = params.k - 1
-        tri = ap * (ap + 1) // 2
-        idx = np.empty((params.d, ap), dtype=np.int64)
-        for half in range(2):
-            for r in range(ap):
-                for c in range(ap):
-                    i, j = min(r, c), max(r, c)
-                    idx[half * ap + r, c] = half * tri + _tri_index(i, j, ap)
-        return idx
+        sym = _sym_index(params.k - 1)
+        return np.concatenate([sym, sym + sym.max() + 1])
     k, d = params.k, params.d
-    tri = k * (k + 1) // 2
     idx = np.full((d, d), -1, dtype=np.int64)
-    for r in range(k):
-        for c in range(k):
-            i, j = min(r, c), max(r, c)
-            idx[r, c] = _tri_index(i, j, k)
-    for r in range(d - k):
-        for c in range(k):
-            u = tri + r * k + c
-            idx[k + r, c] = u
-            idx[c, k + r] = u
+    idx[:k, :k] = _sym_index(k)
+    t_blk = k * (k + 1) // 2 + np.arange((d - k) * k).reshape(d - k, k)
+    idx[k:, :k] = t_blk
+    idx[:k, k:] = t_blk.T
     return idx
+
+
+def message_matrices(blocks: np.ndarray, params: SystemParams) -> np.ndarray:
+    """The (nblocks, beta, d, alpha') product-matrix operands of (nblocks, B)
+    payload symbols: slice j of a block is its j-th run of B' symbols, laid
+    out by `_slice_matrix_index`."""
+    if blocks.shape[1] != params.message_symbols:
+        raise ParameterError("payload block width must be B")
+    idx = _slice_matrix_index(params)
+    runs = blocks.reshape(blocks.shape[0], params.beta, params.slice_symbols)
+    mats = runs[:, :, np.maximum(idx, 0)]
+    mats[:, :, idx < 0] = 0
+    return mats
+
+
+def payload_of_matrices(mats: np.ndarray, params: SystemParams) -> np.ndarray:
+    """Inverse of `message_matrices`: each payload symbol is read from the
+    first cell that holds it."""
+    values, cells = np.unique(_slice_matrix_index(params), return_index=True)
+    flat = mats.reshape(mats.shape[0], params.beta, -1)
+    return flat[:, :, cells[values >= 0]].reshape(mats.shape[0], params.message_symbols)
 
 
 def share_map(enc: EncodingMatrix) -> np.ndarray:
@@ -299,28 +320,12 @@ def share_map(enc: EncodingMatrix) -> np.ndarray:
 
 
 def encode_blocks(blocks: np.ndarray, enc: EncodingMatrix) -> dict[int, np.ndarray]:
-    """Encode (nblocks, B) payload symbols; returns node_id -> (nblocks, alpha)."""
-    params = enc.params
-    q = enc.field.q
-    nb = blocks.shape[0]
-    if blocks.shape[1] != params.message_symbols:
-        raise ParameterError("payload block width must be B")
-    idx = _slice_matrix_index(params)
-    width = idx.shape[1]  # alpha'
-    psi = enc.psi.array()
-    bprime = params.slice_symbols
-    out = {i: np.empty((nb, params.alpha), dtype=np.int64) for i in range(1, params.n + 1)}
-    zero_mask = idx < 0
-    safe_idx = np.where(zero_mask, 0, idx)
-    for j in range(params.beta):
-        u = blocks[:, j * bprime : (j + 1) * bprime]
-        m = u[:, safe_idx]
-        if zero_mask.any():
-            m = np.where(zero_mask[None, :, :], 0, m)
-        code = np.einsum("nd,bdw->bnw", psi, m) % q
-        for i in range(1, params.n + 1):
-            out[i][:, j * width : (j + 1) * width] = code[:, i - 1, :]
-    return out
+    """Encode (nblocks, B) payload symbols; returns node_id -> (nblocks,
+    alpha), each a view of one (n, nblocks, beta, alpha') code array."""
+    code = np.einsum("nd,bjdw->nbjw", enc.psi.array(), message_matrices(blocks, enc.params))
+    code %= enc.field.q
+    shape = (blocks.shape[0], enc.params.alpha)
+    return {i + 1: body.reshape(shape) for i, body in enumerate(code)}
 
 
 def helper_symbols(
@@ -341,23 +346,25 @@ def helper_symbols(
 
 def _locate_then_erase(
     ys: list[np.ndarray], gen: np.ndarray, need: int, t: int, field: Fq,
-    invert, locate,
+    invert, locate, per_block: int,
 ) -> np.ndarray:
-    """Messages (L, nblocks) from the R positions that answered: ys[r] holds
-    position r's (w, nblocks) symbols of the codeword gen @ m, gen[r] is its
-    (w, L) code map, and any ``need`` positions determine m. Up to t
-    positions per block may be wrong. R >= need + 2t makes the codeword
-    agreeing with at least R - t positions unique; it is returned for every
-    block, or DecodeFailure when some block has none.
+    """Messages (L, ncols) from the R positions that answered: ys[r] holds
+    position r's (w, ncols) symbols of the codeword gen @ m, gen[r] is its
+    (w, L) code map, and any ``need`` positions determine m. Columns are
+    decoded independently and up to t positions per column may be wrong.
+    R >= need + 2t makes the codeword agreeing with at least R - t positions
+    unique; it is returned for every column, or DecodeFailure naming the
+    block (``per_block`` consecutive columns) of a column that has none.
 
     Clean pass: one ``invert`` (``linalg.inverse`` or ``left_inverse``) of
-    the first ``need`` positions gives every block a candidate, accepted when
-    it agrees with at least R - t positions. While blocks remain, ``locate``
-    maps the first remaining block's (R, w) symbols to the mask of its wrong
-    positions (exact whenever the block has an acceptable codeword); those
-    positions are erased, and one inverse of the first ``need`` other
-    positions gives the remaining blocks new candidates, accepted by the
-    same rule. The call fails as soon as the located block is not accepted.
+    the first ``need`` positions gives every column a candidate, accepted
+    when it agrees with at least R - t positions. While columns remain,
+    ``locate`` maps the first remaining column's (R, w) symbols to the mask
+    of its wrong positions (exact whenever the column has an acceptable
+    codeword, else it may raise DecodeFailure); those positions are erased,
+    and one inverse of the first ``need`` other positions gives the remaining
+    columns new candidates, accepted by the same rule. The call fails as soon
+    as the located column is not accepted.
     """
     n_pos = len(ys)
     if t < 0 or n_pos < need + 2 * t:
@@ -384,24 +391,29 @@ def _locate_then_erase(
         undecided = undecided[~ok]
         ys = [y[:, ~ok] for y in ys]
         if undecided.size:
-            erased = locate(np.stack([y[:, 0] for y in ys]))
+            try:
+                erased = locate(np.stack([y[:, 0] for y in ys]))
+            except DecodeFailure:
+                break
             located = True
             if erased.sum() > t:
                 break
     else:
         return out
     raise DecodeFailure(
-        f"block {undecided[0]} exceeded the (t={t}) corruption budget"
+        f"block {undecided[0] // per_block} exceeded the (t={t}) corruption budget"
     )
 
 
 def poly_decode(
-    y: np.ndarray, points: Sequence[int], msg_len: int, t: int, field: Fq
+    y: np.ndarray, points: Sequence[int], msg_len: int, t: int, field: Fq,
+    per_block: int = 1,
 ) -> np.ndarray:
-    """Decode (R, nblocks) polynomial evaluations to (msg_len, nblocks)
-    coefficients, tolerating up to t wrong rows per block; needs R >=
-    msg_len + 2t. A block that is not clean is located by the
-    Berlekamp-Welch key equation (`decoding.rs_decode_ee`)."""
+    """Decode (R, ncols) polynomial evaluations to (msg_len, ncols)
+    coefficients, tolerating up to t wrong rows per column; needs R >=
+    msg_len + 2t. A column that is not clean is located by the
+    Berlekamp-Welch key equation (`decoding.rs_decode_ee`); a failure names
+    the block of ``per_block`` consecutive columns it belongs to."""
     vdm = linalg.vandermonde(field, points, msg_len).array()
 
     def locate(word: np.ndarray) -> np.ndarray:
@@ -410,7 +422,7 @@ def poly_decode(
 
     return _locate_then_erase(
         list(y[:, None, :]), vdm[:, None, :], msg_len, t, field,
-        linalg.inverse, locate,
+        linalg.inverse, locate, per_block,
     )
 
 
@@ -421,21 +433,20 @@ def decode_repair(
     beta) repair symbols of the helpers that answered, up to t of them
     corrupt; exact when at least d + 2t answered. Per slice the symbols are
     evaluations of m_f = M phi_f (MSR) or M psi_f (MBR) at the helpers'
-    points."""
+    points, so all slices of all blocks decode as one batch of columns."""
     params = enc.params
-    q = enc.field.q
     points = [enc.point_of(h) for h in symbols]
     y = np.stack(list(symbols.values()))  # (R, nblocks, beta)
     nb, ap = y.shape[1], params.alpha_prime
-    share = np.empty((nb, params.beta, ap), dtype=np.int64)
-    for j in range(params.beta):
-        m = poly_decode(y[:, :, j], points, params.d, t, enc.field)
-        if params.mode is CodeMode.MSR:
-            # phi_f^t S1 + lambda_f phi_f^t S2, by the symmetry of S1 and S2
-            m = (m[:ap] + enc.lam_of(failed_id) * m[ap:]) % q
-        # MBR: M is symmetric, so m_f itself is the lost slice share
-        share[:, j, :] = m.T
-    return share.reshape(nb, params.alpha)
+    m = poly_decode(
+        y.reshape(len(y), nb * params.beta), points, params.d, t, enc.field,
+        params.beta,
+    )
+    if params.mode is CodeMode.MSR:
+        # phi_f^t S1 + lambda_f phi_f^t S2, by the symmetry of S1 and S2
+        m = (m[:ap] + enc.lam_of(failed_id) * m[ap:]) % enc.field.q
+    # MBR: M is symmetric, so m_f itself is the lost slice share
+    return m.T.reshape(nb, params.alpha)
 
 
 def _locate_msr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> np.ndarray:
@@ -504,23 +515,20 @@ def decode_reconstruct(
 ) -> np.ndarray:
     """The (nblocks, B) payload from node_id -> (nblocks, alpha) shares of the
     nodes that answered, up to t of them corrupt; exact when at least k + 2t
-    answered. Per slice a candidate is the left inverse of k providers'
-    stacked share maps applied to their shares; the wrong shares of a block
-    that is not clean are located by the product-matrix reduction to RS
-    decoding."""
+    answered. Every slice of every block is one column: a candidate is the
+    left inverse of k providers' stacked share maps applied to their slice
+    shares; the wrong shares of a column that is not clean are located by
+    the product-matrix reduction to RS decoding."""
     params = enc.params
     ids = list(shares)
     gen = share_map(enc)[[i - 1 for i in ids]]
-    width = params.alpha_prime
     locate_mode = _locate_msr if params.mode is CodeMode.MSR else _locate_mbr
-    return np.concatenate([
-        _locate_then_erase(
-            [shares[i][:, j * width : (j + 1) * width].T for i in ids],
-            gen, params.k, t, enc.field, linalg.left_inverse,
-            lambda word: locate_mode(word, ids, enc, t),
-        ).T
-        for j in range(params.beta)
-    ], axis=1)
+    out = _locate_then_erase(
+        [shares[i].reshape(-1, params.alpha_prime).T for i in ids],
+        gen, params.k, t, enc.field, linalg.left_inverse,
+        lambda word: locate_mode(word, ids, enc, t), params.beta,
+    )
+    return out.T.reshape(-1, params.message_symbols)
 
 
 def repair_blocks(

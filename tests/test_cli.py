@@ -5,6 +5,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from pmrc.cli import (
     EXIT_BAD_ARGS,
     EXIT_DECODE,
@@ -255,6 +257,32 @@ def test_damage_matrix_end_to_end(tmp_path):
             "-s", "0", "-t", str(t), "-o", str(alt),
         ]) == EXIT_OK
         assert (alt / shard_filename(target)).read_bytes() == pristine[target], (s, t)
+
+
+@pytest.mark.parametrize("mode,beta", [("msr", 2), ("mbr", 3)])
+def test_multi_slice_codes_end_to_end(tmp_path, capsys, mode, beta):
+    """At beta > 1 reconstruction and repair go through damage byte for byte,
+    and a decode past the budget names the failing block, not a slice."""
+    data, out = encode(tmp_path, mode=mode, k=3, d=5, n=9, extra=("--beta", str(beta)))
+    original = (out / shard_filename(2)).read_bytes()
+    assert main(["damage", str(out), "--erase", "2", "--corrupt", "1"]) == EXIT_OK
+    dest = tmp_path / "back.bin"
+    assert main(["reconstruct", str(out), "-o", str(dest), "-s", "1", "-t", "1"]) == EXIT_OK
+    assert dest.read_bytes() == data
+    alt = tmp_path / "alt"
+    assert main(["repair", str(out), "--node", "2", "-t", "1", "-o", str(alt)]) == EXIT_OK
+    assert (alt / shard_filename(2)).read_bytes() == original
+    # a second bad shard in the last block only: every other block still
+    # decodes at t=1, the last one cannot
+    path = out / shard_filename(3)
+    header, body = read_shard(path)
+    body[-1] = (body[-1] + 1) % header.q
+    write_shard(path, header, body)
+    capsys.readouterr()
+    assert main([
+        "reconstruct", str(out), "-o", str(tmp_path / "x.bin"), "-t", "1",
+    ]) == EXIT_DECODE
+    assert f"block {header.block_count - 1} exceeded" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():

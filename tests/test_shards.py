@@ -32,6 +32,8 @@ from pmrc.shards import (
     encode_blocks,
     helper_symbols,
     load_shard_set,
+    message_matrices,
+    payload_of_matrices,
     read_shard,
     reconstruct_blocks,
     repair_blocks,
@@ -142,6 +144,46 @@ def test_encode_blocks_matches_unit_encoder():
                 code = (enc.psi @ m).array()
                 for i in range(1, params.n + 1):
                     assert (bodies[i][b, j * ap : (j + 1) * ap] == code[i - 1]).all()
+
+
+def _triangle_walk(values, params):
+    """One slice's operand filled the long way: each symmetric block from its
+    upper triangle walked row-major, then (MBR) T row-major into both
+    off-diagonal blocks."""
+    it = iter(values)
+    k, d = params.k, params.d
+    if params.mode is CodeMode.MSR:
+        m = np.zeros((d, k - 1), dtype=np.int64)
+        squares = [(0, k - 1), (k - 1, k - 1)]
+    else:
+        m = np.zeros((d, d), dtype=np.int64)
+        squares = [(0, k)]
+    for top, size in squares:
+        for i in range(size):
+            for j in range(i, size):
+                m[top + i, j] = m[top + j, i] = next(it)
+    if params.mode is CodeMode.MBR:
+        for r in range(k, d):
+            for c in range(k):
+                m[r, c] = m[c, r] = next(it)
+    return m
+
+
+def test_message_layout_matches_triangle_walk():
+    rng = np.random.default_rng(12)
+    for params in (
+        msr_params(k=8, n=20, beta=2),
+        mbr_params(k=5, d=8, n=16, beta=3),
+        mbr_params(k=3, d=3, n=5),
+    ):
+        blocks = rng.integers(0, 257, (3, params.message_symbols))
+        mats = message_matrices(blocks, params)
+        width = params.slice_symbols
+        for b in range(3):
+            for j in range(params.beta):
+                want = _triangle_walk(blocks[b, j * width : (j + 1) * width], params)
+                assert (mats[b, j] == want).all()
+        assert (payload_of_matrices(mats, params) == blocks).all()
 
 
 def test_repair_blocks_matches_unit_repair(tmp_path):
