@@ -29,9 +29,8 @@ from .params import (
     SystemParams,
     build_encoding,
     capacity_bound,
+    code_params,
     feasible_pairs,
-    mbr_params,
-    msr_params,
 )
 from .shards import ShardHeader, shard_filename
 
@@ -43,17 +42,13 @@ EXIT_IO = 5
 
 
 def _parse_params(args) -> SystemParams:
-    if args.mode == "msr":
-        if args.d is not None and args.d != 2 * args.k - 2:
-            raise ParameterError("MSR repair degree is fixed at d = 2k-2")
-        return msr_params(k=args.k, n=args.n, beta=args.beta)
-    if args.d is None:
-        raise ParameterError("MBR needs -d")
-    return mbr_params(k=args.k, d=args.d, n=args.n, beta=args.beta)
+    if args.mode == "msr" and args.d is not None and args.d != 2 * args.k - 2:
+        raise ParameterError("MSR repair degree is fixed at d = 2k-2")
+    return code_params(args.mode, args.k, args.n, args.d, args.beta)
 
 
 def _pick_modulus(args, n: int) -> int:
-    auto = max(257, default_modulus(n))
+    auto = default_modulus(n)
     if args.q is None:
         return auto
     if not is_prime(args.q):

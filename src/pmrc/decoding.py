@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import linalg
 from .errors import (
     AmbiguityError,
@@ -180,24 +182,16 @@ def rs_decode_ee(
         # Key equation: N(x) - v*E(x) = v*x^tau with E = z^tau + sum e_j z^j,
         # deg N < msg_len + tau. Unknowns: msg_len + 2*tau.
         n_terms = msg_len + tau
-        rows = []
-        rhs = []
-        for x, v in zip(xs, vs):
-            xp = 1
-            row = []
-            for _ in range(n_terms):
-                row.append(xp)
-                xp = xp * x % q
-            # continue powers for the E block
-            ep = 1
-            for _ in range(tau):
-                row.append(-v * ep % q)
-                ep = ep * x % q
-            rows.append(row)
-            rhs.append(v * ep % q)  # ep == x^tau after the loop
-        system = MatrixFq(field, rows, _trusted=True)
+        powers = linalg.vandermonde(field, xs, n_terms + 1).array()
+        vals = np.asarray(vs, dtype=np.int64)[:, None]
+        system = np.concatenate(
+            [powers[:, :n_terms], -vals * powers[:, :tau] % q], axis=1
+        )
+        rhs = vals * powers[:, tau : tau + 1] % q
         try:
-            sol = linalg.solve_any(system, MatrixFq.column(field, rhs))
+            sol = linalg.solve_any(
+                MatrixFq(field, system, _trusted=True), MatrixFq(field, rhs, _trusted=True)
+            )
         except InconsistentSystemError:
             raise DecodeFailure("key equation unsolvable: budget exceeded")
         flat = [int(v) for v in sol.array()[:, 0]]

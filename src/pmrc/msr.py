@@ -12,8 +12,9 @@ The codec is the batched one in `pmrc.shards`, which also holds the message
 layout: msr_fill_message and msr_read_message build and read the message
 matrices through `shards.message_matrices` and `shards.payload_of_matrices`.
 msr_encode, msr_helper_symbol, msr_repair and msr_reconstruct check their
-per-block arguments and run the codec on a batch of one block; the helpers
-they share with `pmrc.mbr` live here.
+per-block arguments and run the codec on a batch of one block. The adapters
+behind them, shared with `pmrc.mbr`, live here; a repair or reconstruction
+word holds exactly `params.connectivity` responses.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ import numpy as np
 
 from . import linalg, shards
 from .decoding import Response
-from .errors import FieldMismatchError, InfeasibleError, ParameterError
+from .errors import FieldMismatchError, ParameterError
 from .field import Fq
 from .linalg import MatrixFq
-from .params import CodeMode, EncodingMatrix, SystemParams, resilience_feasible
+from .params import CodeMode, EncodingMatrix, SystemParams, connectivity
 
 
 @dataclass(frozen=True)
@@ -109,15 +110,6 @@ def msr_read_message(
     return _slice_payload([sl.stacked() for sl in slices], params)
 
 
-def _received(responses: Sequence[Response]) -> dict[int, np.ndarray]:
-    """node_id -> one-block batch of the responses that arrived."""
-    return {
-        r.node_id: np.asarray([r.symbols], dtype=np.int64)
-        for r in responses
-        if not r.erased
-    }
-
-
 def _encode_one(payload: Sequence[int], field: Fq, enc: EncodingMatrix) -> list[NodeShare]:
     if field != enc.field:
         raise FieldMismatchError(f"fields differ: F_{field.q} vs F_{enc.field.q}")
@@ -159,51 +151,44 @@ def msr_helper_symbol(
     return _helper_one(helper_share, failed_id, enc)
 
 
-def _check_symbols(r: Response, count: int, field: Fq, what: str):
-    if r.erased:
-        return
-    if len(r.symbols) != count:
-        raise ParameterError(f"{what} responses must carry {count} symbols")
-    for v in r.symbols:
-        field.check(v)
-
-
-def _check_repair_word(
-    responses: Sequence[Response],
-    failed_id: int,
-    enc: EncodingMatrix,
-    s: int,
-    t: int,
-):
+def _received(
+    responses: Sequence[Response], enc: EncodingMatrix, s: int, t: int,
+    failed_id: int | None = None,
+) -> dict[int, np.ndarray]:
+    """node_id -> one-block batch of the responses that arrived, from a word
+    of exactly `connectivity` responses (repair when ``failed_id`` is given)
+    by distinct valid nodes other than the failed one, each arrived response
+    carrying beta (repair) or alpha field elements. The decode step rejects
+    more than s erased responses: it needs R >= d+2t (k+2t)."""
     params = enc.params
-    if not resilience_feasible(params, s, t):
-        raise InfeasibleError(
-            f"(s={s}, t={t}) infeasible for [n={params.n}, k={params.k}, d={params.d}]"
-        )
-    delta = params.d + s + 2 * t
-    if len(responses) != delta:
-        raise ParameterError(
-            f"repair needs exactly {delta} responses (d+s+2t), got {len(responses)}"
-        )
+    repair = failed_id is not None
+    count = connectivity(params, s, t, repair)
+    if len(responses) != count:
+        raise ParameterError(f"need exactly {count} responses, got {len(responses)}")
     ids = [r.node_id for r in responses]
     if len(set(ids)) != len(ids):
-        raise ParameterError("duplicate helper ids")
+        raise ParameterError("duplicate node ids")
+    width = params.beta if repair else params.alpha
+    received = {}
     for r in responses:
-        enc.check_node(r.node_id)
-        if r.node_id == failed_id:
+        if enc.check_node(r.node_id) == failed_id:
             raise ParameterError("failed node cannot be its own helper")
-        _check_symbols(r, params.beta, enc.field, "repair")
-    erased = sum(r.erased for r in responses)
-    if erased > s:
-        raise ParameterError(f"{erased} erased responses exceed the budget s={s}")
+        if r.erased:
+            continue
+        if len(r.symbols) != width:
+            raise ParameterError(f"responses must carry {width} symbols")
+        for v in r.symbols:
+            enc.field.check(v)
+        received[r.node_id] = np.asarray([r.symbols], dtype=np.int64)
+    return received
 
 
 def _repair_one(
     responses: Sequence[Response], failed_id: int, enc: EncodingMatrix, s: int, t: int
 ) -> NodeShare:
     enc.check_node(failed_id)
-    _check_repair_word(responses, failed_id, enc, s, t)
-    share = shards.decode_repair(_received(responses), failed_id, enc, t)
+    received = _received(responses, enc, s, t, failed_id)
+    share = shards.decode_repair(received, failed_id, enc, t)
     return NodeShare(node_id=failed_id, symbols=_ints(share[0]))
 
 
@@ -220,39 +205,11 @@ def msr_repair(
     return _repair_one(responses, failed_id, enc, s, t)
 
 
-def _check_reconstruct_word(
-    responses: Sequence[Response], enc: EncodingMatrix, s: int, t: int
-):
-    params = enc.params
-    if s < 0 or t < 0:
-        raise ParameterError("s and t must be nonnegative")
-    extra = s + 2 * t
-    if params.k + extra > params.n:
-        raise InfeasibleError(
-            f"(s={s}, t={t}) reconstruction needs k+s+2t <= n"
-        )
-    kappa = params.k + extra
-    if len(responses) != kappa:
-        raise ParameterError(
-            f"reconstruction needs exactly {kappa} responses (k+s+2t), "
-            f"got {len(responses)}"
-        )
-    ids = [r.node_id for r in responses]
-    if len(set(ids)) != len(ids):
-        raise ParameterError("duplicate node ids")
-    for r in responses:
-        enc.check_node(r.node_id)
-        _check_symbols(r, params.alpha, enc.field, "share")
-    erased = sum(r.erased for r in responses)
-    if erased > s:
-        raise ParameterError(f"{erased} erased responses exceed the budget s={s}")
-
-
 def _reconstruct_one(
     responses: Sequence[Response], enc: EncodingMatrix, s: int, t: int
 ) -> tuple[int, ...]:
-    _check_reconstruct_word(responses, enc, s, t)
-    return _ints(shards.decode_reconstruct(_received(responses), enc, t)[0])
+    received = _received(responses, enc, s, t)
+    return _ints(shards.decode_reconstruct(received, enc, t)[0])
 
 
 def msr_reconstruct(

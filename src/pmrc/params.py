@@ -9,6 +9,11 @@ storage/repair-bandwidth tradeoff:
 * MBR (minimum bandwidth): alpha = d*beta and B = (kd - k(k-1)/2)*beta, for
   every k <= d <= n-1.
 
+Resilience is a decode-time rule, stated once in `connectivity`: under s
+erasures and t corruptions, repair contacts Delta = d+s+2t <= n-1 helpers and
+reconstruction kappa = k+s+2t <= n providers, so the decode steps in
+`pmrc.shards` see R >= d+2t (k+2t) responses, which makes the answer unique.
+
 Encoding matrices are Vandermonde: row i is [1, x_i, ..., x_i^(d-1)], which
 makes any d rows independent and any prefix-width submatrix MDS. For MSR the
 matrix splits as [phi | Lambda*phi] with lambda_i = x_i^(k-1); the evaluation
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, InfeasibleError, ParameterError
 from .field import Fq
 from .linalg import MatrixFq
 
@@ -112,6 +117,17 @@ def mbr_params(k: int, d: int, n: int, beta: int = 1) -> SystemParams:
     )
 
 
+def code_params(
+    mode: CodeMode | str, k: int, n: int, d: int | None = None, beta: int = 1
+) -> SystemParams:
+    """Parameters of either mode; MSR fixes d = 2k-2 and ignores ``d``."""
+    if CodeMode(mode) is CodeMode.MSR:
+        return msr_params(k=k, n=n, beta=beta)
+    if d is None:
+        raise ParameterError("MBR needs d")
+    return mbr_params(k=k, d=d, n=n, beta=beta)
+
+
 def capacity_bound(k: int, d: int, alpha: int, beta: int) -> int:
     """Cut-set upper bound on per-block message size:
     sum_{i=0}^{k-1} min(alpha, (d-i)*beta)."""
@@ -127,6 +143,19 @@ def resilience_feasible(params: SystemParams, s: int, t: int) -> bool:
         raise ParameterError("s and t must be nonnegative")
     extra = s + 2 * t
     return params.d + extra <= params.n - 1 and params.k + extra <= params.n
+
+
+def connectivity(params: SystemParams, s: int, t: int, repair: bool) -> int:
+    """Nodes a decode under budget (s, t) contacts: Delta = d+s+2t helpers
+    for repair (InfeasibleError past n-1), kappa = k+s+2t providers for
+    reconstruction (InfeasibleError past n). ParameterError if s or t < 0."""
+    if s < 0 or t < 0:
+        raise ParameterError("s and t must be nonnegative")
+    need, limit = (params.d, params.n - 1) if repair else (params.k, params.n)
+    count = need + s + 2 * t
+    if count > limit:
+        raise InfeasibleError(f"(s={s}, t={t}) needs {count} nodes, at most {limit} fit")
+    return count
 
 
 def feasible_pairs(params: SystemParams) -> list[tuple[int, int]]:

@@ -65,9 +65,9 @@ from .params import (
     CodeMode,
     EncodingMatrix,
     SystemParams,
+    code_params,
+    connectivity,
     encoding_from_points,
-    mbr_params,
-    msr_params,
 )
 
 MAGIC = b"PMRC"
@@ -91,9 +91,7 @@ class ShardHeader:
     points: tuple[int, ...]
 
     def params(self) -> SystemParams:
-        if self.mode is CodeMode.MSR:
-            return msr_params(k=self.k, n=self.n, beta=self.beta)
-        return mbr_params(k=self.k, d=self.d, n=self.n, beta=self.beta)
+        return code_params(self.mode, self.k, self.n, self.d, self.beta)
 
     def encoding(self) -> EncodingMatrix:
         return encoding_from_points(self.params(), Fq(self.q), self.points)
@@ -195,10 +193,11 @@ def load_shard_set(directory) -> tuple[ShardHeader, dict[int, np.ndarray]]:
     """All readable shards of the majority shard set in a directory.
 
     The reference header is the one shared by the most readable files (ties
-    go to the set holding the lowest node id). Unreadable files, files of
-    another set and repeated node ids are skipped: a deleted or garbled shard
-    is an erasure, not a fatal error. Returns the reference header and
-    node_id -> body."""
+    go to the set holding the lowest node id). Unreadable files, files not
+    named after their header's node id (so no id repeats) and files of
+    another set are skipped: a deleted, garbled or misnamed shard is an
+    erasure, not a fatal error. Returns the reference header and node_id ->
+    body."""
     names = sorted(
         f for f in os.listdir(directory)
         if f.startswith("node") and f.endswith(".shard")
@@ -213,6 +212,9 @@ def load_shard_set(directory) -> tuple[ShardHeader, dict[int, np.ndarray]]:
         except (ParameterError, OSError):
             skipped.append(name)
             continue
+        if name != shard_filename(header.node_id):
+            skipped.append(name)
+            continue
         readable.append((name, header, body))
     if not readable:
         raise InfeasibleError(f"no readable shards in {directory}")
@@ -224,7 +226,7 @@ def load_shard_set(directory) -> tuple[ShardHeader, dict[int, np.ndarray]]:
     )
     bodies: dict[int, np.ndarray] = {}
     for (name, header, body), key in zip(readable, keys):
-        if key != keys[ref] or header.node_id in bodies:
+        if key != keys[ref]:
             skipped.append(name)
             continue
         bodies[header.node_id] = body
@@ -406,11 +408,12 @@ def _locate_then_erase(
 
 
 def poly_decode(
-    y: np.ndarray, points: Sequence[int], msg_len: int, t: int, field: Fq,
+    y: Sequence[np.ndarray], points: Sequence[int], msg_len: int, t: int, field: Fq,
     per_block: int = 1,
 ) -> np.ndarray:
-    """Decode (R, ncols) polynomial evaluations to (msg_len, ncols)
-    coefficients, tolerating up to t wrong rows per column; needs R >=
+    """Decode R rows of ncols polynomial evaluations (an (R, ncols) array or
+    a list of rows) to (msg_len, ncols) coefficients, tolerating up to t
+    wrong rows per column; needs R >=
     msg_len + 2t. A column that is not clean is located by the
     Berlekamp-Welch key equation (`decoding.rs_decode_ee`); a failure names
     the block of ``per_block`` consecutive columns it belongs to."""
@@ -421,7 +424,7 @@ def poly_decode(
         return vdm @ np.asarray(coeffs, dtype=np.int64) % field.q != word[:, 0]
 
     return _locate_then_erase(
-        list(y[:, None, :]), vdm[:, None, :], msg_len, t, field,
+        [row[None, :] for row in y], vdm[:, None, :], msg_len, t, field,
         linalg.inverse, locate, per_block,
     )
 
@@ -435,18 +438,16 @@ def decode_repair(
     evaluations of m_f = M phi_f (MSR) or M psi_f (MBR) at the helpers'
     points, so all slices of all blocks decode as one batch of columns."""
     params = enc.params
-    points = [enc.point_of(h) for h in symbols]
-    y = np.stack(list(symbols.values()))  # (R, nblocks, beta)
-    nb, ap = y.shape[1], params.alpha_prime
+    ap = params.alpha_prime
     m = poly_decode(
-        y.reshape(len(y), nb * params.beta), points, params.d, t, enc.field,
-        params.beta,
+        [y.reshape(-1) for y in symbols.values()],
+        [enc.point_of(h) for h in symbols], params.d, t, enc.field, params.beta,
     )
     if params.mode is CodeMode.MSR:
         # phi_f^t S1 + lambda_f phi_f^t S2, by the symmetry of S1 and S2
         m = (m[:ap] + enc.lam_of(failed_id) * m[ap:]) % enc.field.q
     # MBR: M is symmetric, so m_f itself is the lost slice share
-    return m.T.reshape(nb, params.alpha)
+    return m.T.reshape(-1, params.alpha)
 
 
 def _locate_msr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> np.ndarray:
@@ -531,6 +532,14 @@ def decode_reconstruct(
     return out.T.reshape(-1, params.message_symbols)
 
 
+def _lowest_ids(candidates, count: int) -> list[int]:
+    """The ``count`` lowest node ids among the shards at hand."""
+    present = sorted(candidates)
+    if len(present) < count:
+        raise InfeasibleError(f"needs {count} shards, found {len(present)}")
+    return present[:count]
+
+
 def repair_blocks(
     bodies: dict[int, np.ndarray],
     failed_id: int,
@@ -540,20 +549,13 @@ def repair_blocks(
 ) -> tuple[np.ndarray, dict]:
     """Regenerate the failed node's (nblocks, alpha) body from shard bodies.
 
-    Helpers are the lowest-id present nodes; each contributes its per-block
-    repair symbols, computed exactly as a live helper would.
+    Helpers are the Delta = d+s+2t lowest-id present nodes; each contributes
+    its per-block repair symbols, computed exactly as a live helper would.
     """
     params = enc.params
     enc.check_node(failed_id)
-    if s < 0 or t < 0:
-        raise ParameterError("s and t must be nonnegative")
-    delta = params.d + s + 2 * t
-    if delta > params.n - 1:
-        raise InfeasibleError(f"(s={s}, t={t}) needs d+s+2t <= n-1")
-    helpers = sorted(i for i in bodies if i != failed_id)
-    if len(helpers) < delta:
-        raise InfeasibleError(f"repair needs {delta} helper shards, found {len(helpers)}")
-    helpers = helpers[:delta]
+    delta = connectivity(params, s, t, repair=True)
+    helpers = _lowest_ids((i for i in bodies if i != failed_id), delta)
     symbols = {h: helper_symbols(bodies[h], failed_id, enc) for h in helpers}
     share = decode_repair(symbols, failed_id, enc, t)
     info = {
@@ -570,19 +572,11 @@ def reconstruct_blocks(
     s: int = 0,
     t: int = 0,
 ) -> tuple[np.ndarray, dict]:
-    """Recover (nblocks, B) payload symbols from kappa = k+s+2t shards."""
+    """Recover (nblocks, B) payload symbols from the kappa = k+s+2t lowest-id
+    shards."""
     params = enc.params
-    if s < 0 or t < 0:
-        raise ParameterError("s and t must be nonnegative")
-    kappa = params.k + s + 2 * t
-    if kappa > params.n:
-        raise InfeasibleError(f"(s={s}, t={t}) needs k+s+2t <= n")
-    present = sorted(bodies)
-    if len(present) < kappa:
-        raise InfeasibleError(
-            f"reconstruction needs {kappa} shards, found {len(present)}"
-        )
-    chosen = present[:kappa]
+    kappa = connectivity(params, s, t, repair=False)
+    chosen = _lowest_ids(bodies, kappa)
     out = decode_reconstruct({i: bodies[i] for i in chosen}, enc, t)
     info = {
         "providers": chosen,

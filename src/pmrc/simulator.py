@@ -15,6 +15,7 @@ event may ask for a seeded permutation instead to exercise the "any Delta
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from dataclasses import dataclass
@@ -30,9 +31,9 @@ from .params import (
     EncodingMatrix,
     SystemParams,
     build_encoding,
-    mbr_params,
-    msr_params,
-    resilience_feasible,
+    code_params,
+    connectivity,
+    feasible_pairs,
 )
 from .shards import decode_reconstruct, decode_repair, encode_blocks, helper_symbols
 
@@ -125,36 +126,45 @@ class ClusterState:
             raise ParameterError(f"node {node} already failed")
         self._shares[node] = None
 
-    def _select(
-        self, candidates: list[int], count: int, rng: random.Random | None
-    ) -> list[int]:
-        if rng is None:
-            return candidates[:count]
-        picked = list(candidates)
-        rng.shuffle(picked)
-        return sorted(picked[:count])
-
-    def _responses(
-        self, chosen: list[int], plan: AdversaryPlan, s: int, send
-    ) -> dict[int, np.ndarray]:
-        """node -> (nblocks, width) response arrays of the chosen nodes that
-        are not erased, where send(node) is a node's honest response. Corrupt
-        responses are seeded-random, drawn block by block in node order."""
-        erased = len(plan.erase.intersection(chosen))
-        if erased > s:
-            raise ParameterError(f"{erased} erased responses exceed the budget s={s}")
+    def _event(
+        self, kind: str, s: int, t: int, candidates: list[int], send, decode,
+        adversary: AdversaryPlan | None, permute_rng: random.Random | None,
+    ) -> tuple[EventReport, np.ndarray | None]:
+        """Contact `connectivity` candidates (lowest ids, or a seeded pick),
+        drop the erased responses of send(node), replace the corrupt ones by
+        seeded-random symbols drawn block by block in node order, and decode;
+        the result is None, and the report DETECTED, on DecodeFailure."""
+        repair = kind == "repair"
+        count = connectivity(self.params, s, t, repair)
+        if len(candidates) < count:
+            raise InfeasibleError(
+                f"only {len(candidates)} alive nodes, {kind} needs {count}"
+            )
+        chosen = candidates[:count]
+        if permute_rng is not None:
+            picked = list(candidates)
+            permute_rng.shuffle(picked)
+            chosen = sorted(picked[:count])
+        nb, width = len(self.blocks), self.params.beta if repair else self.params.alpha
+        plan = adversary or AdversaryPlan()
         received = {i: send(i) for i in chosen if i not in plan.erase}
         bad = [i for i in received if i in plan.corrupt]
         if bad:
             rng = random.Random(f"corrupt:{plan.seed}")
-            nb, width = received[bad[0]].shape
             fake = np.asarray(
                 _random_symbols(rng, nb * len(bad) * width, self.field.q),
                 dtype=np.int64,
             ).reshape(nb, len(bad), width)
             for c, i in enumerate(bad):
                 received[i] = fake[:, c, :]
-        return received
+        report = EventReport(
+            kind=kind, s=s, t=t, connectivity=count, downloaded=count * width * nb,
+            outcome=SUCCESS,
+        )
+        try:
+            return report, decode(received)
+        except DecodeFailure as e:
+            return dataclasses.replace(report, outcome=DETECTED, detail=str(e)), None
 
     def repair(
         self,
@@ -167,46 +177,24 @@ class ClusterState:
         """Regenerate a failed node from Delta = d+s+2t helper responses and
         reinstate the result; the installed share is checked against ground
         truth so a beyond-budget adversary can never corrupt silently."""
-        params = self.params
         if self.is_alive(failed):
             raise ParameterError(f"node {failed} is alive; fail it first")
-        if not resilience_feasible(params, s, t):
-            raise InfeasibleError(f"(s={s}, t={t}) infeasible for n={params.n}")
-        delta = params.d + s + 2 * t
-        helpers = [i for i in self.alive() if i != failed]
-        if len(helpers) < delta:
-            raise InfeasibleError(
-                f"only {len(helpers)} alive helpers, repair needs {delta}"
-            )
-        chosen = self._select(helpers, delta, permute_rng)
-        received = self._responses(
-            chosen,
-            adversary or AdversaryPlan(),
-            s,
+        report, rebuilt = self._event(
+            "repair", s, t, [i for i in self.alive() if i != failed],
             lambda h: helper_symbols(self._shares[h], failed, self.enc),
+            lambda received: decode_repair(received, failed, self.enc, t),
+            adversary, permute_rng,
         )
-        outcome = SUCCESS
-        detail = ""
-        try:
-            rebuilt = decode_repair(received, failed, self.enc, t)
-        except DecodeFailure as e:
-            outcome, detail = DETECTED, str(e)
-        else:
+        report = dataclasses.replace(report, node=failed)
+        if rebuilt is not None:
             mismatch = np.flatnonzero((rebuilt != self._truth[failed]).any(axis=1))
             if mismatch.size:
-                outcome = MISMATCH
-                detail = f"block {mismatch[0]} share differs from ground truth"
+                report = dataclasses.replace(
+                    report, outcome=MISMATCH,
+                    detail=f"block {mismatch[0]} share differs from ground truth",
+                )
             self._shares[failed] = rebuilt
-        return EventReport(
-            kind="repair",
-            s=s,
-            t=t,
-            connectivity=delta,
-            downloaded=delta * params.beta * len(self.blocks),
-            outcome=outcome,
-            node=failed,
-            detail=detail,
-        )
+        return report
 
     def reconstruct(
         self,
@@ -217,42 +205,19 @@ class ClusterState:
     ) -> tuple[EventReport, list[tuple[int, ...]] | None]:
         """Data-collector read from kappa = k+s+2t providers; the recovered
         payload is compared against ground truth."""
-        params = self.params
-        if s < 0 or t < 0:
-            raise ParameterError("s and t must be nonnegative")
-        kappa = params.k + s + 2 * t
-        if kappa > params.n:
-            raise InfeasibleError(f"(s={s}, t={t}) needs k+s+2t <= n")
-        providers = self.alive()
-        if len(providers) < kappa:
-            raise InfeasibleError(
-                f"only {len(providers)} alive nodes, reconstruction needs {kappa}"
+        report, blocks = self._event(
+            "reconstruct", s, t, self.alive(), lambda i: self._shares[i],
+            lambda received: decode_reconstruct(received, self.enc, t),
+            adversary, permute_rng,
+        )
+        if blocks is None:
+            return report, None
+        recovered = [tuple(int(v) for v in row) for row in blocks]
+        if recovered != self.payloads:
+            report = dataclasses.replace(
+                report, outcome=MISMATCH,
+                detail="recovered payload differs from ground truth",
             )
-        chosen = self._select(providers, kappa, permute_rng)
-        received = self._responses(
-            chosen, adversary or AdversaryPlan(), s, lambda i: self._shares[i]
-        )
-        outcome = SUCCESS
-        detail = ""
-        recovered = None
-        try:
-            blocks = decode_reconstruct(received, self.enc, t)
-        except DecodeFailure as e:
-            outcome, detail = DETECTED, str(e)
-        else:
-            recovered = [tuple(int(v) for v in row) for row in blocks]
-            if recovered != self.payloads:
-                outcome = MISMATCH
-                detail = "recovered payload differs from ground truth"
-        report = EventReport(
-            kind="reconstruct",
-            s=s,
-            t=t,
-            connectivity=kappa,
-            downloaded=kappa * params.alpha * len(self.blocks),
-            outcome=outcome,
-            detail=detail,
-        )
         return report, recovered
 
     def verify_consistent(self) -> bool:
@@ -293,18 +258,13 @@ def exhaustive_resilience_check(
     ]
     events = 0
     bad: list[EventReport] = []
-    pairs = [
-        (s, t)
-        for s in range(params.n)
-        for t in range(params.n)
-        if resilience_feasible(params, s, t)
-    ]
+    pairs = sorted(feasible_pairs(params))
     # a successful repair restores the exact share, so one cluster serves the
     # whole sweep; it is only rebuilt after a (budget-violating) failure
     cluster = ClusterState(enc, payloads)
     for s, t in pairs:
-        delta = params.d + s + 2 * t
-        kappa = params.k + s + 2 * t
+        delta = connectivity(params, s, t, repair=True)
+        kappa = connectivity(params, s, t, repair=False)
         for failed in range(1, params.n + 1):
             helpers = [i for i in range(1, params.n + 1) if i != failed][:delta]
             for plan_seed in seeds:
@@ -328,16 +288,11 @@ def exhaustive_resilience_check(
 def params_from_scenario(cfg: dict) -> SystemParams:
     try:
         mode = CodeMode(cfg["mode"])
-        k = int(cfg["k"])
-        n = int(cfg["n"])
-        beta = int(cfg.get("beta", 1))
+        k, n, beta = int(cfg["k"]), int(cfg["n"]), int(cfg.get("beta", 1))
+        d = None if cfg.get("d") is None else int(cfg["d"])
     except (KeyError, ValueError) as e:
         raise ParameterError(f"scenario: bad or missing code parameters ({e})")
-    if mode is CodeMode.MSR:
-        return msr_params(k=k, n=n, beta=beta)
-    if "d" not in cfg:
-        raise ParameterError("scenario: MBR needs d")
-    return mbr_params(k=k, d=int(cfg["d"]), n=n, beta=beta)
+    return code_params(mode, k, n, d, beta)
 
 
 def load_scenario(path) -> dict:

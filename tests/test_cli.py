@@ -5,8 +5,10 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import pmrc
 from pmrc.cli import (
     EXIT_BAD_ARGS,
     EXIT_DECODE,
@@ -119,6 +121,25 @@ def test_one_bad_header_does_not_discard_good_shards(tmp_path):
     write_shard(path, dataclasses.replace(header, data_len=header.data_len + 1), body)
     dest = tmp_path / "back.bin"
     assert main(["reconstruct", str(out), "-o", str(dest), "-t", "1"]) == EXIT_OK
+    assert dest.read_bytes() == data
+
+
+def test_misnamed_shard_is_an_erasure(tmp_path, capsys):
+    # node0003.shard claims node 5 and holds garbage; it is skipped by its
+    # name, so the real node0005.shard still serves repair and reconstruction
+    data, out = encode(tmp_path, mode="mbr", k=3, d=5, n=8)
+    original = (out / shard_filename(1)).read_bytes()
+    path = out / shard_filename(3)
+    header, body = read_shard(path)
+    fake = np.random.default_rng(3).integers(0, header.q, size=body.shape)
+    write_shard(path, dataclasses.replace(header, node_id=5), fake)
+    capsys.readouterr()
+    alt = tmp_path / "alt"
+    assert main(["repair", str(out), "--node", "1", "-o", str(alt)]) == EXIT_OK
+    assert shard_filename(3) in capsys.readouterr().err
+    assert (alt / shard_filename(1)).read_bytes() == original
+    dest = tmp_path / "back.bin"
+    assert main(["reconstruct", str(out), "-o", str(dest)]) == EXIT_OK
     assert dest.read_bytes() == data
 
 
@@ -286,10 +307,15 @@ def test_multi_slice_codes_end_to_end(tmp_path, capsys, mode, beta):
 
 
 def test_console_entry_point_runs():
+    # the child must import the same pmrc package as this process
+    src = os.path.dirname(os.path.dirname(pmrc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pmrc.cli", "info", "--mode", "mbr", "-k", "2", "-d", "3", "-n", "6"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "[6, 2, 3]" in proc.stdout

@@ -444,6 +444,8 @@ def test_decode_steps_need_unique_decoding():
     with pytest.raises(ParameterError):
         decode_repair(symbols, 1, enc, -1)
     with pytest.raises(ParameterError):
+        decode_repair({}, 1, enc, 0)
+    with pytest.raises(ParameterError):
         decode_reconstruct({i: bodies[i] for i in (1, 2, 3)}, enc, 1)  # 3 < k + 2t
     with pytest.raises(ParameterError):
         decode_reconstruct({}, enc, 0)
