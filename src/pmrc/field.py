@@ -46,8 +46,9 @@ class Fq:
 
     __slots__ = ("q",)
 
-    # Shard symbols are 16-bit, so the codec needs q < 65536; that also keeps
-    # every int64 product and row update far from overflow.
+    # Shard symbols are 16-bit, so the codec needs q < 65536; that lets
+    # linalg.matmul_mod return uint16 residues, and keeps every int64 product
+    # and row update far from overflow.
     MAX_Q = 65535
 
     def __init__(self, q: int):

@@ -3,6 +3,11 @@
 Matrices are immutable values backed by int64 numpy arrays; every operation
 reduces mod q. Solving and rank use plain Gaussian elimination with
 leftmost-nonzero pivoting (exact arithmetic needs no pivot scaling).
+
+Bulk products go through one kernel, `matmul_mod`: it multiplies arrays of
+reduced residues on BLAS in float32 or float64 whenever every dot product is
+an exactly representable integer, reduces the result mod q in that float
+type, and returns uint16 residues.
 """
 
 from __future__ import annotations
@@ -127,6 +132,65 @@ class MatrixFq:
 
     def __repr__(self):
         return f"MatrixFq(q={self.field.q}, {self.rows}x{self.cols})"
+
+
+# rows (or columns) of the long side per kernel step; bounds the float
+# temporaries to a few MB whatever the operand length
+_CHUNK = 1 << 16
+# below this many multiply-adds the BLAS call and the float reduction cost
+# more than an int64 product (the per-block codec's word-sized products)
+_SMALL = 1 << 14
+
+
+def _compute_dtype(rows: int, inner: int, cols: int, q: int):
+    """int64 for small products; else the narrowest type whose sums of
+    ``inner`` products of residues mod q are exact: float32 below 2**24,
+    float64 below 2**53, else int64."""
+    if rows * inner * cols < _SMALL:
+        return np.int64
+    bound = inner * (q - 1) ** 2
+    if bound < 2**24:
+        return np.float32
+    if bound < 2**53:
+        return np.float64
+    return np.int64
+
+
+def _reduce(p: np.ndarray, q: int) -> np.ndarray:
+    """p mod q for nonnegative exact integers p. In float, p - floor(p/q)q
+    with a rounded 1/q is off by at most one q either way, fixed up after."""
+    if p.dtype == np.int64:
+        return np.remainder(p, q, out=p)
+    f = p * (1 / q)
+    np.floor(f, out=f)
+    f *= q
+    p -= f
+    np.add(p, q, out=p, where=p < 0)
+    np.subtract(p, q, out=p, where=p >= q)
+    return p
+
+
+def matmul_mod(a, b, q: int) -> np.ndarray:
+    """Exact (a @ b) % q as uint16, for 2-D arrays of residues in [0, q) of
+    any integer or float dtype. The product runs in `_compute_dtype`, in
+    chunks along the longer outer side."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ParameterError(f"shape mismatch for product: {a.shape} @ {b.shape}")
+    kind = _compute_dtype(a.shape[0], a.shape[1], b.shape[1], q)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.uint16)
+    if a.shape[0] >= b.shape[1]:
+        bk = b.astype(kind, copy=False)
+        for i in range(0, a.shape[0], _CHUNK):
+            chunk = a[i : i + _CHUNK].astype(kind, copy=False)
+            out[i : i + _CHUNK] = _reduce(chunk @ bk, q)
+    else:
+        ak = a.astype(kind, copy=False)
+        for j in range(0, b.shape[1], _CHUNK):
+            chunk = b[:, j : j + _CHUNK].astype(kind, copy=False)
+            out[:, j : j + _CHUNK] = _reduce(ak @ chunk, q)
+    return out
 
 
 def vandermonde(field: Fq, points: Sequence[int], width: int) -> MatrixFq:

@@ -27,6 +27,11 @@ The message layout is stated once, in `_slice_matrix_index`:
 `message_matrices` gathers payload symbols into the per-slice product-matrix
 operands and `payload_of_matrices` reads them back.
 
+Symbols stay uint16 (``<u2``, the on-disk body format) from `read_shard`
+to `write_shard`; every bulk product is `linalg.matmul_mod`, which takes
+them as they are and returns uint16 residues. The code tables (`share_map`,
+the Vandermonde rows at the helpers' points) are built once and shared.
+
 This module is the package's one codec. Blocks are independent, and so is
 each beta-slice of a block (a copy of the beta = 1 code), so every step works
 on all slices of all blocks at once with numpy: `encode_blocks` (one
@@ -48,6 +53,7 @@ every remaining column. The file-level calls (`repair_blocks`,
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import sys
@@ -171,19 +177,18 @@ def write_shard(path, header: ShardHeader, body: np.ndarray) -> None:
         )
     with open(path, "wb") as fp:
         fp.write(header.pack())
-        fp.write(body.astype("<u2").tobytes())
+        fp.write(np.ascontiguousarray(body, dtype="<u2"))
 
 
 def read_shard(path) -> tuple[ShardHeader, np.ndarray]:
+    """The header and the writable (block_count, alpha) ``<u2`` body."""
     with open(path, "rb") as fp:
         header = ShardHeader.unpack(fp)
-        params = header.params()
-        want = header.block_count * params.alpha
-        raw = fp.read(2 * want)
-    if len(raw) != 2 * want:
-        raise ParameterError(f"shard body truncated: {path}")
-    body = np.frombuffer(raw, dtype="<u2").astype(np.int64)
-    body = body.reshape(header.block_count, params.alpha)
+        shape = (header.block_count, header.params().alpha)
+        want = shape[0] * shape[1]
+        if os.fstat(fp.fileno()).st_size - fp.tell() < 2 * want:
+            raise ParameterError(f"shard body truncated: {path}")
+        body = np.fromfile(fp, dtype="<u2", count=want).reshape(shape)
     if body.size and int(body.max()) >= header.q:
         raise ParameterError(f"shard symbols exceed the field modulus: {path}")
     return header, body
@@ -194,10 +199,10 @@ def load_shard_set(directory) -> tuple[ShardHeader, dict[int, np.ndarray]]:
 
     The reference header is the one shared by the most readable files (ties
     go to the set holding the lowest node id). Unreadable files, files not
-    named after their header's node id (so no id repeats) and files of
-    another set are skipped: a deleted, garbled or misnamed shard is an
-    erasure, not a fatal error. Returns the reference header and node_id ->
-    body."""
+    named after their header's node id (so no id repeats), files whose id is
+    outside 1..n and files of another set are skipped: a deleted, garbled or
+    misnamed shard is an erasure, not a fatal error. Returns the reference
+    header and node_id -> body."""
     names = sorted(
         f for f in os.listdir(directory)
         if f.startswith("node") and f.endswith(".shard")
@@ -212,7 +217,8 @@ def load_shard_set(directory) -> tuple[ShardHeader, dict[int, np.ndarray]]:
         except (ParameterError, OSError):
             skipped.append(name)
             continue
-        if name != shard_filename(header.node_id):
+        named = name == shard_filename(header.node_id)
+        if not named or not 1 <= header.node_id <= header.n:
             skipped.append(name)
             continue
         readable.append((name, header, body))
@@ -244,7 +250,7 @@ def load_shard_set(directory) -> tuple[ShardHeader, dict[int, np.ndarray]]:
 def bytes_to_blocks(data: bytes, message_symbols: int) -> np.ndarray:
     """One byte per symbol, zero-padded to whole blocks; shape (blocks, B)."""
     nblocks = -(-len(data) // message_symbols) if data else 0
-    arr = np.zeros(nblocks * message_symbols, dtype=np.int64)
+    arr = np.zeros(nblocks * message_symbols, dtype=np.uint16)
     arr[: len(data)] = np.frombuffer(data, dtype=np.uint8)
     return arr.reshape(nblocks, message_symbols)
 
@@ -309,13 +315,26 @@ def payload_of_matrices(mats: np.ndarray, params: SystemParams) -> np.ndarray:
     return flat[:, :, cells[values >= 0]].reshape(mats.shape[0], params.message_symbols)
 
 
+@functools.lru_cache(maxsize=64)
 def share_map(enc: EncodingMatrix) -> np.ndarray:
-    """Coefficient tensor A with shape (n, alpha', B') mapping one slice of
-    payload symbols u to every node's stored slice: share_i = A[i] @ u."""
+    """Read-only int64 coefficient tensor A with shape (n, alpha', B')
+    mapping one slice of payload symbols u to every node's stored slice:
+    share_i = A[i] @ u. Built once per encoding."""
     params = enc.params
     idx = _slice_matrix_index(params)
-    onehot = (idx[:, :, None] == np.arange(params.slice_symbols)).astype(np.int64)
-    return np.einsum("nd,dwu->nwu", enc.psi.array(), onehot) % enc.field.q
+    onehot = idx[:, :, None] == np.arange(params.slice_symbols)
+    amap = linalg.matmul_mod(enc.psi.array(), onehot.reshape(params.d, -1), enc.field.q)
+    shape = (params.n, params.alpha_prime, params.slice_symbols)
+    amap = amap.astype(np.int64).reshape(shape)
+    amap.setflags(write=False)
+    return amap
+
+
+@functools.lru_cache(maxsize=1024)
+def _vandermonde(q: int, points: tuple[int, ...], width: int) -> np.ndarray:
+    """Read-only `linalg.vandermonde` array, built once per (q, points,
+    width)."""
+    return linalg.vandermonde(Fq(q), points, width).array()
 
 
 # --- the batched codec ------------------------------------------------------
@@ -323,11 +342,15 @@ def share_map(enc: EncodingMatrix) -> np.ndarray:
 
 def encode_blocks(blocks: np.ndarray, enc: EncodingMatrix) -> dict[int, np.ndarray]:
     """Encode (nblocks, B) payload symbols; returns node_id -> (nblocks,
-    alpha), each a view of one (n, nblocks, beta, alpha') code array."""
-    code = np.einsum("nd,bjdw->nbjw", enc.psi.array(), message_matrices(blocks, enc.params))
-    code %= enc.field.q
-    shape = (blocks.shape[0], enc.params.alpha)
-    return {i + 1: body.reshape(shape) for i, body in enumerate(code)}
+    alpha) uint16, each a view of one column of the (nblocks * alpha, n)
+    code array M^t psi^t, one product over every slice of every block."""
+    params = enc.params
+    ops = message_matrices(blocks, params).swapaxes(2, 3)
+    code = linalg.matmul_mod(
+        ops.reshape(ops.size // params.d, params.d), enc.psi.array().T, enc.field.q
+    )
+    shape = (blocks.shape[0], params.alpha)
+    return {i + 1: code[:, i].reshape(shape) for i in range(params.n)}
 
 
 def helper_symbols(
@@ -342,8 +365,9 @@ def helper_symbols(
         target = enc.phi_row(failed_id)
     else:
         target = enc.psi_row(failed_id)
-    slices = share.reshape(share.shape[0], params.beta, params.alpha_prime)
-    return slices @ np.asarray(target, dtype=np.int64) % enc.field.q
+    slices = share.reshape(share.shape[0] * params.beta, params.alpha_prime)
+    symbols = linalg.matmul_mod(slices, np.asarray(target)[:, None], enc.field.q)
+    return symbols.reshape(share.shape[0], params.beta)
 
 
 def _locate_then_erase(
@@ -375,7 +399,9 @@ def _locate_then_erase(
             f"need t >= 0 and at least {need} + 2t"
         )
     q = field.q
-    out = np.empty((gen.shape[2], ys[0].shape[1]), dtype=np.int64)
+    word = np.stack(ys)  # (R, w, ncols)
+    code_maps = gen.reshape(-1, gen.shape[2])  # (R * w, L)
+    out = np.empty((gen.shape[2], word.shape[2]), dtype=np.uint16)
     undecided = np.arange(out.shape[1])
     erased = np.zeros(n_pos, dtype=bool)
     located = False
@@ -384,17 +410,18 @@ def _locate_then_erase(
         inv = invert(
             MatrixFq(field, np.concatenate(gen[rows]), _trusted=True)
         ).array()
-        cand = inv @ np.concatenate([ys[r] for r in rows]) % q
-        agree = sum((g @ cand % q == y).all(axis=0) for g, y in zip(gen, ys))
+        cand = linalg.matmul_mod(inv, word[rows].reshape(-1, word.shape[2]), q)
+        again = linalg.matmul_mod(code_maps, cand, q).reshape(word.shape)
+        agree = (again == word).all(axis=1).sum(axis=0)
         ok = agree >= n_pos - t
         if located and not ok[0]:
             break
         out[:, undecided[ok]] = cand[:, ok]
         undecided = undecided[~ok]
-        ys = [y[:, ~ok] for y in ys]
+        word = word[:, :, ~ok]
         if undecided.size:
             try:
-                erased = locate(np.stack([y[:, 0] for y in ys]))
+                erased = locate(word[:, :, 0])
             except DecodeFailure:
                 break
             located = True
@@ -407,6 +434,11 @@ def _locate_then_erase(
     )
 
 
+def _column(a: np.ndarray, coeffs: Sequence[int], q: int) -> np.ndarray:
+    """a @ coeffs mod q for one decoded coefficient vector."""
+    return linalg.matmul_mod(a, np.asarray(coeffs)[:, None], q)[:, 0]
+
+
 def poly_decode(
     y: Sequence[np.ndarray], points: Sequence[int], msg_len: int, t: int, field: Fq,
     per_block: int = 1,
@@ -417,11 +449,11 @@ def poly_decode(
     msg_len + 2t. A column that is not clean is located by the
     Berlekamp-Welch key equation (`decoding.rs_decode_ee`); a failure names
     the block of ``per_block`` consecutive columns it belongs to."""
-    vdm = linalg.vandermonde(field, points, msg_len).array()
+    vdm = _vandermonde(field.q, tuple(points), msg_len)
 
     def locate(word: np.ndarray) -> np.ndarray:
         coeffs = decoding.rs_decode_ee(word[:, 0].tolist(), points, msg_len, t, field)
-        return vdm @ np.asarray(coeffs, dtype=np.int64) % field.q != word[:, 0]
+        return _column(vdm, coeffs, field.q) != word[:, 0]
 
     return _locate_then_erase(
         [row[None, :] for row in y], vdm[:, None, :], msg_len, t, field,
@@ -445,7 +477,9 @@ def decode_repair(
     )
     if params.mode is CodeMode.MSR:
         # phi_f^t S1 + lambda_f phi_f^t S2, by the symmetry of S1 and S2
-        m = (m[:ap] + enc.lam_of(failed_id) * m[ap:]) % enc.field.q
+        eye = np.eye(ap, dtype=np.int64)
+        combine = np.hstack([eye, enc.lam_of(failed_id) * eye])
+        m = linalg.matmul_mod(combine, m, enc.field.q)
     # MBR: M is symmetric, so m_f itself is the lost slice share
     return m.T.reshape(-1, params.alpha)
 
@@ -468,7 +502,7 @@ def _locate_msr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> n
     points = [enc.point_of(i) for i in ids]
     phi = enc.phi.array()[[i - 1 for i in ids]]
     lam = np.asarray([enc.lam_of(i) for i in ids], dtype=np.int64)
-    c = y @ phi.T % q  # c[i, j] = P_ij + lam_i Q_ij
+    c = linalg.matmul_mod(y, phi.T, q).astype(np.int64)  # c[i, j] = P_ij + lam_i Q_ij
     gap = (lam[:, None] - lam[None, :]) % q
     np.fill_diagonal(gap, 1)
     gap_inv = np.array([[pow(int(v), q - 2, q) for v in row] for row in gap])
@@ -480,7 +514,7 @@ def _locate_msr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> n
             coeffs = decoding.rs_decode_ee(row, points, phi.shape[1], t, field)
         except DecodeFailure:
             continue  # a wrong row; the clean rows flag it
-        flagged = phi @ np.asarray(coeffs, dtype=np.int64) % q != q_mat[i]
+        flagged = _column(phi, coeffs, q) != q_mat[i]
         flagged[i] = False
         votes += flagged
     return votes > t
@@ -503,12 +537,14 @@ def _locate_mbr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> n
             dtype=np.int64,
         ).reshape(-1, k).T
 
+    q = field.q
     t_blk = rs_columns(y[:, k:])
+    sigma_t = linalg.matmul_mod(enc.sigma.array()[rows], t_blk.T, q)
     m = np.zeros((d, d), dtype=np.int64)
-    m[:k, :k] = rs_columns((y[:, :k] - enc.sigma.array()[rows] @ t_blk.T) % field.q)
+    m[:k, :k] = rs_columns((y[:, :k].astype(np.int64) - sigma_t) % q)
     m[:k, k:] = t_blk
     m[k:, :k] = t_blk.T
-    return (enc.psi.array()[rows] @ m % field.q != y).any(axis=1)
+    return (linalg.matmul_mod(enc.psi.array()[rows], m, q) != y).any(axis=1)
 
 
 def decode_reconstruct(

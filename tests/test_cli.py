@@ -17,7 +17,14 @@ from pmrc.cli import (
     EXIT_OK,
     main,
 )
-from pmrc.shards import read_shard, shard_filename, write_shard
+from pmrc.shards import (
+    bytes_to_blocks,
+    encode_blocks,
+    message_matrices,
+    read_shard,
+    shard_filename,
+    write_shard,
+)
 
 
 def write_random_file(path, size, seed=0):
@@ -278,6 +285,55 @@ def test_damage_matrix_end_to_end(tmp_path):
             "-s", "0", "-t", str(t), "-o", str(alt),
         ]) == EXIT_OK
         assert (alt / shard_filename(target)).read_bytes() == pristine[target], (s, t)
+
+
+@pytest.mark.parametrize("body_of", ["random", "node 8"])
+def test_out_of_range_node_id_is_an_erasure(tmp_path, capsys, body_of):
+    # node0000.shard is named after its header's node id 0, outside 1..8; it
+    # is skipped as an erasure whatever its body, so repair and a t=0
+    # reconstruct come back byte for byte from the intact set
+    data, out = encode(tmp_path, mode="mbr", k=3, d=5, n=8)
+    original = (out / shard_filename(2)).read_bytes()
+    header, body = read_shard(out / shard_filename(8))
+    if body_of == "random":
+        body = np.random.default_rng(4).integers(0, header.q, size=body.shape)
+    write_shard(out / shard_filename(0), dataclasses.replace(header, node_id=0), body)
+    capsys.readouterr()
+    alt = tmp_path / "alt"
+    assert main(["repair", str(out), "--node", "2", "-o", str(alt)]) == EXIT_OK
+    assert shard_filename(0) in capsys.readouterr().err
+    assert (alt / shard_filename(2)).read_bytes() == original
+    dest = tmp_path / "back.bin"
+    assert main(["reconstruct", str(out), "-o", str(dest)]) == EXIT_OK
+    assert shard_filename(0) in capsys.readouterr().err
+    assert dest.read_bytes() == data
+
+
+@pytest.mark.parametrize("q", [257, 65521])
+def test_shard_bodies_stay_u2(tmp_path, q):
+    """Bodies are uint16 from encode_blocks through write_shard and
+    read_shard, equal to the int64 product psi @ M, and rewrite to the same
+    bytes; q = 65521 runs the float64 branch of the kernel end to end."""
+    extra = ("--beta", "2", "--q", str(q))
+    data, out = encode(tmp_path, mode="msr", k=4, n=10, extra=extra)
+    header, _ = read_shard(out / shard_filename(1))
+    enc = header.encoding()
+    blocks = bytes_to_blocks(data, enc.params.message_symbols)
+    mats = message_matrices(blocks.astype(np.int64), enc.params)
+    want = np.einsum("nd,bjdw->nbjw", enc.psi.array(), mats) % q
+    for i, body in encode_blocks(blocks, enc).items():
+        assert body.dtype == np.uint16
+        assert np.array_equal(body, want[i - 1].reshape(body.shape))
+        path = out / shard_filename(i)
+        head, back = read_shard(path)
+        assert back.dtype == np.uint16 and back.flags.writeable
+        assert np.array_equal(back, body)
+        write_shard(tmp_path / "again.shard", head, back)
+        assert (tmp_path / "again.shard").read_bytes() == path.read_bytes()
+    assert main(["damage", str(out), "--corrupt", "1"]) == EXIT_OK
+    dest = tmp_path / "back.bin"
+    assert main(["reconstruct", str(out), "-o", str(dest), "-t", "1"]) == EXIT_OK
+    assert dest.read_bytes() == data
 
 
 @pytest.mark.parametrize("mode,beta", [("msr", 2), ("mbr", 3)])

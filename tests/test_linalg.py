@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmrc import (
     FieldMismatchError,
@@ -17,6 +19,8 @@ from pmrc.linalg import (
     hstack,
     inverse,
     left_inverse,
+    _reduce,
+    matmul_mod,
     rank,
     solve,
     solve_any,
@@ -176,3 +180,81 @@ def test_product_reproduces_node_share():
     for i in range(params.n):
         row = enc.psi.take_rows([i]) @ slices[0].stacked()
         assert tuple(row.array()[0]) == tuple(bodies[i + 1][0])
+
+
+def _exact_width(q, mantissa):
+    """Widest inner width whose worst-case dot product of residues mod q
+    stays below 2**mantissa."""
+    return (2**mantissa - 1) // (q - 1) ** 2
+
+
+def _operand(rng, shape, q, entries, dtype):
+    if entries == "top":
+        a = np.full(shape, q - 1, dtype=np.int64)
+    elif entries == "near-top":
+        a = rng.integers(max(q - 16, 0), q, size=shape)
+    else:
+        a = rng.integers(0, q, size=shape)
+    return a.astype(dtype)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    q=st.sampled_from([257, 401, 65521]),
+    side=st.sampled_from([-1, 0, 1, 2]),
+    rows=st.integers(0, 5),
+    cols=st.integers(0, 5) | st.integers(60, 200),
+    entries=st.sampled_from(["top", "near-top", "any"]),
+    dtypes=st.tuples(*[st.sampled_from([np.uint16, np.int64, np.float32])] * 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matmul_mod_matches_int64(q, side, rows, cols, entries, dtypes, seed):
+    # inner widths just inside, at and past the float32 bound, and well past;
+    # the wider column counts take the products off the small int64 path
+    width = _exact_width(q, 24)
+    inner = max(0, {-1: width - 1, 0: width, 1: width + 1, 2: 3 * width + 5}[side])
+    rng = np.random.default_rng(seed)
+    a = _operand(rng, (rows, inner), q, entries, dtypes[0])
+    b = _operand(rng, (inner, cols), q, entries, dtypes[1])
+    got = matmul_mod(a, b, q)
+    assert got.dtype == np.uint16 and got.shape == (rows, cols)
+    assert np.array_equal(got, a.astype(np.int64) @ b.astype(np.int64) % q)
+
+
+@pytest.mark.parametrize("entries", ["top", "near-top"])
+def test_matmul_mod_at_the_float64_bound(entries):
+    # a single dot product of about 2**21 worst-case terms at q = 65521
+    q = 65521
+    rng = np.random.default_rng(11)
+    width = _exact_width(q, 53)
+    for inner in (width, width + 1):
+        a = _operand(rng, (1, inner), q, entries, np.int64)
+        b = _operand(rng, (inner, 1), q, entries, np.uint16)
+        assert matmul_mod(a, b, q)[0, 0] == int(a[0] @ b[:, 0].astype(np.int64)) % q
+
+
+def test_matmul_mod_chunks_the_long_side():
+    # both orientations cross the chunk boundary; zero-size operands give
+    # empty products
+    q = 257
+    rng = np.random.default_rng(12)
+    tall = rng.integers(0, q, size=(70_001, 9))
+    small = rng.integers(0, q, size=(9, 3))
+    assert np.array_equal(matmul_mod(tall, small, q), tall @ small % q)
+    assert np.array_equal(matmul_mod(small.T, tall.T, q), small.T @ tall.T % q)
+    assert matmul_mod(np.zeros((0, 4)), np.zeros((4, 6)), q).shape == (0, 6)
+    assert matmul_mod(np.zeros((3, 0)), np.zeros((0, 2)), q).tolist() == [[0, 0]] * 3
+    with pytest.raises(ParameterError):
+        matmul_mod(np.zeros((2, 3)), np.zeros((2, 3)), q)
+
+
+@pytest.mark.parametrize("q", [3, 257, 401, 65519, 65521])
+@pytest.mark.parametrize("kind,mantissa", [(np.float32, 24), (np.float64, 53)])
+def test_float_reduction_is_exact_up_to_the_bound(q, kind, mantissa):
+    # around every multiple of q near the top of the exact range the rounded
+    # floor(p / q) is off by one either way; the fix-up must catch both
+    top = (2**mantissa - 1) // q
+    m = np.concatenate([np.arange(0, 2000), np.arange(top - 50_000, top + 1)])
+    p = (m[:, None] * q + np.arange(-2, 3)).ravel()
+    p = p[(p >= 0) & (p < 2**mantissa)]
+    assert np.array_equal(_reduce(p.astype(kind), q), p % q)
