@@ -5,9 +5,9 @@ reduces mod q. Solving and rank use plain Gaussian elimination with
 leftmost-nonzero pivoting (exact arithmetic needs no pivot scaling).
 
 Bulk products go through one kernel, `matmul_mod`: it multiplies arrays of
-reduced residues on BLAS in float32 or float64 whenever every dot product is
-an exactly representable integer, reduces the result mod q in that float
-type, and returns uint16 residues.
+reduced residues on BLAS in float32 whenever every dot product is an exactly
+representable float32 integer (int64 otherwise), reduces the result mod q,
+and returns uint16 residues.
 """
 
 from __future__ import annotations
@@ -143,16 +143,10 @@ _SMALL = 1 << 14
 
 
 def _compute_dtype(rows: int, inner: int, cols: int, q: int):
-    """int64 for small products; else the narrowest type whose sums of
-    ``inner`` products of residues mod q are exact: float32 below 2**24,
-    float64 below 2**53, else int64."""
-    if rows * inner * cols < _SMALL:
-        return np.int64
-    bound = inner * (q - 1) ** 2
-    if bound < 2**24:
+    """float32 when its sums of ``inner`` products of residues mod q stay
+    below 2**24, so exact, and the product is not word-sized; else int64."""
+    if rows * inner * cols >= _SMALL and inner * (q - 1) ** 2 < 2**24:
         return np.float32
-    if bound < 2**53:
-        return np.float64
     return np.int64
 
 

@@ -322,10 +322,8 @@ def share_map(enc: EncodingMatrix) -> np.ndarray:
     share_i = A[i] @ u. Built once per encoding."""
     params = enc.params
     idx = _slice_matrix_index(params)
-    onehot = idx[:, :, None] == np.arange(params.slice_symbols)
-    amap = linalg.matmul_mod(enc.psi.array(), onehot.reshape(params.d, -1), enc.field.q)
-    shape = (params.n, params.alpha_prime, params.slice_symbols)
-    amap = amap.astype(np.int64).reshape(shape)
+    onehot = (idx[:, :, None] == np.arange(params.slice_symbols)).astype(np.int64)
+    amap = np.einsum("nd,dwu->nwu", enc.psi.array(), onehot) % enc.field.q
     amap.setflags(write=False)
     return amap
 
@@ -477,9 +475,8 @@ def decode_repair(
     )
     if params.mode is CodeMode.MSR:
         # phi_f^t S1 + lambda_f phi_f^t S2, by the symmetry of S1 and S2
-        eye = np.eye(ap, dtype=np.int64)
-        combine = np.hstack([eye, enc.lam_of(failed_id) * eye])
-        m = linalg.matmul_mod(combine, m, enc.field.q)
+        m = (m[:ap] + enc.lam_of(failed_id) * m[ap:].astype(np.int64)) % enc.field.q
+        m = m.astype(np.uint16)
     # MBR: M is symmetric, so m_f itself is the lost slice share
     return m.T.reshape(-1, params.alpha)
 

@@ -313,7 +313,7 @@ def test_out_of_range_node_id_is_an_erasure(tmp_path, capsys, body_of):
 def test_shard_bodies_stay_u2(tmp_path, q):
     """Bodies are uint16 from encode_blocks through write_shard and
     read_shard, equal to the int64 product psi @ M, and rewrite to the same
-    bytes; q = 65521 runs the float64 branch of the kernel end to end."""
+    bytes; q = 65521 runs the int64 branch of the kernel end to end."""
     extra = ("--beta", "2", "--q", str(q))
     data, out = encode(tmp_path, mode="msr", k=4, n=10, extra=extra)
     header, _ = read_shard(out / shard_filename(1))
