@@ -27,6 +27,7 @@ from .errors import (
 from .field import Fq, default_modulus, is_prime
 from .params import (
     SystemParams,
+    budget_extra,
     build_encoding,
     capacity_bound,
     code_params,
@@ -200,8 +201,8 @@ def cmd_info(args) -> int:
         # derive (k, d) and the bound from connectivity and budget
         if args.delta is None or args.kappa is None or args.alpha is None:
             raise ParameterError("connectivity mode needs --alpha, --delta, --kappa")
-        d = args.delta - args.s - 2 * args.t
-        k = args.kappa - args.s - 2 * args.t
+        extra = budget_extra(args.s, args.t)
+        d, k = args.delta - extra, args.kappa - extra
         if k < 1 or d < k:
             raise ParameterError("budget leaves no usable connectivity (k<1 or d<k)")
         bound = capacity_bound(k, d, args.alpha, args.beta)

@@ -123,13 +123,6 @@ def subset_decode_oracle(
     return candidates.pop()
 
 
-def _poly_eval(coeffs: Sequence[int], x: int, field: Fq) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % field.q
-    return acc
-
-
 def _poly_divmod(num: Sequence[int], den: Sequence[int], field: Fq):
     """Quotient and remainder of polynomial division (coefficients low-first)."""
     num = list(num)
@@ -170,19 +163,20 @@ def rs_decode_ee(
     received = _check_scalar_word(values, msg_len, t_max)
     r_count = len(received)
     q = field.q
-    xs = [field.check(points[i]) for i, _ in received]
     vs = [field.check(v) for _, v in received]
     tau = min(t_max, (r_count - msg_len) // 2)
+    n_terms = msg_len + tau
+    powers = linalg.vandermonde(
+        field, [points[i] for i, _ in received], n_terms + 1
+    ).array()
 
     if tau == 0:
-        vdm = linalg.vandermonde(field, xs[:msg_len], msg_len)
-        sol = linalg.solve(vdm, MatrixFq.column(field, vs[:msg_len]))
+        square = MatrixFq(field, powers[:msg_len, :msg_len], _trusted=True)
+        sol = linalg.solve(square, MatrixFq.column(field, vs[:msg_len]))
         coeffs = [int(v) for v in sol.array()[:, 0]]
     else:
         # Key equation: N(x) - v*E(x) = v*x^tau with E = z^tau + sum e_j z^j,
         # deg N < msg_len + tau. Unknowns: msg_len + 2*tau.
-        n_terms = msg_len + tau
-        powers = linalg.vandermonde(field, xs, n_terms + 1).array()
         vals = np.asarray(vs, dtype=np.int64)[:, None]
         system = np.concatenate(
             [powers[:, :n_terms], -vals * powers[:, :tau] % q], axis=1
@@ -202,7 +196,8 @@ def rs_decode_ee(
             raise DecodeFailure("error locator does not divide the numerator")
         coeffs = quot
 
-    agree = sum(_poly_eval(coeffs, x, field) == v for x, v in zip(xs, vs))
+    preds = linalg.matmul_mod(powers[:, :msg_len], np.asarray(coeffs)[:, None], q)
+    agree = int((preds[:, 0] == vs).sum())
     if agree < r_count - t_max:
         raise DecodeFailure(
             f"candidate agrees with {agree}/{r_count} symbols, "

@@ -4,14 +4,16 @@ Matrices are immutable values backed by int64 numpy arrays; every operation
 reduces mod q. Solving and rank use plain Gaussian elimination with
 leftmost-nonzero pivoting (exact arithmetic needs no pivot scaling).
 
-Bulk products go through one kernel, `matmul_mod`: it multiplies arrays of
-reduced residues on BLAS in float32 whenever every dot product is an exactly
-representable float32 integer (int64 otherwise), reduces the result mod q,
-and returns uint16 residues.
+Every matrix product, `MatrixFq @` included, runs on one kernel, `matmul_mod`:
+it multiplies arrays of reduced residues on BLAS in float32 whenever every
+dot product is an exactly representable float32 integer (int64 otherwise),
+reduces the result mod q, and returns uint16 residues. Vandermonde matrices
+are built once per (field, points, width).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -96,12 +98,7 @@ class MatrixFq:
 
     def __matmul__(self, other: "MatrixFq") -> "MatrixFq":
         self._same_field(other)
-        if self.cols != other.rows:
-            raise ParameterError(
-                f"shape mismatch for product: {self.shape} @ {other.shape}"
-            )
-        # exact in int64 while cols * (q-1)^2 < 2**63, which Fq's cap ensures
-        prod = (self._a @ other._a) % self.field.q
+        prod = matmul_mod(self._a, other._a, self.field.q)
         return MatrixFq(self.field, prod, _trusted=True)
 
     def __add__(self, other: "MatrixFq") -> "MatrixFq":
@@ -188,7 +185,13 @@ def matmul_mod(a, b, q: int) -> np.ndarray:
 
 
 def vandermonde(field: Fq, points: Sequence[int], width: int) -> MatrixFq:
-    """Rows [1, x, x^2, ..., x^(width-1)] for each evaluation point x."""
+    """Rows [1, x, x^2, ..., x^(width-1)] for each evaluation point x, built
+    once per (field, points, width) and shared: a MatrixFq is immutable."""
+    return _vandermonde(field, tuple(points), width)
+
+
+@functools.lru_cache(maxsize=1024)
+def _vandermonde(field: Fq, points: tuple[int, ...], width: int) -> MatrixFq:
     pts = [field.check(x) for x in points]
     if len(set(pts)) != len(pts):
         raise ParameterError("Vandermonde points must be pairwise distinct")

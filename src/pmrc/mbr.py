@@ -30,6 +30,7 @@ from .field import Fq
 from .linalg import MatrixFq
 from .msr import (
     NodeShare,
+    _check_mode,
     _encode_one,
     _helper_one,
     _reconstruct_one,
@@ -74,17 +75,12 @@ class MbrMessageMatrix:
         return MatrixFq(self.s.field, a, _trusted=True)
 
 
-def _check_mbr(params: SystemParams):
-    if params.mode is not CodeMode.MBR:
-        raise ParameterError("MBR operation on non-MBR parameters")
-
-
 def mbr_fill_message(
     payload: Sequence[int], params: SystemParams, field: Fq
 ) -> list[MbrMessageMatrix]:
     """Per slice, the first k(k+1)/2 symbols fill S's upper triangle and the
     remaining k(d-k) fill T row-major."""
-    _check_mbr(params)
+    _check_mode(params, CodeMode.MBR)
     k = params.k
     return [
         MbrMessageMatrix(s=MatrixFq(field, m[:k, :k]), t_blk=MatrixFq(field, m[k:, :k]))
@@ -96,7 +92,7 @@ def mbr_read_message(
     slices: Sequence[MbrMessageMatrix], params: SystemParams
 ) -> tuple[int, ...]:
     """Inverse of mbr_fill_message."""
-    _check_mbr(params)
+    _check_mode(params, CodeMode.MBR)
     return _slice_payload([sl.assembled() for sl in slices], params)
 
 
@@ -116,7 +112,7 @@ def mbr_helper_symbol(
 ) -> tuple[int, ...]:
     """Per slice, the helper's stored d-row dotted with psi_f; a function of
     the helper's own share and the failed id only."""
-    _check_mbr(enc.params)
+    _check_mode(enc.params, CodeMode.MBR)
     return _helper_one(helper_share, failed_id, enc)
 
 
@@ -129,7 +125,7 @@ def mbr_repair(
 ) -> NodeShare:
     """Exact repair from d+s+2t responses; the decoded m_f = M psi_f is the
     lost share itself because M is symmetric."""
-    _check_mbr(enc.params)
+    _check_mode(enc.params, CodeMode.MBR)
     return _repair_one(responses, failed_id, enc, s, t)
 
 
@@ -141,5 +137,5 @@ def mbr_reconstruct(
 ) -> tuple[int, ...]:
     """All B message symbols from k+s+2t responses; at most s erased, at most
     t corrupted."""
-    _check_mbr(enc.params)
+    _check_mode(enc.params, CodeMode.MBR)
     return _reconstruct_one(responses, enc, s, t)

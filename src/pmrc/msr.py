@@ -63,9 +63,10 @@ class MsrMessageMatrix:
         return linalg.vstack([self.s1, self.s2])
 
 
-def _check_msr(params: SystemParams):
-    if params.mode is not CodeMode.MSR:
-        raise ParameterError("MSR operation on non-MSR parameters")
+def _check_mode(params: SystemParams, mode: CodeMode):
+    if params.mode is not mode:
+        name = mode.value.upper()
+        raise ParameterError(f"{name} operation on non-{name} parameters")
 
 
 def _ints(row) -> tuple[int, ...]:
@@ -94,7 +95,7 @@ def msr_fill_message(
 ) -> list[MsrMessageMatrix]:
     """Pack B payload symbols into beta slices: per slice, the first
     triangle fills S1 and the second fills S2."""
-    _check_msr(params)
+    _check_mode(params, CodeMode.MSR)
     ap = params.k - 1
     return [
         MsrMessageMatrix(s1=MatrixFq(field, m[:ap]), s2=MatrixFq(field, m[ap:]))
@@ -106,7 +107,7 @@ def msr_read_message(
     slices: Sequence[MsrMessageMatrix], params: SystemParams
 ) -> tuple[int, ...]:
     """Inverse of msr_fill_message."""
-    _check_msr(params)
+    _check_mode(params, CodeMode.MSR)
     return _slice_payload([sl.stacked() for sl in slices], params)
 
 
@@ -147,7 +148,7 @@ def msr_helper_symbol(
     """The beta repair symbols helper h sends for failed node f: per slice the
     inner product of h's stored row with phi_f. Depends only on h's own share
     and f, never on which other helpers take part."""
-    _check_msr(enc.params)
+    _check_mode(enc.params, CodeMode.MSR)
     return _helper_one(helper_share, failed_id, enc)
 
 
@@ -201,7 +202,7 @@ def msr_repair(
 ) -> NodeShare:
     """Exact repair of the failed node's share from d+s+2t helper responses
     with at most s erased and at most t silently corrupted."""
-    _check_msr(enc.params)
+    _check_mode(enc.params, CodeMode.MSR)
     return _repair_one(responses, failed_id, enc, s, t)
 
 
@@ -220,7 +221,7 @@ def msr_reconstruct(
 ) -> tuple[int, ...]:
     """All B message symbols from k+s+2t share responses with at most s
     erased and at most t corrupted."""
-    _check_msr(enc.params)
+    _check_mode(enc.params, CodeMode.MSR)
     return _reconstruct_one(responses, enc, s, t)
 
 
@@ -233,7 +234,7 @@ def msr_systematic_remap(
     Inverts the linear map message -> (designated k shares), which the
     reconstruction property makes invertible."""
     params = enc.params
-    _check_msr(params)
+    _check_mode(params, CodeMode.MSR)
     if len(set(sys_nodes)) != params.k:
         raise ParameterError(f"need {params.k} distinct systematic nodes")
     for i in sys_nodes:

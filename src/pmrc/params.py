@@ -136,12 +136,18 @@ def capacity_bound(k: int, d: int, alpha: int, beta: int) -> int:
     return sum(min(alpha, (d - i) * beta) for i in range(k))
 
 
+def budget_extra(s: int, t: int) -> int:
+    """The s + 2t nodes a decode under budget (s, t) contacts beyond d (k);
+    ParameterError if s or t < 0."""
+    if s < 0 or t < 0:
+        raise ParameterError("s and t must be nonnegative")
+    return s + 2 * t
+
+
 def resilience_feasible(params: SystemParams, s: int, t: int) -> bool:
     """Whether budget (s, t) fits: repair needs d+s+2t <= n-1 helpers and
     reconstruction k+s+2t <= n providers."""
-    if s < 0 or t < 0:
-        raise ParameterError("s and t must be nonnegative")
-    extra = s + 2 * t
+    extra = budget_extra(s, t)
     return params.d + extra <= params.n - 1 and params.k + extra <= params.n
 
 
@@ -149,10 +155,8 @@ def connectivity(params: SystemParams, s: int, t: int, repair: bool) -> int:
     """Nodes a decode under budget (s, t) contacts: Delta = d+s+2t helpers
     for repair (InfeasibleError past n-1), kappa = k+s+2t providers for
     reconstruction (InfeasibleError past n). ParameterError if s or t < 0."""
-    if s < 0 or t < 0:
-        raise ParameterError("s and t must be nonnegative")
     need, limit = (params.d, params.n - 1) if repair else (params.k, params.n)
-    count = need + s + 2 * t
+    count = need + budget_extra(s, t)
     if count > limit:
         raise InfeasibleError(f"(s={s}, t={t}) needs {count} nodes, at most {limit} fit")
     return count

@@ -113,6 +113,9 @@ class ShardHeader:
         return self.set_key() == other.set_key()
 
     def pack(self) -> bytes:
+        for name in ("n", "k", "d", "beta", "node_id"):
+            if not 0 <= getattr(self, name) <= 0xFFFF:
+                raise ParameterError(f"{name}={getattr(self, name)} does not fit u16")
         head = _HEAD.pack(
             MAGIC,
             VERSION,
@@ -175,8 +178,9 @@ def write_shard(path, header: ShardHeader, body: np.ndarray) -> None:
             f"body shape {body.shape} != (blocks={header.block_count}, "
             f"alpha={params.alpha})"
         )
+    head = header.pack()
     with open(path, "wb") as fp:
-        fp.write(header.pack())
+        fp.write(head)
         fp.write(np.ascontiguousarray(body, dtype="<u2"))
 
 
@@ -328,13 +332,6 @@ def share_map(enc: EncodingMatrix) -> np.ndarray:
     return amap
 
 
-@functools.lru_cache(maxsize=1024)
-def _vandermonde(q: int, points: tuple[int, ...], width: int) -> np.ndarray:
-    """Read-only `linalg.vandermonde` array, built once per (q, points,
-    width)."""
-    return linalg.vandermonde(Fq(q), points, width).array()
-
-
 # --- the batched codec ------------------------------------------------------
 
 
@@ -447,7 +444,7 @@ def poly_decode(
     msg_len + 2t. A column that is not clean is located by the
     Berlekamp-Welch key equation (`decoding.rs_decode_ee`); a failure names
     the block of ``per_block`` consecutive columns it belongs to."""
-    vdm = _vandermonde(field.q, tuple(points), msg_len)
+    vdm = linalg.vandermonde(field, points, msg_len).array()
 
     def locate(word: np.ndarray) -> np.ndarray:
         coeffs = decoding.rs_decode_ee(word[:, 0].tolist(), points, msg_len, t, field)

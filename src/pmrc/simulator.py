@@ -7,6 +7,7 @@ under test never sees the truth, the harness always does. Each event runs
 the batched codec of `pmrc.shards` once over all blocks. Adversaries act at
 block granularity: an erased helper drops its whole response, a corrupt
 helper replaces all of its response symbols with seeded-random values.
+Payloads and corrupt symbols each come from one seeded numpy draw.
 
 Helper/provider selection is deterministic (lowest alive ids) by default; an
 event may ask for a seeded permutation instead to exercise the "any Delta
@@ -73,23 +74,16 @@ class EventReport:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "s": self.s,
-            "t": self.t,
-            "connectivity": self.connectivity,
-            "downloaded": self.downloaded,
-            "outcome": self.outcome,
+        """The fields in order, without a node of None or an empty detail."""
+        return {
+            k: v for k, v in dataclasses.asdict(self).items()
+            if not ((k == "node" and v is None) or (k == "detail" and not v))
         }
-        if self.node is not None:
-            out["node"] = self.node
-        if self.detail:
-            out["detail"] = self.detail
-        return out
 
 
-def _random_symbols(rng: random.Random, count: int, q: int) -> tuple[int, ...]:
-    return tuple(rng.randrange(q) for _ in range(count))
+def _seeded_rng(tag: str) -> np.random.Generator:
+    """A numpy generator seeded by the bytes of a string tag."""
+    return np.random.default_rng(list(tag.encode()))
 
 
 class ClusterState:
@@ -132,7 +126,7 @@ class ClusterState:
     ) -> tuple[EventReport, np.ndarray | None]:
         """Contact `connectivity` candidates (lowest ids, or a seeded pick),
         drop the erased responses of send(node), replace the corrupt ones by
-        seeded-random symbols drawn block by block in node order, and decode;
+        one seeded (blocks, corrupt nodes, width) draw in node order, and decode;
         the result is None, and the report DETECTED, on DecodeFailure."""
         repair = kind == "repair"
         count = connectivity(self.params, s, t, repair)
@@ -150,11 +144,9 @@ class ClusterState:
         received = {i: send(i) for i in chosen if i not in plan.erase}
         bad = [i for i in received if i in plan.corrupt]
         if bad:
-            rng = random.Random(f"corrupt:{plan.seed}")
-            fake = np.asarray(
-                _random_symbols(rng, nb * len(bad) * width, self.field.q),
-                dtype=np.int64,
-            ).reshape(nb, len(bad), width)
+            fake = _seeded_rng(f"corrupt:{plan.seed}").integers(
+                0, self.field.q, size=(nb, len(bad), width)
+            )
             for c, i in enumerate(bad):
                 received[i] = fake[:, c, :]
         report = EventReport(
@@ -251,11 +243,9 @@ def exhaustive_resilience_check(
     """Sweep every feasible (s, t), failed node, and adversary pattern on a
     fresh cluster; returns (event count, non-success reports)."""
     params = enc.params
-    rng = random.Random("exhaustive-payload")
-    payloads = [
-        _random_symbols(rng, params.message_symbols, enc.field.q)
-        for _ in range(blocks)
-    ]
+    payloads = _seeded_rng("exhaustive-payload").integers(
+        0, enc.field.q, size=(blocks, params.message_symbols)
+    ).tolist()
     events = 0
     bad: list[EventReport] = []
     pairs = sorted(feasible_pairs(params))
@@ -303,51 +293,64 @@ def load_scenario(path) -> dict:
     return cfg
 
 
+def _parse_event(ev, idx: int, seed: int):
+    """(op, node, s, t, adversary plan) of scenario event ``idx``; a missing
+    or malformed field is a ParameterError naming the event."""
+    if not isinstance(ev, dict) or "op" not in ev:
+        raise ParameterError(f"scenario: event {idx} needs an 'op'")
+    op = ev["op"]
+    if op not in ("fail", "repair", "reconstruct"):
+        raise ParameterError(f"scenario: unknown op {op!r} in event {idx}")
+    if op != "reconstruct" and "node" not in ev:
+        raise ParameterError(f"scenario: event {idx} ({op}) needs a 'node'")
+    try:
+        ids = [ev.get(key, []) for key in ("erase", "corrupt")]
+        if not all(isinstance(v, list) for v in ids):
+            raise TypeError("'erase' and 'corrupt' must be lists of node ids")
+        erase, corrupt = (frozenset(int(i) for i in v) for v in ids)
+        node = None if op == "reconstruct" else int(ev["node"])
+        s, t = int(ev.get("s", 0)), int(ev.get("t", 0))
+    except (TypeError, ValueError) as e:
+        raise ParameterError(f"scenario: event {idx} ({op}): {e}")
+    return op, node, s, t, AdversaryPlan(erase, corrupt, seed * 100003 + idx)
+
+
 def run_scenario(cfg: dict) -> tuple[list[EventReport], dict]:
     """Deterministic replay of a scenario dict; returns per-event reports and
     aggregate statistics."""
     params = params_from_scenario(cfg)
     q = int(cfg.get("q", default_modulus(params.n)))
-    enc = build_encoding(params, Fq(q))
     seed = int(cfg.get("seed", 0))
     nblocks = int(cfg.get("blocks", 1))
-    rng = random.Random(f"payload:{seed}")
-    payloads = [
-        _random_symbols(rng, params.message_symbols, q) for _ in range(nblocks)
-    ]
-    cluster = ClusterState(enc, payloads)
+    if nblocks < 0:
+        raise ParameterError(f"scenario: 'blocks' must be nonnegative, got {nblocks}")
+    if not isinstance(cfg.get("events"), list):
+        raise ParameterError("scenario: 'events' must be a list")
+    enc = build_encoding(params, Fq(q))
+    payloads = _seeded_rng(f"payload:{seed}").integers(
+        0, q, size=(nblocks, params.message_symbols)
+    )
+    cluster = ClusterState(enc, payloads.tolist())
 
     reports: list[EventReport] = []
     for idx, ev in enumerate(cfg["events"]):
-        if not isinstance(ev, dict) or "op" not in ev:
-            raise ParameterError(f"scenario: event {idx} needs an 'op'")
-        op = ev["op"]
-        s, t = int(ev.get("s", 0)), int(ev.get("t", 0))
-        plan = AdversaryPlan(
-            erase=frozenset(ev.get("erase", [])),
-            corrupt=frozenset(ev.get("corrupt", [])),
-            seed=seed * 100003 + idx,
-        )
+        op, node, s, t, plan = _parse_event(ev, idx, seed)
         permute = (
             random.Random(f"permute:{seed}:{idx}") if ev.get("permute") else None
         )
         if op == "fail":
-            cluster.fail(int(ev["node"]))
+            cluster.fail(node)
             reports.append(
                 EventReport(
                     kind="fail", s=0, t=0, connectivity=0, downloaded=0,
-                    outcome=SUCCESS, node=int(ev["node"]),
+                    outcome=SUCCESS, node=node,
                 )
             )
         elif op == "repair":
-            reports.append(
-                cluster.repair(int(ev["node"]), s, t, plan, permute)
-            )
-        elif op == "reconstruct":
+            reports.append(cluster.repair(node, s, t, plan, permute))
+        else:
             report, _ = cluster.reconstruct(s, t, plan, permute)
             reports.append(report)
-        else:
-            raise ParameterError(f"scenario: unknown op {op!r} in event {idx}")
 
     successes = sum(r.outcome == SUCCESS for r in reports)
     stats = {

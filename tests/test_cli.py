@@ -170,6 +170,26 @@ def test_negative_budget_is_a_bad_argument(tmp_path):
     assert not os.path.exists(dest)
 
 
+@pytest.mark.parametrize("budget", [["-t", "-1"], ["-s", "-2", "-t", "1"]])
+def test_info_negative_budget_is_a_bad_argument(capsys, budget):
+    argv = ["info", "--alpha", "2", "--delta", "5", "--kappa", "4", *budget]
+    assert main(argv) == EXIT_BAD_ARGS
+    out = capsys.readouterr()
+    assert out.out == "" and "nonnegative" in out.err
+
+
+def test_header_field_out_of_range_writes_no_shard(tmp_path, capsys):
+    src = tmp_path / "h.txt"
+    src.write_bytes(b"hello\n")
+    out = tmp_path / "hs"
+    assert main([
+        "encode", str(src), "-o", str(out), "--mode", "mbr",
+        "-k", "2", "-d", "3", "-n", "5", "--beta", "70000",
+    ]) == EXIT_BAD_ARGS
+    assert "beta=70000" in capsys.readouterr().err
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_io_error_exit(tmp_path):
     assert main([
         "encode", str(tmp_path / "missing.bin"), "-o", str(tmp_path / "sh"),
@@ -244,6 +264,24 @@ def test_simulate_command(tmp_path, capsys):
     report = tmp_path / "report.jsonl"
     assert main(["simulate", str(path), "-o", str(report)]) == EXIT_OK
     assert len(report.read_text().strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize("cfg,named", [
+    ({"events": [{"op": "fail"}]}, "event 0 (fail) needs a 'node'"),
+    ({"events": [{"op": "fail", "node": 1}, {"op": "repair", "t": 1}]},
+     "event 1 (repair) needs a 'node'"),
+    ({"events": [{"op": "reconstruct", "erase": 4}]}, "event 0 (reconstruct)"),
+    ({"events": [{"op": "reconstruct", "corrupt": [None]}]}, "event 0 (reconstruct)"),
+    ({"events": [{"op": "reconstruct", "s": "one"}]}, "event 0 (reconstruct)"),
+    ({"events": 5}, "'events' must be a list"),
+    ({"blocks": -1, "events": []}, "'blocks' must be nonnegative"),
+])
+def test_simulate_malformed_scenario_is_a_bad_argument(tmp_path, capsys, cfg, named):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"mode": "msr", "k": 2, "n": 5, **cfg}))
+    assert main(["simulate", str(path)]) == EXIT_BAD_ARGS
+    out = capsys.readouterr()
+    assert out.out == "" and named in out.err
 
 
 def test_damage_matrix_end_to_end(tmp_path):

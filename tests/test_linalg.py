@@ -67,6 +67,25 @@ def test_vandermonde_examples():
         vandermonde(F29, [1, 2, 2], 2)
 
 
+def test_vandermonde_is_built_once_per_key():
+    """Equal (field, points, width) keys share one immutable matrix, however
+    the points are given; validation still runs on a key not seen yet."""
+    v = vandermonde(F29, [3, 4, 5], 2)
+    assert vandermonde(F29, (3, 4, 5), 2) is v
+    assert vandermonde(Fq(29), range(3, 6), 2) is v
+    assert vandermonde(F29, [3, 4, 5], 3) is not v
+    assert vandermonde(F13, [3, 4, 5], 2) is not v
+    with pytest.raises(ValueError):
+        v.array()[0, 0] = 2
+    for _ in range(2):
+        with pytest.raises(ParameterError):
+            vandermonde(F29, [3, 4, 3], 2)
+        with pytest.raises(ParameterError):
+            vandermonde(F29, (3, 29), 2)
+        with pytest.raises(ParameterError):
+            vandermonde(F29, range(-1, 2), 2)
+
+
 def test_vandermonde_any_width_rows_full_rank():
     v = vandermonde(F29, [1, 2, 3, 4, 5, 6], 3)
     for rows in combinations(range(6), 3):

@@ -209,3 +209,25 @@ def test_exhaustive_adversary_sweep_small():
     events, bad = exhaustive_resilience_check(enc, blocks=1, seeds=(0, 1))
     assert events > 0
     assert bad == []
+
+
+def test_negative_seed_replays_identically():
+    cfg = dict(SCENARIO, seed=-3)
+    r1, stats1 = run_scenario(cfg)
+    r2, stats2 = run_scenario(cfg)
+    assert [r.to_dict() for r in r1] == [r.to_dict() for r in r2]
+    assert stats1 == stats2 and stats1["successes"] == 4
+
+
+def test_report_dict_keeps_field_order_and_drops_unset():
+    from pmrc.simulator import EventReport
+
+    full = EventReport("repair", 1, 2, 7, 21, MISMATCH, node=3, detail="x")
+    assert list(full.to_dict().items()) == [
+        ("kind", "repair"), ("s", 1), ("t", 2), ("connectivity", 7),
+        ("downloaded", 21), ("outcome", MISMATCH), ("node", 3), ("detail", "x"),
+    ]
+    bare = EventReport("reconstruct", 0, 0, 3, 0, SUCCESS)
+    assert list(bare.to_dict()) == [
+        "kind", "s", "t", "connectivity", "downloaded", "outcome",
+    ]
