@@ -8,13 +8,9 @@ s + 2t extra nodes at decode time, never by re-encoding.
 from .decoding import (
     Response,
     consistency_reconstruct,
-    erased_response,
-    received_response,
     rs_decode_ee,
-    subset_decode_oracle,
 )
 from .errors import (
-    AmbiguityError,
     ConstructionError,
     DecodeFailure,
     FieldMismatchError,
@@ -73,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdversaryPlan",
-    "AmbiguityError",
     "ClusterState",
     "CodeMode",
     "ConstructionError",
@@ -101,7 +96,6 @@ __all__ = [
     "consistency_reconstruct",
     "default_modulus",
     "encoding_from_points",
-    "erased_response",
     "exhaustive_resilience_check",
     "feasible_pairs",
     "is_prime",
@@ -120,11 +114,9 @@ __all__ = [
     "msr_reconstruct",
     "msr_repair",
     "msr_systematic_remap",
-    "received_response",
     "resilience_feasible",
     "rs_decode_ee",
     "run_scenario",
     "smallest_prime_at_least",
-    "subset_decode_oracle",
     "vandermonde",
 ]

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import shards, simulator
 from .errors import (
-    AmbiguityError,
     ConstructionError,
     DecodeFailure,
     InfeasibleError,
@@ -63,9 +62,12 @@ def _node_list(text: str) -> list[int]:
     if not text:
         return []
     try:
-        return [int(x) for x in text.split(",") if x != ""]
+        ids = [int(x) for x in text.split(",") if x != ""]
     except ValueError:
         raise ParameterError(f"bad node list {text!r}; expected e.g. 2,5")
+    if len(set(ids)) != len(ids):
+        raise ParameterError(f"node list {text!r} repeats a node id")
+    return ids
 
 
 def cmd_encode(args) -> int:
@@ -338,13 +340,10 @@ def main(argv=None) -> int:
     except (InfeasibleError, ConstructionError) as e:
         print(f"error: infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (DecodeFailure, AmbiguityError) as e:
+    except DecodeFailure as e:
         print(f"error: decode failure: {e}", file=sys.stderr)
         return EXIT_DECODE
-    except (ParameterError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except PmrcError as e:
+    except (PmrcError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_ARGS
     except BrokenPipeError:

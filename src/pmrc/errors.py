@@ -31,7 +31,3 @@ class InfeasibleError(PmrcError):
 
 class DecodeFailure(PmrcError):
     """No candidate message within the error/erasure budget."""
-
-
-class AmbiguityError(PmrcError):
-    """Multiple candidates met the acceptance threshold (beyond-budget input)."""

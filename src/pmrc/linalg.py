@@ -56,10 +56,6 @@ class MatrixFq:
         return self._a.shape
 
     @classmethod
-    def zeros(cls, field: Fq, rows: int, cols: int) -> "MatrixFq":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64), _trusted=True)
-
-    @classmethod
     def identity(cls, field: Fq, n: int) -> "MatrixFq":
         return cls(field, np.eye(n, dtype=np.int64), _trusted=True)
 
@@ -73,12 +69,6 @@ class MatrixFq:
 
     def row(self, i: int) -> tuple[int, ...]:
         return tuple(int(v) for v in self._a[i])
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in self._a[:, j])
-
-    def entry(self, i: int, j: int) -> int:
-        return int(self._a[i, j])
 
     def take_rows(self, idx: Iterable[int]) -> "MatrixFq":
         return MatrixFq(self.field, self._a[list(idx), :], _trusted=True)
@@ -101,18 +91,6 @@ class MatrixFq:
         prod = matmul_mod(self._a, other._a, self.field.q)
         return MatrixFq(self.field, prod, _trusted=True)
 
-    def __add__(self, other: "MatrixFq") -> "MatrixFq":
-        self._same_field(other)
-        if self.shape != other.shape:
-            raise ParameterError(f"shape mismatch: {self.shape} + {other.shape}")
-        return MatrixFq(self.field, (self._a + other._a) % self.field.q, _trusted=True)
-
-    def __sub__(self, other: "MatrixFq") -> "MatrixFq":
-        self._same_field(other)
-        if self.shape != other.shape:
-            raise ParameterError(f"shape mismatch: {self.shape} - {other.shape}")
-        return MatrixFq(self.field, (self._a - other._a) % self.field.q, _trusted=True)
-
     def __eq__(self, other):
         return (
             isinstance(other, MatrixFq)
@@ -123,9 +101,6 @@ class MatrixFq:
 
     def __hash__(self):
         return hash((self.field, self.shape, self._a.tobytes()))
-
-    def to_lists(self) -> list[list[int]]:
-        return [[int(v) for v in row] for row in self._a]
 
     def __repr__(self):
         return f"MatrixFq(q={self.field.q}, {self.rows}x{self.cols})"
@@ -284,15 +259,6 @@ def left_inverse(a: MatrixFq) -> MatrixFq:
     except InconsistentSystemError:
         raise SingularMatrixError("matrix has no left inverse (column rank deficient)")
     return x.T
-
-
-def hstack(mats: Sequence[MatrixFq]) -> MatrixFq:
-    first = mats[0]
-    for m in mats[1:]:
-        first._same_field(m)
-    return MatrixFq(
-        first.field, np.concatenate([m.array() for m in mats], axis=1), _trusted=True
-    )
 
 
 def vstack(mats: Sequence[MatrixFq]) -> MatrixFq:

@@ -47,8 +47,7 @@ responses by Reed-Solomon errors-and-erasures decoding
 reduction for reconstruction), then erases them and inverts once more for
 every remaining column. The file-level calls (`repair_blocks`,
 `reconstruct_blocks`), the simulator and the per-block `msr_*`/`mbr_*` calls
-(batches of one block) all run these steps; the reference decoders in
-`decoding` are kept for tests to compare against.
+(batches of one block) all run these steps.
 """
 
 from __future__ import annotations

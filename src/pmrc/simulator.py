@@ -204,7 +204,7 @@ class ClusterState:
         )
         if blocks is None:
             return report, None
-        recovered = [tuple(int(v) for v in row) for row in blocks]
+        recovered = [tuple(row) for row in blocks.tolist()]
         if recovered != self.payloads:
             report = dataclasses.replace(
                 report, outcome=MISMATCH,
@@ -293,9 +293,10 @@ def load_scenario(path) -> dict:
     return cfg
 
 
-def _parse_event(ev, idx: int, seed: int):
+def _parse_event(ev, idx: int, seed: int, n: int):
     """(op, node, s, t, adversary plan) of scenario event ``idx``; a missing
-    or malformed field is a ParameterError naming the event."""
+    or malformed field, or an erase/corrupt id outside 1..n, is a
+    ParameterError naming the event."""
     if not isinstance(ev, dict) or "op" not in ev:
         raise ParameterError(f"scenario: event {idx} needs an 'op'")
     op = ev["op"]
@@ -308,6 +309,9 @@ def _parse_event(ev, idx: int, seed: int):
         if not all(isinstance(v, list) for v in ids):
             raise TypeError("'erase' and 'corrupt' must be lists of node ids")
         erase, corrupt = (frozenset(int(i) for i in v) for v in ids)
+        outside = sorted(i for i in erase | corrupt if not 1 <= i <= n)
+        if outside:
+            raise ValueError(f"node ids {outside} outside 1..{n}")
         node = None if op == "reconstruct" else int(ev["node"])
         s, t = int(ev.get("s", 0)), int(ev.get("t", 0))
     except (TypeError, ValueError) as e:
@@ -334,7 +338,7 @@ def run_scenario(cfg: dict) -> tuple[list[EventReport], dict]:
 
     reports: list[EventReport] = []
     for idx, ev in enumerate(cfg["events"]):
-        op, node, s, t, plan = _parse_event(ev, idx, seed)
+        op, node, s, t, plan = _parse_event(ev, idx, seed, params.n)
         permute = (
             random.Random(f"permute:{seed}:{idx}") if ev.get("permute") else None
         )

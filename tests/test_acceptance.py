@@ -18,13 +18,13 @@ from pmrc import (
     mbr_params,
     msr_params,
     rs_decode_ee,
-    subset_decode_oracle,
 )
 from pmrc.cli import EXIT_OK, main
 from pmrc.decoding import Response
 from pmrc.linalg import rank, vandermonde
 from pmrc.shards import poly_decode, shard_filename
 from pmrc.simulator import SUCCESS, ClusterState
+from oracles import subset_decode_oracle
 from util import apply_faults, fault_patterns, make_code, random_payload, seeded
 
 

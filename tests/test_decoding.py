@@ -4,16 +4,15 @@ from itertools import combinations
 import pytest
 
 from pmrc import (
-    AmbiguityError,
     DecodeFailure,
     Fq,
     MatrixFq,
     ParameterError,
     rs_decode_ee,
-    subset_decode_oracle,
 )
 from pmrc.decoding import Response, consistency_reconstruct
 from pmrc.linalg import vandermonde
+from oracles import AmbiguityError, subset_decode_oracle
 
 F29 = Fq(29)
 

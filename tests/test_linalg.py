@@ -16,7 +16,6 @@ from pmrc import (
     smallest_prime_at_least,
 )
 from pmrc.linalg import (
-    hstack,
     inverse,
     left_inverse,
     _reduce,
@@ -40,7 +39,7 @@ def test_identity_product():
 def test_hand_product():
     a = MatrixFq(F13, [[1, 1], [1, 2]])
     b = MatrixFq(F13, [[0], [1]])
-    assert (a @ b).to_lists() == [[1], [2]]
+    assert (a @ b).array().tolist() == [[1], [2]]
 
 
 def test_solve_identity():
@@ -51,7 +50,7 @@ def test_solve_identity():
 def test_solve_hand_example():
     a = MatrixFq(F13, [[1, 1], [1, 2]])
     y = MatrixFq(F13, [[1], [2]])
-    assert solve(a, y).to_lists() == [[0], [1]]
+    assert solve(a, y).array().tolist() == [[0], [1]]
 
 
 def test_vandermonde_3x3_invertible_f13():
@@ -61,8 +60,8 @@ def test_vandermonde_3x3_invertible_f13():
 
 
 def test_vandermonde_examples():
-    assert vandermonde(F29, [1, 2, 3], 1).to_lists() == [[1], [1], [1]]
-    assert vandermonde(F29, [1, 2], 3).to_lists() == [[1, 1, 1], [1, 2, 4]]
+    assert vandermonde(F29, [1, 2, 3], 1).array().tolist() == [[1], [1], [1]]
+    assert vandermonde(F29, [1, 2], 3).array().tolist() == [[1, 1, 1], [1, 2, 4]]
     with pytest.raises(ParameterError):
         vandermonde(F29, [1, 2, 2], 2)
 
@@ -93,7 +92,7 @@ def test_vandermonde_any_width_rows_full_rank():
 
 
 def test_rank_zero_matrix():
-    assert rank(MatrixFq.zeros(F13, 3, 4)) == 0
+    assert rank(MatrixFq(F13, np.zeros((3, 4), dtype=np.int64))) == 0
 
 
 def test_rank_vandermonde_min():
@@ -136,7 +135,7 @@ def test_field_mismatch():
     with pytest.raises(FieldMismatchError):
         a @ b
     with pytest.raises(FieldMismatchError):
-        a + b
+        vstack([a, b])
 
 
 def test_entries_must_be_reduced():
@@ -163,10 +162,10 @@ def test_left_inverse():
 def test_stacking_and_slicing():
     a = MatrixFq(F13, [[1, 2], [3, 4]])
     b = MatrixFq(F13, [[5, 6]])
-    assert vstack([a, b]).to_lists() == [[1, 2], [3, 4], [5, 6]]
-    assert hstack([a, a]).rows == 2 and hstack([a, a]).cols == 4
-    assert a.slice_cols(1, 2).to_lists() == [[2], [4]]
-    assert a.T.to_lists() == [[1, 3], [2, 4]]
+    assert vstack([a, b]).array().tolist() == [[1, 2], [3, 4], [5, 6]]
+    assert np.hstack([a.array(), a.array()]).shape == (2, 4)
+    assert a.slice_cols(1, 2).array().tolist() == [[2], [4]]
+    assert a.T.array().tolist() == [[1, 3], [2, 4]]
 
 
 def test_modulus_capped_at_16_bits():
@@ -178,7 +177,7 @@ def test_modulus_capped_at_16_bits():
     q = f.q
     a = MatrixFq(f, [[q - 1, q - 2], [1, q - 1]])
     b = MatrixFq(f, [[q - 1], [q - 1]])
-    got = (a @ b).to_lists()
+    got = (a @ b).array().tolist()
     want = [
         [((q - 1) * (q - 1) + (q - 2) * (q - 1)) % q],
         [((q - 1) + (q - 1) * (q - 1)) % q],

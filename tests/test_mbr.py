@@ -26,7 +26,7 @@ def test_fill_canonical_layout():
     params = mbr_params(k=2, d=3, n=5)
     slices = mbr_fill_message((1, 2, 3, 4, 5), params, F23)
     m = slices[0].assembled()
-    assert m.to_lists() == [[1, 2, 4], [2, 3, 5], [4, 5, 0]]
+    assert m.array().tolist() == [[1, 2, 4], [2, 3, 5], [4, 5, 0]]
     assert m == m.T
 
 

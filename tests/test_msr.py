@@ -29,8 +29,8 @@ def test_fill_canonical_layout():
     params = msr_params(k=3, n=7)
     slices = msr_fill_message((1, 2, 3, 4, 5, 6), params, F29)
     assert len(slices) == 1
-    assert slices[0].s1.to_lists() == [[1, 2], [2, 3]]
-    assert slices[0].s2.to_lists() == [[4, 5], [5, 6]]
+    assert slices[0].s1.array().tolist() == [[1, 2], [2, 3]]
+    assert slices[0].s2.array().tolist() == [[4, 5], [5, 6]]
     assert slices[0].s1 == slices[0].s1.T
     assert slices[0].s2 == slices[0].s2.T
 

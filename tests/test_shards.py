@@ -21,7 +21,6 @@ from pmrc import (
     mbr_params,
     msr_fill_message,
     msr_params,
-    subset_decode_oracle,
 )
 from pmrc.shards import (
     ShardHeader,
@@ -41,6 +40,7 @@ from pmrc.shards import (
     share_map,
     write_shard,
 )
+from oracles import subset_decode_oracle
 from util import make_code, random_payload
 
 
@@ -367,7 +367,8 @@ def _oracle_reconstruct(received, ids, enc, t):
         out = []
         for j in range(params.beta):
             y = [v for sh in sub_shares for v in sh[j * ap : (j + 1) * ap]]
-            out.extend(linalg.solve(a, MatrixFq.column(enc.field, y)).col(0))
+            x = linalg.solve(a, MatrixFq.column(enc.field, y))
+            out.extend(x.array()[:, 0].tolist())
         return tuple(out)
 
     def reencode(u, node):
