@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -116,7 +117,8 @@ def cmd_damage(args) -> int:
         print(f"erased shard of node {node}")
     rng = np.random.default_rng(args.seed)
     for node in corrupt:
-        fake = rng.integers(0, header.q, size=bodies[node].shape, dtype=np.int64)
+        shape = (header.block_count, header.params().alpha)
+        fake = rng.integers(0, header.q, size=shape, dtype=np.int64)
         shards.write_shard(
             os.path.join(args.dir, shard_filename(node)),
             dataclasses.replace(header, node_id=node),
@@ -146,7 +148,20 @@ def cmd_repair(args) -> int:
     return EXIT_OK
 
 
+def _check_writable(path) -> None:
+    """Raise the OSError that writing the file ``path`` would raise, before
+    any work is done: its directory must exist and ``path`` be writable."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def cmd_reconstruct(args) -> int:
+    _check_writable(args.output)
     header, bodies = shards.load_shard_set(args.dir)
     enc = header.encoding()
     blocks, info = shards.reconstruct_blocks(bodies, enc, args.s, args.t)
@@ -235,7 +250,8 @@ def cmd_info(args) -> int:
         payload = _info_payload(header.params(), header.q)
         payload["blocks"] = header.block_count
         payload["data_len"] = header.data_len
-        payload["shards_present"] = sorted(bodies)
+        # a shard is present when its body reads cleanly, not just its header
+        payload["shards_present"] = [i for i in bodies if bodies.get(i) is not None]
         _print_info(payload, args.json)
         return EXIT_OK
     if args.mode is None or args.k is None:

@@ -23,6 +23,12 @@ Layout (little-endian):
 File payloads pack one byte per symbol (q >= 257 keeps every byte value a
 field element) and are zero-padded to a whole number of B-symbol blocks.
 
+`load_shard_set` votes on headers alone (each body's length is checked with
+`fstat`, its bytes are not read) and returns the agreeing shards as a lazy
+`ShardBodies` mapping. `repair_blocks` and `reconstruct_blocks` read only the
+Delta or kappa lowest-id bodies they decode, each once, through `read_shard`;
+a body that fails its checks there is an erasure, and the next id is read.
+
 The message layout is stated once, in `_slice_matrix_index`:
 `message_matrices` gathers payload symbols into the per-slice product-matrix
 operands and `payload_of_matrices` reads them back.
@@ -38,16 +44,19 @@ on all slices of all blocks at once with numpy: `encode_blocks` (one
 product), the helper step `helper_symbols`, and the two decode steps
 `decode_repair` and `decode_reconstruct`, which take only the responses that
 arrived (erased ones dropped) plus the corruption budget t, and need
-R >= msg_len + 2t of them. A decode sees nblocks * beta columns. A column's
-candidate is accepted once it agrees with at least R - t of the R responses;
-that candidate is unique. Each decode first inverts the first responses once
-for all columns (the clean path). For a column left over it locates the wrong
-responses by Reed-Solomon errors-and-erasures decoding
-(`decoding.rs_decode_ee`, directly for repair and through the product-matrix
-reduction for reconstruction), then erases them and inverts once more for
-every remaining column. The file-level calls (`repair_blocks`,
-`reconstruct_blocks`), the simulator and the per-block `msr_*`/`mbr_*` calls
-(batches of one block) all run these steps.
+R >= msg_len + 2t of them. A decode sees nblocks * beta words, one per row
+of its arrays, so a block's slices are adjacent rows in the on-disk order. A
+word's candidate is accepted once it agrees with at least R - t of the R
+responses; that candidate is unique. Each decode first inverts the first
+responses once for all words (the clean path); where that inverse is square
+the responses it used agree by construction, and only the others are
+re-encoded. For a word left over it locates the wrong responses by
+Reed-Solomon errors-and-erasures decoding (`decoding.rs_decode_ee`, directly
+for repair and through the product-matrix reduction for reconstruction),
+then erases them and inverts once more for every remaining word. The
+file-level calls (`repair_blocks`, `reconstruct_blocks`), the simulator and
+the per-block `msr_*`/`mbr_*` calls (batches of one block) all run these
+steps.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ import os
 import struct
 import sys
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -82,6 +92,10 @@ _MODE_CODE = {CodeMode.MSR: 0, CodeMode.MBR: 1}
 _MODE_FROM = {0: CodeMode.MSR, 1: CodeMode.MBR}
 
 
+# every shard of a set, and both reads of one shard, share the parameters
+_code_params = functools.lru_cache(maxsize=64)(code_params)
+
+
 @dataclass(frozen=True)
 class ShardHeader:
     mode: CodeMode
@@ -96,7 +110,7 @@ class ShardHeader:
     points: tuple[int, ...]
 
     def params(self) -> SystemParams:
-        return code_params(self.mode, self.k, self.n, self.d, self.beta)
+        return _code_params(self.mode, self.k, self.n, self.d, self.beta)
 
     def encoding(self) -> EncodingMatrix:
         return encoding_from_points(self.params(), Fq(self.q), self.points)
@@ -183,40 +197,95 @@ def write_shard(path, header: ShardHeader, body: np.ndarray) -> None:
         fp.write(np.ascontiguousarray(body, dtype="<u2"))
 
 
+def _read_header(fp, path) -> ShardHeader:
+    """The header of an open shard file, checked against the length of the
+    body behind it (`fstat`; the body itself is not read)."""
+    header = ShardHeader.unpack(fp)
+    want = header.block_count * header.params().alpha
+    if os.fstat(fp.fileno()).st_size - fp.tell() < 2 * want:
+        raise ParameterError(f"shard body truncated: {path}")
+    return header
+
+
 def read_shard(path) -> tuple[ShardHeader, np.ndarray]:
     """The header and the writable (block_count, alpha) ``<u2`` body."""
     with open(path, "rb") as fp:
-        header = ShardHeader.unpack(fp)
+        header = _read_header(fp, path)
         shape = (header.block_count, header.params().alpha)
-        want = shape[0] * shape[1]
-        if os.fstat(fp.fileno()).st_size - fp.tell() < 2 * want:
-            raise ParameterError(f"shard body truncated: {path}")
-        body = np.fromfile(fp, dtype="<u2", count=want).reshape(shape)
+        body = np.fromfile(fp, dtype="<u2", count=shape[0] * shape[1]).reshape(shape)
     if body.size and int(body.max()) >= header.q:
         raise ParameterError(f"shard symbols exceed the field modulus: {path}")
     return header, body
 
 
-def load_shard_set(directory) -> tuple[ShardHeader, dict[int, np.ndarray]]:
-    """All readable shards of the majority shard set in a directory.
+def _warn_skipped(names: Sequence[str]) -> None:
+    print(
+        f"warning: skipped inconsistent shard files: {', '.join(names)}",
+        file=sys.stderr,
+    )
 
-    The reference header is the one shared by the most readable files (ties
-    go to the set holding the lowest node id). Unreadable files, files not
-    named after their header's node id (so no id repeats), files whose id is
-    outside 1..n and files of another set are skipped: a deleted, garbled or
-    misnamed shard is an erasure, not a fatal error. Returns the reference
-    header and node_id -> body."""
+
+class ShardBodies(Mapping):
+    """node_id -> (block_count, alpha) body of the shards whose headers agree
+    with the reference header. A body is read by `read_shard` on first use
+    and kept, so each is read at most once. A body that fails read_shard's
+    checks (or whose header changed since the vote) is skipped with a warning
+    and its id drops out of the mapping: to the caller it is an erasure, and
+    ``get`` returns None for it."""
+
+    def __init__(self, header: ShardHeader, paths: dict[int, str]):
+        self.header = header
+        self._paths = dict(sorted(paths.items()))
+        self._read: dict[int, np.ndarray] = {}
+
+    def __getitem__(self, node_id: int) -> np.ndarray:
+        if node_id not in self._read:
+            path = self._paths[node_id]
+            try:
+                header, body = read_shard(path)
+                if not header.same_shard_set(self.header) or header.node_id != node_id:
+                    raise ParameterError(f"shard header changed: {path}")
+            except (ParameterError, OSError):
+                del self._paths[node_id]
+                _warn_skipped([os.path.basename(path)])
+                raise KeyError(node_id) from None
+            self._read[node_id] = body
+        return self._read[node_id]
+
+    def __contains__(self, node_id) -> bool:
+        return node_id in self._paths
+
+    def __iter__(self):
+        return iter(list(self._paths))  # a copy: reading a body may drop its id
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+
+def load_shard_set(directory) -> tuple[ShardHeader, ShardBodies]:
+    """The majority shard set in a directory, voted on headers alone.
+
+    Every file's header is read and its body length checked with `fstat`;
+    no body is read here. The reference header is the one shared by the most
+    such files (ties go to the set holding the lowest node id). Unreadable or
+    truncated files, files not named after their header's node id (so no id
+    repeats), files whose id is outside 1..n and files of another set are
+    skipped: a deleted, garbled or misnamed shard is an erasure, not a fatal
+    error. Returns the reference header and the lazy `ShardBodies` of the
+    rest, whose bodies are read only when a decode picks them."""
     names = sorted(
         f for f in os.listdir(directory)
         if f.startswith("node") and f.endswith(".shard")
     )
     if not names:
         raise InfeasibleError(f"no shard files in {directory}")
-    readable: list[tuple[str, ShardHeader, np.ndarray]] = []
+    readable: list[tuple[str, ShardHeader]] = []
     skipped: list[str] = []
     for name in names:
+        path = os.path.join(directory, name)
         try:
-            header, body = read_shard(os.path.join(directory, name))
+            with open(path, "rb", buffering=0) as fp:
+                header = _read_header(fp, path)
         except (ParameterError, OSError):
             skipped.append(name)
             continue
@@ -224,27 +293,24 @@ def load_shard_set(directory) -> tuple[ShardHeader, dict[int, np.ndarray]]:
         if not named or not 1 <= header.node_id <= header.n:
             skipped.append(name)
             continue
-        readable.append((name, header, body))
+        readable.append((path, header))
     if not readable:
         raise InfeasibleError(f"no readable shards in {directory}")
-    keys = [header.set_key() for _, header, _ in readable]
+    keys = [header.set_key() for _, header in readable]
     support = Counter(keys)
     ref = min(
         range(len(readable)),
         key=lambda i: (-support[keys[i]], readable[i][1].node_id),
     )
-    bodies: dict[int, np.ndarray] = {}
-    for (name, header, body), key in zip(readable, keys):
+    paths: dict[int, str] = {}
+    for (path, header), key in zip(readable, keys):
         if key != keys[ref]:
-            skipped.append(name)
+            skipped.append(os.path.basename(path))
             continue
-        bodies[header.node_id] = body
+        paths[header.node_id] = path
     if skipped:
-        print(
-            f"warning: skipped inconsistent shard files: {', '.join(skipped)}",
-            file=sys.stderr,
-        )
-    return readable[ref][1], bodies
+        _warn_skipped(skipped)
+    return readable[ref][1], ShardBodies(readable[ref][1], paths)
 
 
 # --- file payload packing -------------------------------------------------
@@ -368,23 +434,27 @@ def _locate_then_erase(
     ys: list[np.ndarray], gen: np.ndarray, need: int, t: int, field: Fq,
     invert, locate, per_block: int,
 ) -> np.ndarray:
-    """Messages (L, ncols) from the R positions that answered: ys[r] holds
-    position r's (w, ncols) symbols of the codeword gen @ m, gen[r] is its
-    (w, L) code map, and any ``need`` positions determine m. Columns are
-    decoded independently and up to t positions per column may be wrong.
-    R >= need + 2t makes the codeword agreeing with at least R - t positions
-    unique; it is returned for every column, or DecodeFailure naming the
-    block (``per_block`` consecutive columns) of a column that has none.
+    """Messages (nwords, L) of nwords independent codewords, one per row,
+    from the R positions that answered: ys[r] holds position r's (nwords, w)
+    symbols, gen[r] is its (w, L) code map (row j of ys[r] is gen[r] @ m_j),
+    and any ``need`` positions determine a message. Up to t positions per
+    word may be wrong. R >= need + 2t makes the message agreeing with at
+    least R - t positions unique; it is returned for every word, or
+    DecodeFailure naming the block (``per_block`` consecutive words) of a
+    word that has none.
 
     Clean pass: one ``invert`` (``linalg.inverse`` or ``left_inverse``) of
-    the first ``need`` positions gives every column a candidate, accepted
-    when it agrees with at least R - t positions. While columns remain,
-    ``locate`` maps the first remaining column's (R, w) symbols to the mask
-    of its wrong positions (exact whenever the column has an acceptable
-    codeword, else it may raise DecodeFailure); those positions are erased,
-    and one inverse of the first ``need`` other positions gives the remaining
-    columns new candidates, accepted by the same rule. The call fails as soon
-    as the located column is not accepted.
+    the first ``need`` positions gives every word a candidate, accepted when
+    it agrees with at least R - t positions. When the inverted positions'
+    stacked code map is square, the candidate reproduces them exactly, so
+    only the other positions are re-encoded and compared. When every word
+    passes, the candidate array is returned as it is. While words remain,
+    ``locate`` maps the first remaining word's (R, w) symbols to the mask of
+    its wrong positions (exact whenever the word has an acceptable message,
+    else it may raise DecodeFailure); those positions are erased, and one
+    inverse of the first ``need`` other positions gives the remaining words
+    new candidates, accepted by the same rule. The call fails as soon as the
+    located word is not accepted.
     """
     n_pos = len(ys)
     if t < 0 or n_pos < need + 2 * t:
@@ -393,10 +463,10 @@ def _locate_then_erase(
             f"need t >= 0 and at least {need} + 2t"
         )
     q = field.q
-    word = np.stack(ys)  # (R, w, ncols)
-    code_maps = gen.reshape(-1, gen.shape[2])  # (R * w, L)
-    out = np.empty((gen.shape[2], word.shape[2]), dtype=np.uint16)
-    undecided = np.arange(out.shape[1])
+    word = np.stack(ys, axis=1)  # (nwords, R, w)
+    width = gen.shape[2]
+    out = np.empty((word.shape[0], width), dtype=np.uint16)
+    undecided = np.arange(out.shape[0])
     erased = np.zeros(n_pos, dtype=bool)
     located = False
     while undecided.size:
@@ -404,18 +474,34 @@ def _locate_then_erase(
         inv = invert(
             MatrixFq(field, np.concatenate(gen[rows]), _trusted=True)
         ).array()
-        cand = linalg.matmul_mod(inv, word[rows].reshape(-1, word.shape[2]), q)
-        again = linalg.matmul_mod(code_maps, cand, q).reshape(word.shape)
-        agree = (again == word).all(axis=1).sum(axis=0)
+        used = word if rows.size == n_pos else word[:, rows]
+        cand = linalg.matmul_mod(used.reshape(used.shape[0], -1), inv.T, q)
+        check = np.ones(n_pos, dtype=bool)
+        if rows.size * word.shape[2] == width:
+            check[rows] = False  # the inverted rows agree by construction
+        n_check = int(check.sum())
+        agree = np.full(cand.shape[0], n_pos - n_check)
+        if n_check:
+            again = linalg.matmul_mod(cand, gen[check].reshape(-1, width).T, q)
+            seen = word if n_check == n_pos else word[:, check]
+            same = again.reshape(seen.shape) == seen  # (nwords, checked, w)
+            # whole-array steps over the short w and position axes: numpy's
+            # reductions along a short innermost axis cost several times more
+            for i in range(1, same.shape[2]):
+                same[:, :, 0] &= same[:, :, i]
+            for r in range(same.shape[1]):
+                agree += same[:, r, 0]
         ok = agree >= n_pos - t
+        if not located and ok.all():
+            return cand
         if located and not ok[0]:
             break
-        out[:, undecided[ok]] = cand[:, ok]
+        out[undecided[ok]] = cand[ok]
         undecided = undecided[~ok]
-        word = word[:, :, ~ok]
+        word = word[~ok]
         if undecided.size:
             try:
-                erased = locate(word[:, :, 0])
+                erased = locate(word[0])
             except DecodeFailure:
                 break
             located = True
@@ -450,9 +536,9 @@ def poly_decode(
         return _column(vdm, coeffs, field.q) != word[:, 0]
 
     return _locate_then_erase(
-        [row[None, :] for row in y], vdm[:, None, :], msg_len, t, field,
+        [row[:, None] for row in y], vdm[:, None, :], msg_len, t, field,
         linalg.inverse, locate, per_block,
-    )
+    ).T
 
 
 def decode_repair(
@@ -468,13 +554,13 @@ def decode_repair(
     m = poly_decode(
         [y.reshape(-1) for y in symbols.values()],
         [enc.point_of(h) for h in symbols], params.d, t, enc.field, params.beta,
-    )
+    ).T
     if params.mode is CodeMode.MSR:
         # phi_f^t S1 + lambda_f phi_f^t S2, by the symmetry of S1 and S2
-        m = (m[:ap] + enc.lam_of(failed_id) * m[ap:].astype(np.int64)) % enc.field.q
+        m = (m[:, :ap] + enc.lam_of(failed_id) * m[:, ap:].astype(np.int64)) % enc.field.q
         m = m.astype(np.uint16)
     # MBR: M is symmetric, so m_f itself is the lost slice share
-    return m.T.reshape(-1, params.alpha)
+    return m.reshape(-1, params.alpha)
 
 
 def _locate_msr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> np.ndarray:
@@ -554,23 +640,33 @@ def decode_reconstruct(
     gen = share_map(enc)[[i - 1 for i in ids]]
     locate_mode = _locate_msr if params.mode is CodeMode.MSR else _locate_mbr
     out = _locate_then_erase(
-        [shares[i].reshape(-1, params.alpha_prime).T for i in ids],
+        [shares[i].reshape(-1, params.alpha_prime) for i in ids],
         gen, params.k, t, enc.field, linalg.left_inverse,
         lambda word: locate_mode(word, ids, enc, t), params.beta,
     )
-    return out.T.reshape(-1, params.message_symbols)
+    return out.reshape(-1, params.message_symbols)
 
 
-def _lowest_ids(candidates, count: int) -> list[int]:
-    """The ``count`` lowest node ids among the shards at hand."""
-    present = sorted(candidates)
-    if len(present) < count:
-        raise InfeasibleError(f"needs {count} shards, found {len(present)}")
-    return present[:count]
+def _lowest_ids(
+    bodies: Mapping[int, np.ndarray], count: int, skip: int | None = None
+) -> dict[int, np.ndarray]:
+    """The bodies of the ``count`` lowest-id shards at hand, ``skip`` aside.
+    Bodies are fetched in id order only until ``count`` are in hand; one that
+    cannot be read (`ShardBodies`) is an erasure and the next id is tried."""
+    picked: dict[int, np.ndarray] = {}
+    for i in sorted(bodies):
+        if len(picked) == count:
+            break
+        body = bodies.get(i) if i != skip else None
+        if body is not None:
+            picked[i] = body
+    if len(picked) < count:
+        raise InfeasibleError(f"needs {count} shards, found {len(picked)}")
+    return picked
 
 
 def repair_blocks(
-    bodies: dict[int, np.ndarray],
+    bodies: Mapping[int, np.ndarray],
     failed_id: int,
     enc: EncodingMatrix,
     s: int = 0,
@@ -584,11 +680,11 @@ def repair_blocks(
     params = enc.params
     enc.check_node(failed_id)
     delta = connectivity(params, s, t, repair=True)
-    helpers = _lowest_ids((i for i in bodies if i != failed_id), delta)
-    symbols = {h: helper_symbols(bodies[h], failed_id, enc) for h in helpers}
+    helpers = _lowest_ids(bodies, delta, skip=failed_id)
+    symbols = {h: helper_symbols(body, failed_id, enc) for h, body in helpers.items()}
     share = decode_repair(symbols, failed_id, enc, t)
     info = {
-        "helpers": helpers,
+        "helpers": list(helpers),
         "connectivity": delta,
         "downloaded": delta * params.beta * share.shape[0],
     }
@@ -596,7 +692,7 @@ def repair_blocks(
 
 
 def reconstruct_blocks(
-    bodies: dict[int, np.ndarray],
+    bodies: Mapping[int, np.ndarray],
     enc: EncodingMatrix,
     s: int = 0,
     t: int = 0,
@@ -606,9 +702,9 @@ def reconstruct_blocks(
     params = enc.params
     kappa = connectivity(params, s, t, repair=False)
     chosen = _lowest_ids(bodies, kappa)
-    out = decode_reconstruct({i: bodies[i] for i in chosen}, enc, t)
+    out = decode_reconstruct(chosen, enc, t)
     info = {
-        "providers": chosen,
+        "providers": list(chosen),
         "connectivity": kappa,
         "downloaded": kappa * params.alpha * out.shape[0],
     }

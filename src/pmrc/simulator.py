@@ -295,8 +295,8 @@ def load_scenario(path) -> dict:
 
 def _parse_event(ev, idx: int, seed: int, n: int):
     """(op, node, s, t, adversary plan) of scenario event ``idx``; a missing
-    or malformed field, or an erase/corrupt id outside 1..n, is a
-    ParameterError naming the event."""
+    or malformed field, a node or erase/corrupt id outside 1..n, or an id
+    both erased and corrupted is a ParameterError naming the event."""
     if not isinstance(ev, dict) or "op" not in ev:
         raise ParameterError(f"scenario: event {idx} needs an 'op'")
     op = ev["op"]
@@ -313,10 +313,13 @@ def _parse_event(ev, idx: int, seed: int, n: int):
         if outside:
             raise ValueError(f"node ids {outside} outside 1..{n}")
         node = None if op == "reconstruct" else int(ev["node"])
+        if node is not None and not 1 <= node <= n:
+            raise ValueError(f"node id {node} outside 1..{n}")
         s, t = int(ev.get("s", 0)), int(ev.get("t", 0))
+        plan = AdversaryPlan(erase, corrupt, seed * 100003 + idx)
     except (TypeError, ValueError) as e:
         raise ParameterError(f"scenario: event {idx} ({op}): {e}")
-    return op, node, s, t, AdversaryPlan(erase, corrupt, seed * 100003 + idx)
+    return op, node, s, t, plan
 
 
 def run_scenario(cfg: dict) -> tuple[list[EventReport], dict]:

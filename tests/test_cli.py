@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pmrc
+from pmrc import shards
 from pmrc.cli import (
     EXIT_BAD_ARGS,
     EXIT_DECODE,
@@ -281,6 +282,10 @@ def test_simulate_command(tmp_path, capsys):
     ({"events": [{"op": "reconstruct", "corrupt": [99]}]}, "event 0 (reconstruct)"),
     ({"events": [{"op": "fail", "node": 1}, {"op": "repair", "node": 1, "erase": [0]}]},
      "event 1 (repair)"),
+    ({"events": [{"op": "fail", "node": 99}]},
+     "scenario: event 0 (fail): node id 99 outside 1..5"),
+    ({"events": [{"op": "reconstruct", "erase": [1], "corrupt": [1]}]},
+     "scenario: event 0 (reconstruct): nodes [1] both erased and corrupted"),
 ])
 def test_simulate_malformed_scenario_is_a_bad_argument(tmp_path, capsys, cfg, named):
     path = tmp_path / "scenario.json"
@@ -351,6 +356,94 @@ def test_out_of_range_node_id_is_an_erasure(tmp_path, capsys, body_of):
     assert main(["reconstruct", str(out), "-o", str(dest)]) == EXIT_OK
     assert shard_filename(0) in capsys.readouterr().err
     assert dest.read_bytes() == data
+
+
+def _count_body_reads(monkeypatch):
+    """Paths passed to shards.read_shard from now on, in call order."""
+    paths = []
+    orig = shards.read_shard
+
+    def counted(path):
+        paths.append(os.path.basename(path))
+        return orig(path)
+
+    monkeypatch.setattr(shards, "read_shard", counted)
+    return paths
+
+
+def test_clean_decode_reads_only_the_bodies_it_uses(tmp_path, monkeypatch):
+    """MBR [8,3,5] at t = 0: the header vote reads no body, reconstruct reads
+    the k = 3 bodies it decodes and repair the d = 5 of its helpers."""
+    data, out = encode(tmp_path, mode="mbr", k=3, d=5, n=8)
+    original = (out / shard_filename(8)).read_bytes()
+    reads = _count_body_reads(monkeypatch)
+    header, bodies = shards.load_shard_set(out)
+    assert sorted(bodies) == list(range(1, 9)) and reads == []
+    dest = tmp_path / "back.bin"
+    assert main(["reconstruct", str(out), "-o", str(dest)]) == EXIT_OK
+    assert dest.read_bytes() == data
+    assert reads == [shard_filename(i) for i in (1, 2, 3)]
+    reads.clear()
+    alt = tmp_path / "alt"
+    assert main(["repair", str(out), "--node", "8", "-o", str(alt)]) == EXIT_OK
+    assert (alt / shard_filename(8)).read_bytes() == original
+    assert reads == [shard_filename(i) for i in (1, 2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("damage", ["symbol >= q", "truncated"])
+def test_bad_body_on_a_picked_shard_is_an_erasure(tmp_path, capsys, monkeypatch, damage):
+    """Node 1's header is intact but its body is not. The decode skips it with
+    a warning naming the file and uses the next id, reading every body at
+    most once, so reconstruct and repair stay byte-identical at t = 0. A
+    truncated body is caught by the header pass; a symbol >= q only when the
+    body is read."""
+    data, out = encode(tmp_path, mode="mbr", k=3, d=5, n=8)
+    original = (out / shard_filename(8)).read_bytes()
+    path = out / shard_filename(1)
+    blob = path.read_bytes()
+    if damage == "truncated":
+        path.write_bytes(blob[:-2])
+    else:
+        header, body = read_shard(path)
+        body[-1, -1] = header.q
+        with open(path, "wb") as fp:
+            fp.write(header.pack())
+            fp.write(body.astype("<u2").tobytes())
+    reads = _count_body_reads(monkeypatch)
+    capsys.readouterr()
+    dest = tmp_path / "back.bin"
+    assert main(["reconstruct", str(out), "-o", str(dest)]) == EXIT_OK
+    assert shard_filename(1) in capsys.readouterr().err
+    assert dest.read_bytes() == data
+    alt = tmp_path / "alt"
+    assert main(["repair", str(out), "--node", "8", "-o", str(alt)]) == EXIT_OK
+    assert shard_filename(1) in capsys.readouterr().err
+    assert (alt / shard_filename(8)).read_bytes() == original
+    first = [shard_filename(1)] if damage == "symbol >= q" else []
+    assert reads == first + [shard_filename(i) for i in (2, 3, 4)] + first + [
+        shard_filename(i) for i in (2, 3, 4, 5, 6)
+    ]
+
+
+def test_reconstruct_checks_its_output_before_reading(tmp_path, monkeypatch):
+    """A missing output directory exits 5 before any shard is read, and an
+    existing output file is left as it was when the decode exits 3 or 4."""
+    data, out = encode(tmp_path, mode="mbr", k=3, d=5, n=8)
+    reads = _count_body_reads(monkeypatch)
+    monkeypatch.setattr(
+        shards, "load_shard_set", lambda d: pytest.fail("read before the output check")
+    )
+    missing = tmp_path / "nowhere" / "x.bin"
+    assert main(["reconstruct", str(out), "-o", str(missing)]) == EXIT_IO
+    assert main(["reconstruct", str(out), "-o", str(tmp_path)]) == EXIT_IO
+    assert reads == [] and not missing.parent.exists()
+    monkeypatch.undo()
+    dest = tmp_path / "keep.bin"
+    dest.write_bytes(b"keep")
+    assert main(["reconstruct", str(out), "-o", str(dest), "-s", "9"]) == EXIT_INFEASIBLE
+    assert main(["damage", str(out), "--corrupt", "1,2", "--seed", "1"]) == EXIT_OK
+    assert main(["reconstruct", str(out), "-o", str(dest), "-t", "1"]) == EXIT_DECODE
+    assert dest.read_bytes() == b"keep"
 
 
 @pytest.mark.parametrize("q", [257, 65521])

@@ -1,5 +1,6 @@
 import io
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from pmrc import (
     msr_fill_message,
     msr_params,
 )
+from pmrc import shards
 from pmrc.shards import (
     ShardHeader,
     blocks_to_bytes,
@@ -40,7 +42,7 @@ from pmrc.shards import (
     share_map,
     write_shard,
 )
-from oracles import subset_decode_oracle
+from oracles import locate_then_erase_full, subset_decode_oracle
 from util import make_code, random_payload
 
 
@@ -271,6 +273,32 @@ def test_load_shard_set_skips_bad_files(tmp_path, capsys):
         load_shard_set(tmp_path / "nowhere")
 
 
+def test_shard_bodies_read_lazily_and_drop_bad_bodies(tmp_path, capsys):
+    """The header vote reads no body. A body is read on first use and kept;
+    one with a symbol >= q, or whose header changed since the vote, drops
+    out of the mapping with a warning naming its file."""
+    params = mbr_params(k=2, d=3, n=5)
+    enc = build_encoding(params)
+    bodies = encode_blocks(np.ones((2, params.message_symbols), dtype=np.int64), enc)
+    for i, body in bodies.items():
+        write_shard(tmp_path / shard_filename(i), make_header(params, enc, i, 2, 9), body)
+    header, loaded = load_shard_set(tmp_path)
+    bad = read_shard(tmp_path / shard_filename(2))[1]
+    bad[0, 0] = header.q
+    with open(tmp_path / shard_filename(2), "wb") as fp:
+        fp.write(make_header(params, enc, 2, 2, 9).pack())
+        fp.write(bad.astype("<u2").tobytes())
+    write_shard(
+        tmp_path / shard_filename(4), make_header(params, enc, 4, 2, 8), bodies[4]
+    )
+    assert list(loaded) == [1, 2, 3, 4, 5] and capsys.readouterr().err == ""
+    assert loaded[1] is loaded[1] and (loaded[1] == bodies[1]).all()
+    assert loaded.get(2) is None and loaded.get(4) is None
+    err = capsys.readouterr().err
+    assert shard_filename(2) in err and shard_filename(4) in err
+    assert list(loaded) == [1, 3, 5] and 2 not in loaded and len(loaded) == 3
+
+
 # --- the decode steps against the exhaustive references --------------------
 
 ORACLE_Q = 29
@@ -414,6 +442,81 @@ def test_decode_reconstruct_matches_consistency_oracle(data):
         assert got is not None and (got == want).all()
     if in_budget:
         assert (got == blocks).all()
+
+
+GUARD_CODES = [
+    msr_params(k=3, n=9),
+    msr_params(k=3, n=9, beta=2),
+    mbr_params(k=2, d=3, n=8),
+    mbr_params(k=2, d=3, n=8, beta=2),
+]
+
+
+def _decode_outcome(decode):
+    """The decoded array, or the DecodeFailure text."""
+    try:
+        return decode()
+    except DecodeFailure as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_clean_pass_shortcuts_match_full_reencode(data):
+    """decode_repair and decode_reconstruct give the same array (dtype and
+    shape included) or the same DecodeFailure text as they do with
+    `locate_then_erase_full`, which re-encodes every position and copies the
+    result: skipping the positions a square inverse fixes, and returning the
+    clean-pass candidate as it is, change no answer. Up to t + 1 responses
+    are replaced by random words, or all of them."""
+    params = data.draw(st.sampled_from(GUARD_CODES), label="code")
+    q = data.draw(st.sampled_from([29, 257]), label="q")
+    t = data.draw(st.integers(0, 2), label="t")
+    enc = build_encoding(params, Fq(q))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    nb = data.draw(st.integers(1, 3), label="blocks")
+    bodies = encode_blocks(rng.integers(0, q, size=(nb, params.message_symbols)), enc)
+    n = params.n
+    if data.draw(st.booleans(), label="repair"):
+        failed = data.draw(st.integers(1, n), label="failed")
+        others = [i for i in range(1, n + 1) if i != failed]
+        r_count = data.draw(_fewest_or_more(params.d + 2 * t, n - 1), label="R")
+        ids = data.draw(st.permutations(others), label="helpers")[:r_count]
+        responses = {h: helper_symbols(bodies[h], failed, enc) for h in ids}
+
+        def decode():
+            return decode_repair(responses, failed, enc, t)
+    else:
+        r_count = data.draw(_fewest_or_more(params.k + 2 * t, n), label="R")
+        ids = data.draw(st.permutations(range(1, n + 1)), label="providers")[:r_count]
+        responses = {i: bodies[i] for i in ids}
+
+        def decode():
+            return decode_reconstruct(responses, enc, t)
+    n_bad = data.draw(st.sampled_from([*range(t + 2), r_count]), label="bad")
+    for i in ids[:n_bad]:
+        responses[i] = rng.integers(0, q, size=responses[i].shape).astype(np.uint16)
+    got = _decode_outcome(decode)
+    with mock.patch.object(shards, "_locate_then_erase", locate_then_erase_full):
+        want = _decode_outcome(decode)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_mbr_reconstruct_checks_every_share_at_t0():
+    """MBR reconstruction from exactly k shares at t = 0 is overdetermined
+    (k * d > B'), so one corrupted share must still fail: its left inverse
+    does not reproduce the shares it inverted."""
+    params = mbr_params(k=2, d=3, n=8)
+    enc = build_encoding(params, Fq(257))
+    rng = np.random.default_rng(5)
+    bodies = encode_blocks(rng.integers(0, 257, size=(2, params.message_symbols)), enc)
+    shares = {1: bodies[1], 2: (bodies[2] + 1) % 257}
+    with pytest.raises(DecodeFailure):
+        decode_reconstruct(shares, enc, 0)
 
 
 def test_decode_reconstruct_fails_when_column_errors_spread():
