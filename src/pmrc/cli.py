@@ -130,34 +130,37 @@ def cmd_damage(args) -> int:
     return EXIT_OK
 
 
+def _check_writable(path, make_dirs: bool = False) -> None:
+    """Raise the OSError that writing the file ``path`` would raise, before
+    any work is done: its directory must exist (with ``make_dirs``, its
+    nearest existing ancestor, as `os.makedirs` would find it) and ``path``
+    be writable."""
+    folder = os.path.dirname(path) or "."
+    while make_dirs and not os.path.lexists(folder):
+        folder = os.path.dirname(folder) or "."
+    if not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def cmd_repair(args) -> int:
+    out_dir = args.out_dir or args.dir
+    path = os.path.join(out_dir, shard_filename(args.node))
+    _check_writable(path, make_dirs=True)
     header, bodies = shards.load_shard_set(args.dir)
     enc = header.encoding()
     body, info = shards.repair_blocks(bodies, args.node, enc, args.s, args.t)
-    out_dir = args.out_dir or args.dir
     os.makedirs(out_dir, exist_ok=True)
-    shards.write_shard(
-        os.path.join(out_dir, shard_filename(args.node)),
-        dataclasses.replace(header, node_id=args.node),
-        body,
-    )
+    shards.write_shard(path, dataclasses.replace(header, node_id=args.node), body)
     print(
         f"repaired node {args.node} from {info['connectivity']} helpers "
         f"({info['downloaded']} symbols downloaded)"
     )
     return EXIT_OK
-
-
-def _check_writable(path) -> None:
-    """Raise the OSError that writing the file ``path`` would raise, before
-    any work is done: its directory must exist and ``path`` be writable."""
-    folder = os.path.dirname(path) or "."
-    if not os.path.isdir(folder):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def cmd_reconstruct(args) -> int:

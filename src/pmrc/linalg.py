@@ -5,10 +5,11 @@ reduces mod q. Solving and rank use plain Gaussian elimination with
 leftmost-nonzero pivoting (exact arithmetic needs no pivot scaling).
 
 Every matrix product, `MatrixFq @` included, runs on one kernel, `matmul_mod`:
-it multiplies arrays of reduced residues on BLAS in float32 whenever every
-dot product is an exactly representable float32 integer (int64 otherwise),
-reduces the result mod q, and returns uint16 residues. Vandermonde matrices
-are built once per (field, points, width).
+it multiplies arrays of reduced residues on BLAS in float32, summing the inner
+side in spans short enough that every partial sum is an exact float32
+integer, and returns uint16 residues. Word-sized products, and q > 4096 (too
+large for even one exact product), run in int64. Vandermonde matrices are
+built once per (field, points, width).
 """
 
 from __future__ import annotations
@@ -106,18 +107,18 @@ class MatrixFq:
         return f"MatrixFq(q={self.field.q}, {self.rows}x{self.cols})"
 
 
-# rows (or columns) of the long side per kernel step; bounds the float
-# temporaries to a few MB whatever the operand length
-_CHUNK = 1 << 16
+# output entries per kernel step, whatever the operand length: the float32
+# product and its reduction temporary are 4 MB each (int64: one, 8 MB)
+_CHUNK = 1 << 20
 # below this many multiply-adds the BLAS call and the float reduction cost
 # more than an int64 product (the per-block codec's word-sized products)
 _SMALL = 1 << 14
 
 
 def _compute_dtype(rows: int, inner: int, cols: int, q: int):
-    """float32 when its sums of ``inner`` products of residues mod q stay
-    below 2**24, so exact, and the product is not word-sized; else int64."""
-    if rows * inner * cols >= _SMALL and inner * (q - 1) ** 2 < 2**24:
+    """int64 for word-sized products and for q > 4096, where one product of
+    residues plus a carry below q can pass 2**24; float32 otherwise."""
+    if rows * inner * cols >= _SMALL and (q - 1) ** 2 + q <= 2**24:
         return np.float32
     return np.int64
 
@@ -138,25 +139,33 @@ def _reduce(p: np.ndarray, q: int) -> np.ndarray:
 
 def matmul_mod(a, b, q: int) -> np.ndarray:
     """Exact (a @ b) % q as uint16, for 2-D arrays of residues in [0, q) of
-    any integer or float dtype. The product runs in `_compute_dtype`, in
-    chunks along the longer outer side."""
+    any integer or float dtype. The product runs in `_compute_dtype`, as the
+    transpose of b^t @ a^t when that has fewer output columns, in steps of
+    at most `_CHUNK` output entries along the rows. In float32 each step sums
+    the inner side in spans whose sum plus a reduced carry stays below 2**24,
+    so exact, and reduces after each."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ParameterError(f"shape mismatch for product: {a.shape} @ {b.shape}")
-    kind = _compute_dtype(a.shape[0], a.shape[1], b.shape[1], q)
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.uint16)
-    if a.shape[0] >= b.shape[1]:
-        bk = b.astype(kind, copy=False)
-        for i in range(0, a.shape[0], _CHUNK):
-            chunk = a[i : i + _CHUNK].astype(kind, copy=False)
-            out[i : i + _CHUNK] = _reduce(chunk @ bk, q)
-    else:
-        ak = a.astype(kind, copy=False)
-        for j in range(0, b.shape[1], _CHUNK):
-            chunk = b[:, j : j + _CHUNK].astype(kind, copy=False)
-            out[:, j : j + _CHUNK] = _reduce(ak @ chunk, q)
-    return out
+    flip = a.shape[0] < b.shape[1]
+    if flip:
+        a, b = b.T, a.T
+    (rows, inner), cols = a.shape, b.shape[1]
+    kind = _compute_dtype(rows, inner, cols, q)
+    span = (2**24 - q) // (q - 1) ** 2 if kind is np.float32 else inner or 1
+    step = max(_CHUNK // (cols or 1), 1)
+    bk = b.astype(kind, copy=False)
+    out = np.empty((rows, cols), dtype=np.uint16)
+    for i in range(0, rows, step):
+        part = a[i : i + step].astype(kind, copy=False)
+        acc = _reduce(part @ bk if span >= inner else part[:, :span] @ bk[:span], q)
+        for j in range(span, inner, span):
+            p = part[:, j : j + span] @ bk[j : j + span]
+            p += acc
+            acc = _reduce(p, q)
+        out[i : i + step] = acc
+    return out.T if flip else out
 
 
 def vandermonde(field: Fq, points: Sequence[int], width: int) -> MatrixFq:

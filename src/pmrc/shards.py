@@ -29,34 +29,23 @@ field element) and are zero-padded to a whole number of B-symbol blocks.
 Delta or kappa lowest-id bodies they decode, each once, through `read_shard`;
 a body that fails its checks there is an erasure, and the next id is read.
 
-The message layout is stated once, in `_slice_matrix_index`:
-`message_matrices` gathers payload symbols into the per-slice product-matrix
-operands and `payload_of_matrices` reads them back.
-
-Symbols stay uint16 (``<u2``, the on-disk body format) from `read_shard`
-to `write_shard`; every bulk product is `linalg.matmul_mod`, which takes
-them as they are and returns uint16 residues. The code tables (`share_map`,
-the Vandermonde rows at the helpers' points) are built once and shared.
+The code is stated once, as `share_map`: the linear map from one slice's B'
+payload symbols (laid out by `_slice_matrix_index`) to every node's alpha'
+stored symbols. `encode_blocks` applies it and `decode_reconstruct` inverts
+it. Symbols stay uint16 (``<u2``, the on-disk body format) from `read_shard`
+to `write_shard`; every bulk product is `linalg.matmul_mod`.
 
 This module is the package's one codec. Blocks are independent, and so is
-each beta-slice of a block (a copy of the beta = 1 code), so every step works
-on all slices of all blocks at once with numpy: `encode_blocks` (one
-product), the helper step `helper_symbols`, and the two decode steps
-`decode_repair` and `decode_reconstruct`, which take only the responses that
-arrived (erased ones dropped) plus the corruption budget t, and need
-R >= msg_len + 2t of them. A decode sees nblocks * beta words, one per row
-of its arrays, so a block's slices are adjacent rows in the on-disk order. A
-word's candidate is accepted once it agrees with at least R - t of the R
-responses; that candidate is unique. Each decode first inverts the first
-responses once for all words (the clean path); where that inverse is square
-the responses it used agree by construction, and only the others are
-re-encoded. For a word left over it locates the wrong responses by
-Reed-Solomon errors-and-erasures decoding (`decoding.rs_decode_ee`, directly
-for repair and through the product-matrix reduction for reconstruction),
-then erases them and inverts once more for every remaining word. The
-file-level calls (`repair_blocks`, `reconstruct_blocks`), the simulator and
-the per-block `msr_*`/`mbr_*` calls (batches of one block) all run these
-steps.
+each beta-slice of a block (a copy of the beta = 1 code), so `encode_blocks`,
+`helper_symbols`, `decode_repair` and `decode_reconstruct` work on all slices
+of all blocks at once, one word per row. A decode takes the R >= msg_len + 2t
+responses that arrived and the corruption budget t, and gives each word the
+unique message agreeing with at least R - t of them (`_locate_then_erase`):
+one clean-path inverse for all words; for a word left over, Reed-Solomon
+errors-and-erasures location (`decoding.rs_decode_ee`, directly for repair
+and through the product-matrix reduction for reconstruction), then one more
+inverse without the located positions. The file-level calls, the simulator
+and the per-block `msr_*`/`mbr_*` calls (batches of one block) all run them.
 """
 
 from __future__ import annotations
@@ -366,7 +355,8 @@ def _slice_matrix_index(params: SystemParams) -> np.ndarray:
 def message_matrices(blocks: np.ndarray, params: SystemParams) -> np.ndarray:
     """The (nblocks, beta, d, alpha') product-matrix operands of (nblocks, B)
     payload symbols: slice j of a block is its j-th run of B' symbols, laid
-    out by `_slice_matrix_index`."""
+    out by `_slice_matrix_index`. Only the per-block `*_fill_message` and
+    `*_read_message` (with `payload_of_matrices`) and the tests use them."""
     if blocks.shape[1] != params.message_symbols:
         raise ParameterError("payload block width must be B")
     idx = _slice_matrix_index(params)
@@ -402,15 +392,18 @@ def share_map(enc: EncodingMatrix) -> np.ndarray:
 
 def encode_blocks(blocks: np.ndarray, enc: EncodingMatrix) -> dict[int, np.ndarray]:
     """Encode (nblocks, B) payload symbols; returns node_id -> (nblocks,
-    alpha) uint16, each a view of one column of the (nblocks * alpha, n)
-    code array M^t psi^t, one product over every slice of every block."""
+    alpha) uint16. One product of every slice's B' symbols with the
+    transposed `share_map` gives the (nblocks * beta, n * alpha') code array,
+    whose columns (i-1) alpha' .. i alpha' - 1 are node i's slice shares."""
     params = enc.params
-    ops = message_matrices(blocks, params).swapaxes(2, 3)
+    if blocks.shape[1] != params.message_symbols:
+        raise ParameterError("payload block width must be B")
+    amap = share_map(enc).reshape(-1, params.slice_symbols)
     code = linalg.matmul_mod(
-        ops.reshape(ops.size // params.d, params.d), enc.psi.array().T, enc.field.q
-    )
+        blocks.reshape(-1, params.slice_symbols), amap.T, enc.field.q
+    ).reshape(blocks.shape[0], params.beta, params.n, params.alpha_prime)
     shape = (blocks.shape[0], params.alpha)
-    return {i + 1: code[:, i].reshape(shape) for i in range(params.n)}
+    return {i + 1: code[:, :, i].reshape(shape) for i in range(params.n)}
 
 
 def helper_symbols(
@@ -604,23 +597,17 @@ def _locate_mbr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> n
     nodes ids. With M = [[S, T], [T^t, 0]], columns k..d-1 of y are
     evaluations of the columns of T (degree < k); once the sigma rows times
     T are subtracted, columns 0..k-1 are evaluations of the columns of S.
-    The decoded M is re-encoded and compared with y."""
+    Each group of columns is one `poly_decode`; the decoded M is re-encoded
+    and compared with y."""
     field = enc.field
+    q = field.q
     k, d = enc.params.k, enc.params.d
     points = [enc.point_of(i) for i in ids]
     rows = [i - 1 for i in ids]
-
-    def rs_columns(word: np.ndarray) -> np.ndarray:
-        return np.array(
-            [decoding.rs_decode_ee(col, points, k, t, field) for col in word.T.tolist()],
-            dtype=np.int64,
-        ).reshape(-1, k).T
-
-    q = field.q
-    t_blk = rs_columns(y[:, k:])
+    t_blk = poly_decode(y[:, k:], points, k, t, field)
     sigma_t = linalg.matmul_mod(enc.sigma.array()[rows], t_blk.T, q)
     m = np.zeros((d, d), dtype=np.int64)
-    m[:k, :k] = rs_columns((y[:, :k].astype(np.int64) - sigma_t) % q)
+    m[:k, :k] = poly_decode((y[:, :k].astype(np.int64) - sigma_t) % q, points, k, t, field)
     m[:k, k:] = t_blk
     m[k:, :k] = t_blk.T
     return (linalg.matmul_mod(enc.psi.array()[rows], m, q) != y).any(axis=1)

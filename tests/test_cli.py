@@ -446,6 +446,30 @@ def test_reconstruct_checks_its_output_before_reading(tmp_path, monkeypatch):
     assert dest.read_bytes() == b"keep"
 
 
+def test_repair_checks_its_output_before_reading(tmp_path, monkeypatch):
+    """An output under a regular file, or one whose shard path is a
+    directory, exits 5 before any body is read; a missing shard directory
+    exits 5, and a repair that exits 3 or 4 creates no output directory."""
+    data, out = encode(tmp_path, mode="mbr", k=3, d=5, n=8)
+    reads = _count_body_reads(monkeypatch)
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"")
+    for dest in (blocker / "out", blocker / "a" / "b", blocker):
+        assert main(["repair", str(out), "--node", "1", "-o", str(dest)]) == EXIT_IO
+    (tmp_path / "busy" / shard_filename(1)).mkdir(parents=True)
+    assert main(["repair", str(out), "--node", "1", "-o", str(tmp_path / "busy")]) == EXIT_IO
+    assert reads == []
+    missing = tmp_path / "gone"
+    assert main(["repair", str(missing), "--node", "1"]) == EXIT_IO
+    assert not missing.exists()
+    fresh = tmp_path / "fresh" / "dir"
+    args = ["repair", str(out), "--node", "1", "-o", str(fresh)]
+    assert main(args + ["-s", "9"]) == EXIT_INFEASIBLE
+    assert main(["damage", str(out), "--corrupt", "2,3", "--seed", "1"]) == EXIT_OK
+    assert main(args + ["-t", "1"]) == EXIT_DECODE
+    assert not (tmp_path / "fresh").exists()
+
+
 @pytest.mark.parametrize("q", [257, 65521])
 def test_shard_bodies_stay_u2(tmp_path, q):
     """Bodies are uint16 from encode_blocks through write_shard and

@@ -221,8 +221,9 @@ def _operand(rng, shape, q, entries, dtype):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_matmul_mod_matches_int64(q, side, rows, cols, entries, dtypes, seed):
-    # inner widths just inside, at and past the float32 bound, and well past;
-    # the wider column counts take the products off the small int64 path
+    # inner widths just inside, at and past one exact float32 span, and past
+    # three (q = 65521 stays int64); the wider column counts take the
+    # products off the small int64 path
     width = (2**24 - 1) // (q - 1) ** 2  # widest exact float32 inner width
     inner = max(0, {-1: width - 1, 0: width, 1: width + 1, 2: 3 * width + 5}[side])
     rng = np.random.default_rng(seed)
@@ -234,14 +235,15 @@ def test_matmul_mod_matches_int64(q, side, rows, cols, entries, dtypes, seed):
 
 
 def test_matmul_mod_chunks_the_long_side():
-    # both orientations cross the chunk boundary; zero-size operands give
-    # empty products
+    # both orientations of the wide-output product cross the step boundary
+    # (more than 2**20 output entries); zero-size operands give empty products
     q = 257
     rng = np.random.default_rng(12)
     tall = rng.integers(0, q, size=(70_001, 9))
-    small = rng.integers(0, q, size=(9, 3))
-    assert np.array_equal(matmul_mod(tall, small, q), tall @ small % q)
-    assert np.array_equal(matmul_mod(small.T, tall.T, q), small.T @ tall.T % q)
+    for cols in (3, 64):
+        small = rng.integers(0, q, size=(9, cols))
+        assert np.array_equal(matmul_mod(tall, small, q), tall @ small % q)
+        assert np.array_equal(matmul_mod(small.T, tall.T, q), small.T @ tall.T % q)
     assert matmul_mod(np.zeros((0, 4)), np.zeros((4, 6)), q).shape == (0, 6)
     assert matmul_mod(np.zeros((3, 0)), np.zeros((0, 2)), q).tolist() == [[0, 0]] * 3
     with pytest.raises(ParameterError):

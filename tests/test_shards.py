@@ -127,6 +127,7 @@ def test_encode_blocks_matches_unit_encoder():
         (msr_params(k=3, n=7, beta=2), 257),
         (mbr_params(k=3, d=5, n=8), 257),
         (mbr_params(k=2, d=3, n=5, beta=3), 263),
+        (mbr_params(k=12, d=30, n=40), 257),  # B' = 294: two float32 spans
     ):
         enc = build_encoding(params, Fq(q))
         nb = 4
