@@ -22,25 +22,16 @@ from .errors import (
 )
 from .field import Fq, default_modulus, is_prime, smallest_prime_at_least
 from .linalg import MatrixFq, vandermonde
-from .mbr import (
-    MbrMessageMatrix,
+from .perblock import (
+    NodeShare,
     mbr_encode,
-    mbr_fill_message,
     mbr_helper_symbol,
-    mbr_read_message,
     mbr_reconstruct,
     mbr_repair,
-)
-from .msr import (
-    MsrMessageMatrix,
-    NodeShare,
     msr_encode,
-    msr_fill_message,
     msr_helper_symbol,
-    msr_read_message,
     msr_reconstruct,
     msr_repair,
-    msr_systematic_remap,
 )
 from .params import (
     CodeMode,
@@ -80,8 +71,6 @@ __all__ = [
     "InconsistentSystemError",
     "InfeasibleError",
     "MatrixFq",
-    "MbrMessageMatrix",
-    "MsrMessageMatrix",
     "NodeShare",
     "ParameterError",
     "PmrcError",
@@ -100,20 +89,15 @@ __all__ = [
     "feasible_pairs",
     "is_prime",
     "mbr_encode",
-    "mbr_fill_message",
     "mbr_helper_symbol",
     "mbr_params",
-    "mbr_read_message",
     "mbr_reconstruct",
     "mbr_repair",
     "msr_encode",
-    "msr_fill_message",
     "msr_helper_symbol",
     "msr_params",
-    "msr_read_message",
     "msr_reconstruct",
     "msr_repair",
-    "msr_systematic_remap",
     "resilience_feasible",
     "rs_decode_ee",
     "run_scenario",

@@ -12,6 +12,7 @@ import dataclasses
 import errno
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -74,6 +75,13 @@ def _node_list(text: str) -> list[int]:
 def cmd_encode(args) -> int:
     params = _parse_params(args)
     q = _pick_modulus(args, params.n)
+    # a shard this encode would not overwrite could outvote the new set later
+    names = sorted(os.listdir(args.out_dir)) if os.path.isdir(args.out_dir) else []
+    stale = [f for f in names if re.fullmatch(r"node[0-9]+\.shard", f)
+             and int(f[4:-6]) > params.n and f == shard_filename(int(f[4:-6]))]
+    if stale:
+        raise ParameterError(f"{args.out_dir} holds shards an n={params.n} encode "
+                             f"would not overwrite: {', '.join(stale)}")
     enc = build_encoding(params, Fq(q))
     with open(args.input, "rb") as fp:
         data = fp.read()

@@ -1,4 +1,4 @@
-"""Errors-and-erasures decoding and the per-block response type.
+"""Errors-and-erasures decoding and the response type of `pmrc.perblock`.
 
 The shipping codec is the batched one in `pmrc.shards`. It calls
 ``rs_decode_ee`` to locate the wrong responses of a block that fails its
@@ -147,7 +147,7 @@ def rs_decode_ee(
 
 
 # Not called in src/: a test reference, bound here so the benchmark tracer
-# (perfbench/tracer.py) resolves it.
+# (perfbench/tracer.py) resolves it, until ROADMAP item 1 retargets the tracer.
 def consistency_reconstruct(
     word: Sequence[Response],
     k: int,

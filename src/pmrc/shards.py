@@ -45,7 +45,7 @@ one clean-path inverse for all words; for a word left over, Reed-Solomon
 errors-and-erasures location (`decoding.rs_decode_ee`, directly for repair
 and through the product-matrix reduction for reconstruction), then one more
 inverse without the located positions. The file-level calls, the simulator
-and the per-block `msr_*`/`mbr_*` calls (batches of one block) all run them.
+and `pmrc.perblock` (batches of one block) all run them.
 """
 
 from __future__ import annotations
@@ -350,28 +350,6 @@ def _slice_matrix_index(params: SystemParams) -> np.ndarray:
     idx[k:, :k] = t_blk
     idx[:k, k:] = t_blk.T
     return idx
-
-
-def message_matrices(blocks: np.ndarray, params: SystemParams) -> np.ndarray:
-    """The (nblocks, beta, d, alpha') product-matrix operands of (nblocks, B)
-    payload symbols: slice j of a block is its j-th run of B' symbols, laid
-    out by `_slice_matrix_index`. Only the per-block `*_fill_message` and
-    `*_read_message` (with `payload_of_matrices`) and the tests use them."""
-    if blocks.shape[1] != params.message_symbols:
-        raise ParameterError("payload block width must be B")
-    idx = _slice_matrix_index(params)
-    runs = blocks.reshape(blocks.shape[0], params.beta, params.slice_symbols)
-    mats = runs[:, :, np.maximum(idx, 0)]
-    mats[:, :, idx < 0] = 0
-    return mats
-
-
-def payload_of_matrices(mats: np.ndarray, params: SystemParams) -> np.ndarray:
-    """Inverse of `message_matrices`: each payload symbol is read from the
-    first cell that holds it."""
-    values, cells = np.unique(_slice_matrix_index(params), return_index=True)
-    flat = mats.reshape(mats.shape[0], params.beta, -1)
-    return flat[:, :, cells[values >= 0]].reshape(mats.shape[0], params.message_symbols)
 
 
 @functools.lru_cache(maxsize=64)

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import DecodeFailure, InfeasibleError, ParameterError
 from .field import Fq, default_modulus
-from .msr import NodeShare
 from .params import (
     CodeMode,
     EncodingMatrix,
@@ -36,11 +35,13 @@ from .params import (
     connectivity,
     feasible_pairs,
 )
+# msr_*/mbr_* are not called here: bound so the benchmark tracer
+# (perfbench/tracer.py) resolves them, until ROADMAP item 1 retargets it.
+from .perblock import (  # noqa: F401
+    NodeShare, mbr_encode, mbr_helper_symbol, mbr_reconstruct, mbr_repair,
+    msr_encode, msr_helper_symbol, msr_reconstruct, msr_repair,
+)
 from .shards import decode_reconstruct, decode_repair, encode_blocks, helper_symbols
-
-# Not called here: bound so the benchmark tracer (perfbench/tracer.py) resolves them.
-from .mbr import mbr_encode, mbr_helper_symbol, mbr_reconstruct, mbr_repair  # noqa: F401
-from .msr import msr_encode, msr_helper_symbol, msr_reconstruct, msr_repair  # noqa: F401
 
 SUCCESS = "success"
 DETECTED = "detected-failure"
@@ -88,18 +89,18 @@ def _seeded_rng(tag: str) -> np.random.Generator:
 
 class ClusterState:
     """n node slots, each alive with an (nblocks, alpha) share array or
-    failed."""
+    failed; the (nblocks, B) payloads are kept as one read-only array."""
 
     def __init__(self, enc: EncodingMatrix, payloads: Sequence[Sequence[int]]):
         self.enc = enc
         self.params = enc.params
         self.field = enc.field
-        self.blocks = list(range(len(payloads)))
-        self.payloads = [tuple(p) for p in payloads]
-        blocks = np.asarray(self.payloads, dtype=np.int64)
-        self._truth = encode_blocks(
-            blocks.reshape(len(self.blocks), self.params.message_symbols), enc
-        )
+        self.payloads = np.array(payloads, dtype=np.int64)
+        if self.payloads.shape[1:] != (self.params.message_symbols,):
+            raise ParameterError("payloads must be an (nblocks, B) array")
+        self.payloads.setflags(write=False)
+        self.blocks = list(range(len(self.payloads)))
+        self._truth = encode_blocks(self.payloads, enc)
         self._shares: dict[int, np.ndarray | None] = dict(self._truth)
 
     def alive(self) -> list[int]:
@@ -194,23 +195,20 @@ class ClusterState:
         t: int = 0,
         adversary: AdversaryPlan | None = None,
         permute_rng: random.Random | None = None,
-    ) -> tuple[EventReport, list[tuple[int, ...]] | None]:
+    ) -> tuple[EventReport, np.ndarray | None]:
         """Data-collector read from kappa = k+s+2t providers; the recovered
-        payload is compared against ground truth."""
+        (nblocks, B) payload is compared against ground truth."""
         report, blocks = self._event(
             "reconstruct", s, t, self.alive(), lambda i: self._shares[i],
             lambda received: decode_reconstruct(received, self.enc, t),
             adversary, permute_rng,
         )
-        if blocks is None:
-            return report, None
-        recovered = [tuple(row) for row in blocks.tolist()]
-        if recovered != self.payloads:
+        if blocks is not None and not np.array_equal(blocks, self.payloads):
             report = dataclasses.replace(
                 report, outcome=MISMATCH,
                 detail="recovered payload differs from ground truth",
             )
-        return report, recovered
+        return report, blocks
 
     def verify_consistent(self) -> bool:
         """Debug sweep: every alive share matches the encoding of the
@@ -245,7 +243,7 @@ def exhaustive_resilience_check(
     params = enc.params
     payloads = _seeded_rng("exhaustive-payload").integers(
         0, enc.field.q, size=(blocks, params.message_symbols)
-    ).tolist()
+    )
     events = 0
     bad: list[EventReport] = []
     pairs = sorted(feasible_pairs(params))
@@ -275,11 +273,19 @@ def exhaustive_resilience_check(
     return events, bad
 
 
+def _integer(value, what: str) -> int:
+    """A scenario's JSON integer; a bool, a float or a string is an error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def params_from_scenario(cfg: dict) -> SystemParams:
     try:
         mode = CodeMode(cfg["mode"])
-        k, n, beta = int(cfg["k"]), int(cfg["n"]), int(cfg.get("beta", 1))
-        d = None if cfg.get("d") is None else int(cfg["d"])
+        k, n = _integer(cfg.get("k"), "'k'"), _integer(cfg.get("n"), "'n'")
+        beta = _integer(cfg.get("beta", 1), "'beta'")
+        d = None if cfg.get("d") is None else _integer(cfg["d"], "'d'")
     except (KeyError, ValueError) as e:
         raise ParameterError(f"scenario: bad or missing code parameters ({e})")
     return code_params(mode, k, n, d, beta)
@@ -294,9 +300,9 @@ def load_scenario(path) -> dict:
 
 
 def _parse_event(ev, idx: int, seed: int, n: int):
-    """(op, node, s, t, adversary plan) of scenario event ``idx``; a missing
-    or malformed field, a node or erase/corrupt id outside 1..n, or an id
-    both erased and corrupted is a ParameterError naming the event."""
+    """(op, node, s, t, adversary plan, permute) of scenario event ``idx``;
+    a missing or malformed field, a node or erase/corrupt id outside 1..n, or
+    an id both erased and corrupted is a ParameterError naming the event."""
     if not isinstance(ev, dict) or "op" not in ev:
         raise ParameterError(f"scenario: event {idx} needs an 'op'")
     op = ev["op"]
@@ -308,27 +314,30 @@ def _parse_event(ev, idx: int, seed: int, n: int):
         ids = [ev.get(key, []) for key in ("erase", "corrupt")]
         if not all(isinstance(v, list) for v in ids):
             raise TypeError("'erase' and 'corrupt' must be lists of node ids")
-        erase, corrupt = (frozenset(int(i) for i in v) for v in ids)
+        erase, corrupt = (frozenset(_integer(i, "a node id") for i in v) for v in ids)
         outside = sorted(i for i in erase | corrupt if not 1 <= i <= n)
         if outside:
             raise ValueError(f"node ids {outside} outside 1..{n}")
-        node = None if op == "reconstruct" else int(ev["node"])
+        node = None if op == "reconstruct" else _integer(ev["node"], "'node'")
         if node is not None and not 1 <= node <= n:
             raise ValueError(f"node id {node} outside 1..{n}")
-        s, t = int(ev.get("s", 0)), int(ev.get("t", 0))
+        s, t = _integer(ev.get("s", 0), "'s'"), _integer(ev.get("t", 0), "'t'")
+        permute = ev.get("permute", False)
+        if not isinstance(permute, bool):
+            raise TypeError(f"'permute' must be true or false, got {permute!r}")
         plan = AdversaryPlan(erase, corrupt, seed * 100003 + idx)
     except (TypeError, ValueError) as e:
         raise ParameterError(f"scenario: event {idx} ({op}): {e}")
-    return op, node, s, t, plan
+    return op, node, s, t, plan, permute
 
 
 def run_scenario(cfg: dict) -> tuple[list[EventReport], dict]:
     """Deterministic replay of a scenario dict; returns per-event reports and
     aggregate statistics."""
     params = params_from_scenario(cfg)
-    q = int(cfg.get("q", default_modulus(params.n)))
-    seed = int(cfg.get("seed", 0))
-    nblocks = int(cfg.get("blocks", 1))
+    q = _integer(cfg.get("q", default_modulus(params.n)), "scenario: 'q'")
+    seed = _integer(cfg.get("seed", 0), "scenario: 'seed'")
+    nblocks = _integer(cfg.get("blocks", 1), "scenario: 'blocks'")
     if nblocks < 0:
         raise ParameterError(f"scenario: 'blocks' must be nonnegative, got {nblocks}")
     if not isinstance(cfg.get("events"), list):
@@ -337,14 +346,12 @@ def run_scenario(cfg: dict) -> tuple[list[EventReport], dict]:
     payloads = _seeded_rng(f"payload:{seed}").integers(
         0, q, size=(nblocks, params.message_symbols)
     )
-    cluster = ClusterState(enc, payloads.tolist())
+    cluster = ClusterState(enc, payloads)
 
     reports: list[EventReport] = []
     for idx, ev in enumerate(cfg["events"]):
-        op, node, s, t, plan = _parse_event(ev, idx, seed, params.n)
-        permute = (
-            random.Random(f"permute:{seed}:{idx}") if ev.get("permute") else None
-        )
+        op, node, s, t, plan, permute = _parse_event(ev, idx, seed, params.n)
+        permute = random.Random(f"permute:{seed}:{idx}") if permute else None
         if op == "fail":
             cluster.fail(node)
             reports.append(

@@ -11,15 +11,31 @@ budget, reported as ``AmbiguityError``.
 position re-encoded on every pass, agreement counted on all of them and the
 result always gathered into a fresh array: the reference for the shortcuts
 the codec takes on the clean pass.
+
+The message-matrix view of the code is the Psi . M reference that the
+codec's `share_map` is checked against. ``MsrMessageMatrix`` and
+``MbrMessageMatrix`` hold one slice's product-matrix operand;
+``*_fill_message`` and ``*_read_message`` lay one block's payload out as
+those operands and back, and ``message_matrices`` and
+``payload_of_matrices`` do the same for a batch of blocks. All of them read
+the layout from `pmrc.shards._slice_matrix_index`, the one statement of it
+in the library. ``msr_systematic_remap`` solves for the message under which
+k chosen nodes store the payload verbatim.
 """
 
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from pmrc import DecodeFailure, MatrixFq, ParameterError, PmrcError, SingularMatrixError
-from pmrc.linalg import matmul_mod, solve
+from pmrc import (
+    CodeMode, DecodeFailure, EncodingMatrix, Fq, MatrixFq, ParameterError, PmrcError,
+    SingularMatrixError, SystemParams,
+)
+from pmrc.linalg import matmul_mod, solve, vstack
+from pmrc.perblock import _check_mode
+from pmrc.shards import _slice_matrix_index, share_map
 
 
 class AmbiguityError(PmrcError):
@@ -112,3 +128,174 @@ def locate_then_erase_full(ys, gen, need, t, field, invert, locate, per_block):
     raise DecodeFailure(
         f"block {undecided[0] // per_block} exceeded the (t={t}) corruption budget"
     )
+
+
+# --- the message-matrix view of the code --------------------------------------
+
+
+def message_matrices(blocks: np.ndarray, params: SystemParams) -> np.ndarray:
+    """The (nblocks, beta, d, alpha') product-matrix operands of (nblocks, B)
+    payload symbols: slice j of a block is its j-th run of B' symbols, laid
+    out by `_slice_matrix_index`."""
+    if blocks.shape[1] != params.message_symbols:
+        raise ParameterError("payload block width must be B")
+    idx = _slice_matrix_index(params)
+    runs = blocks.reshape(blocks.shape[0], params.beta, params.slice_symbols)
+    mats = runs[:, :, np.maximum(idx, 0)]
+    mats[:, :, idx < 0] = 0
+    return mats
+
+
+def payload_of_matrices(mats: np.ndarray, params: SystemParams) -> np.ndarray:
+    """Inverse of `message_matrices`: each payload symbol is read from the
+    first cell that holds it."""
+    values, cells = np.unique(_slice_matrix_index(params), return_index=True)
+    flat = mats.reshape(mats.shape[0], params.beta, -1)
+    return flat[:, :, cells[values >= 0]].reshape(mats.shape[0], params.message_symbols)
+
+
+@dataclass(frozen=True)
+class MsrMessageMatrix:
+    """One slice of the message: two symmetric (k-1)x(k-1) halves."""
+
+    s1: MatrixFq
+    s2: MatrixFq
+
+    def __post_init__(self):
+        for m in (self.s1, self.s2):
+            if m.rows != m.cols or m != m.T:
+                raise ParameterError("message halves must be square and symmetric")
+        if self.s1.shape != self.s2.shape or self.s1.field != self.s2.field:
+            raise ParameterError("message halves must match in shape and field")
+
+    @property
+    def alpha_prime(self) -> int:
+        return self.s1.rows
+
+    def stacked(self) -> MatrixFq:
+        """The (d x alpha') product-matrix operand [S1; S2]."""
+        return vstack([self.s1, self.s2])
+
+
+@dataclass(frozen=True)
+class MbrMessageMatrix:
+    """One slice: symmetric k x k block S plus the (d-k) x k block T."""
+
+    s: MatrixFq
+    t_blk: MatrixFq
+
+    def __post_init__(self):
+        if self.s.rows != self.s.cols or self.s != self.s.T:
+            raise ParameterError("S block must be square and symmetric")
+        if self.t_blk.cols != self.s.rows:
+            raise ParameterError("T block must have k columns")
+        if self.t_blk.field != self.s.field:
+            raise ParameterError("blocks must share a field")
+
+    @property
+    def k(self) -> int:
+        return self.s.rows
+
+    @property
+    def d(self) -> int:
+        return self.s.rows + self.t_blk.rows
+
+    def assembled(self) -> MatrixFq:
+        """The full symmetric d x d message matrix with zero lower-right
+        (d-k) x (d-k) corner."""
+        k, d = self.k, self.d
+        a = np.zeros((d, d), dtype=np.int64)
+        a[:k, :k] = self.s.array()
+        a[k:, :k] = self.t_blk.array()
+        a[:k, k:] = self.t_blk.array().T
+        return MatrixFq(self.s.field, a, _trusted=True)
+
+
+def _slice_matrices(payload: Sequence[int], params: SystemParams) -> np.ndarray:
+    """The (beta, d, alpha') operands of one block's B payload symbols."""
+    if len(payload) != params.message_symbols:
+        raise ParameterError(
+            f"payload must have {params.message_symbols} symbols, got {len(payload)}"
+        )
+    return message_matrices(np.asarray([payload], dtype=np.int64), params)[0]
+
+
+def _slice_payload(mats: Sequence[MatrixFq], params: SystemParams) -> tuple[int, ...]:
+    """Inverse of _slice_matrices on the slices' (d, alpha') operands."""
+    if len(mats) != params.beta:
+        raise ParameterError(f"expected {params.beta} slices, got {len(mats)}")
+    stacked = np.stack([m.array() for m in mats])[None]
+    return tuple(int(v) for v in payload_of_matrices(stacked, params)[0])
+
+
+def msr_fill_message(
+    payload: Sequence[int], params: SystemParams, field: Fq
+) -> list[MsrMessageMatrix]:
+    """Pack B payload symbols into beta slices: per slice, the first
+    triangle fills S1 and the second fills S2."""
+    _check_mode(params, CodeMode.MSR)
+    ap = params.k - 1
+    return [
+        MsrMessageMatrix(s1=MatrixFq(field, m[:ap]), s2=MatrixFq(field, m[ap:]))
+        for m in _slice_matrices(payload, params)
+    ]
+
+
+def msr_read_message(
+    slices: Sequence[MsrMessageMatrix], params: SystemParams
+) -> tuple[int, ...]:
+    """Inverse of msr_fill_message."""
+    _check_mode(params, CodeMode.MSR)
+    return _slice_payload([sl.stacked() for sl in slices], params)
+
+
+def mbr_fill_message(
+    payload: Sequence[int], params: SystemParams, field: Fq
+) -> list[MbrMessageMatrix]:
+    """Per slice, the first k(k+1)/2 symbols fill S's upper triangle and the
+    remaining k(d-k) fill T row-major."""
+    _check_mode(params, CodeMode.MBR)
+    k = params.k
+    return [
+        MbrMessageMatrix(s=MatrixFq(field, m[:k, :k]), t_blk=MatrixFq(field, m[k:, :k]))
+        for m in _slice_matrices(payload, params)
+    ]
+
+
+def mbr_read_message(
+    slices: Sequence[MbrMessageMatrix], params: SystemParams
+) -> tuple[int, ...]:
+    """Inverse of mbr_fill_message."""
+    _check_mode(params, CodeMode.MBR)
+    return _slice_payload([sl.assembled() for sl in slices], params)
+
+
+def msr_systematic_remap(
+    payload: Sequence[int], enc: EncodingMatrix, sys_nodes: Sequence[int]
+) -> list[MsrMessageMatrix]:
+    """Message matrices under which node sys_nodes[r] stores
+    payload[r*alpha : (r+1)*alpha] verbatim.
+
+    Inverts the linear map message -> (designated k shares), which the
+    reconstruction property makes invertible."""
+    params = enc.params
+    _check_mode(params, CodeMode.MSR)
+    if len(set(sys_nodes)) != params.k:
+        raise ParameterError(f"need {params.k} distinct systematic nodes")
+    for i in sys_nodes:
+        enc.check_node(i)
+    if len(payload) != params.message_symbols:
+        raise ParameterError(
+            f"payload must have {params.message_symbols} symbols, got {len(payload)}"
+        )
+    field = enc.field
+    amap = share_map(enc)
+    a_sys = MatrixFq(
+        field, np.concatenate([amap[i - 1] for i in sys_nodes], axis=0), _trusted=True
+    )
+    # column j of the target stacks each designated node's slice-j segment of
+    # its alpha-symbol run; one solve gives every slice's B' symbols
+    runs = np.asarray(payload, dtype=np.int64).reshape(params.k, params.beta, -1)
+    target = MatrixFq(field, runs.transpose(0, 2, 1).reshape(-1, params.beta))
+    u = solve(a_sys, target)
+    return msr_fill_message(u.array().T.ravel().tolist(), params, field)

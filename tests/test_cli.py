@@ -21,11 +21,11 @@ from pmrc.cli import (
 from pmrc.shards import (
     bytes_to_blocks,
     encode_blocks,
-    message_matrices,
     read_shard,
     shard_filename,
     write_shard,
 )
+from oracles import message_matrices
 
 
 def write_random_file(path, size, seed=0):
@@ -47,6 +47,29 @@ def encode(tmp_path, name="orig.bin", size=3000, mode="mbr", k=3, d=5, n=8, extr
         argv += ["-d", str(d)]
     assert main(argv) == EXIT_OK
     return data, out
+
+
+def test_encode_refuses_shards_it_would_not_replace(tmp_path, capsys):
+    """Shards 6..16 of an older [16,5,8] set left beside a new [5,2,3] set
+    would win the header vote, so the encode is refused before it reads its
+    input or writes a shard; re-encoding the same code still works."""
+    _, out = encode(tmp_path, name="old.bin", size=5000, mode="mbr", k=5, d=8, n=16)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    new = tmp_path / "new.bin"
+    data = write_random_file(new, 700, seed=1)
+    small = ["-o", str(out), "--mode", "mbr", "-k", "2", "-d", "3", "-n", "5"]
+    capsys.readouterr()
+    for src in (new, tmp_path / "missing.bin"):
+        assert main(["encode", str(src), *small]) == EXIT_BAD_ARGS
+        err = capsys.readouterr().err
+        assert shard_filename(6) in err and shard_filename(16) in err
+        assert shard_filename(5) not in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    same = ["-o", str(out), "--mode", "mbr", "-k", "5", "-d", "8", "-n", "16"]
+    assert main(["encode", str(new), *same]) == EXIT_OK
+    dest = tmp_path / "back.bin"
+    assert main(["reconstruct", str(out), "-o", str(dest)]) == EXIT_OK
+    assert dest.read_bytes() == data
 
 
 def test_encode_reconstruct_round_trip_both_modes(tmp_path):
@@ -286,6 +309,22 @@ def test_simulate_command(tmp_path, capsys):
      "scenario: event 0 (fail): node id 99 outside 1..5"),
     ({"events": [{"op": "reconstruct", "erase": [1], "corrupt": [1]}]},
      "scenario: event 0 (reconstruct): nodes [1] both erased and corrupted"),
+    ({"events": [{"op": "reconstruct", "t": 1.9}]},
+     "scenario: event 0 (reconstruct): 't' must be an integer, got 1.9"),
+    ({"events": [{"op": "reconstruct", "s": True}]},
+     "scenario: event 0 (reconstruct): 's' must be an integer, got True"),
+    ({"events": [{"op": "reconstruct", "permute": "false"}]},
+     "scenario: event 0 (reconstruct): 'permute' must be true or false"),
+    ({"events": [{"op": "fail", "node": 1.7}]},
+     "scenario: event 0 (fail): 'node' must be an integer, got 1.7"),
+    ({"events": [{"op": "reconstruct", "s": 1, "erase": [True]}]},
+     "scenario: event 0 (reconstruct): a node id must be an integer, got True"),
+    ({"k": 2.0, "events": []}, "'k' must be an integer, got 2.0"),
+    ({"d": 2.0, "events": []}, "'d' must be an integer, got 2.0"),
+    ({"beta": "1", "events": []}, "'beta' must be an integer, got '1'"),
+    ({"q": 257.0, "events": []}, "scenario: 'q' must be an integer, got 257.0"),
+    ({"seed": "3", "events": []}, "scenario: 'seed' must be an integer, got '3'"),
+    ({"blocks": 2.5, "events": []}, "scenario: 'blocks' must be an integer, got 2.5"),
 ])
 def test_simulate_malformed_scenario_is_a_bad_argument(tmp_path, capsys, cfg, named):
     path = tmp_path / "scenario.json"

@@ -187,8 +187,9 @@ def test_modulus_capped_at_16_bits():
 
 def test_product_reproduces_node_share():
     # one psi row times the message matrix equals that node's stored share
-    from pmrc import msr_fill_message, msr_params, build_encoding
+    from pmrc import msr_params, build_encoding
     from pmrc.shards import encode_blocks
+    from oracles import msr_fill_message
 
     params = msr_params(k=3, n=7)
     enc = build_encoding(params, F29)

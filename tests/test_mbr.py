@@ -10,13 +10,13 @@ from pmrc import (
     build_encoding,
     feasible_pairs,
     mbr_encode,
-    mbr_fill_message,
     mbr_helper_symbol,
     mbr_params,
-    mbr_read_message,
     mbr_repair,
+    msr_params,
 )
 from pmrc.decoding import Response
+from oracles import mbr_fill_message, mbr_read_message
 from util import apply_faults, fault_patterns, make_code, random_payload, seeded
 
 F23 = Fq(23)
@@ -44,22 +44,32 @@ def test_fill_zero_and_round_trip():
         mbr_fill_message((1, 2), params, f)
 
 
+def test_encode_rejects_bad_payload():
+    params = mbr_params(k=2, d=3, n=5)
+    enc = build_encoding(params, F23)
+    for payload in ((1, 2), (0,) * 6, (0, -1, 0, 0, 0), (0, 0, 0, 0, 23)):
+        with pytest.raises(ParameterError):
+            mbr_encode(payload, enc)
+    with pytest.raises(ParameterError):
+        mbr_encode((0,) * 6, build_encoding(msr_params(k=3, n=7), F23))
+
+
 def test_encode_examples():
     params = mbr_params(k=2, d=3, n=5)
     enc = build_encoding(params, F23)
-    zero_shares = mbr_encode(mbr_fill_message((0,) * 5, params, F23), enc)
+    zero_shares = mbr_encode((0,) * 5, enc)
     assert all(s.symbols == (0, 0, 0) for s in zero_shares)
-    unit_shares = mbr_encode(mbr_fill_message((1, 0, 0, 0, 0), params, F23), enc)
+    unit_shares = mbr_encode((1, 0, 0, 0, 0), enc)
     assert all(s.symbols == (1, 0, 0) for s in unit_shares)
 
 
 def test_helper_symbol_examples():
     params = mbr_params(k=2, d=3, n=5)
     enc = build_encoding(params, F23)
-    shares = mbr_encode(mbr_fill_message((1, 0, 0, 0, 0), params, F23), enc)
+    shares = mbr_encode((1, 0, 0, 0, 0), enc)
     for h in shares[1:]:
         assert mbr_helper_symbol(h, 1, enc) == (1,)
-    zero_shares = mbr_encode(mbr_fill_message((0,) * 5, params, F23), enc)
+    zero_shares = mbr_encode((0,) * 5, enc)
     assert mbr_helper_symbol(zero_shares[3], 1, enc) == (0,)
     with pytest.raises(ParameterError):
         mbr_helper_symbol(shares[2], 3, enc)
@@ -213,11 +223,11 @@ def test_beta_concatenation_matches_slicewise_encoding():
     enc1 = build_encoding(base, Fq(q))
     rng = random.Random(11)
     payload = random_payload(rng, params, q)
-    shares = mbr_encode(mbr_fill_message(payload, params, Fq(q)), enc)
+    shares = mbr_encode(payload, enc)
     per = base.message_symbols
     for j in range(beta):
         chunk = payload[j * per : (j + 1) * per]
-        sl_shares = mbr_encode(mbr_fill_message(chunk, base, Fq(q)), enc1)
+        sl_shares = mbr_encode(chunk, enc1)
         ap = base.alpha
         for i in range(6):
             assert shares[i].symbols[j * ap : (j + 1) * ap] == sl_shares[i].symbols

@@ -10,16 +10,15 @@ from pmrc import (
     ParameterError,
     build_encoding,
     feasible_pairs,
+    mbr_params,
     msr_encode,
-    msr_fill_message,
     msr_helper_symbol,
     msr_params,
-    msr_read_message,
     msr_reconstruct,
     msr_repair,
-    msr_systematic_remap,
 )
 from pmrc.decoding import Response
+from oracles import msr_fill_message, msr_read_message, msr_systematic_remap
 from util import apply_faults, fault_patterns, make_code, random_payload, seeded
 
 F29 = Fq(29)
@@ -51,26 +50,36 @@ def test_fill_wrong_length():
         msr_fill_message((1, 2, 3), params, F29)
 
 
+def test_encode_rejects_bad_payload():
+    params = msr_params(k=3, n=7)
+    enc = build_encoding(params, F29)
+    for payload in ((1, 2, 3), (0,) * 7, (0, 0, -1, 0, 0, 0), (0, 29, 0, 0, 0, 0)):
+        with pytest.raises(ParameterError):
+            msr_encode(payload, enc)
+    with pytest.raises(ParameterError):
+        msr_encode((0,) * 5, build_encoding(mbr_params(k=2, d=3, n=5), F29))
+
+
 def test_encode_zero_message():
     params = msr_params(k=3, n=7)
     enc = build_encoding(params, F29)
-    shares = msr_encode(msr_fill_message((0,) * 6, params, F29), enc)
+    shares = msr_encode((0,) * 6, enc)
     assert all(s.symbols == (0, 0) for s in shares)
 
 
 def test_encode_unit_message_example():
     params = msr_params(k=3, n=7)
     enc = build_encoding(params, F29)
-    shares = msr_encode(msr_fill_message((1, 0, 0, 0, 0, 0), params, F29), enc)
+    shares = msr_encode((1, 0, 0, 0, 0, 0), enc)
     assert all(s.symbols == (1, 0) for s in shares)
 
 
 def test_helper_symbol_examples():
     params = msr_params(k=3, n=7)
     enc = build_encoding(params, F29)
-    zero_shares = msr_encode(msr_fill_message((0,) * 6, params, F29), enc)
+    zero_shares = msr_encode((0,) * 6, enc)
     assert msr_helper_symbol(zero_shares[1], 1, enc) == (0,)
-    unit_shares = msr_encode(msr_fill_message((1, 0, 0, 0, 0, 0), params, F29), enc)
+    unit_shares = msr_encode((1, 0, 0, 0, 0, 0), enc)
     for h in unit_shares[1:]:
         assert msr_helper_symbol(h, 1, enc) == (1,)
     with pytest.raises(ParameterError):
@@ -92,7 +101,7 @@ def test_repair_base_case_all_nodes():
 def test_repair_with_corrupted_helper_example():
     params = msr_params(k=3, n=7)
     enc = build_encoding(params, F29)
-    shares = msr_encode(msr_fill_message((1, 0, 0, 0, 0, 0), params, F29), enc)
+    shares = msr_encode((1, 0, 0, 0, 0, 0), enc)
     helpers = [s for s in shares if s.node_id != 1][:6]  # Delta = d + 2t = 6
     resp = [Response(h.node_id, msr_helper_symbol(h, 1, enc)) for h in helpers]
     assert resp[0].node_id == 2
@@ -103,7 +112,7 @@ def test_repair_with_corrupted_helper_example():
 def test_repair_rejects_wrong_response_count():
     params = msr_params(k=3, n=7)
     enc = build_encoding(params, F29)
-    shares = msr_encode(msr_fill_message((1, 0, 0, 0, 0, 0), params, F29), enc)
+    shares = msr_encode((1, 0, 0, 0, 0, 0), enc)
     helpers = [s for s in shares if s.node_id != 1][: params.d]
     resp = [Response(h.node_id, msr_helper_symbol(h, 1, enc)) for h in helpers]
     with pytest.raises(ParameterError):
@@ -113,7 +122,7 @@ def test_repair_rejects_wrong_response_count():
 def test_repair_rejects_duplicates_and_overbudget_erasures():
     params = msr_params(k=3, n=7)
     enc = build_encoding(params, F29)
-    shares = msr_encode(msr_fill_message((1, 0, 0, 0, 0, 0), params, F29), enc)
+    shares = msr_encode((1, 0, 0, 0, 0, 0), enc)
     resp = [
         Response(h.node_id, msr_helper_symbol(h, 1, enc))
         for h in [s for s in shares if s.node_id != 1][:4]
@@ -234,11 +243,11 @@ def test_beta_concatenation_matches_slicewise_encoding():
     enc1 = build_encoding(base, Fq(q))
     rng = random.Random(11)
     payload = random_payload(rng, params, q)
-    shares = msr_encode(msr_fill_message(payload, params, Fq(q)), enc)
+    shares = msr_encode(payload, enc)
     per = base.message_symbols
     for j in range(beta):
         chunk = payload[j * per : (j + 1) * per]
-        sl_shares = msr_encode(msr_fill_message(chunk, base, Fq(q)), enc1)
+        sl_shares = msr_encode(chunk, enc1)
         ap = base.alpha
         for i in range(7):
             assert shares[i].symbols[j * ap : (j + 1) * ap] == sl_shares[i].symbols
@@ -268,7 +277,7 @@ def test_systematic_remap():
     payload = random_payload(rng, params, q)
     sys_nodes = (2, 5, 7)
     slices = msr_systematic_remap(payload, enc, sys_nodes)
-    shares = msr_encode(slices, enc)
+    shares = msr_encode(msr_read_message(slices, params), enc)
     a = params.alpha
     for r, node in enumerate(sys_nodes):
         assert shares[node - 1].symbols == payload[r * a : (r + 1) * a]
@@ -277,7 +286,7 @@ def test_systematic_remap():
     resp = [Response(s.node_id, s.symbols) for s in shares[:3]]
     u = msr_reconstruct(resp, enc)
     assert u == msr_read_message(slices, params)
-    re_shares = msr_encode(msr_fill_message(u, params, enc.field), enc)
+    re_shares = msr_encode(u, enc)
     got = tuple(
         v for node in sys_nodes for v in re_shares[node - 1].symbols
     )

@@ -18,9 +18,7 @@ from pmrc import (
     build_encoding,
     consistency_reconstruct,
     linalg,
-    mbr_fill_message,
     mbr_params,
-    msr_fill_message,
     msr_params,
 )
 from pmrc import shards
@@ -33,8 +31,6 @@ from pmrc.shards import (
     encode_blocks,
     helper_symbols,
     load_shard_set,
-    message_matrices,
-    payload_of_matrices,
     read_shard,
     reconstruct_blocks,
     repair_blocks,
@@ -42,7 +38,14 @@ from pmrc.shards import (
     share_map,
     write_shard,
 )
-from oracles import locate_then_erase_full, subset_decode_oracle
+from oracles import (
+    locate_then_erase_full,
+    mbr_fill_message,
+    message_matrices,
+    msr_fill_message,
+    payload_of_matrices,
+    subset_decode_oracle,
+)
 from util import make_code, random_payload
 
 

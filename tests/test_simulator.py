@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from pmrc import (
@@ -78,7 +79,18 @@ def test_reconstruct_returns_payload():
     c = small_cluster(blocks=3, seed=5)
     report, payloads = c.reconstruct()
     assert report.outcome == SUCCESS
-    assert payloads == c.payloads
+    assert (payloads == c.payloads).all()
+
+
+def test_cluster_keeps_payloads_as_one_checked_array():
+    c = small_cluster(blocks=3)
+    assert c.payloads.shape == (3, c.params.message_symbols)
+    assert not c.payloads.flags.writeable
+    enc = c.enc
+    assert ClusterState(enc, np.zeros((0, c.params.message_symbols))).blocks == []
+    for bad in ([(1, 2, 3)], np.zeros((0, 5)), [1, 2, 3, 4, 5, 6]):
+        with pytest.raises(ParameterError):
+            ClusterState(enc, bad)
 
 
 def test_adversary_within_budget_succeeds():
@@ -88,7 +100,7 @@ def test_adversary_within_budget_succeeds():
     assert c.repair(1, s=0, t=1, adversary=plan).outcome == SUCCESS
     plan = AdversaryPlan(erase=frozenset({2}), seed=3)
     report, payloads = c.reconstruct(s=1, t=0, adversary=plan)
-    assert report.outcome == SUCCESS and payloads == c.payloads
+    assert report.outcome == SUCCESS and (payloads == c.payloads).all()
 
 
 def test_adversary_beyond_budget_never_silent():

@@ -8,12 +8,10 @@ from pmrc import (
     Fq,
     build_encoding,
     mbr_encode,
-    mbr_fill_message,
     mbr_helper_symbol,
     mbr_reconstruct,
     mbr_repair,
     msr_encode,
-    msr_fill_message,
     msr_helper_symbol,
     msr_reconstruct,
     msr_repair,
@@ -23,16 +21,16 @@ from pmrc.decoding import Response
 
 def mode_ops(mode):
     if mode is CodeMode.MSR:
-        return msr_fill_message, msr_encode, msr_helper_symbol, msr_repair, msr_reconstruct
-    return mbr_fill_message, mbr_encode, mbr_helper_symbol, mbr_repair, mbr_reconstruct
+        return msr_encode, msr_helper_symbol, msr_repair, msr_reconstruct
+    return mbr_encode, mbr_helper_symbol, mbr_repair, mbr_reconstruct
 
 
 def make_code(params, q):
     enc = build_encoding(params, Fq(q))
-    fill, encode, helper, repair, reconstruct = mode_ops(params.mode)
+    encode, helper, repair, reconstruct = mode_ops(params.mode)
 
     def encode_payload(payload):
-        return encode(fill(payload, params, enc.field), enc)
+        return encode(payload, enc)
 
     return enc, encode_payload, helper, repair, reconstruct
 
