@@ -38,8 +38,6 @@ from .params import (
     EncodingMatrix,
     SystemParams,
     build_encoding,
-    build_psi_mbr,
-    build_psi_msr,
     capacity_bound,
     encoding_from_points,
     feasible_pairs,
@@ -79,8 +77,6 @@ __all__ = [
     "SystemParams",
     "adversary_patterns",
     "build_encoding",
-    "build_psi_mbr",
-    "build_psi_msr",
     "capacity_bound",
     "consistency_reconstruct",
     "default_modulus",

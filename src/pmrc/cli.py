@@ -44,8 +44,6 @@ EXIT_IO = 5
 
 
 def _parse_params(args) -> SystemParams:
-    if args.mode == "msr" and args.d is not None and args.d != 2 * args.k - 2:
-        raise ParameterError("MSR repair degree is fixed at d = 2k-2")
     return code_params(args.mode, args.k, args.n, args.d, args.beta)
 
 

@@ -1,35 +1,39 @@
 """Code parameter algebra, resilience feasibility, and encoding matrices.
 
-The two supported code families sit at the extreme points of the
-storage/repair-bandwidth tradeoff:
+A code is stated by its inputs: the mode, [n, k, d] and beta, which is what
+a shard header stores; the per-slice sizes alpha' and B' follow from the
+mode, and alpha = alpha'*beta, B = B'*beta. The two supported code families
+sit at the extreme points of the storage/repair-bandwidth tradeoff:
 
 * MSR (minimum storage): B = k*alpha and d*beta = alpha + (k-1)*beta. Only
-  the base degree d = 2k-2 is constructed here, where alpha = (k-1)*beta and
-  B = k(k-1)*beta.
-* MBR (minimum bandwidth): alpha = d*beta and B = (kd - k(k-1)/2)*beta, for
-  every k <= d <= n-1.
+  the base degree d = 2k-2 is constructed here, where alpha' = k-1 and
+  B' = k(k-1).
+* MBR (minimum bandwidth): alpha' = d and B' = kd - k(k-1)/2, for every
+  k <= d <= n-1.
 
 Resilience is a decode-time rule, stated once in `connectivity`: under s
 erasures and t corruptions, repair contacts Delta = d+s+2t <= n-1 helpers and
 reconstruction kappa = k+s+2t <= n providers, so the decode steps in
 `pmrc.shards` see R >= d+2t (k+2t) responses, which makes the answer unique.
 
-Encoding matrices are Vandermonde: row i is [1, x_i, ..., x_i^(d-1)], which
-makes any d rows independent and any prefix-width submatrix MDS. For MSR the
-matrix splits as [phi | Lambda*phi] with lambda_i = x_i^(k-1); the evaluation
-points are chosen by a greedy scan so that all lambda_i are distinct, which a
-field of size q >= 4n always permits.
+Encoding matrices are Vandermonde at n evaluation points: row i is
+[1, x_i, ..., x_i^(d-1)], which makes any d rows independent and any
+prefix-width submatrix MDS. Psi, Phi, Sigma and Lambda are derived from the
+points: for MSR the matrix splits as [phi | Lambda*phi] with
+lambda_i = x_i^(k-1); `build_encoding` picks the points by a greedy scan so
+that all lambda_i are distinct, which a field of size q >= 4n always permits.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
 from .errors import ConstructionError, InfeasibleError, ParameterError
-from .field import Fq
+from .field import Fq, default_modulus
 from .linalg import MatrixFq
 
 
@@ -40,92 +44,74 @@ class CodeMode(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SystemParams:
-    """The [n, k, d] code with per-block (B, alpha, beta)."""
+    """The [n, k, d] code with beta slices per block; alpha and B follow."""
 
     mode: CodeMode
     n: int
     k: int
     d: int
-    alpha: int
     beta: int
-    message_symbols: int  # B
 
     def __post_init__(self):
-        if self.beta < 1:
-            raise ParameterError("beta must be >= 1")
+        if self.mode is CodeMode.MSR:
+            if self.d != 2 * self.k - 2:
+                raise ParameterError("MSR repair degree is fixed at d = 2k-2")
+            if self.k < 2:
+                raise ParameterError("MSR needs k >= 2")
+            if self.n < self.d + 1:
+                raise ParameterError(
+                    f"MSR with k={self.k} needs n >= {self.d + 1}, got {self.n}"
+                )
         if not 1 <= self.k <= self.d <= self.n - 1:
             raise ParameterError(
                 f"need k <= d <= n-1, got k={self.k}, d={self.d}, n={self.n}"
             )
-        if self.mode is CodeMode.MSR:
-            ok = (
-                self.k >= 2
-                and self.d == 2 * self.k - 2
-                and self.alpha == (self.k - 1) * self.beta
-                and self.message_symbols == self.k * self.alpha
-            )
-        else:
-            ok = (
-                self.alpha == self.d * self.beta
-                and self.message_symbols
-                == (self.k * self.d - self.k * (self.k - 1) // 2) * self.beta
-            )
-        if not ok:
-            raise ParameterError(f"inconsistent {self.mode.value} parameters: {self}")
+        if self.beta < 1:
+            raise ParameterError("beta must be >= 1")
 
     @property
     def alpha_prime(self) -> int:
         """Per-slice symbols stored by a node (alpha with beta = 1)."""
-        return self.alpha // self.beta
+        return self.k - 1 if self.mode is CodeMode.MSR else self.d
 
     @property
     def slice_symbols(self) -> int:
         """Per-slice message size (B with beta = 1)."""
-        return self.message_symbols // self.beta
+        if self.mode is CodeMode.MSR:
+            return self.k * (self.k - 1)
+        return self.k * self.d - self.k * (self.k - 1) // 2
+
+    @property
+    def alpha(self) -> int:
+        """Per-block symbols stored by a node."""
+        return self.alpha_prime * self.beta
+
+    @property
+    def message_symbols(self) -> int:
+        """B, the payload symbols per block."""
+        return self.slice_symbols * self.beta
 
 
 def msr_params(k: int, n: int, beta: int = 1) -> SystemParams:
     """MSR parameters at the base repair degree d = 2k-2."""
-    if k < 2:
-        raise ParameterError("MSR needs k >= 2")
-    d = 2 * k - 2
-    if n < d + 1:
-        raise ParameterError(f"MSR with k={k} needs n >= {d + 1}, got {n}")
-    return SystemParams(
-        mode=CodeMode.MSR,
-        n=n,
-        k=k,
-        d=d,
-        alpha=(k - 1) * beta,
-        beta=beta,
-        message_symbols=k * (k - 1) * beta,
-    )
+    return code_params(CodeMode.MSR, k, n, beta=beta)
 
 
 def mbr_params(k: int, d: int, n: int, beta: int = 1) -> SystemParams:
     """MBR parameters for any k <= d <= n-1."""
-    if not 1 <= k <= d <= n - 1:
-        raise ParameterError(f"need k <= d <= n-1, got k={k}, d={d}, n={n}")
-    return SystemParams(
-        mode=CodeMode.MBR,
-        n=n,
-        k=k,
-        d=d,
-        alpha=d * beta,
-        beta=beta,
-        message_symbols=(k * d - k * (k - 1) // 2) * beta,
-    )
+    return SystemParams(CodeMode.MBR, n, k, d, beta)
 
 
 def code_params(
     mode: CodeMode | str, k: int, n: int, d: int | None = None, beta: int = 1
 ) -> SystemParams:
-    """Parameters of either mode; MSR fixes d = 2k-2 and ignores ``d``."""
-    if CodeMode(mode) is CodeMode.MSR:
-        return msr_params(k=k, n=n, beta=beta)
+    """Parameters of either mode; a ``d`` of None means MSR's 2k-2."""
+    mode = CodeMode(mode)
     if d is None:
-        raise ParameterError("MBR needs d")
-    return mbr_params(k=k, d=d, n=n, beta=beta)
+        if mode is CodeMode.MBR:
+            raise ParameterError("MBR needs d")
+        d = 2 * k - 2
+    return SystemParams(mode, n, k, d, beta)
 
 
 def capacity_bound(k: int, d: int, alpha: int, beta: int) -> int:
@@ -175,7 +161,8 @@ def feasible_pairs(params: SystemParams) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class EncodingMatrix:
-    """The n x d encoding matrix and its per-mode split.
+    """The n x d encoding matrix at the given points and its per-mode split,
+    each part derived once; the other mode's part is None.
 
     MSR: psi = [phi | diag(lam) @ phi], phi the first (k-1) Vandermonde
     columns, lam_i = x_i^(k-1) all distinct.
@@ -185,10 +172,27 @@ class EncodingMatrix:
     params: SystemParams
     field: Fq
     points: tuple[int, ...]
-    psi: MatrixFq
-    phi: MatrixFq
-    lam: tuple[int, ...] | None = None
-    sigma: MatrixFq | None = None
+
+    @functools.cached_property
+    def psi(self) -> MatrixFq:
+        return linalg.vandermonde(self.field, self.points, self.params.d)
+
+    @functools.cached_property
+    def phi(self) -> MatrixFq:
+        msr = self.params.mode is CodeMode.MSR
+        return self.psi.slice_cols(0, self.params.k - 1 if msr else self.params.k)
+
+    @functools.cached_property
+    def sigma(self) -> MatrixFq | None:
+        if self.params.mode is CodeMode.MSR:
+            return None
+        return self.psi.slice_cols(self.params.k, self.params.d)
+
+    @functools.cached_property
+    def lam(self) -> tuple[int, ...] | None:
+        if self.params.mode is CodeMode.MBR:
+            return None
+        return tuple(pow(x, self.params.k - 1, self.field.q) for x in self.points)
 
     def check_node(self, node_id: int) -> int:
         if not 1 <= node_id <= self.params.n:
@@ -228,23 +232,15 @@ def _msr_points(n: int, width: int, field: Fq) -> list[int]:
     )
 
 
-def build_psi_msr(params: SystemParams, field: Fq) -> EncodingMatrix:
-    """Vandermonde MSR encoding matrix with distinct Lambda diagonal.
-
-    Any alpha' rows of phi and any d rows of psi are independent because both
-    are Vandermonde at distinct points; distinctness of the lambda values is
-    what the point scan enforces explicitly.
-    """
-    if params.mode is not CodeMode.MSR:
-        raise ParameterError("params are not MSR")
-    return encoding_from_points(params, field, _msr_points(params.n, params.k - 1, field))
-
-
-def build_psi_mbr(params: SystemParams, field: Fq) -> EncodingMatrix:
-    """Vandermonde MBR encoding matrix at the points 1..n; phi is the
-    k-column prefix."""
-    if params.mode is not CodeMode.MBR:
-        raise ParameterError("params are not MBR")
+def build_encoding(params: SystemParams, field: Fq | None = None) -> EncodingMatrix:
+    """The Vandermonde encoding of either mode, over the default modulus when
+    no field is given. MSR takes the scanned points with distinct lambda
+    values; MBR takes the points 1..n. Any alpha' rows of phi and any d rows
+    of psi are independent because both are Vandermonde at distinct points."""
+    if field is None:
+        field = Fq(default_modulus(params.n))
+    if params.mode is CodeMode.MSR:
+        return encoding_from_points(params, field, _msr_points(params.n, params.k - 1, field))
     if field.q - 1 < params.n:
         raise ConstructionError(
             f"F_{field.q} has only {field.q - 1} nonzero points, need {params.n}"
@@ -252,44 +248,18 @@ def build_psi_mbr(params: SystemParams, field: Fq) -> EncodingMatrix:
     return encoding_from_points(params, field, range(1, params.n + 1))
 
 
-def build_encoding(params: SystemParams, field: Fq | None = None) -> EncodingMatrix:
-    """Mode-dispatched construction with the default modulus when none given."""
-    from .field import default_modulus
-
-    if field is None:
-        field = Fq(default_modulus(params.n))
-    if params.mode is CodeMode.MSR:
-        return build_psi_msr(params, field)
-    return build_psi_mbr(params, field)
-
-
 def encoding_from_points(
     params: SystemParams, field: Fq, points: Sequence[int]
 ) -> EncodingMatrix:
-    """Rebuild an encoding matrix from explicitly given evaluation points
-    (shard headers store them, making shard sets self-describing)."""
-    pts = [field.check(x) for x in points]
+    """The encoding matrix at explicitly given evaluation points (shard
+    headers store them, making shard sets self-describing): each point must
+    be in the field, there must be n of them, all distinct, and for MSR
+    their lambda values must be distinct too."""
+    pts = tuple(field.check(x) for x in points)
     if len(pts) != params.n:
         raise ParameterError(f"need {params.n} points, got {len(pts)}")
-    psi = linalg.vandermonde(field, pts, params.d)
-    if params.mode is CodeMode.MSR:
-        ap = params.k - 1
-        lam = tuple(pow(x, ap, field.q) for x in pts)
-        if len(set(lam)) != params.n:
-            raise ConstructionError("points yield repeated Lambda entries")
-        return EncodingMatrix(
-            params=params,
-            field=field,
-            points=tuple(pts),
-            psi=psi,
-            phi=psi.slice_cols(0, ap),
-            lam=lam,
-        )
-    return EncodingMatrix(
-        params=params,
-        field=field,
-        points=tuple(pts),
-        psi=psi,
-        phi=psi.slice_cols(0, params.k),
-        sigma=psi.slice_cols(params.k, params.d),
-    )
+    enc = EncodingMatrix(params, field, pts)
+    enc.psi  # vandermonde rejects repeated points
+    if enc.lam is not None and len(set(enc.lam)) != params.n:
+        raise ConstructionError("points yield repeated Lambda entries")
+    return enc

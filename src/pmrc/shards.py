@@ -81,10 +81,6 @@ _MODE_CODE = {CodeMode.MSR: 0, CodeMode.MBR: 1}
 _MODE_FROM = {0: CodeMode.MSR, 1: CodeMode.MBR}
 
 
-# every shard of a set, and both reads of one shard, share the parameters
-_code_params = functools.lru_cache(maxsize=64)(code_params)
-
-
 @dataclass(frozen=True)
 class ShardHeader:
     mode: CodeMode
@@ -99,7 +95,7 @@ class ShardHeader:
     points: tuple[int, ...]
 
     def params(self) -> SystemParams:
-        return _code_params(self.mode, self.k, self.n, self.d, self.beta)
+        return code_params(self.mode, self.k, self.n, self.d, self.beta)
 
     def encoding(self) -> EncodingMatrix:
         return encoding_from_points(self.params(), Fq(self.q), self.points)

@@ -128,7 +128,8 @@ class ClusterState:
         """Contact `connectivity` candidates (lowest ids, or a seeded pick),
         drop the erased responses of send(node), replace the corrupt ones by
         one seeded (blocks, corrupt nodes, width) draw in node order, and decode;
-        the result is None, and the report DETECTED, on DecodeFailure."""
+        the result is None, and the report DETECTED, on DecodeFailure or when
+        more than s contacted responses are erased (then nothing is decoded)."""
         repair = kind == "repair"
         count = connectivity(self.params, s, t, repair)
         if len(candidates) < count:
@@ -142,6 +143,14 @@ class ClusterState:
             chosen = sorted(picked[:count])
         nb, width = len(self.blocks), self.params.beta if repair else self.params.alpha
         plan = adversary or AdversaryPlan()
+        report = EventReport(
+            kind=kind, s=s, t=t, connectivity=count, downloaded=count * width * nb,
+            outcome=SUCCESS,
+        )
+        erased = len(plan.erase.intersection(chosen))
+        if erased > s:
+            detail = f"{erased} erased responses exceeded the (s={s}) erasure budget"
+            return dataclasses.replace(report, outcome=DETECTED, detail=detail), None
         received = {i: send(i) for i in chosen if i not in plan.erase}
         bad = [i for i in received if i in plan.corrupt]
         if bad:
@@ -150,10 +159,6 @@ class ClusterState:
             )
             for c, i in enumerate(bad):
                 received[i] = fake[:, c, :]
-        report = EventReport(
-            kind=kind, s=s, t=t, connectivity=count, downloaded=count * width * nb,
-            outcome=SUCCESS,
-        )
         try:
             return report, decode(received)
         except DecodeFailure as e:

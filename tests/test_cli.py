@@ -1,7 +1,9 @@
 import dataclasses
+import io
 import json
 import os
 import random
+import struct
 import subprocess
 import sys
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import pmrc
-from pmrc import shards
+from pmrc import ParameterError, build_encoding, msr_params, shards
 from pmrc.cli import (
     EXIT_BAD_ARGS,
     EXIT_DECODE,
@@ -19,6 +21,7 @@ from pmrc.cli import (
     main,
 )
 from pmrc.shards import (
+    ShardHeader,
     bytes_to_blocks,
     encode_blocks,
     read_shard,
@@ -26,6 +29,7 @@ from pmrc.shards import (
     write_shard,
 )
 from oracles import message_matrices
+from util import OVER_BUDGET
 
 
 def write_random_file(path, size, seed=0):
@@ -158,6 +162,49 @@ def test_one_bad_header_does_not_discard_good_shards(tmp_path):
     assert dest.read_bytes() == data
 
 
+# offsets in the 40-byte fixed header: version u16 at 4, mode u8 at 6, q u32
+# at 16; the n u32 points follow it
+@pytest.mark.parametrize("damage,reason", [
+    (lambda raw: raw[:4] + struct.pack("<H", 2) + raw[6:], "unsupported shard version 2"),
+    (lambda raw: raw[:6] + bytes([7]) + raw[7:], "unknown mode code 7"),
+    (lambda raw: raw[:16] + struct.pack("<I", 70000) + raw[20:], "q must be < 65536"),
+    (lambda raw: raw[:40], "truncated point table"),
+], ids=["version", "mode", "q", "points"])
+def test_damaged_header_field_is_an_erasure(tmp_path, capsys, damage, reason):
+    data, out = encode(tmp_path, size=20000, mode="mbr", k=5, d=8, n=16)
+    path = out / shard_filename(1)
+    raw = damage(path.read_bytes())
+    with pytest.raises(ParameterError, match=reason):
+        ShardHeader.unpack(io.BytesIO(raw))
+    path.write_bytes(raw)
+    capsys.readouterr()
+    dest = tmp_path / "back.bin"
+    assert main(["reconstruct", str(out), "-o", str(dest)]) == EXIT_OK
+    assert dest.read_bytes() == data
+    err = capsys.readouterr().err
+    assert err.count("warning") == 1 and shard_filename(1) in err
+
+
+def test_payload_that_is_not_bytes_is_never_written(tmp_path, capsys):
+    # a consistent MSR [5,2,2] set at q = 257 whose payload symbols are 256
+    params = msr_params(k=2, n=5)
+    enc = build_encoding(params)
+    assert enc.field.q == 257
+    bodies = encode_blocks(np.full((3, params.message_symbols), 256), enc)
+    out = tmp_path / "shards"
+    out.mkdir()
+    for i, body in bodies.items():
+        header = ShardHeader(
+            mode=params.mode, n=params.n, k=params.k, d=params.d, beta=params.beta,
+            q=257, node_id=i, block_count=3, data_len=6, points=enc.points,
+        )
+        write_shard(out / shard_filename(i), header, body)
+    dest = tmp_path / "back.bin"
+    assert main(["reconstruct", str(out), "-o", str(dest)]) == EXIT_DECODE
+    assert "decoded symbols are not bytes" in capsys.readouterr().err
+    assert not dest.exists()
+
+
 def test_misnamed_shard_is_an_erasure(tmp_path, capsys):
     # node0003.shard claims node 5 and holds garbage; it is skipped by its
     # name, so the real node0005.shard still serves repair and reconstruction
@@ -237,6 +284,21 @@ def test_bad_params_exit(tmp_path):
     ]) == EXIT_BAD_ARGS
 
 
+def test_msr_repair_degree_is_fixed(tmp_path, capsys):
+    src = tmp_path / "f.bin"
+    src.write_bytes(b"hi")
+    for argv in (
+        ["info", "--mode", "msr", "-k", "3", "-d", "5", "-n", "7"],
+        ["encode", str(src), "-o", str(tmp_path / "sh"),
+         "--mode", "msr", "-k", "3", "-d", "5", "-n", "7"],
+    ):
+        assert main(argv) == EXIT_BAD_ARGS, argv
+        out = capsys.readouterr()
+        assert out.out == "" and "MSR repair degree is fixed at d = 2k-2" in out.err
+    assert not (tmp_path / "sh").exists()
+    assert main(["info", "--mode", "msr", "-k", "3", "-d", "4", "-n", "7"]) == EXIT_OK
+
+
 def test_info_params_output(capsys):
     assert main(["info", "--mode", "msr", "-k", "3", "-n", "7"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -293,6 +355,28 @@ def test_simulate_command(tmp_path, capsys):
     assert len(report.read_text().strip().splitlines()) == 4
 
 
+@pytest.mark.parametrize("cfg,detail", [
+    ({"mode": "msr", "k": 2, "n": 5, "events": [
+        {"op": "fail", "node": 2},
+        {"op": "reconstruct", "s": 0, "t": 0, "erase": [1]},
+    ]}, "1 erased responses exceeded the (s=0) erasure budget"),
+    (OVER_BUDGET, "block 0 exceeded the (t=1) corruption budget"),
+], ids=["erasures", "corruptions"])
+def test_simulate_over_budget_event_is_reported_and_exits_decode_failure(
+    tmp_path, capsys, cfg, detail
+):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", str(path)]) == EXIT_DECODE
+    out = capsys.readouterr()
+    lines = [json.loads(line) for line in out.out.strip().splitlines()]
+    assert len(lines) == len(cfg["events"]) + 1 and out.err == ""
+    fail = next(r for r in lines[:-1] if r["kind"] == "fail")
+    assert fail["outcome"] == "success"
+    detected = [r for r in lines[:-1] if r["outcome"] == "detected-failure"]
+    assert detected and all(r["detail"] == detail for r in detected)
+
+
 @pytest.mark.parametrize("cfg,named", [
     ({"events": [{"op": "fail"}]}, "event 0 (fail) needs a 'node'"),
     ({"events": [{"op": "fail", "node": 1}, {"op": "repair", "t": 1}]},
@@ -321,6 +405,7 @@ def test_simulate_command(tmp_path, capsys):
      "scenario: event 0 (reconstruct): a node id must be an integer, got True"),
     ({"k": 2.0, "events": []}, "'k' must be an integer, got 2.0"),
     ({"d": 2.0, "events": []}, "'d' must be an integer, got 2.0"),
+    ({"d": 3, "events": []}, "MSR repair degree is fixed at d = 2k-2"),
     ({"beta": "1", "events": []}, "'beta' must be an integer, got '1'"),
     ({"q": 257.0, "events": []}, "scenario: 'q' must be an integer, got 257.0"),
     ({"seed": "3", "events": []}, "scenario: 'seed' must be an integer, got '3'"),

@@ -1,6 +1,7 @@
 """The (s, t) contract through every front end: the file-level calls in
 `pmrc.shards`, `ClusterState` and the per-block `msr_*`/`mbr_*` calls must
-agree on which budgets and node counts are usable."""
+agree on which budgets and node counts are usable. Past the erasure budget
+the cluster reports a detected failure where the other two raise."""
 
 import numpy as np
 import pytest
@@ -15,10 +16,10 @@ from pmrc import (
 )
 from pmrc.decoding import Response
 from pmrc.shards import encode_blocks, reconstruct_blocks, repair_blocks
-from pmrc.simulator import SUCCESS
+from pmrc.simulator import DETECTED, SUCCESS
 from util import make_code, random_payload, seeded
 
-P, I = ParameterError, InfeasibleError
+P, I, D = ParameterError, InfeasibleError, DETECTED
 
 # Both codes are [8, 3, 4]: Delta = 4+s+2t <= 7 and kappa = 3+s+2t <= 8.
 # A case is (s, t, lost, erased). The `lost` highest ids are absent (deleted
@@ -26,7 +27,7 @@ P, I = ParameterError, InfeasibleError
 # front end contacts do not answer (for the file-level calls, a deleted
 # shard, which the lowest-id pick skips). Expected outcomes are (file-level,
 # cluster, per-block) for repair of node 1, then for reconstruction; None is
-# success.
+# success, D the cluster's detected failure.
 GRID = [
     ((0, 0, 0, 0), (None, None, None), (None, None, None)),
     ((-1, 0, 0, 0), (P, P, P), (P, P, P)),
@@ -39,16 +40,19 @@ GRID = [
     ((0, 1, 4, 0), (I, I, P), (I, I, P)),  # 3 of 6 helpers, 4 of 5 providers
     ((1, 0, 3, 0), (I, I, P), (None, None, None)),  # 4 = d of 5 helpers
     ((1, 0, 0, 1), (None, None, None), (None, None, None)),  # erased = s
-    ((0, 0, 0, 1), (None, P, P), (None, P, P)),  # erased > s
-    ((1, 0, 0, 5), (I, P, P), (None, P, P)),  # every contacted node erased
+    ((0, 0, 0, 1), (None, D, P), (None, D, P)),  # erased > s
+    ((1, 0, 0, 5), (I, D, P), (None, D, P)),  # every contacted node erased
 ]
 
 
 def _outcome(call):
     try:
-        assert call()
+        result = call()
     except (ParameterError, InfeasibleError) as e:
         return type(e)
+    if result == DETECTED:
+        return D
+    assert result in (True, SUCCESS)
     return None
 
 
@@ -92,7 +96,7 @@ def test_every_front_end_keeps_the_same_contract(params, case, want_repair, want
         )),
         _outcome(lambda: cluster(
             helpers, params.d,
-            lambda c, plan: c.repair(1, s, t, plan).outcome == SUCCESS,
+            lambda c, plan: c.repair(1, s, t, plan).outcome,
         )),
         _outcome(lambda: per_block(
             helpers, params.d, lambda h: helper(shares[h - 1], 1, enc),
@@ -107,7 +111,7 @@ def test_every_front_end_keeps_the_same_contract(params, case, want_repair, want
         )),
         _outcome(lambda: cluster(
             alive, params.k,
-            lambda c, plan: c.reconstruct(s, t, plan)[0].outcome == SUCCESS,
+            lambda c, plan: c.reconstruct(s, t, plan)[0].outcome,
         )),
         _outcome(lambda: per_block(
             alive, params.k, lambda i: shares[i - 1].symbols,

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import pytest
@@ -5,10 +6,11 @@ import pytest
 from pmrc import (
     CodeMode,
     ConstructionError,
+    EncodingMatrix,
     Fq,
     ParameterError,
-    build_psi_mbr,
-    build_psi_msr,
+    SystemParams,
+    build_encoding,
     capacity_bound,
     encoding_from_points,
     feasible_pairs,
@@ -17,6 +19,7 @@ from pmrc import (
     resilience_feasible,
 )
 from pmrc.linalg import rank
+from pmrc.params import code_params
 
 
 def test_msr_params_examples():
@@ -26,6 +29,26 @@ def test_msr_params_examples():
     assert (p.d, p.alpha, p.message_symbols) == (2, 1, 2)
     p = msr_params(k=3, n=7, beta=2)
     assert (p.alpha, p.message_symbols) == (4, 12)
+
+
+def test_code_is_stated_by_its_inputs():
+    """SystemParams holds (mode, n, k, d, beta) and EncodingMatrix holds
+    (params, field, points); everything else is derived from them."""
+    assert [f.name for f in dataclasses.fields(SystemParams)] == [
+        "mode", "n", "k", "d", "beta",
+    ]
+    assert [f.name for f in dataclasses.fields(EncodingMatrix)] == [
+        "params", "field", "points",
+    ]
+    p = code_params("mbr", k=3, n=8, d=5, beta=2)
+    assert (p.alpha_prime, p.slice_symbols, p.alpha, p.message_symbols) == (5, 12, 10, 24)
+    assert code_params("msr", k=3, n=7) == code_params("msr", k=3, n=7, d=4) == msr_params(3, 7)
+    with pytest.raises(ParameterError, match="d = 2k-2"):
+        code_params("msr", k=3, n=7, d=5)
+    a = build_encoding(msr_params(k=3, n=7), Fq(29))
+    b = build_encoding(msr_params(k=3, n=7), Fq(29))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert (a.sigma, build_encoding(mbr_params(k=2, d=3, n=5), Fq(23)).lam) == (None, None)
 
 
 def test_msr_params_rejects_small_n():
@@ -91,14 +114,14 @@ def test_feasible_pairs_ordering():
 
 
 def test_build_psi_msr_lambda_example():
-    enc = build_psi_msr(msr_params(k=3, n=7), Fq(29))
+    enc = build_encoding(msr_params(k=3, n=7), Fq(29))
     assert enc.points == (1, 2, 3, 4, 5, 6, 7)
     assert enc.lam == (1, 4, 9, 16, 25, 7, 20)
     assert len(set(enc.lam)) == 7
 
 
 def test_build_psi_msr_splits_consistently():
-    enc = build_psi_msr(msr_params(k=3, n=7), Fq(29))
+    enc = build_encoding(msr_params(k=3, n=7), Fq(29))
     q = 29
     for i in range(7):
         psi_row = enc.psi.row(i)
@@ -108,7 +131,7 @@ def test_build_psi_msr_splits_consistently():
 
 
 def test_build_psi_msr_subset_ranks_exhaustive():
-    enc = build_psi_msr(msr_params(k=3, n=7), Fq(29))
+    enc = build_encoding(msr_params(k=3, n=7), Fq(29))
     for rows in combinations(range(7), 4):
         assert rank(enc.psi.take_rows(rows)) == 4
     for rows in combinations(range(7), 2):
@@ -118,11 +141,11 @@ def test_build_psi_msr_subset_ranks_exhaustive():
 def test_build_psi_msr_point_search_failure():
     # q = 13 < 4n: only 6 distinct squares exist, the scan must fail
     with pytest.raises(ConstructionError):
-        build_psi_msr(msr_params(k=3, n=7), Fq(13))
+        build_encoding(msr_params(k=3, n=7), Fq(13))
 
 
 def test_build_psi_mbr_subset_ranks():
-    enc = build_psi_mbr(mbr_params(k=2, d=3, n=5), Fq(23))
+    enc = build_encoding(mbr_params(k=2, d=3, n=5), Fq(23))
     for rows in combinations(range(5), 2):
         assert rank(enc.phi.take_rows(rows)) == 2
     for rows in combinations(range(5), 3):
@@ -130,33 +153,26 @@ def test_build_psi_mbr_subset_ranks():
 
 
 def test_build_psi_mbr_subset_ranks_n10():
-    enc = build_psi_mbr(mbr_params(k=3, d=4, n=10), Fq(41))
+    enc = build_encoding(mbr_params(k=3, d=4, n=10), Fq(41))
     for rows in combinations(range(10), 4):
         assert rank(enc.psi.take_rows(rows)) == 4
 
 
 def test_build_psi_mbr_degenerate_d_equals_k():
-    enc = build_psi_mbr(mbr_params(k=3, d=3, n=5), Fq(23))
+    enc = build_encoding(mbr_params(k=3, d=3, n=5), Fq(23))
     assert enc.sigma.cols == 0
     assert enc.psi == enc.phi
 
 
 def test_build_psi_mbr_too_few_points():
     with pytest.raises(ConstructionError):
-        build_psi_mbr(mbr_params(k=2, d=3, n=5), Fq(5))
-
-
-def test_build_mode_mismatch():
-    with pytest.raises(ParameterError):
-        build_psi_msr(mbr_params(k=2, d=3, n=5), Fq(23))
-    with pytest.raises(ParameterError):
-        build_psi_mbr(msr_params(k=3, n=7), Fq(29))
+        build_encoding(mbr_params(k=2, d=3, n=5), Fq(5))
 
 
 def test_encoding_from_points_round_trip():
     for enc in (
-        build_psi_msr(msr_params(k=3, n=7), Fq(29)),
-        build_psi_mbr(mbr_params(k=2, d=3, n=5), Fq(23)),
+        build_encoding(msr_params(k=3, n=7), Fq(29)),
+        build_encoding(mbr_params(k=2, d=3, n=5), Fq(23)),
     ):
         redone = encoding_from_points(enc.params, enc.field, enc.points)
         assert redone.psi == enc.psi
@@ -165,8 +181,21 @@ def test_encoding_from_points_round_trip():
         assert redone.sigma == enc.sigma
 
 
+def test_encoding_from_points_checks_its_points():
+    msr, mbr = msr_params(k=3, n=7), mbr_params(k=2, d=3, n=5)
+    for params, points, error in (
+        (mbr, (1, 2, 3, 4, 23), ParameterError),  # outside F_23
+        (mbr, (1, 2, 3, 4), ParameterError),  # n = 5 points needed
+        (mbr, (1, 2, 3, 4, 4), ParameterError),  # repeated point
+        (msr, (1, 2, 3, 4, 5, 6, 28), ConstructionError),  # 28^2 = 1^2 mod 29
+    ):
+        field = Fq(29 if params is msr else 23)
+        with pytest.raises(error):
+            encoding_from_points(params, field, points)
+
+
 def test_node_id_bounds():
-    enc = build_psi_msr(msr_params(k=2, n=5), Fq(257))
+    enc = build_encoding(msr_params(k=2, n=5), Fq(257))
     with pytest.raises(ParameterError):
         enc.psi_row(0)
     with pytest.raises(ParameterError):

@@ -17,7 +17,7 @@ from pmrc import (
     run_scenario,
 )
 from pmrc.simulator import DETECTED, MISMATCH, SUCCESS, load_scenario
-from util import random_payload
+from util import OVER_BUDGET, random_payload
 
 
 def small_cluster(params=None, q=29, blocks=2, seed=0):
@@ -111,6 +111,36 @@ def test_adversary_beyond_budget_never_silent():
     assert report.outcome in (DETECTED, MISMATCH)
     report, _ = c.reconstruct(s=0, t=0, adversary=AdversaryPlan(corrupt=frozenset({2}), seed=1))
     assert report.outcome in (DETECTED, MISMATCH)
+
+
+def test_erasures_beyond_s_are_detected_without_decoding():
+    """More erased contacted responses than s is over budget: the event is a
+    detected failure naming the count and s, and the cluster carries on.
+    An erased node that is not contacted does not count."""
+    c = small_cluster(msr_params(k=2, n=5), q=257)
+    c.fail(2)
+    plan = AdversaryPlan(erase=frozenset({1}))
+    report, blocks = c.reconstruct(s=0, t=0, adversary=plan)
+    assert (report.outcome, blocks) == (DETECTED, None)
+    assert report.detail == "1 erased responses exceeded the (s=0) erasure budget"
+    report = c.repair(2, s=1, t=0, adversary=AdversaryPlan(erase=frozenset({1, 3})))
+    assert (report.outcome, report.node) == (DETECTED, 2)
+    assert report.detail == "2 erased responses exceeded the (s=1) erasure budget"
+    assert not c.is_alive(2)
+    report, _ = c.reconstruct(adversary=AdversaryPlan(erase=frozenset({5})))
+    assert report.outcome == SUCCESS
+    assert c.repair(2).outcome == SUCCESS and c.verify_consistent()
+
+
+def test_corruption_beyond_t_is_detected_and_the_scenario_goes_on():
+    reports, stats = run_scenario(OVER_BUDGET)
+    assert [(r.kind, r.outcome) for r in reports] == [
+        ("reconstruct", DETECTED), ("fail", SUCCESS), ("repair", DETECTED),
+    ]
+    assert reports[1].node == 4
+    for r in (reports[0], reports[2]):
+        assert r.detail == "block 0 exceeded the (t=1) corruption budget"
+    assert stats["successes"] == 1
 
 
 def test_adversary_plan_validates_disjoint():

@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: mode dispatch and fault patterns."""
+"""Shared helpers for the test suite: mode dispatch, fault patterns and an
+over-budget scenario."""
 
 import random
 from itertools import combinations
@@ -71,3 +72,14 @@ def apply_faults(rng, responses, erase, corrupt, q):
 
 def seeded(*parts):
     return random.Random(":".join(str(p) for p in parts))
+
+
+# corruption beyond t where the decoder has redundancy (t = 1) to detect it
+OVER_BUDGET = {
+    "mode": "mbr", "k": 2, "d": 3, "n": 6, "blocks": 3,
+    "events": [
+        {"op": "reconstruct", "t": 1, "corrupt": [1, 2, 3]},
+        {"op": "fail", "node": 4},
+        {"op": "repair", "node": 4, "t": 1, "corrupt": [1, 2, 3]},
+    ],
+}
