@@ -87,18 +87,7 @@ def cmd_encode(args) -> int:
     bodies = shards.encode_blocks(blocks, enc)
     os.makedirs(args.out_dir, exist_ok=True)
     for node_id, body in bodies.items():
-        header = ShardHeader(
-            mode=params.mode,
-            n=params.n,
-            k=params.k,
-            d=params.d,
-            beta=params.beta,
-            q=q,
-            node_id=node_id,
-            block_count=blocks.shape[0],
-            data_len=len(data),
-            points=enc.points,
-        )
+        header = ShardHeader(enc, node_id, blocks.shape[0], len(data))
         shards.write_shard(
             os.path.join(args.out_dir, shard_filename(node_id)), header, body
         )
@@ -123,8 +112,8 @@ def cmd_damage(args) -> int:
         print(f"erased shard of node {node}")
     rng = np.random.default_rng(args.seed)
     for node in corrupt:
-        shape = (header.block_count, header.params().alpha)
-        fake = rng.integers(0, header.q, size=shape, dtype=np.int64)
+        shape = (header.block_count, header.enc.params.alpha)
+        fake = rng.integers(0, header.enc.field.q, size=shape, dtype=np.int64)
         shards.write_shard(
             os.path.join(args.dir, shard_filename(node)),
             dataclasses.replace(header, node_id=node),
@@ -158,8 +147,7 @@ def cmd_repair(args) -> int:
     path = os.path.join(out_dir, shard_filename(args.node))
     _check_writable(path, make_dirs=True)
     header, bodies = shards.load_shard_set(args.dir)
-    enc = header.encoding()
-    body, info = shards.repair_blocks(bodies, args.node, enc, args.s, args.t)
+    body, info = shards.repair_blocks(bodies, args.node, header.enc, args.s, args.t)
     os.makedirs(out_dir, exist_ok=True)
     shards.write_shard(path, dataclasses.replace(header, node_id=args.node), body)
     print(
@@ -172,8 +160,7 @@ def cmd_repair(args) -> int:
 def cmd_reconstruct(args) -> int:
     _check_writable(args.output)
     header, bodies = shards.load_shard_set(args.dir)
-    enc = header.encoding()
-    blocks, info = shards.reconstruct_blocks(bodies, enc, args.s, args.t)
+    blocks, info = shards.reconstruct_blocks(bodies, header.enc, args.s, args.t)
     data = shards.blocks_to_bytes(blocks, header.data_len)
     with open(args.output, "wb") as fp:
         fp.write(data)
@@ -256,7 +243,7 @@ def cmd_info(args) -> int:
         return EXIT_OK
     if args.dir:
         header, bodies = shards.load_shard_set(args.dir)
-        payload = _info_payload(header.params(), header.q)
+        payload = _info_payload(header.enc.params, header.enc.field.q)
         payload["blocks"] = header.block_count
         payload["data_len"] = header.data_len
         # a shard is present when its body reads cleanly, not just its header

@@ -254,12 +254,14 @@ def encoding_from_points(
     """The encoding matrix at explicitly given evaluation points (shard
     headers store them, making shard sets self-describing): each point must
     be in the field, there must be n of them, all distinct, and for MSR
-    their lambda values must be distinct too."""
+    their lambda values must be distinct too. These checks cost O(n); the
+    n x d psi is built on first use, so checking a shard header builds none."""
     pts = tuple(field.check(x) for x in points)
     if len(pts) != params.n:
         raise ParameterError(f"need {params.n} points, got {len(pts)}")
+    if len(set(pts)) != len(pts):
+        raise ParameterError("evaluation points must be pairwise distinct")
     enc = EncodingMatrix(params, field, pts)
-    enc.psi  # vandermonde rejects repeated points
     if enc.lam is not None and len(set(enc.lam)) != params.n:
         raise ConstructionError("points yield repeated Lambda entries")
     return enc

@@ -25,7 +25,10 @@ field element) and are zero-padded to a whole number of B-symbol blocks.
 
 `load_shard_set` votes on headers alone (each body's length is checked with
 `fstat`, its bytes are not read) and returns the agreeing shards as a lazy
-`ShardBodies` mapping. `repair_blocks` and `reconstruct_blocks` read only the
+`ShardBodies` mapping; a header is read into the code it states
+(`ShardHeader.enc`), and one that states no valid code (a prime q, n
+distinct points in the field, distinct lambda for MSR) is an erasure like an
+unreadable one. `repair_blocks` and `reconstruct_blocks` read only the
 Delta or kappa lowest-id bodies they decode, each once, through `read_shard`;
 a body that fails its checks there is an erasure, and the next id is read.
 
@@ -62,14 +65,13 @@ from typing import Sequence
 import numpy as np
 
 from . import decoding, linalg
-from .errors import DecodeFailure, InfeasibleError, ParameterError
+from .errors import ConstructionError, DecodeFailure, InfeasibleError, ParameterError
 from .field import Fq
 from .linalg import MatrixFq
 from .params import (
     CodeMode,
     EncodingMatrix,
     SystemParams,
-    code_params,
     connectivity,
     encoding_from_points,
 )
@@ -77,62 +79,52 @@ from .params import (
 MAGIC = b"PMRC"
 VERSION = 1
 _HEAD = struct.Struct("<4sHBBHHHHIHHQQ")
-_MODE_CODE = {CodeMode.MSR: 0, CodeMode.MBR: 1}
-_MODE_FROM = {0: CodeMode.MSR, 1: CodeMode.MBR}
+_MODES = (CodeMode.MSR, CodeMode.MBR)  # indexed by the header's mode code
+
+
+@functools.lru_cache(maxsize=64)
+def _header_code(mode_c: int, n: int, k: int, d: int, beta: int, q: int,
+                 points: tuple[int, ...]) -> EncodingMatrix:
+    """The checked code a header's fields state, built once per distinct
+    fields: every header of a shard set states the same code."""
+    params = SystemParams(_MODES[mode_c], n, k, d, beta)
+    return encoding_from_points(params, Fq(q), points)
 
 
 @dataclass(frozen=True)
 class ShardHeader:
-    mode: CodeMode
-    n: int
-    k: int
-    d: int
-    beta: int
-    q: int
+    """A shard's header: the code it states, its node id, the block count
+    and the original byte length."""
+
+    enc: EncodingMatrix
     node_id: int
     block_count: int
     data_len: int
-    points: tuple[int, ...]
-
-    def params(self) -> SystemParams:
-        return code_params(self.mode, self.k, self.n, self.d, self.beta)
-
-    def encoding(self) -> EncodingMatrix:
-        return encoding_from_points(self.params(), Fq(self.q), self.points)
 
     def set_key(self) -> tuple:
         """Every header field but node_id: equal for shards of one set."""
-        return (
-            self.mode, self.n, self.k, self.d, self.beta, self.q,
-            self.block_count, self.data_len, self.points,
-        )
+        return (self.enc, self.block_count, self.data_len)
 
     def same_shard_set(self, other: "ShardHeader") -> bool:
         return self.set_key() == other.set_key()
 
     def pack(self) -> bytes:
-        for name in ("n", "k", "d", "beta", "node_id"):
-            if not 0 <= getattr(self, name) <= 0xFFFF:
-                raise ParameterError(f"{name}={getattr(self, name)} does not fit u16")
+        p = self.enc.params
+        fields = {"n": p.n, "k": p.k, "d": p.d, "beta": p.beta, "node_id": self.node_id}
+        for name, value in fields.items():
+            if not 0 <= value <= 0xFFFF:
+                raise ParameterError(f"{name}={value} does not fit u16")
         head = _HEAD.pack(
-            MAGIC,
-            VERSION,
-            _MODE_CODE[self.mode],
-            0,
-            self.n,
-            self.k,
-            self.d,
-            self.beta,
-            self.q,
-            self.node_id,
-            0,
-            self.block_count,
-            self.data_len,
+            MAGIC, VERSION, _MODES.index(p.mode), 0, p.n, p.k, p.d, p.beta,
+            self.enc.field.q, self.node_id, 0, self.block_count, self.data_len,
         )
-        return head + struct.pack(f"<{self.n}I", *self.points)
+        return head + struct.pack(f"<{p.n}I", *self.enc.points)
 
     @classmethod
     def unpack(cls, fp) -> "ShardHeader":
+        """The header at the start of ``fp``. ParameterError (or, for MSR
+        points with repeated lambda, ConstructionError) when it is cut short
+        or does not state a valid code."""
         raw = fp.read(_HEAD.size)
         if len(raw) != _HEAD.size:
             raise ParameterError("truncated shard header")
@@ -143,7 +135,7 @@ class ShardHeader:
             raise ParameterError("not a shard file (bad magic)")
         if version != VERSION:
             raise ParameterError(f"unsupported shard version {version}")
-        if mode_c not in _MODE_FROM:
+        if mode_c >= len(_MODES):
             raise ParameterError(f"unknown mode code {mode_c}")
         if q > 0xFFFF:
             raise ParameterError("shard symbols are 16-bit; q must be < 65536")
@@ -151,18 +143,7 @@ class ShardHeader:
         if len(praw) != 4 * n:
             raise ParameterError("truncated point table")
         points = struct.unpack(f"<{n}I", praw)
-        return cls(
-            mode=_MODE_FROM[mode_c],
-            n=n,
-            k=k,
-            d=d,
-            beta=beta,
-            q=q,
-            node_id=node_id,
-            block_count=bc,
-            data_len=dl,
-            points=points,
-        )
+        return cls(_header_code(mode_c, n, k, d, beta, q, points), node_id, bc, dl)
 
 
 def shard_filename(node_id: int) -> str:
@@ -170,7 +151,7 @@ def shard_filename(node_id: int) -> str:
 
 
 def write_shard(path, header: ShardHeader, body: np.ndarray) -> None:
-    params = header.params()
+    params = header.enc.params
     if body.shape != (header.block_count, params.alpha):
         raise ParameterError(
             f"body shape {body.shape} != (blocks={header.block_count}, "
@@ -186,7 +167,7 @@ def _read_header(fp, path) -> ShardHeader:
     """The header of an open shard file, checked against the length of the
     body behind it (`fstat`; the body itself is not read)."""
     header = ShardHeader.unpack(fp)
-    want = header.block_count * header.params().alpha
+    want = header.block_count * header.enc.params.alpha
     if os.fstat(fp.fileno()).st_size - fp.tell() < 2 * want:
         raise ParameterError(f"shard body truncated: {path}")
     return header
@@ -196,9 +177,9 @@ def read_shard(path) -> tuple[ShardHeader, np.ndarray]:
     """The header and the writable (block_count, alpha) ``<u2`` body."""
     with open(path, "rb") as fp:
         header = _read_header(fp, path)
-        shape = (header.block_count, header.params().alpha)
+        shape = (header.block_count, header.enc.params.alpha)
         body = np.fromfile(fp, dtype="<u2", count=shape[0] * shape[1]).reshape(shape)
-    if body.size and int(body.max()) >= header.q:
+    if body.size and int(body.max()) >= header.enc.field.q:
         raise ParameterError(f"shard symbols exceed the field modulus: {path}")
     return header, body
 
@@ -230,7 +211,7 @@ class ShardBodies(Mapping):
                 header, body = read_shard(path)
                 if not header.same_shard_set(self.header) or header.node_id != node_id:
                     raise ParameterError(f"shard header changed: {path}")
-            except (ParameterError, OSError):
+            except (ParameterError, ConstructionError, OSError):
                 del self._paths[node_id]
                 _warn_skipped([os.path.basename(path)])
                 raise KeyError(node_id) from None
@@ -253,11 +234,13 @@ def load_shard_set(directory) -> tuple[ShardHeader, ShardBodies]:
     Every file's header is read and its body length checked with `fstat`;
     no body is read here. The reference header is the one shared by the most
     such files (ties go to the set holding the lowest node id). Unreadable or
-    truncated files, files not named after their header's node id (so no id
-    repeats), files whose id is outside 1..n and files of another set are
-    skipped: a deleted, garbled or misnamed shard is an erasure, not a fatal
-    error. Returns the reference header and the lazy `ShardBodies` of the
-    rest, whose bodies are read only when a decode picks them."""
+    truncated files, files whose header does not state a valid code (a prime
+    q, n distinct points in the field, distinct lambda for MSR), files not
+    named after their header's node id (so no id repeats), files whose id is
+    outside 1..n and files of another set are skipped: a deleted, garbled or
+    misnamed shard is an erasure, not a fatal error. Returns the reference
+    header and the lazy `ShardBodies` of the rest, whose bodies are read only
+    when a decode picks them."""
     names = sorted(
         f for f in os.listdir(directory)
         if f.startswith("node") and f.endswith(".shard")
@@ -271,11 +254,9 @@ def load_shard_set(directory) -> tuple[ShardHeader, ShardBodies]:
         try:
             with open(path, "rb", buffering=0) as fp:
                 header = _read_header(fp, path)
-        except (ParameterError, OSError):
-            skipped.append(name)
-            continue
-        named = name == shard_filename(header.node_id)
-        if not named or not 1 <= header.node_id <= header.n:
+            if name != shard_filename(header.enc.check_node(header.node_id)):
+                raise ParameterError(f"shard misnamed: {path}")
+        except (ParameterError, ConstructionError, OSError):
             skipped.append(name)
             continue
         readable.append((path, header))

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DecodeFailure, InfeasibleError, ParameterError
+from .errors import DecodeFailure, InfeasibleError, ParameterError, PmrcError
 from .field import Fq, default_modulus
 from .params import (
     CodeMode,
@@ -338,7 +338,7 @@ def _parse_event(ev, idx: int, seed: int, n: int):
 
 def run_scenario(cfg: dict) -> tuple[list[EventReport], dict]:
     """Deterministic replay of a scenario dict; returns per-event reports and
-    aggregate statistics."""
+    aggregate statistics. An error an event raises names the event."""
     params = params_from_scenario(cfg)
     q = _integer(cfg.get("q", default_modulus(params.n)), "scenario: 'q'")
     seed = _integer(cfg.get("seed", 0), "scenario: 'seed'")
@@ -357,19 +357,21 @@ def run_scenario(cfg: dict) -> tuple[list[EventReport], dict]:
     for idx, ev in enumerate(cfg["events"]):
         op, node, s, t, plan, permute = _parse_event(ev, idx, seed, params.n)
         permute = random.Random(f"permute:{seed}:{idx}") if permute else None
-        if op == "fail":
-            cluster.fail(node)
-            reports.append(
-                EventReport(
-                    kind="fail", s=0, t=0, connectivity=0, downloaded=0,
-                    outcome=SUCCESS, node=node,
+        try:
+            if op == "fail":
+                cluster.fail(node)
+                reports.append(
+                    EventReport(
+                        kind="fail", s=0, t=0, connectivity=0, downloaded=0,
+                        outcome=SUCCESS, node=node,
+                    )
                 )
-            )
-        elif op == "repair":
-            reports.append(cluster.repair(node, s, t, plan, permute))
-        else:
-            report, _ = cluster.reconstruct(s, t, plan, permute)
-            reports.append(report)
+            elif op == "repair":
+                reports.append(cluster.repair(node, s, t, plan, permute))
+            else:
+                reports.append(cluster.reconstruct(s, t, plan, permute)[0])
+        except PmrcError as e:  # same class, so the same exit code
+            raise type(e)(f"scenario: event {idx} ({op}): {e}") from e
 
     successes = sum(r.outcome == SUCCESS for r in reports)
     stats = {

@@ -169,7 +169,10 @@ def test_one_bad_header_does_not_discard_good_shards(tmp_path):
     (lambda raw: raw[:6] + bytes([7]) + raw[7:], "unknown mode code 7"),
     (lambda raw: raw[:16] + struct.pack("<I", 70000) + raw[20:], "q must be < 65536"),
     (lambda raw: raw[:40], "truncated point table"),
-], ids=["version", "mode", "q", "points"])
+    (lambda raw: raw[:16] + struct.pack("<I", 256) + raw[20:], "modulus 256 is not prime"),
+    (lambda raw: raw[:44] + raw[40:44] + raw[48:], "pairwise distinct"),
+    (lambda raw: raw[:40] + struct.pack("<I", 257) + raw[44:], "not a reduced element"),
+], ids=["version", "mode", "q", "points", "q-not-prime", "point-repeated", "point-outside"])
 def test_damaged_header_field_is_an_erasure(tmp_path, capsys, damage, reason):
     data, out = encode(tmp_path, size=20000, mode="mbr", k=5, d=8, n=16)
     path = out / shard_filename(1)
@@ -185,6 +188,23 @@ def test_damaged_header_field_is_an_erasure(tmp_path, capsys, damage, reason):
     assert err.count("warning") == 1 and shard_filename(1) in err
 
 
+def test_headers_stating_no_code_do_not_win_the_vote(tmp_path, capsys):
+    """Nodes 1-8 of an MBR [16,5,8] set say q = 256. They tie with the
+    intact nodes 9-16 and hold the lower ids, but a header that states no
+    valid code is an erasure, so the intact half decodes the file."""
+    data, out = encode(tmp_path, size=20000, mode="mbr", k=5, d=8, n=16)
+    for i in range(1, 9):
+        raw = (out / shard_filename(i)).read_bytes()
+        (out / shard_filename(i)).write_bytes(raw[:16] + struct.pack("<I", 256) + raw[20:])
+    capsys.readouterr()
+    dest = tmp_path / "back.bin"
+    assert main(["reconstruct", str(out), "-o", str(dest)]) == EXIT_OK
+    assert dest.read_bytes() == data
+    err = capsys.readouterr().err
+    assert err.count("warning") == 1
+    assert all(shard_filename(i) in err for i in range(1, 9))
+
+
 def test_payload_that_is_not_bytes_is_never_written(tmp_path, capsys):
     # a consistent MSR [5,2,2] set at q = 257 whose payload symbols are 256
     params = msr_params(k=2, n=5)
@@ -194,10 +214,7 @@ def test_payload_that_is_not_bytes_is_never_written(tmp_path, capsys):
     out = tmp_path / "shards"
     out.mkdir()
     for i, body in bodies.items():
-        header = ShardHeader(
-            mode=params.mode, n=params.n, k=params.k, d=params.d, beta=params.beta,
-            q=257, node_id=i, block_count=3, data_len=6, points=enc.points,
-        )
+        header = ShardHeader(enc, node_id=i, block_count=3, data_len=6)
         write_shard(out / shard_filename(i), header, body)
     dest = tmp_path / "back.bin"
     assert main(["reconstruct", str(out), "-o", str(dest)]) == EXIT_DECODE
@@ -212,7 +229,7 @@ def test_misnamed_shard_is_an_erasure(tmp_path, capsys):
     original = (out / shard_filename(1)).read_bytes()
     path = out / shard_filename(3)
     header, body = read_shard(path)
-    fake = np.random.default_rng(3).integers(0, header.q, size=body.shape)
+    fake = np.random.default_rng(3).integers(0, header.enc.field.q, size=body.shape)
     write_shard(path, dataclasses.replace(header, node_id=5), fake)
     capsys.readouterr()
     alt = tmp_path / "alt"
@@ -334,6 +351,57 @@ def test_info_shard_dir(tmp_path, capsys):
     assert payload["shards_present"] == [1, 2, 3, 4, 5]
 
 
+def test_info_connectivity_mode_as_text(capsys):
+    """The capacity bound with adversaries: Delta = 9 and kappa = 6 under
+    (s, t) = (1, 1) leave d = 6 and k = 3, and the sum of min(alpha, d - i)
+    over i < k is 4 + 4 + 4 = 12."""
+    argv = ["info", "--alpha", "4", "--delta", "9", "--kappa", "6", "-s", "1", "-t", "1"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "Delta=9 kappa=6 with (s=1, t=1) -> d=6, k=3",
+        "alpha=4 beta=1: capacity bound B <= 12",
+    ]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["info", "--delta", "9", "--alpha", "4"], "connectivity mode needs"),
+    (["info", "--alpha", "4", "--delta", "4", "--kappa", "3", "-t", "2"],
+     "budget leaves no usable connectivity"),
+    (["info"], "info needs a shard dir"),
+])
+def test_info_without_a_usable_question_is_a_bad_argument(capsys, argv, named):
+    assert main(argv) == EXIT_BAD_ARGS
+    out = capsys.readouterr()
+    assert out.out == "" and named in out.err
+
+
+def test_info_shard_dir_as_text(tmp_path, capsys):
+    data, out = encode(tmp_path, size=8000, mode="msr", k=8, n=20)
+    capsys.readouterr()
+    assert main(["info", str(out)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "[n, k, d] = [20, 8, 14]" in lines
+    assert lines[-1] == "shard set: 143 blocks, 8000 bytes"  # ceil(8000 / B=56)
+
+
+def test_encode_with_too_small_a_field_creates_nothing(tmp_path, capsys):
+    src = tmp_path / "f.bin"
+    src.write_bytes(b"hello")
+    out = tmp_path / "sh"
+    argv = ["encode", str(src), "-o", str(out), "--mode", "msr", "-k", "2", "-n", "5"]
+    assert main(argv + ["--q", "251"]) == EXIT_BAD_ARGS
+    assert "q must be >= 257" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_damage_bad_node_list_removes_nothing(tmp_path, capsys):
+    data, out = encode(tmp_path)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["damage", str(out), "--erase", "1,x"]) == EXIT_BAD_ARGS
+    assert "bad node list" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_simulate_command(tmp_path, capsys):
     scenario = {
         "mode": "msr", "k": 3, "n": 7, "q": 29, "seed": 1, "blocks": 1,
@@ -410,6 +478,12 @@ def test_simulate_over_budget_event_is_reported_and_exits_decode_failure(
     ({"q": 257.0, "events": []}, "scenario: 'q' must be an integer, got 257.0"),
     ({"seed": "3", "events": []}, "scenario: 'seed' must be an integer, got '3'"),
     ({"blocks": 2.5, "events": []}, "scenario: 'blocks' must be an integer, got 2.5"),
+    ({"events": [{"op": "fail", "node": 2}, {"op": "reconstruct", "s": -1}]},
+     "scenario: event 1 (reconstruct): s and t must be nonnegative"),
+    ({"events": [{"op": "fail", "node": 2}, {"op": "fail", "node": 2}]},
+     "scenario: event 1 (fail): node 2 already failed"),
+    ({"events": [{"op": "repair", "node": 2}]},
+     "scenario: event 0 (repair): node 2 is alive; fail it first"),
 ])
 def test_simulate_malformed_scenario_is_a_bad_argument(tmp_path, capsys, cfg, named):
     path = tmp_path / "scenario.json"
@@ -417,6 +491,16 @@ def test_simulate_malformed_scenario_is_a_bad_argument(tmp_path, capsys, cfg, na
     assert main(["simulate", str(path)]) == EXIT_BAD_ARGS
     out = capsys.readouterr()
     assert out.out == "" and named in out.err
+
+
+def test_simulate_infeasible_event_is_named(tmp_path, capsys):
+    events = [{"op": "fail", "node": 2}, {"op": "reconstruct", "t": 2}]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"mode": "msr", "k": 2, "n": 5, "events": events}))
+    assert main(["simulate", str(path)]) == EXIT_INFEASIBLE
+    out = capsys.readouterr()
+    assert out.out == "" and "error: infeasible: scenario: event 1 (reconstruct): " \
+        "(s=0, t=2) needs 6 nodes, at most 5 fit" in out.err
 
 
 def test_damage_matrix_end_to_end(tmp_path):
@@ -469,7 +553,7 @@ def test_out_of_range_node_id_is_an_erasure(tmp_path, capsys, body_of):
     original = (out / shard_filename(2)).read_bytes()
     header, body = read_shard(out / shard_filename(8))
     if body_of == "random":
-        body = np.random.default_rng(4).integers(0, header.q, size=body.shape)
+        body = np.random.default_rng(4).integers(0, header.enc.field.q, size=body.shape)
     write_shard(out / shard_filename(0), dataclasses.replace(header, node_id=0), body)
     capsys.readouterr()
     alt = tmp_path / "alt"
@@ -529,7 +613,7 @@ def test_bad_body_on_a_picked_shard_is_an_erasure(tmp_path, capsys, monkeypatch,
         path.write_bytes(blob[:-2])
     else:
         header, body = read_shard(path)
-        body[-1, -1] = header.q
+        body[-1, -1] = header.enc.field.q
         with open(path, "wb") as fp:
             fp.write(header.pack())
             fp.write(body.astype("<u2").tobytes())
@@ -602,7 +686,7 @@ def test_shard_bodies_stay_u2(tmp_path, q):
     extra = ("--beta", "2", "--q", str(q))
     data, out = encode(tmp_path, mode="msr", k=4, n=10, extra=extra)
     header, _ = read_shard(out / shard_filename(1))
-    enc = header.encoding()
+    enc = header.enc
     blocks = bytes_to_blocks(data, enc.params.message_symbols)
     mats = message_matrices(blocks.astype(np.int64), enc.params)
     want = np.einsum("nd,bjdw->nbjw", enc.psi.array(), mats) % q
@@ -638,7 +722,7 @@ def test_multi_slice_codes_end_to_end(tmp_path, capsys, mode, beta):
     # decodes at t=1, the last one cannot
     path = out / shard_filename(3)
     header, body = read_shard(path)
-    body[-1] = (body[-1] + 1) % header.q
+    body[-1] = (body[-1] + 1) % header.enc.field.q
     write_shard(path, header, body)
     capsys.readouterr()
     assert main([

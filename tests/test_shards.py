@@ -1,5 +1,6 @@
 import io
 import random
+import struct
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from pmrc import (
     CodeMode,
+    ConstructionError,
     DecodeFailure,
     Fq,
     InfeasibleError,
@@ -17,6 +19,7 @@ from pmrc import (
     Response,
     build_encoding,
     consistency_reconstruct,
+    encoding_from_points,
     linalg,
     mbr_params,
     msr_params,
@@ -50,18 +53,7 @@ from util import make_code, random_payload
 
 
 def make_header(params, enc, node_id=1, blocks=3, data_len=10):
-    return ShardHeader(
-        mode=params.mode,
-        n=params.n,
-        k=params.k,
-        d=params.d,
-        beta=params.beta,
-        q=enc.field.q,
-        node_id=node_id,
-        block_count=blocks,
-        data_len=data_len,
-        points=enc.points,
-    )
+    return ShardHeader(enc, node_id, blocks, data_len)
 
 
 def test_header_round_trip():
@@ -70,8 +62,8 @@ def test_header_round_trip():
     h = make_header(params, enc, node_id=5, blocks=7, data_len=123)
     back = ShardHeader.unpack(io.BytesIO(h.pack()))
     assert back == h
-    assert back.params() == params
-    assert back.encoding().psi == enc.psi
+    assert back.enc.params == params
+    assert back.enc.psi == enc.psi
 
 
 def test_header_rejects_garbage():
@@ -288,7 +280,7 @@ def test_shard_bodies_read_lazily_and_drop_bad_bodies(tmp_path, capsys):
         write_shard(tmp_path / shard_filename(i), make_header(params, enc, i, 2, 9), body)
     header, loaded = load_shard_set(tmp_path)
     bad = read_shard(tmp_path / shard_filename(2))[1]
-    bad[0, 0] = header.q
+    bad[0, 0] = header.enc.field.q
     with open(tmp_path / shard_filename(2), "wb") as fp:
         fp.write(make_header(params, enc, 2, 2, 9).pack())
         fp.write(bad.astype("<u2").tobytes())
@@ -301,6 +293,42 @@ def test_shard_bodies_read_lazily_and_drop_bad_bodies(tmp_path, capsys):
     err = capsys.readouterr().err
     assert shard_filename(2) in err and shard_filename(4) in err
     assert list(loaded) == [1, 3, 5] and 2 not in loaded and len(loaded) == 3
+
+
+def test_reading_a_header_builds_no_table():
+    """An 8,040-byte header may state MBR [2000,1,1999]. Checking its code
+    costs O(n); the 2000 x 1999 psi is built only when a decode uses it, so
+    a header that loses the vote never allocates it."""
+    params = mbr_params(k=1, d=1999, n=2000)
+    enc = encoding_from_points(params, Fq(65521), range(1, 2001))
+    assert "psi" not in vars(enc)
+    header = ShardHeader.unpack(io.BytesIO(ShardHeader(enc, 9, 0, 0).pack()))
+    assert header.enc == enc and "psi" not in vars(header.enc)
+
+
+def test_msr_header_with_repeated_lambda_is_an_erasure(tmp_path, capsys):
+    """MSR [7,3,4] has lambda_i = x_i^2, and the point q - 1 has the lambda of
+    the point 1. A header stating it fails the code's check with
+    ConstructionError; it is skipped at the header vote, and a body whose
+    header turns into it after the vote drops out of `ShardBodies`."""
+    params = msr_params(k=3, n=7)
+    enc = build_encoding(params)
+    assert enc.points[0] == 1
+    bodies = encode_blocks(np.ones((2, params.message_symbols), dtype=np.int64), enc)
+    for i, body in bodies.items():
+        write_shard(tmp_path / shard_filename(i), make_header(params, enc, i, 2, 9), body)
+    raw = (tmp_path / shard_filename(2)).read_bytes()
+    bad = raw[:44] + struct.pack("<I", enc.field.q - 1) + raw[48:]
+    with pytest.raises(ConstructionError, match="repeated Lambda"):
+        ShardHeader.unpack(io.BytesIO(bad))
+    header, loaded = load_shard_set(tmp_path)
+    assert list(loaded) == [1, 2, 3, 4, 5, 6, 7] and capsys.readouterr().err == ""
+    (tmp_path / shard_filename(2)).write_bytes(bad)
+    assert loaded.get(2) is None and list(loaded) == [1, 3, 4, 5, 6, 7]
+    assert shard_filename(2) in capsys.readouterr().err
+    header, loaded = load_shard_set(tmp_path)
+    assert list(loaded) == [1, 3, 4, 5, 6, 7] and header.enc == enc
+    assert shard_filename(2) in capsys.readouterr().err
 
 
 # --- the decode steps against the exhaustive references --------------------
