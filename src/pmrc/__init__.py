@@ -13,7 +13,6 @@ from .decoding import (
 from .errors import (
     ConstructionError,
     DecodeFailure,
-    FieldMismatchError,
     InconsistentSystemError,
     InfeasibleError,
     ParameterError,
@@ -21,7 +20,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .field import Fq, default_modulus, is_prime, smallest_prime_at_least
-from .linalg import MatrixFq, vandermonde
+from .linalg import vandermonde
 from .perblock import (
     NodeShare,
     mbr_encode,
@@ -64,11 +63,9 @@ __all__ = [
     "DecodeFailure",
     "EncodingMatrix",
     "EventReport",
-    "FieldMismatchError",
     "Fq",
     "InconsistentSystemError",
     "InfeasibleError",
-    "MatrixFq",
     "NodeShare",
     "ParameterError",
     "PmrcError",

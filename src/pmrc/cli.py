@@ -25,7 +25,7 @@ from .errors import (
     ParameterError,
     PmrcError,
 )
-from .field import Fq, default_modulus, is_prime
+from .field import Fq, default_modulus
 from .params import (
     SystemParams,
     budget_extra,
@@ -47,15 +47,14 @@ def _parse_params(args) -> SystemParams:
     return code_params(args.mode, args.k, args.n, args.d, args.beta)
 
 
-def _pick_modulus(args, n: int) -> int:
+def _pick_field(args, n: int) -> Fq:
+    """The field of --q, checked as every field is and at least the default
+    for n; the default field without it."""
     auto = default_modulus(n)
-    if args.q is None:
-        return auto
-    if not is_prime(args.q):
-        raise ParameterError(f"q={args.q} is not prime")
-    if args.q < auto:
+    field = Fq(auto if args.q is None else args.q)
+    if field.q < auto:
         raise ParameterError(f"q must be >= {auto} for this n (bytes need q >= 257)")
-    return args.q
+    return field
 
 
 def _node_list(text: str) -> list[int]:
@@ -72,7 +71,7 @@ def _node_list(text: str) -> list[int]:
 
 def cmd_encode(args) -> int:
     params = _parse_params(args)
-    q = _pick_modulus(args, params.n)
+    field = _pick_field(args, params.n)
     # a shard this encode would not overwrite could outvote the new set later
     names = sorted(os.listdir(args.out_dir)) if os.path.isdir(args.out_dir) else []
     stale = [f for f in names if re.fullmatch(r"node[0-9]+\.shard", f)
@@ -80,7 +79,7 @@ def cmd_encode(args) -> int:
     if stale:
         raise ParameterError(f"{args.out_dir} holds shards an n={params.n} encode "
                              f"would not overwrite: {', '.join(stale)}")
-    enc = build_encoding(params, Fq(q))
+    enc = build_encoding(params, field)
     with open(args.input, "rb") as fp:
         data = fp.read()
     blocks = shards.bytes_to_blocks(data, params.message_symbols)
@@ -93,7 +92,7 @@ def cmd_encode(args) -> int:
         )
     print(
         f"encoded {len(data)} bytes into {params.n} shards "
-        f"({blocks.shape[0]} blocks, mode={params.mode.value}, q={q})"
+        f"({blocks.shape[0]} blocks, mode={params.mode.value}, q={field.q})"
     )
     return EXIT_OK
 
@@ -260,8 +259,7 @@ def cmd_info(args) -> int:
         # smallest legal cluster: n = d+1 (only the (0,0) budget fits there)
         ns.n = (2 * args.k - 2 if args.mode == "msr" else args.d or args.k) + 1
     params = _parse_params(ns)
-    q = _pick_modulus(args, params.n)
-    _print_info(_info_payload(params, q), args.json)
+    _print_info(_info_payload(params, _pick_field(args, params.n).q), args.json)
     return EXIT_OK
 
 

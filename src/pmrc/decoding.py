@@ -40,7 +40,6 @@ from .errors import (
     SingularMatrixError,
 )
 from .field import Fq
-from .linalg import MatrixFq
 
 
 @dataclass(frozen=True)
@@ -106,29 +105,24 @@ def rs_decode_ee(
     vs = [field.check(v) for _, v in received]
     tau = min(t_max, (r_count - msg_len) // 2)
     n_terms = msg_len + tau
-    powers = linalg.vandermonde(
-        field, [points[i] for i, _ in received], n_terms + 1
-    ).array()
+    powers = linalg.vandermonde(field, [points[i] for i, _ in received], n_terms + 1)
+    vals = np.asarray(vs, dtype=np.int64)[:, None]
 
     if tau == 0:
-        square = MatrixFq(field, powers[:msg_len, :msg_len], _trusted=True)
-        sol = linalg.solve(square, MatrixFq.column(field, vs[:msg_len]))
-        coeffs = [int(v) for v in sol.array()[:, 0]]
+        sol = linalg.solve(powers[:msg_len, :msg_len], vals[:msg_len], q)
+        coeffs = sol[:, 0].tolist()
     else:
         # Key equation: N(x) - v*E(x) = v*x^tau with E = z^tau + sum e_j z^j,
         # deg N < msg_len + tau. Unknowns: msg_len + 2*tau.
-        vals = np.asarray(vs, dtype=np.int64)[:, None]
         system = np.concatenate(
             [powers[:, :n_terms], -vals * powers[:, :tau] % q], axis=1
         )
         rhs = vals * powers[:, tau : tau + 1] % q
         try:
-            sol = linalg.solve_any(
-                MatrixFq(field, system, _trusted=True), MatrixFq(field, rhs, _trusted=True)
-            )
+            sol = linalg.solve_any(system, rhs, q)
         except InconsistentSystemError:
             raise DecodeFailure("key equation unsolvable: budget exceeded")
-        flat = [int(v) for v in sol.array()[:, 0]]
+        flat = sol[:, 0].tolist()
         n_poly = flat[:n_terms]
         e_poly = flat[n_terms:] + [1]
         quot, rem = _poly_divmod(n_poly, e_poly, field)

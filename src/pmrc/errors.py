@@ -9,10 +9,6 @@ class ParameterError(PmrcError, ValueError):
     """Invalid code parameters or a violated call precondition."""
 
 
-class FieldMismatchError(PmrcError, ValueError):
-    """Operands live in different fields."""
-
-
 class SingularMatrixError(PmrcError):
     """Matrix lacks full column rank where the operation needs it."""
 

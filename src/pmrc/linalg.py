@@ -1,110 +1,27 @@
 """Dense exact linear algebra over a prime field.
 
-Matrices are immutable values backed by int64 numpy arrays; every operation
-reduces mod q. Solving and rank use plain Gaussian elimination with
-leftmost-nonzero pivoting (exact arithmetic needs no pivot scaling).
+Matrices are plain 2-D numpy arrays of residues in [0, q), and every call
+takes the modulus q: an array does not carry its field. Solving and rank use
+plain Gaussian elimination with leftmost-nonzero pivoting (exact arithmetic
+needs no pivot scaling) and return int64 arrays.
 
-Every matrix product, `MatrixFq @` included, runs on one kernel, `matmul_mod`:
-it multiplies arrays of reduced residues on BLAS in float32, summing the inner
-side in spans short enough that every partial sum is an exact float32
-integer, and returns uint16 residues. Word-sized products, and q > 4096 (too
-large for even one exact product), run in int64. Vandermonde matrices are
-built once per (field, points, width).
+Every matrix product runs on one kernel, `matmul_mod`: it multiplies arrays
+of reduced residues on BLAS in float32, summing the inner side in spans short
+enough that every partial sum is an exact float32 integer, and returns uint16
+residues. Word-sized products, and q > 4096 (too large for even one exact
+product), run in int64. Vandermonde matrices are built once per (field,
+points, width) and returned read-only.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    FieldMismatchError,
-    InconsistentSystemError,
-    ParameterError,
-    SingularMatrixError,
-)
+from .errors import InconsistentSystemError, ParameterError, SingularMatrixError
 from .field import Fq
-
-
-class MatrixFq:
-    """Immutable dense matrix over F_q."""
-
-    __slots__ = ("field", "_a")
-
-    def __init__(self, field: Fq, data, _trusted: bool = False):
-        a = np.array(data, dtype=np.int64, copy=True)
-        if a.ndim != 2:
-            raise ParameterError(f"matrix data must be 2-D, got ndim={a.ndim}")
-        if not _trusted and a.size:
-            if int(a.min()) < 0 or int(a.max()) >= field.q:
-                raise ParameterError("matrix entries must be reduced mod q")
-        a.setflags(write=False)
-        self.field = field
-        self._a = a
-
-    @property
-    def rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._a.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._a.shape
-
-    @classmethod
-    def identity(cls, field: Fq, n: int) -> "MatrixFq":
-        return cls(field, np.eye(n, dtype=np.int64), _trusted=True)
-
-    @classmethod
-    def column(cls, field: Fq, values: Sequence[int]) -> "MatrixFq":
-        return cls(field, np.asarray(values, dtype=np.int64).reshape(-1, 1))
-
-    def array(self) -> np.ndarray:
-        """Read-only int64 view of the entries."""
-        return self._a
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in self._a[i])
-
-    def take_rows(self, idx: Iterable[int]) -> "MatrixFq":
-        return MatrixFq(self.field, self._a[list(idx), :], _trusted=True)
-
-    def slice_cols(self, j0: int, j1: int) -> "MatrixFq":
-        return MatrixFq(self.field, self._a[:, j0:j1], _trusted=True)
-
-    @property
-    def T(self) -> "MatrixFq":
-        return MatrixFq(self.field, self._a.T, _trusted=True)
-
-    def _same_field(self, other: "MatrixFq"):
-        if self.field != other.field:
-            raise FieldMismatchError(
-                f"fields differ: F_{self.field.q} vs F_{other.field.q}"
-            )
-
-    def __matmul__(self, other: "MatrixFq") -> "MatrixFq":
-        self._same_field(other)
-        prod = matmul_mod(self._a, other._a, self.field.q)
-        return MatrixFq(self.field, prod, _trusted=True)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatrixFq)
-            and self.field == other.field
-            and self.shape == other.shape
-            and bool(np.array_equal(self._a, other._a))
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.shape, self._a.tobytes()))
-
-    def __repr__(self):
-        return f"MatrixFq(q={self.field.q}, {self.rows}x{self.cols})"
 
 
 # output entries per kernel step, whatever the operand length: the float32
@@ -168,14 +85,14 @@ def matmul_mod(a, b, q: int) -> np.ndarray:
     return out.T if flip else out
 
 
-def vandermonde(field: Fq, points: Sequence[int], width: int) -> MatrixFq:
-    """Rows [1, x, x^2, ..., x^(width-1)] for each evaluation point x, built
-    once per (field, points, width) and shared: a MatrixFq is immutable."""
+def vandermonde(field: Fq, points: Sequence[int], width: int) -> np.ndarray:
+    """Rows [1, x, x^2, ..., x^(width-1)] for each evaluation point x, as a
+    read-only int64 array built once per (field, points, width) and shared."""
     return _vandermonde(field, tuple(points), width)
 
 
 @functools.lru_cache(maxsize=1024)
-def _vandermonde(field: Fq, points: tuple[int, ...], width: int) -> MatrixFq:
+def _vandermonde(field: Fq, points: tuple[int, ...], width: int) -> np.ndarray:
     pts = [field.check(x) for x in points]
     if len(set(pts)) != len(pts):
         raise ParameterError("Vandermonde points must be pairwise distinct")
@@ -188,7 +105,8 @@ def _vandermonde(field: Fq, points: tuple[int, ...], width: int) -> MatrixFq:
         for j in range(width):
             a[:, j] = col
             col = col * xs % field.q
-    return MatrixFq(field, a, _trusted=True)
+    a.setflags(write=False)
+    return a
 
 
 def _rref(arr: np.ndarray, q: int, stop_col: int) -> list[int]:
@@ -219,61 +137,51 @@ def _rref(arr: np.ndarray, q: int, stop_col: int) -> list[int]:
     return pivots
 
 
-def _solve_common(a: MatrixFq, y: MatrixFq, require_unique: bool) -> MatrixFq:
-    a._same_field(y)
-    if a.rows != y.rows:
-        raise ParameterError(f"rhs has {y.rows} rows, matrix has {a.rows}")
-    q = a.field.q
-    aug = np.concatenate([a.array(), y.array()], axis=1)
-    pivots = _rref(aug, q, a.cols)
+def _solve_common(a, y, q: int, require_unique: bool) -> np.ndarray:
+    if a.shape[0] != y.shape[0]:
+        raise ParameterError(f"rhs has {y.shape[0]} rows, matrix has {a.shape[0]}")
+    cols = a.shape[1]
+    aug = np.concatenate([a, y], axis=1, dtype=np.int64)
+    pivots = _rref(aug, q, cols)
     rank_a = len(pivots)
     # rows below rank_a are zero in the A block; any nonzero rhs there means
     # the system has no solution.
-    if aug[rank_a:, a.cols:].any():
+    if aug[rank_a:, cols:].any():
         raise InconsistentSystemError("linear system has no solution")
-    if require_unique and rank_a < a.cols:
+    if require_unique and rank_a < cols:
         raise SingularMatrixError(
-            f"matrix has column rank {rank_a} < {a.cols}; solution not unique"
+            f"matrix has column rank {rank_a} < {cols}; solution not unique"
         )
-    x = np.zeros((a.cols, y.cols), dtype=np.int64)
-    x[pivots] = aug[:rank_a, a.cols :]
-    return MatrixFq(a.field, x, _trusted=True)
+    x = np.zeros((cols, y.shape[1]), dtype=np.int64)
+    x[pivots] = aug[:rank_a, cols:]
+    return x
 
 
-def solve(a: MatrixFq, y: MatrixFq) -> MatrixFq:
-    """Unique x with a @ x = y; a must have full column rank."""
-    return _solve_common(a, y, require_unique=True)
+def solve(a, y, q: int) -> np.ndarray:
+    """Unique x with a @ x = y mod q; a must have full column rank."""
+    return _solve_common(a, y, q, require_unique=True)
 
 
-def solve_any(a: MatrixFq, y: MatrixFq) -> MatrixFq:
-    """Some x with a @ x = y (free variables set to zero)."""
-    return _solve_common(a, y, require_unique=False)
+def solve_any(a, y, q: int) -> np.ndarray:
+    """Some x with a @ x = y mod q (free variables set to zero)."""
+    return _solve_common(a, y, q, require_unique=False)
 
 
-def rank(a: MatrixFq) -> int:
-    arr = a.array().copy()
-    return len(_rref(arr, a.field.q, a.cols))
+def rank(a, q: int) -> int:
+    a = np.array(a, dtype=np.int64)
+    return len(_rref(a, q, a.shape[1]))
 
 
-def inverse(a: MatrixFq) -> MatrixFq:
-    if a.rows != a.cols:
+def inverse(a, q: int) -> np.ndarray:
+    if a.shape[0] != a.shape[1]:
         raise ParameterError("only square matrices have inverses")
-    return solve(a, MatrixFq.identity(a.field, a.rows))
+    return solve(a, np.eye(a.shape[0], dtype=np.int64), q)
 
 
-def left_inverse(a: MatrixFq) -> MatrixFq:
-    """L with L @ a = I; a must have full column rank."""
+def left_inverse(a, q: int) -> np.ndarray:
+    """L with L @ a = I mod q; a must have full column rank."""
     try:
-        x = solve_any(a.T, MatrixFq.identity(a.field, a.cols))
+        x = solve_any(a.T, np.eye(a.shape[1], dtype=np.int64), q)
     except InconsistentSystemError:
         raise SingularMatrixError("matrix has no left inverse (column rank deficient)")
     return x.T
-
-
-def vstack(mats: Sequence[MatrixFq]) -> MatrixFq:
-    first = mats[0]
-    for m in mats[1:]:
-        first._same_field(m)
-    return MatrixFq(
-        first.field, np.concatenate([m.array() for m in mats], axis=0), _trusted=True
-    )

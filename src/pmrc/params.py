@@ -19,9 +19,11 @@ reconstruction kappa = k+s+2t <= n providers, so the decode steps in
 Encoding matrices are Vandermonde at n evaluation points: row i is
 [1, x_i, ..., x_i^(d-1)], which makes any d rows independent and any
 prefix-width submatrix MDS. Psi, Phi, Sigma and Lambda are derived from the
-points: for MSR the matrix splits as [phi | Lambda*phi] with
-lambda_i = x_i^(k-1); `build_encoding` picks the points by a greedy scan so
-that all lambda_i are distinct, which a field of size q >= 4n always permits.
+points; Psi is the read-only int64 array `linalg.vandermonde` returns, and
+Phi and Sigma are column views of it. For MSR it splits as
+[phi | Lambda*phi] with lambda_i = x_i^(k-1); `build_encoding` picks the
+points by a greedy scan so that all lambda_i are distinct, which a field of
+size q >= 4n always permits.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ import functools
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import linalg
 from .errors import ConstructionError, InfeasibleError, ParameterError
 from .field import Fq, default_modulus
-from .linalg import MatrixFq
 
 
 class CodeMode(str, enum.Enum):
@@ -162,7 +165,8 @@ def feasible_pairs(params: SystemParams) -> list[tuple[int, int]]:
 @dataclass(frozen=True)
 class EncodingMatrix:
     """The n x d encoding matrix at the given points and its per-mode split,
-    each part derived once; the other mode's part is None.
+    each part derived once (psi a read-only int64 array, phi and sigma column
+    views of it); the other mode's part is None.
 
     MSR: psi = [phi | diag(lam) @ phi], phi the first (k-1) Vandermonde
     columns, lam_i = x_i^(k-1) all distinct.
@@ -174,19 +178,19 @@ class EncodingMatrix:
     points: tuple[int, ...]
 
     @functools.cached_property
-    def psi(self) -> MatrixFq:
+    def psi(self) -> np.ndarray:
         return linalg.vandermonde(self.field, self.points, self.params.d)
 
     @functools.cached_property
-    def phi(self) -> MatrixFq:
+    def phi(self) -> np.ndarray:
         msr = self.params.mode is CodeMode.MSR
-        return self.psi.slice_cols(0, self.params.k - 1 if msr else self.params.k)
+        return self.psi[:, : self.params.k - 1 if msr else self.params.k]
 
     @functools.cached_property
-    def sigma(self) -> MatrixFq | None:
+    def sigma(self) -> np.ndarray | None:
         if self.params.mode is CodeMode.MSR:
             return None
-        return self.psi.slice_cols(self.params.k, self.params.d)
+        return self.psi[:, self.params.k :]
 
     @functools.cached_property
     def lam(self) -> tuple[int, ...] | None:
@@ -199,11 +203,11 @@ class EncodingMatrix:
             raise ParameterError(f"node id {node_id} outside 1..{self.params.n}")
         return node_id
 
-    def psi_row(self, node_id: int) -> tuple[int, ...]:
-        return self.psi.row(self.check_node(node_id) - 1)
+    def psi_row(self, node_id: int) -> np.ndarray:
+        return self.psi[self.check_node(node_id) - 1]
 
-    def phi_row(self, node_id: int) -> tuple[int, ...]:
-        return self.phi.row(self.check_node(node_id) - 1)
+    def phi_row(self, node_id: int) -> np.ndarray:
+        return self.phi[self.check_node(node_id) - 1]
 
     def lam_of(self, node_id: int) -> int:
         assert self.lam is not None

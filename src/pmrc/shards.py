@@ -67,7 +67,6 @@ import numpy as np
 from . import decoding, linalg
 from .errors import ConstructionError, DecodeFailure, InfeasibleError, ParameterError
 from .field import Fq
-from .linalg import MatrixFq
 from .params import (
     CodeMode,
     EncodingMatrix,
@@ -333,11 +332,16 @@ def _slice_matrix_index(params: SystemParams) -> np.ndarray:
 def share_map(enc: EncodingMatrix) -> np.ndarray:
     """Read-only int64 coefficient tensor A with shape (n, alpha', B')
     mapping one slice of payload symbols u to every node's stored slice:
-    share_i = A[i] @ u. Built once per encoding."""
+    share_i = A[i] @ u. Built once per encoding, by one scatter: where cell
+    (r, w) of the operand holds u_j (j = idx[r, w] >= 0), column r of psi is
+    u_j's coefficient in share column w. The operand's blocks are symmetric,
+    so no symbol sits twice in one column and no two cells add up; the
+    O(n alpha' B') tensor itself is all the memory the build takes."""
     params = enc.params
     idx = _slice_matrix_index(params)
-    onehot = (idx[:, :, None] == np.arange(params.slice_symbols)).astype(np.int64)
-    amap = np.einsum("nd,dwu->nwu", enc.psi.array(), onehot) % enc.field.q
+    r, w = np.nonzero(idx >= 0)
+    amap = np.zeros((params.n, params.alpha_prime, params.slice_symbols), dtype=np.int64)
+    amap[:, w, idx[r, w]] = enc.psi[:, r]
     amap.setflags(write=False)
     return amap
 
@@ -374,7 +378,7 @@ def helper_symbols(
     else:
         target = enc.psi_row(failed_id)
     slices = share.reshape(share.shape[0] * params.beta, params.alpha_prime)
-    symbols = linalg.matmul_mod(slices, np.asarray(target)[:, None], enc.field.q)
+    symbols = linalg.matmul_mod(slices, target[:, None], enc.field.q)
     return symbols.reshape(share.shape[0], params.beta)
 
 
@@ -419,9 +423,7 @@ def _locate_then_erase(
     located = False
     while undecided.size:
         rows = np.flatnonzero(~erased)[:need]
-        inv = invert(
-            MatrixFq(field, np.concatenate(gen[rows]), _trusted=True)
-        ).array()
+        inv = invert(np.concatenate(gen[rows]), q)
         used = word if rows.size == n_pos else word[:, rows]
         cand = linalg.matmul_mod(used.reshape(used.shape[0], -1), inv.T, q)
         check = np.ones(n_pos, dtype=bool)
@@ -477,7 +479,7 @@ def poly_decode(
     msg_len + 2t. A column that is not clean is located by the
     Berlekamp-Welch key equation (`decoding.rs_decode_ee`); a failure names
     the block of ``per_block`` consecutive columns it belongs to."""
-    vdm = linalg.vandermonde(field, points, msg_len).array()
+    vdm = linalg.vandermonde(field, points, msg_len)
 
     def locate(word: np.ndarray) -> np.ndarray:
         coeffs = decoding.rs_decode_ee(word[:, 0].tolist(), points, msg_len, t, field)
@@ -527,7 +529,7 @@ def _locate_msr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> n
     field = enc.field
     q = field.q
     points = [enc.point_of(i) for i in ids]
-    phi = enc.phi.array()[[i - 1 for i in ids]]
+    phi = enc.phi[[i - 1 for i in ids]]
     lam = np.asarray([enc.lam_of(i) for i in ids], dtype=np.int64)
     c = linalg.matmul_mod(y, phi.T, q).astype(np.int64)  # c[i, j] = P_ij + lam_i Q_ij
     gap = (lam[:, None] - lam[None, :]) % q
@@ -560,12 +562,12 @@ def _locate_mbr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> n
     points = [enc.point_of(i) for i in ids]
     rows = [i - 1 for i in ids]
     t_blk = poly_decode(y[:, k:], points, k, t, field)
-    sigma_t = linalg.matmul_mod(enc.sigma.array()[rows], t_blk.T, q)
+    sigma_t = linalg.matmul_mod(enc.sigma[rows], t_blk.T, q)
     m = np.zeros((d, d), dtype=np.int64)
     m[:k, :k] = poly_decode((y[:, :k].astype(np.int64) - sigma_t) % q, points, k, t, field)
     m[:k, k:] = t_blk
     m[k:, :k] = t_blk.T
-    return (linalg.matmul_mod(enc.psi.array()[rows], m, q) != y).any(axis=1)
+    return (linalg.matmul_mod(enc.psi[rows], m, q) != y).any(axis=1)
 
 
 def decode_reconstruct(

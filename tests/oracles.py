@@ -19,8 +19,10 @@ codec's `share_map` is checked against. ``MsrMessageMatrix`` and
 those operands and back, and ``message_matrices`` and
 ``payload_of_matrices`` do the same for a batch of blocks. All of them read
 the layout from `pmrc.shards._slice_matrix_index`, the one statement of it
-in the library. ``msr_systematic_remap`` solves for the message under which
-k chosen nodes store the payload verbatim.
+in the library. ``share_map_einsum`` is `share_map` built as the product of
+psi with a one-hot operand, the reference for the codec's scatter.
+``msr_systematic_remap`` solves for the message under which k chosen nodes
+store the payload verbatim.
 """
 
 from dataclasses import dataclass
@@ -30,10 +32,10 @@ from typing import Sequence
 import numpy as np
 
 from pmrc import (
-    CodeMode, DecodeFailure, EncodingMatrix, Fq, MatrixFq, ParameterError, PmrcError,
+    CodeMode, DecodeFailure, EncodingMatrix, Fq, ParameterError, PmrcError,
     SingularMatrixError, SystemParams,
 )
-from pmrc.linalg import matmul_mod, solve, vstack
+from pmrc.linalg import matmul_mod, solve
 from pmrc.perblock import _check_mode
 from pmrc.shards import _slice_matrix_index, share_map
 
@@ -43,14 +45,14 @@ class AmbiguityError(PmrcError):
 
 
 def subset_decode_oracle(
-    values: Sequence[int | None], rows: MatrixFq, t_max: int
+    values: Sequence[int | None], rows: np.ndarray, t_max: int, field: Fq
 ) -> tuple[int, ...]:
-    """Exhaustive reference decoder against arbitrary MDS rows.
+    """Exhaustive reference decoder against arbitrary MDS rows over field.
 
-    values[i] is the symbol observed for rows.row(i), or None if erased.
+    values[i] is the symbol observed for rows[i], or None if erased.
     """
-    msg_len = rows.cols
-    if len(values) != rows.rows:
+    msg_len = rows.shape[1]
+    if len(values) != rows.shape[0]:
         raise ParameterError("one value per encoding row required")
     if t_max < 0:
         raise ParameterError("t_max must be nonnegative")
@@ -61,21 +63,21 @@ def subset_decode_oracle(
             f"{r_count} received symbols cannot tolerate {t_max} errors "
             f"on a length-{msg_len} message"
         )
-    field = rows.field
+    q = field.q
     candidates: set[tuple[int, ...]] = set()
     seen: set[tuple[int, ...]] = set()
     for subset in combinations(range(r_count), msg_len):
         idx = [received[j][0] for j in subset]
-        rhs = MatrixFq.column(field, [received[j][1] for j in subset])
+        rhs = np.array([[received[j][1]] for j in subset], dtype=np.int64)
         try:
-            x = solve(rows.take_rows(idx), rhs)
+            x = solve(rows[idx], rhs, q)
         except SingularMatrixError:
             continue
-        cand = tuple(int(v) for v in x.array()[:, 0])
+        cand = tuple(x[:, 0].tolist())
         if cand in seen:
             continue
         seen.add(cand)
-        preds = (rows @ x).array()[:, 0]
+        preds = matmul_mod(rows, x, q)[:, 0]
         agree = sum(int(preds[i]) == v for i, v in received)
         if agree >= r_count - t_max:
             candidates.add(cand)
@@ -106,7 +108,7 @@ def locate_then_erase_full(ys, gen, need, t, field, invert, locate, per_block):
     located = False
     while undecided.size:
         rows = np.flatnonzero(~erased)[:need]
-        inv = invert(MatrixFq(field, np.concatenate(gen[rows]), _trusted=True)).array()
+        inv = invert(np.concatenate(gen[rows]), q)
         cand = matmul_mod(word[:, rows].reshape(word.shape[0], -1), inv.T, q)
         again = matmul_mod(cand, code_maps.T, q).reshape(word.shape)
         ok = (again == word).all(axis=2).sum(axis=1) >= n_pos - t
@@ -154,78 +156,92 @@ def payload_of_matrices(mats: np.ndarray, params: SystemParams) -> np.ndarray:
     return flat[:, :, cells[values >= 0]].reshape(mats.shape[0], params.message_symbols)
 
 
-@dataclass(frozen=True)
+def share_map_einsum(enc: EncodingMatrix) -> np.ndarray:
+    """`pmrc.shards.share_map` as psi times a (d, alpha', B') one-hot operand
+    whose cell (r, w, j) is 1 where the slice operand holds payload symbol j."""
+    params = enc.params
+    idx = _slice_matrix_index(params)
+    onehot = (idx[:, :, None] == np.arange(params.slice_symbols)).astype(np.int64)
+    return np.einsum("nd,dwu->nwu", enc.psi, onehot) % enc.field.q
+
+
+def _symmetric(m: np.ndarray) -> bool:
+    return m.shape[0] == m.shape[1] and np.array_equal(m, m.T)
+
+
+@dataclass(frozen=True, eq=False)
 class MsrMessageMatrix:
     """One slice of the message: two symmetric (k-1)x(k-1) halves."""
 
-    s1: MatrixFq
-    s2: MatrixFq
+    s1: np.ndarray
+    s2: np.ndarray
 
     def __post_init__(self):
-        for m in (self.s1, self.s2):
-            if m.rows != m.cols or m != m.T:
-                raise ParameterError("message halves must be square and symmetric")
-        if self.s1.shape != self.s2.shape or self.s1.field != self.s2.field:
-            raise ParameterError("message halves must match in shape and field")
+        if not (_symmetric(self.s1) and _symmetric(self.s2)):
+            raise ParameterError("message halves must be square and symmetric")
+        if self.s1.shape != self.s2.shape:
+            raise ParameterError("message halves must match in shape")
 
     @property
     def alpha_prime(self) -> int:
-        return self.s1.rows
+        return self.s1.shape[0]
 
-    def stacked(self) -> MatrixFq:
+    def stacked(self) -> np.ndarray:
         """The (d x alpha') product-matrix operand [S1; S2]."""
-        return vstack([self.s1, self.s2])
+        return np.concatenate([self.s1, self.s2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MbrMessageMatrix:
     """One slice: symmetric k x k block S plus the (d-k) x k block T."""
 
-    s: MatrixFq
-    t_blk: MatrixFq
+    s: np.ndarray
+    t_blk: np.ndarray
 
     def __post_init__(self):
-        if self.s.rows != self.s.cols or self.s != self.s.T:
+        if not _symmetric(self.s):
             raise ParameterError("S block must be square and symmetric")
-        if self.t_blk.cols != self.s.rows:
+        if self.t_blk.shape[1] != self.s.shape[0]:
             raise ParameterError("T block must have k columns")
-        if self.t_blk.field != self.s.field:
-            raise ParameterError("blocks must share a field")
 
     @property
     def k(self) -> int:
-        return self.s.rows
+        return self.s.shape[0]
 
     @property
     def d(self) -> int:
-        return self.s.rows + self.t_blk.rows
+        return self.s.shape[0] + self.t_blk.shape[0]
 
-    def assembled(self) -> MatrixFq:
+    def assembled(self) -> np.ndarray:
         """The full symmetric d x d message matrix with zero lower-right
         (d-k) x (d-k) corner."""
         k, d = self.k, self.d
         a = np.zeros((d, d), dtype=np.int64)
-        a[:k, :k] = self.s.array()
-        a[k:, :k] = self.t_blk.array()
-        a[:k, k:] = self.t_blk.array().T
-        return MatrixFq(self.s.field, a, _trusted=True)
+        a[:k, :k] = self.s
+        a[k:, :k] = self.t_blk
+        a[:k, k:] = self.t_blk.T
+        return a
 
 
-def _slice_matrices(payload: Sequence[int], params: SystemParams) -> np.ndarray:
-    """The (beta, d, alpha') operands of one block's B payload symbols."""
+def _slice_matrices(
+    payload: Sequence[int], params: SystemParams, field: Fq
+) -> np.ndarray:
+    """The (beta, d, alpha') operands of one block's B payload symbols, each
+    an element of field."""
     if len(payload) != params.message_symbols:
         raise ParameterError(
             f"payload must have {params.message_symbols} symbols, got {len(payload)}"
         )
+    for v in payload:
+        field.check(v)
     return message_matrices(np.asarray([payload], dtype=np.int64), params)[0]
 
 
-def _slice_payload(mats: Sequence[MatrixFq], params: SystemParams) -> tuple[int, ...]:
+def _slice_payload(mats: Sequence[np.ndarray], params: SystemParams) -> tuple[int, ...]:
     """Inverse of _slice_matrices on the slices' (d, alpha') operands."""
     if len(mats) != params.beta:
         raise ParameterError(f"expected {params.beta} slices, got {len(mats)}")
-    stacked = np.stack([m.array() for m in mats])[None]
-    return tuple(int(v) for v in payload_of_matrices(stacked, params)[0])
+    return tuple(payload_of_matrices(np.stack(mats)[None], params)[0].tolist())
 
 
 def msr_fill_message(
@@ -236,8 +252,8 @@ def msr_fill_message(
     _check_mode(params, CodeMode.MSR)
     ap = params.k - 1
     return [
-        MsrMessageMatrix(s1=MatrixFq(field, m[:ap]), s2=MatrixFq(field, m[ap:]))
-        for m in _slice_matrices(payload, params)
+        MsrMessageMatrix(s1=m[:ap], s2=m[ap:])
+        for m in _slice_matrices(payload, params, field)
     ]
 
 
@@ -257,8 +273,8 @@ def mbr_fill_message(
     _check_mode(params, CodeMode.MBR)
     k = params.k
     return [
-        MbrMessageMatrix(s=MatrixFq(field, m[:k, :k]), t_blk=MatrixFq(field, m[k:, :k]))
-        for m in _slice_matrices(payload, params)
+        MbrMessageMatrix(s=m[:k, :k], t_blk=m[k:, :k])
+        for m in _slice_matrices(payload, params, field)
     ]
 
 
@@ -290,12 +306,10 @@ def msr_systematic_remap(
         )
     field = enc.field
     amap = share_map(enc)
-    a_sys = MatrixFq(
-        field, np.concatenate([amap[i - 1] for i in sys_nodes], axis=0), _trusted=True
-    )
+    a_sys = np.concatenate([amap[i - 1] for i in sys_nodes], axis=0)
     # column j of the target stacks each designated node's slice-j segment of
     # its alpha-symbol run; one solve gives every slice's B' symbols
     runs = np.asarray(payload, dtype=np.int64).reshape(params.k, params.beta, -1)
-    target = MatrixFq(field, runs.transpose(0, 2, 1).reshape(-1, params.beta))
-    u = solve(a_sys, target)
-    return msr_fill_message(u.array().T.ravel().tolist(), params, field)
+    target = runs.transpose(0, 2, 1).reshape(-1, params.beta)
+    u = solve(a_sys, target, field.q)
+    return msr_fill_message(u.T.ravel().tolist(), params, field)

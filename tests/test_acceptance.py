@@ -148,7 +148,7 @@ def test_criterion_4_oracle_equivalence():
                             for i in co:
                                 values[i] = (values[i] + 1 + rng.randrange(q - 1)) % q
                             runs += 1
-                            a = subset_decode_oracle(values, rows, t)
+                            a = subset_decode_oracle(values, rows, t, f)
                             b = rs_decode_ee(values, points, msg_len, t, f)
                             kept = [i for i in range(delta) if values[i] is not None]
                             y = np.array([[values[i]] for i in kept])
@@ -166,7 +166,7 @@ def test_criterion_4_oracle_equivalence():
 def _min_weight_exact(psi_rows, field, d):
     """Exhaustive minimum nonzero-codeword weight over all q^d messages."""
     q = field.q
-    arr = psi_rows.array()
+    arr = psi_rows
     best = arr.shape[0] + 1
     for msg in product(range(q), repeat=d):
         if not any(msg):
@@ -186,7 +186,7 @@ def test_criterion_5_minimum_distance_law():
         d = params.d
         for size in range(d, params.n + 1):
             for sub in combinations(range(params.n), size):
-                got = _min_weight_exact(enc.psi.take_rows(sub), f5, d)
+                got = _min_weight_exact(enc.psi[list(sub)], f5, d)
                 ok &= got == size - d + 1
     # q = 29 at full toy size: MDS rank bound plus explicit weight witnesses
     enc = build_encoding(msr_params(k=3, n=7), Fq(29))
@@ -194,9 +194,9 @@ def test_criterion_5_minimum_distance_law():
     q = 29
     for size in range(d, 8):
         for sub in combinations(range(7), size):
-            psi_sub = enc.psi.take_rows(sub)
+            psi_sub = enc.psi[list(sub)]
             ok &= all(
-                rank(psi_sub.take_rows(rows)) == d
+                rank(psi_sub[list(rows)], q) == d
                 for rows in combinations(range(size), d)
             )  # no nonzero codeword vanishes on d positions => weight > size-d
             # witness: the polynomial with roots at d-1 of the points has

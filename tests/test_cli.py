@@ -394,6 +394,21 @@ def test_encode_with_too_small_a_field_creates_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_info_and_encode_reject_the_same_moduli(tmp_path, capsys):
+    """info checks --q as encode does: 65537 is prime and at least the
+    default, but no 16-bit symbol holds it."""
+    src = tmp_path / "f.bin"
+    src.write_bytes(b"hello")
+    code = ["--mode", "mbr", "-k", "5", "-d", "8", "-n", "16", "--q", "65537"]
+    for argv in (
+        ["info", *code, "--json"],
+        ["encode", str(src), "-o", str(tmp_path / "sh"), *code],
+    ):
+        assert main(argv) == EXIT_BAD_ARGS
+        assert "modulus must be an integer in [2, 65536)" in capsys.readouterr().err
+    assert not (tmp_path / "sh").exists()
+
+
 def test_damage_bad_node_list_removes_nothing(tmp_path, capsys):
     data, out = encode(tmp_path)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -689,7 +704,7 @@ def test_shard_bodies_stay_u2(tmp_path, q):
     enc = header.enc
     blocks = bytes_to_blocks(data, enc.params.message_symbols)
     mats = message_matrices(blocks.astype(np.int64), enc.params)
-    want = np.einsum("nd,bjdw->nbjw", enc.psi.array(), mats) % q
+    want = np.einsum("nd,bjdw->nbjw", enc.psi, mats) % q
     for i, body in encode_blocks(blocks, enc).items():
         assert body.dtype == np.uint16
         assert np.array_equal(body, want[i - 1].reshape(body.shape))

@@ -3,15 +3,16 @@ from itertools import combinations
 
 import pytest
 
+import numpy as np
+
 from pmrc import (
     DecodeFailure,
     Fq,
-    MatrixFq,
     ParameterError,
     rs_decode_ee,
 )
 from pmrc.decoding import Response, consistency_reconstruct
-from pmrc.linalg import vandermonde
+from pmrc.linalg import matmul_mod, rank, solve, vandermonde
 from oracles import AmbiguityError, subset_decode_oracle
 
 F29 = Fq(29)
@@ -32,7 +33,7 @@ def test_oracle_plain_solve_no_faults():
     rows = vandermonde(F29, points, 3)
     msg = (4, 7, 1)
     values = evals(msg, points, 29)
-    assert subset_decode_oracle(values, rows, 0) == msg
+    assert subset_decode_oracle(values, rows, 0, F29) == msg
 
 
 def test_oracle_single_error_example():
@@ -40,20 +41,20 @@ def test_oracle_single_error_example():
     points = [1, 2, 3, 4, 5, 6]
     rows = vandermonde(F29, points, 4)
     values = [1, 1, 5, 1, 1, 1]
-    assert subset_decode_oracle(values, rows, 1) == (1, 0, 0, 0)
+    assert subset_decode_oracle(values, rows, 1, F29) == (1, 0, 0, 0)
 
 
 def test_oracle_zero_codeword_one_error():
     points = [1, 2, 3, 4, 5, 6]
     rows = vandermonde(F29, points, 4)
     values = [0, 0, 0, 9, 0, 0]
-    assert subset_decode_oracle(values, rows, 1) == (0, 0, 0, 0)
+    assert subset_decode_oracle(values, rows, 1, F29) == (0, 0, 0, 0)
 
 
 def test_oracle_precondition():
     rows = vandermonde(F29, [1, 2, 3], 3)
     with pytest.raises(ParameterError):
-        subset_decode_oracle([1, 1, 1], rows, 1)  # R = 3 < msg_len + t_max
+        subset_decode_oracle([1, 1, 1], rows, 1, F29)  # R = 3 < msg_len + t_max
 
 
 def test_rs_matches_oracle_on_examples():
@@ -65,7 +66,7 @@ def test_rs_matches_oracle_on_examples():
         ([1, 1, 1, 1, 1, 1], 0),
     ):
         assert rs_decode_ee(values, points, 4, t, F29) == subset_decode_oracle(
-            values, rows, t
+            values, rows, t, F29
         )
 
 
@@ -121,7 +122,7 @@ def test_oracle_equivalence_sweep_small():
                                     values[i] = None
                                 for i in co:
                                     values[i] = (values[i] + 1 + rng.randrange(q - 1)) % q
-                                a = subset_decode_oracle(values, rows, t)
+                                a = subset_decode_oracle(values, rows, t, f)
                                 b = rs_decode_ee(values, points, msg_len, t, f)
                                 assert a == b == msg
 
@@ -130,7 +131,9 @@ def test_decoders_deterministic():
     points = [1, 2, 3, 4, 5, 6]
     values = [1, 1, 5, 1, 1, 1]
     rows = vandermonde(F29, points, 4)
-    assert subset_decode_oracle(values, rows, 1) == subset_decode_oracle(values, rows, 1)
+    assert subset_decode_oracle(values, rows, 1, F29) == subset_decode_oracle(
+        values, rows, 1, F29
+    )
     assert rs_decode_ee(values, points, 4, 1, F29) == rs_decode_ee(
         values, points, 4, 1, F29
     )
@@ -150,7 +153,7 @@ def test_beyond_budget_never_crashes():
             for i in co:
                 values[i] = (values[i] + 1 + rng.randrange(q - 1)) % q
             for decode in (
-                lambda v: subset_decode_oracle(v, rows, 1),
+                lambda v: subset_decode_oracle(v, rows, 1, f),
                 lambda v: rs_decode_ee(v, points, 3, 1, f),
             ):
                 try:
@@ -163,45 +166,40 @@ def test_beyond_budget_never_crashes():
 def make_vector_code(k, n, q, share_len, seed=0):
     """Toy linear vector code: share_i = G_i @ msg with random full-rank maps."""
     rng = random.Random(seed)
-    f = Fq(q)
     msg_len = k * share_len
     while True:
         gs = {
-            i: MatrixFq(
-                f, [[rng.randrange(q) for _ in range(msg_len)] for _ in range(share_len)]
+            i: np.array(
+                [[rng.randrange(q) for _ in range(msg_len)] for _ in range(share_len)]
             )
             for i in range(1, n + 1)
         }
-        from pmrc.linalg import rank, vstack
-
         ok = all(
-            rank(vstack([gs[i] for i in sub])) == msg_len
+            rank(np.concatenate([gs[i] for i in sub]), q) == msg_len
             for sub in combinations(range(1, n + 1), k)
         )
         if ok:
-            return f, gs, msg_len
+            return gs, msg_len
 
 
 def test_consistency_reconstruct_toy_code():
-    from pmrc.linalg import solve, vstack
-
     q = 29
-    f, gs, msg_len = make_vector_code(k=2, n=5, q=q, share_len=3, seed=2)
+    gs, msg_len = make_vector_code(k=2, n=5, q=q, share_len=3, seed=2)
 
     def encode(msg):
         return {
-            i: tuple(int(v) for v in (g @ MatrixFq.column(f, msg)).array()[:, 0])
+            i: tuple(matmul_mod(g, np.array(msg)[:, None], q)[:, 0].tolist())
             for i, g in gs.items()
         }
 
     def solve_k(ids, shares):
-        a = vstack([gs[i] for i in ids])
-        rhs = MatrixFq.column(f, [v for sh in shares for v in sh])
-        return tuple(int(v) for v in solve(a, rhs).array()[:, 0])
+        a = np.concatenate([gs[i] for i in ids])
+        rhs = np.array([v for sh in shares for v in sh])[:, None]
+        return tuple(solve(a, rhs, q)[:, 0].tolist())
 
     def reencode(cand, node_id):
-        col = gs[node_id] @ MatrixFq.column(f, cand)
-        return tuple(int(v) for v in col.array()[:, 0])
+        col = matmul_mod(gs[node_id], np.array(cand)[:, None], q)
+        return tuple(col[:, 0].tolist())
 
     rng = random.Random(4)
     msg = tuple(rng.randrange(q) for _ in range(msg_len))

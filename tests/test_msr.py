@@ -28,17 +28,17 @@ def test_fill_canonical_layout():
     params = msr_params(k=3, n=7)
     slices = msr_fill_message((1, 2, 3, 4, 5, 6), params, F29)
     assert len(slices) == 1
-    assert slices[0].s1.array().tolist() == [[1, 2], [2, 3]]
-    assert slices[0].s2.array().tolist() == [[4, 5], [5, 6]]
-    assert slices[0].s1 == slices[0].s1.T
-    assert slices[0].s2 == slices[0].s2.T
+    assert slices[0].s1.tolist() == [[1, 2], [2, 3]]
+    assert slices[0].s2.tolist() == [[4, 5], [5, 6]]
+    assert (slices[0].s1 == slices[0].s1.T).all()
+    assert (slices[0].s2 == slices[0].s2.T).all()
 
 
 def test_fill_zero_and_round_trip():
     params = msr_params(k=3, n=7, beta=2)
     zero = (0,) * params.message_symbols
     slices = msr_fill_message(zero, params, F29)
-    assert all(not s.s1.array().any() and not s.s2.array().any() for s in slices)
+    assert all(not s.s1.any() and not s.s2.any() for s in slices)
     rng = random.Random(1)
     payload = random_payload(rng, params, 29)
     assert msr_read_message(msr_fill_message(payload, params, F29), params) == payload
@@ -270,7 +270,7 @@ def test_systematic_remap():
     enc = build_encoding(params, Fq(q))
     zero = (0,) * params.message_symbols
     assert all(
-        not s.s1.array().any() and not s.s2.array().any()
+        not s.s1.any() and not s.s2.any()
         for s in msr_systematic_remap(zero, enc, (1, 2, 3))
     )
     rng = random.Random(17)

@@ -1,6 +1,7 @@
 import dataclasses
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from pmrc import (
@@ -124,8 +125,8 @@ def test_build_psi_msr_splits_consistently():
     enc = build_encoding(msr_params(k=3, n=7), Fq(29))
     q = 29
     for i in range(7):
-        psi_row = enc.psi.row(i)
-        phi_row = enc.phi.row(i)
+        psi_row = tuple(enc.psi[i].tolist())
+        phi_row = tuple(enc.phi[i].tolist())
         assert psi_row[:2] == phi_row
         assert psi_row[2:] == tuple(enc.lam[i] * v % q for v in phi_row)
 
@@ -133,9 +134,9 @@ def test_build_psi_msr_splits_consistently():
 def test_build_psi_msr_subset_ranks_exhaustive():
     enc = build_encoding(msr_params(k=3, n=7), Fq(29))
     for rows in combinations(range(7), 4):
-        assert rank(enc.psi.take_rows(rows)) == 4
+        assert rank(enc.psi[list(rows)], 29) == 4
     for rows in combinations(range(7), 2):
-        assert rank(enc.phi.take_rows(rows)) == 2
+        assert rank(enc.phi[list(rows)], 29) == 2
 
 
 def test_build_psi_msr_point_search_failure():
@@ -147,21 +148,21 @@ def test_build_psi_msr_point_search_failure():
 def test_build_psi_mbr_subset_ranks():
     enc = build_encoding(mbr_params(k=2, d=3, n=5), Fq(23))
     for rows in combinations(range(5), 2):
-        assert rank(enc.phi.take_rows(rows)) == 2
+        assert rank(enc.phi[list(rows)], 23) == 2
     for rows in combinations(range(5), 3):
-        assert rank(enc.psi.take_rows(rows)) == 3
+        assert rank(enc.psi[list(rows)], 23) == 3
 
 
 def test_build_psi_mbr_subset_ranks_n10():
     enc = build_encoding(mbr_params(k=3, d=4, n=10), Fq(41))
     for rows in combinations(range(10), 4):
-        assert rank(enc.psi.take_rows(rows)) == 4
+        assert rank(enc.psi[list(rows)], 41) == 4
 
 
 def test_build_psi_mbr_degenerate_d_equals_k():
     enc = build_encoding(mbr_params(k=3, d=3, n=5), Fq(23))
-    assert enc.sigma.cols == 0
-    assert enc.psi == enc.phi
+    assert enc.sigma.shape[1] == 0
+    assert np.array_equal(enc.psi, enc.phi)
 
 
 def test_build_psi_mbr_too_few_points():
@@ -175,10 +176,10 @@ def test_encoding_from_points_round_trip():
         build_encoding(mbr_params(k=2, d=3, n=5), Fq(23)),
     ):
         redone = encoding_from_points(enc.params, enc.field, enc.points)
-        assert redone.psi == enc.psi
-        assert redone.phi == enc.phi
+        assert np.array_equal(redone.psi, enc.psi)
+        assert np.array_equal(redone.phi, enc.phi)
         assert redone.lam == enc.lam
-        assert redone.sigma == enc.sigma
+        assert np.array_equal(redone.sigma, enc.sigma)  # None for MSR
 
 
 def test_encoding_from_points_checks_its_points():

@@ -14,7 +14,6 @@ from pmrc import (
     DecodeFailure,
     Fq,
     InfeasibleError,
-    MatrixFq,
     ParameterError,
     Response,
     build_encoding,
@@ -47,6 +46,7 @@ from oracles import (
     message_matrices,
     msr_fill_message,
     payload_of_matrices,
+    share_map_einsum,
     subset_decode_oracle,
 )
 from util import make_code, random_payload
@@ -63,7 +63,7 @@ def test_header_round_trip():
     back = ShardHeader.unpack(io.BytesIO(h.pack()))
     assert back == h
     assert back.enc.params == params
-    assert back.enc.psi == enc.psi
+    assert np.array_equal(back.enc.psi, enc.psi)
 
 
 def test_header_rejects_garbage():
@@ -139,7 +139,7 @@ def test_encode_blocks_matches_unit_encoder():
             else:
                 ms = [sl.assembled() for sl in mbr_fill_message(payload, params, enc.field)]
             for j, m in enumerate(ms):
-                code = (enc.psi @ m).array()
+                code = linalg.matmul_mod(enc.psi, m, q)
                 for i in range(1, params.n + 1):
                     assert (bodies[i][b, j * ap : (j + 1) * ap] == code[i - 1]).all()
 
@@ -165,6 +165,39 @@ def _triangle_walk(values, params):
             for c in range(k):
                 m[r, c] = m[c, r] = next(it)
     return m
+
+
+def test_share_map_matches_einsum_reference():
+    """The scatter gives the map psi times a one-hot operand gives, on the
+    benchmark codes and on wide and degenerate MBR codes."""
+    for params, q in (
+        (msr_params(k=4, n=10), 257),
+        (mbr_params(k=5, d=8, n=16), 257),
+        (msr_params(k=8, n=20), 257),
+        (msr_params(k=2, n=5, beta=2), 65521),
+        (mbr_params(k=20, d=50, n=60), 257),
+        (mbr_params(k=1, d=39, n=40), 65521),
+    ):
+        enc = build_encoding(params, Fq(q))
+        amap = share_map(enc)
+        assert amap.dtype == np.int64 and not amap.flags.writeable
+        assert np.array_equal(amap, share_map_einsum(enc))
+
+
+def test_share_map_memory_is_its_output():
+    """A header may state a wide code: share_map of MBR [120,1,119] takes
+    little more memory than the (n, alpha', B') map it returns."""
+    import tracemalloc
+
+    enc = build_encoding(mbr_params(k=1, d=119, n=120), Fq(65521))
+    enc.psi  # the code's own table, built before the measurement
+    tracemalloc.start()
+    try:
+        amap = share_map.__wrapped__(enc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * amap.nbytes, (peak, amap.nbytes)
 
 
 def test_message_layout_matches_triangle_walk():
@@ -398,7 +431,7 @@ def test_decode_repair_matches_subset_oracle(data):
         for b in range(len(blocks)):
             for j in range(params.beta):
                 values = [int(received[h][b, j]) for h in helpers]
-                m = np.array(subset_decode_oracle(values, rows, t))
+                m = np.array(subset_decode_oracle(values, rows, t, enc.field))
                 if params.mode is CodeMode.MSR:
                     m = (m[:ap] + enc.lam_of(failed) * m[ap:]) % ORACLE_Q
                 want[b, j * ap : (j + 1) * ap] = m
@@ -423,12 +456,12 @@ def _oracle_reconstruct(received, ids, enc, t):
     ap, bp = params.alpha_prime, params.slice_symbols
 
     def solve_k(sub_ids, sub_shares):
-        a = MatrixFq(enc.field, np.concatenate([amap[i - 1] for i in sub_ids]))
+        a = np.concatenate([amap[i - 1] for i in sub_ids])
         out = []
         for j in range(params.beta):
             y = [v for sh in sub_shares for v in sh[j * ap : (j + 1) * ap]]
-            x = linalg.solve(a, MatrixFq.column(enc.field, y))
-            out.extend(x.array()[:, 0].tolist())
+            x = linalg.solve(a, np.array(y)[:, None], enc.field.q)
+            out.extend(x[:, 0].tolist())
         return tuple(out)
 
     def reencode(u, node):
@@ -592,9 +625,9 @@ def _count_inverses(monkeypatch):
     for name in ("inverse", "left_inverse"):
         orig = getattr(linalg, name)
 
-        def counted(a, orig=orig):
+        def counted(a, q, orig=orig):
             calls.append(a.shape)
-            return orig(a)
+            return orig(a, q)
 
         monkeypatch.setattr(linalg, name, counted)
     return calls
