@@ -205,6 +205,8 @@ def _print_info(payload: dict, as_json: bool) -> None:
     print(f"feasible (s, t) budgets: {budgets}")
     print("repair connectivity Delta = d+s+2t; reconstruction kappa = k+s+2t")
     if payload.get("blocks") is not None:
+        print("basis: " + ("systematic (nodes 1..k store the payload)"
+                           if payload["systematic"] else "product-matrix (flags 0)"))
         print(f"shard set: {payload['blocks']} blocks, {payload['data_len']} bytes")
 
 
@@ -243,6 +245,7 @@ def cmd_info(args) -> int:
     if args.dir:
         header, bodies = shards.load_shard_set(args.dir)
         payload = _info_payload(header.enc.params, header.enc.field.q)
+        payload["systematic"] = header.enc.systematic
         payload["blocks"] = header.block_count
         payload["data_len"] = header.data_len
         # a shard is present when its body reads cleanly, not just its header

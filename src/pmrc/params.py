@@ -24,6 +24,13 @@ Phi and Sigma are column views of it. For MSR it splits as
 [phi | Lambda*phi] with lambda_i = x_i^(k-1); `build_encoding` picks the
 points by a greedy scan so that all lambda_i are distinct, which a field of
 size q >= 4n always permits.
+
+A code also names its message basis. Node i stores psi_i M, where M is the
+product-matrix operand of the message; in the systematic basis, which
+`build_encoding` always picks, the message is first mapped so that nodes
+1..k store the payload symbols themselves (`pmrc.shards.share_map`). Both
+bases give the same node shares for some message, so repair and the
+locating steps of a decode do not depend on it.
 """
 
 from __future__ import annotations
@@ -166,7 +173,9 @@ def feasible_pairs(params: SystemParams) -> list[tuple[int, int]]:
 class EncodingMatrix:
     """The n x d encoding matrix at the given points and its per-mode split,
     each part derived once (psi a read-only int64 array, phi and sigma column
-    views of it); the other mode's part is None.
+    views of it); the other mode's part is None. ``systematic`` is the
+    message basis: nodes 1..k store the payload symbols, or (False) the
+    payload is the product-matrix operand itself.
 
     MSR: psi = [phi | diag(lam) @ phi], phi the first (k-1) Vandermonde
     columns, lam_i = x_i^(k-1) all distinct.
@@ -176,6 +185,7 @@ class EncodingMatrix:
     params: SystemParams
     field: Fq
     points: tuple[int, ...]
+    systematic: bool
 
     @functools.cached_property
     def psi(self) -> np.ndarray:
@@ -237,9 +247,9 @@ def _msr_points(n: int, width: int, field: Fq) -> list[int]:
 
 
 def build_encoding(params: SystemParams, field: Fq | None = None) -> EncodingMatrix:
-    """The Vandermonde encoding of either mode, over the default modulus when
-    no field is given. MSR takes the scanned points with distinct lambda
-    values; MBR takes the points 1..n. Any alpha' rows of phi and any d rows
+    """The systematic Vandermonde encoding of either mode, over the default
+    modulus when no field is given. MSR takes the scanned points with
+    distinct lambda values; MBR takes the points 1..n. Any alpha' rows of phi and any d rows
     of psi are independent because both are Vandermonde at distinct points."""
     if field is None:
         field = Fq(default_modulus(params.n))
@@ -253,19 +263,20 @@ def build_encoding(params: SystemParams, field: Fq | None = None) -> EncodingMat
 
 
 def encoding_from_points(
-    params: SystemParams, field: Fq, points: Sequence[int]
+    params: SystemParams, field: Fq, points: Sequence[int], systematic: bool = True
 ) -> EncodingMatrix:
-    """The encoding matrix at explicitly given evaluation points (shard
-    headers store them, making shard sets self-describing): each point must
-    be in the field, there must be n of them, all distinct, and for MSR
-    their lambda values must be distinct too. These checks cost O(n); the
-    n x d psi is built on first use, so checking a shard header builds none."""
+    """The encoding matrix at explicitly given evaluation points and basis
+    (shard headers store them, making shard sets self-describing): each
+    point must be in the field, there must be n of them, all distinct, and
+    for MSR their lambda values must be distinct too. These checks cost
+    O(n); the n x d psi is built on first use, so checking a shard header
+    builds none."""
     pts = tuple(field.check(x) for x in points)
     if len(pts) != params.n:
         raise ParameterError(f"need {params.n} points, got {len(pts)}")
     if len(set(pts)) != len(pts):
         raise ParameterError("evaluation points must be pairwise distinct")
-    enc = EncodingMatrix(params, field, pts)
+    enc = EncodingMatrix(params, field, pts, systematic)
     if enc.lam is not None and len(set(enc.lam)) != params.n:
         raise ConstructionError("points yield repeated Lambda entries")
     return enc

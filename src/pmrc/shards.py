@@ -1,21 +1,21 @@
 """Shard files and the file-level codec.
 
 A shard holds one node's symbols for every block of a file. The header is
-self-describing (mode, [n,k,d], beta, q, evaluation points, block count, true
-byte length), so reconstruction needs nothing beyond the shard files; the
-(s, t) budget is a decode-time choice and is never stored.
+self-describing (mode, basis, [n,k,d], beta, q, evaluation points, block
+count, true byte length), so reconstruction needs nothing beyond the shard
+files; the (s, t) budget is a decode-time choice and is never stored.
 
 Layout (little-endian):
 
     magic       4s   b"PMRC"
     version     u16  1
     mode        u8   0 = MSR, 1 = MBR
-    flags       u8   reserved, 0
+    flags       u8   bit 0: systematic basis; every other bit 0
     n,k,d,beta  u16 each
     q           u32
     node_id     u16
     reserved    u16
-    block_count u64
+    block_count u64  ceil(data_len / B)
     data_len    u64  original byte length before padding
     points      n x u32
     body        block_count * alpha  u16 symbols
@@ -27,16 +27,19 @@ field element) and are zero-padded to a whole number of B-symbol blocks.
 `fstat`, its bytes are not read) and returns the agreeing shards as a lazy
 `ShardBodies` mapping; a header is read into the code it states
 (`ShardHeader.enc`), and one that states no valid code (a prime q, n
-distinct points in the field, distinct lambda for MSR) is an erasure like an
-unreadable one. `repair_blocks` and `reconstruct_blocks` read only the
+distinct points in the field, distinct lambda for MSR), sets an unknown
+flag or a block count that does not fit its byte length is an erasure like
+an unreadable one. `repair_blocks` and `reconstruct_blocks` read only the
 Delta or kappa lowest-id bodies they decode, each once, through `read_shard`;
 a body that fails its checks there is an erasure, and the next id is read.
 
 The code is stated once, as `share_map`: the linear map from one slice's B'
 payload symbols (laid out by `_slice_matrix_index`) to every node's alpha'
-stored symbols. `encode_blocks` applies it and `decode_reconstruct` inverts
-it. Symbols stay uint16 (``<u2``, the on-disk body format) from `read_shard`
-to `write_shard`; every bulk product is `linalg.matmul_mod`.
+stored symbols. In a systematic code B' of nodes 1..k's stored symbols are
+the payload symbols themselves. `encode_blocks` applies the map, copying
+those symbols, and `decode_reconstruct` inverts it. Symbols stay uint16
+(``<u2``, the on-disk body format) from `read_shard` to `write_shard`; every
+bulk product is `linalg.matmul_mod`.
 
 This module is the package's one codec. Blocks are independent, and so is
 each beta-slice of a block (a copy of the beta = 1 code), so `encode_blocks`,
@@ -44,11 +47,13 @@ each beta-slice of a block (a copy of the beta = 1 code), so `encode_blocks`,
 of all blocks at once, one word per row. A decode takes the R >= msg_len + 2t
 responses that arrived and the corruption budget t, and gives each word the
 unique message agreeing with at least R - t of them (`_locate_then_erase`):
-one clean-path inverse for all words; for a word left over, Reed-Solomon
-errors-and-erasures location (`decoding.rs_decode_ee`, directly for repair
-and through the product-matrix reduction for reconstruction), then one more
-inverse without the located positions. The file-level calls, the simulator
-and `pmrc.perblock` (batches of one block) all run them.
+one clean-path inverse for all words (a gather when the inverted symbols
+include the payload symbols, as nodes 1..k of a systematic code do); for a
+word left over, Reed-Solomon errors-and-erasures location
+(`decoding.rs_decode_ee`, directly for repair and through the product-matrix
+reduction for reconstruction), then one more inverse without the located
+positions. The file-level calls, the simulator and `pmrc.perblock` (batches
+of one block) all run them.
 """
 
 from __future__ import annotations
@@ -79,15 +84,16 @@ MAGIC = b"PMRC"
 VERSION = 1
 _HEAD = struct.Struct("<4sHBBHHHHIHHQQ")
 _MODES = (CodeMode.MSR, CodeMode.MBR)  # indexed by the header's mode code
+_SYSTEMATIC = 0x01  # the one defined flags bit
 
 
 @functools.lru_cache(maxsize=64)
 def _header_code(mode_c: int, n: int, k: int, d: int, beta: int, q: int,
-                 points: tuple[int, ...]) -> EncodingMatrix:
+                 points: tuple[int, ...], systematic: bool) -> EncodingMatrix:
     """The checked code a header's fields state, built once per distinct
     fields: every header of a shard set states the same code."""
     params = SystemParams(_MODES[mode_c], n, k, d, beta)
-    return encoding_from_points(params, Fq(q), points)
+    return encoding_from_points(params, Fq(q), points, systematic)
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,8 @@ class ShardHeader:
             if not 0 <= value <= 0xFFFF:
                 raise ParameterError(f"{name}={value} does not fit u16")
         head = _HEAD.pack(
-            MAGIC, VERSION, _MODES.index(p.mode), 0, p.n, p.k, p.d, p.beta,
+            MAGIC, VERSION, _MODES.index(p.mode), _SYSTEMATIC if self.enc.systematic else 0,
+            p.n, p.k, p.d, p.beta,
             self.enc.field.q, self.node_id, 0, self.block_count, self.data_len,
         )
         return head + struct.pack(f"<{p.n}I", *self.enc.points)
@@ -122,12 +129,13 @@ class ShardHeader:
     @classmethod
     def unpack(cls, fp) -> "ShardHeader":
         """The header at the start of ``fp``. ParameterError (or, for MSR
-        points with repeated lambda, ConstructionError) when it is cut short
-        or does not state a valid code."""
+        points with repeated lambda, ConstructionError) when it is cut short,
+        does not state a valid code, sets a flag other than the systematic
+        one, or has a block count other than ceil(data_len / B)."""
         raw = fp.read(_HEAD.size)
         if len(raw) != _HEAD.size:
             raise ParameterError("truncated shard header")
-        magic, version, mode_c, _flags, n, k, d, beta, q, node_id, _r, bc, dl = (
+        magic, version, mode_c, flags, n, k, d, beta, q, node_id, _r, bc, dl = (
             _HEAD.unpack(raw)
         )
         if magic != MAGIC:
@@ -136,13 +144,21 @@ class ShardHeader:
             raise ParameterError(f"unsupported shard version {version}")
         if mode_c >= len(_MODES):
             raise ParameterError(f"unknown mode code {mode_c}")
+        if flags & ~_SYSTEMATIC:
+            raise ParameterError(f"unknown header flags {flags:#04x}")
         if q > 0xFFFF:
             raise ParameterError("shard symbols are 16-bit; q must be < 65536")
         praw = fp.read(4 * n)
         if len(praw) != 4 * n:
             raise ParameterError("truncated point table")
         points = struct.unpack(f"<{n}I", praw)
-        return cls(_header_code(mode_c, n, k, d, beta, q, points), node_id, bc, dl)
+        enc = _header_code(mode_c, n, k, d, beta, q, points, bool(flags))
+        if bc != -(-dl // enc.params.message_symbols):
+            raise ParameterError(
+                f"block count {bc} does not hold {dl} bytes in blocks of "
+                f"{enc.params.message_symbols}"
+            )
+        return cls(enc, node_id, bc, dl)
 
 
 def shard_filename(node_id: int) -> str:
@@ -332,37 +348,114 @@ def _slice_matrix_index(params: SystemParams) -> np.ndarray:
 def share_map(enc: EncodingMatrix) -> np.ndarray:
     """Read-only int64 coefficient tensor A with shape (n, alpha', B')
     mapping one slice of payload symbols u to every node's stored slice:
-    share_i = A[i] @ u. Built once per encoding, by one scatter: where cell
-    (r, w) of the operand holds u_j (j = idx[r, w] >= 0), column r of psi is
-    u_j's coefficient in share column w. The operand's blocks are symmetric,
-    so no symbol sits twice in one column and no two cells add up; the
-    O(n alpha' B') tensor itself is all the memory the build takes."""
+    share_i = A[i] @ u. Built once per encoding.
+
+    In the product-matrix basis it is one scatter: where cell (r, w) of the
+    operand holds u_j (j = idx[r, w] >= 0), column r of psi is u_j's
+    coefficient in share column w. The operand's blocks are symmetric, so
+    no symbol sits twice in one column and no two cells add up. A systematic
+    code's map is that one times the inverse of the B' rows P of nodes 1..k's
+    stacked map that `linalg.left_inverse` reads, so those rows become unit
+    rows: stacked symbol P_j of nodes 1..k is u_j itself. For MSR, where P is
+    every row, node i stores u's i-th run of alpha' symbols. That build adds
+    one elimination and a uint16 copy of the map to the scatter's cost."""
     params = enc.params
     idx = _slice_matrix_index(params)
     r, w = np.nonzero(idx >= 0)
     amap = np.zeros((params.n, params.alpha_prime, params.slice_symbols), dtype=np.int64)
     amap[:, w, idx[r, w]] = enc.psi[:, r]
+    if enc.systematic:
+        flat = amap.reshape(-1, params.slice_symbols)
+        inv = linalg.left_inverse(flat[: params.k * params.alpha_prime], enc.field.q)
+        flat[:] = linalg.matmul_mod(flat, inv[:, inv.any(axis=0)], enc.field.q)
     amap.setflags(write=False)
     return amap
+
+
+def _unit_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of a's rows that are unit vectors, and each row's first nonzero
+    column (the unit rows' 1)."""
+    nonzero = a != 0
+    return (nonzero.sum(axis=1) == 1) & (a.sum(axis=1) == 1), nonzero.argmax(axis=1)
+
+
+def _unit_selection(a: np.ndarray) -> np.ndarray | None:
+    """For each column j of a, the row that leftmost-pivot elimination of
+    a's rows (`linalg.left_inverse`, `linalg.inverse`) picks for it, when
+    every picked row is the unit row e_j; None otherwise. The left inverse is
+    then the 0/1 selection of those rows. That holds when each column has a
+    unit row and every other row lies in the span of the unit rows above it
+    (its nonzero columns' first unit rows come before it): then the first
+    unit row of each column is exactly the pivot row elimination picks."""
+    if np.count_nonzero(a[0]) > 1:
+        return None  # the usual case: the first row is a pivot and no unit row
+    unit, col = _unit_rows(a)
+    if unit.sum() < a.shape[1]:
+        return None
+    cols, first = np.unique(col[unit], return_index=True)
+    picked = np.full(a.shape[1], a.shape[0])
+    picked[cols] = np.flatnonzero(unit)[first]  # each column's first unit row
+    later = picked > np.arange(a.shape[0])[:, None]  # (row, column) picked below
+    if (picked == a.shape[0]).any() or ((a != 0) & later)[~unit].any():
+        return None
+    return picked
+
+
+def _columns(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """a[:, cols]: a view when cols is one ascending run, else a copy by
+    `np.take`, which on a short axis is several times faster than fancy
+    indexing."""
+    first = int(cols[0]) if cols.size else 0
+    if cols.tolist() == list(range(first, first + cols.size)):
+        return a[:, first : first + cols.size]
+    return np.take(a, cols, axis=1)
 
 
 # --- the batched codec ------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _encode_plan(enc: EncodingMatrix) -> tuple[np.ndarray, tuple]:
+    """`share_map` as `encode_blocks` applies it: the transposed rows that
+    are no unit rows (one product's map) and, per node, the node columns it
+    copies, the payload columns they copy, the node columns it computes and
+    their columns of that product."""
+    amap = share_map(enc).reshape(-1, enc.params.slice_symbols)
+    unit, src = _unit_rows(amap)
+    at = np.cumsum(~unit) - 1
+    nodes = []
+    for rows in np.arange(amap.shape[0]).reshape(enc.params.n, -1):
+        copy = unit[rows]
+        nodes.append((np.flatnonzero(copy), src[rows[copy]],
+                      np.flatnonzero(~copy), at[rows[~copy]]))
+    coded_map = amap[~unit].T
+    coded_map.setflags(write=False)
+    return coded_map, tuple(nodes)
+
+
 def encode_blocks(blocks: np.ndarray, enc: EncodingMatrix) -> dict[int, np.ndarray]:
     """Encode (nblocks, B) payload symbols; returns node_id -> (nblocks,
-    alpha) uint16. One product of every slice's B' symbols with the
-    transposed `share_map` gives the (nblocks * beta, n * alpha') code array,
-    whose columns (i-1) alpha' .. i alpha' - 1 are node i's slice shares."""
+    alpha) uint16. A stored symbol whose `share_map` row is a unit row (a
+    systematic code's, on nodes 1..k) is a copy of a payload symbol; one
+    product of every slice's B' symbols with the other rows gives the rest."""
     params = enc.params
     if blocks.shape[1] != params.message_symbols:
         raise ParameterError("payload block width must be B")
-    amap = share_map(enc).reshape(-1, params.slice_symbols)
-    code = linalg.matmul_mod(
-        blocks.reshape(-1, params.slice_symbols), amap.T, enc.field.q
-    ).reshape(blocks.shape[0], params.beta, params.n, params.alpha_prime)
-    shape = (blocks.shape[0], params.alpha)
-    return {i + 1: code[:, :, i].reshape(shape) for i in range(params.n)}
+    coded_map, nodes = _encode_plan(enc)
+    words = blocks.reshape(-1, params.slice_symbols).astype(np.uint16, copy=False)
+    coded = linalg.matmul_mod(words, coded_map, enc.field.q)
+    bodies = {}
+    for i, (copy_at, copy_from, code_at, code_from) in enumerate(nodes, 1):
+        if not code_at.size:
+            body = _columns(words, copy_from)
+        elif not copy_at.size:
+            body = _columns(coded, code_from)
+        else:
+            body = np.empty((words.shape[0], params.alpha_prime), dtype=np.uint16)
+            body[:, copy_at] = _columns(words, copy_from)
+            body[:, code_at] = _columns(coded, code_from)
+        bodies[i] = body.reshape(blocks.shape[0], params.alpha)
+    return bodies
 
 
 def helper_symbols(
@@ -382,6 +475,18 @@ def helper_symbols(
     return symbols.reshape(share.shape[0], params.beta)
 
 
+def _stack(ys: list[np.ndarray]) -> np.ndarray:
+    """np.stack(ys, axis=1) of R (nwords, w) arrays. When they share a dtype
+    and their rows are contiguous, each row is copied as one w-symbol item,
+    about twice as fast as numpy's copy of short runs."""
+    dtype, w = ys[0].dtype, ys[0].shape[1]
+    if any(y.dtype != dtype or y.strides[1] != dtype.itemsize for y in ys):
+        return np.stack(ys, axis=1)
+    item = np.dtype(f"V{w * dtype.itemsize}")
+    rows = np.concatenate([y.view(item) for y in ys], axis=1)
+    return rows.view(dtype).reshape(rows.shape[0], len(ys), w)
+
+
 def _locate_then_erase(
     ys: list[np.ndarray], gen: np.ndarray, need: int, t: int, field: Fq,
     invert, locate, per_block: int,
@@ -395,18 +500,21 @@ def _locate_then_erase(
     DecodeFailure naming the block (``per_block`` consecutive words) of a
     word that has none.
 
-    Clean pass: one ``invert`` (``linalg.inverse`` or ``left_inverse``) of
-    the first ``need`` positions gives every word a candidate, accepted when
-    it agrees with at least R - t positions. When the inverted positions'
-    stacked code map is square, the candidate reproduces them exactly, so
-    only the other positions are re-encoded and compared. When every word
-    passes, the candidate array is returned as it is. While words remain,
-    ``locate`` maps the first remaining word's (R, w) symbols to the mask of
-    its wrong positions (exact whenever the word has an acceptable message,
-    else it may raise DecodeFailure); those positions are erased, and one
-    inverse of the first ``need`` other positions gives the remaining words
-    new candidates, accepted by the same rule. The call fails as soon as the
-    located word is not accepted.
+    Clean pass: one left inverse of the first ``need`` positions' stacked
+    code map gives every word a candidate, accepted when it agrees with at
+    least R - t positions. The left inverse reads L of the inverted symbols:
+    when their code map rows are unit rows (`_unit_selection`) it is a
+    gather of those symbols, else ``invert`` (``linalg.inverse`` or
+    ``left_inverse``) builds it and one product applies it. The candidate
+    reproduces the symbols it read exactly, so only the other symbols are
+    re-encoded and compared. When every word passes, the candidate array is
+    returned as it is. While words remain, ``locate`` maps the first
+    remaining word's (R, w) symbols to the mask of its wrong positions
+    (exact whenever the word has an acceptable message, else it may raise
+    DecodeFailure); those positions are erased, and one inverse of the first
+    ``need`` other positions gives the remaining words new candidates,
+    accepted by the same rule. The call fails as soon as the located word is
+    not accepted.
     """
     n_pos = len(ys)
     if t < 0 or n_pos < need + 2 * t:
@@ -415,32 +523,42 @@ def _locate_then_erase(
             f"need t >= 0 and at least {need} + 2t"
         )
     q = field.q
-    word = np.stack(ys, axis=1)  # (nwords, R, w)
-    width = gen.shape[2]
+    word = _stack(ys)  # (nwords, R, w)
+    w, width = gen.shape[1], gen.shape[2]
+    maps = gen.reshape(-1, width)  # row r * w + j: symbol j of position r
     out = np.empty((word.shape[0], width), dtype=np.uint16)
     undecided = np.arange(out.shape[0])
     erased = np.zeros(n_pos, dtype=bool)
     located = False
     while undecided.size:
         rows = np.flatnonzero(~erased)[:need]
-        inv = invert(np.concatenate(gen[rows]), q)
-        used = word if rows.size == n_pos else word[:, rows]
-        cand = linalg.matmul_mod(used.reshape(used.shape[0], -1), inv.T, q)
-        check = np.ones(n_pos, dtype=bool)
-        if rows.size * word.shape[2] == width:
-            check[rows] = False  # the inverted rows agree by construction
-        n_check = int(check.sum())
-        agree = np.full(cand.shape[0], n_pos - n_check)
-        if n_check:
-            again = linalg.matmul_mod(cand, gen[check].reshape(-1, width).T, q)
-            seen = word if n_check == n_pos else word[:, check]
-            same = again.reshape(seen.shape) == seen  # (nwords, checked, w)
-            # whole-array steps over the short w and position axes: numpy's
+        syms = (rows[:, None] * w + np.arange(w)).ravel()
+        flat = word.reshape(word.shape[0], -1)  # (nwords, R * w)
+        picked = _unit_selection(maps[syms])
+        if picked is not None:
+            read = syms[picked]
+            cand = _columns(flat, read).astype(np.uint16, copy=False)
+        else:
+            inv = invert(maps[syms], q)
+            read = syms[inv.any(axis=0)]
+            used = _columns(flat, syms)
+            cand = linalg.matmul_mod(used, inv.T, q)
+        check = np.ones(flat.shape[1], dtype=bool)
+        check[read] = False  # reproduced by construction
+        checked = np.flatnonzero(check)
+        groups: dict[int, list[int]] = {}  # position -> its checked columns
+        for c, r in enumerate((checked // w).tolist()):
+            groups.setdefault(r, []).append(c)
+        agree = np.full(cand.shape[0], n_pos - len(groups))
+        if groups:
+            again = linalg.matmul_mod(cand, maps[checked].T, q)
+            same = again == _columns(flat, checked)  # (nwords, checked symbols)
+            # whole-column steps over the short symbol axis: numpy's
             # reductions along a short innermost axis cost several times more
-            for i in range(1, same.shape[2]):
-                same[:, :, 0] &= same[:, :, i]
-            for r in range(same.shape[1]):
-                agree += same[:, r, 0]
+            for first, *rest in groups.values():
+                for c in rest:
+                    same[:, first] &= same[:, c]
+                agree += same[:, first]
         ok = agree >= n_pos - t
         if not located and ok.all():
             return cand

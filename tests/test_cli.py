@@ -29,7 +29,7 @@ from pmrc.shards import (
     write_shard,
 )
 from oracles import message_matrices
-from util import OVER_BUDGET
+from util import OVER_BUDGET, psi_m_basis
 
 
 def write_random_file(path, size, seed=0):
@@ -162,17 +162,27 @@ def test_one_bad_header_does_not_discard_good_shards(tmp_path):
     assert dest.read_bytes() == data
 
 
-# offsets in the 40-byte fixed header: version u16 at 4, mode u8 at 6, q u32
-# at 16; the n u32 points follow it
+# offsets in the 40-byte fixed header: version u16 at 4, mode u8 at 6, flags
+# u8 at 7, q u32 at 16, data_len u64 at 32; the n u32 points follow it
+def _data_len(raw, scale):
+    (data_len,) = struct.unpack("<Q", raw[32:40])
+    return raw[:32] + struct.pack("<Q", int(data_len * scale)) + raw[40:]
+
+
 @pytest.mark.parametrize("damage,reason", [
     (lambda raw: raw[:4] + struct.pack("<H", 2) + raw[6:], "unsupported shard version 2"),
     (lambda raw: raw[:6] + bytes([7]) + raw[7:], "unknown mode code 7"),
+    (lambda raw: raw[:7] + bytes([0x81]) + raw[8:], "unknown header flags 0x81"),
+    (lambda raw: raw[:7] + bytes([0x02]) + raw[8:], "unknown header flags 0x02"),
+    (lambda raw: _data_len(raw, 0.1), "block count 667 does not hold 2000 bytes"),
+    (lambda raw: _data_len(raw, 10), "block count 667 does not hold 200000 bytes"),
     (lambda raw: raw[:16] + struct.pack("<I", 70000) + raw[20:], "q must be < 65536"),
     (lambda raw: raw[:40], "truncated point table"),
     (lambda raw: raw[:16] + struct.pack("<I", 256) + raw[20:], "modulus 256 is not prime"),
     (lambda raw: raw[:44] + raw[40:44] + raw[48:], "pairwise distinct"),
     (lambda raw: raw[:40] + struct.pack("<I", 257) + raw[44:], "not a reduced element"),
-], ids=["version", "mode", "q", "points", "q-not-prime", "point-repeated", "point-outside"])
+], ids=["version", "mode", "flags-0x81", "flags-0x02", "data_len-div10", "data_len-x10",
+        "q", "points", "q-not-prime", "point-repeated", "point-outside"])
 def test_damaged_header_field_is_an_erasure(tmp_path, capsys, damage, reason):
     data, out = encode(tmp_path, size=20000, mode="mbr", k=5, d=8, n=16)
     path = out / shard_filename(1)
@@ -186,6 +196,44 @@ def test_damaged_header_field_is_an_erasure(tmp_path, capsys, damage, reason):
     assert dest.read_bytes() == data
     err = capsys.readouterr().err
     assert err.count("warning") == 1 and shard_filename(1) in err
+
+
+@pytest.mark.parametrize("damage", [
+    lambda raw: raw[:7] + bytes([0x81]) + raw[8:],
+    lambda raw: _data_len(raw, 0.1),
+    lambda raw: _data_len(raw, 10),
+], ids=["flags-0x81", "data_len-div10", "data_len-x10"])
+def test_set_whose_every_header_is_damaged_is_never_decoded(tmp_path, capsys, damage):
+    """Every header of a 5,000-byte MBR [8,3,5] set sets an unknown flag or
+    states a byte length its block count does not hold: no shard is
+    readable, so reconstruct and info exit 3 without writing or reporting a
+    file (a silently truncated output, or 50,000 bytes in info, before)."""
+    data, out = encode(tmp_path, size=5000, mode="mbr", k=3, d=5, n=8)
+    for i in range(1, 9):
+        path = out / shard_filename(i)
+        path.write_bytes(damage(path.read_bytes()))
+    capsys.readouterr()
+    dest = tmp_path / "back.bin"
+    assert main(["reconstruct", str(out), "-o", str(dest)]) == EXIT_INFEASIBLE
+    assert not dest.exists()
+    assert main(["info", str(out), "--json"]) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no readable shards" in captured.err
+
+
+def test_header_with_the_other_basis_loses_the_vote(tmp_path, capsys):
+    # node 1's header states the product-matrix basis (flags 0): another
+    # code, so it is outvoted and the set still decodes
+    data, out = encode(tmp_path, mode="mbr", k=3, d=5, n=8)
+    path = out / shard_filename(1)
+    raw = path.read_bytes()
+    assert raw[7] == 0x01
+    path.write_bytes(raw[:7] + bytes([0]) + raw[8:])
+    capsys.readouterr()
+    dest = tmp_path / "back.bin"
+    assert main(["reconstruct", str(out), "-o", str(dest)]) == EXIT_OK
+    assert dest.read_bytes() == data
+    assert shard_filename(1) in capsys.readouterr().err
 
 
 def test_headers_stating_no_code_do_not_win_the_vote(tmp_path, capsys):
@@ -705,9 +753,10 @@ def test_shard_bodies_stay_u2(tmp_path, q):
     blocks = bytes_to_blocks(data, enc.params.message_symbols)
     mats = message_matrices(blocks.astype(np.int64), enc.params)
     want = np.einsum("nd,bjdw->nbjw", enc.psi, mats) % q
+    psi_m = encode_blocks(blocks, psi_m_basis(enc))
     for i, body in encode_blocks(blocks, enc).items():
-        assert body.dtype == np.uint16
-        assert np.array_equal(body, want[i - 1].reshape(body.shape))
+        assert body.dtype == psi_m[i].dtype == np.uint16
+        assert np.array_equal(psi_m[i], want[i - 1].reshape(body.shape))
         path = out / shard_filename(i)
         head, back = read_shard(path)
         assert back.dtype == np.uint16 and back.flags.writeable

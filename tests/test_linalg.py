@@ -192,9 +192,10 @@ def test_product_reproduces_node_share():
     # one psi row times the message matrix equals that node's stored share
     from pmrc.shards import encode_blocks
     from oracles import msr_fill_message
+    from util import psi_m_basis
 
     params = msr_params(k=3, n=7)
-    enc = build_encoding(params, F29)
+    enc = psi_m_basis(build_encoding(params, F29))
     payload = tuple(range(1, 7))
     slices = msr_fill_message(payload, params, F29)
     bodies = encode_blocks(np.array([payload]), enc)

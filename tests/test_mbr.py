@@ -17,7 +17,9 @@ from pmrc import (
 )
 from pmrc.decoding import Response
 from oracles import mbr_fill_message, mbr_read_message
-from util import apply_faults, fault_patterns, make_code, random_payload, seeded
+from util import (
+    apply_faults, fault_patterns, make_code, psi_m_basis, random_payload, seeded,
+)
 
 F23 = Fq(23)
 
@@ -56,7 +58,7 @@ def test_encode_rejects_bad_payload():
 
 def test_encode_examples():
     params = mbr_params(k=2, d=3, n=5)
-    enc = build_encoding(params, F23)
+    enc = psi_m_basis(build_encoding(params, F23))
     zero_shares = mbr_encode((0,) * 5, enc)
     assert all(s.symbols == (0, 0, 0) for s in zero_shares)
     unit_shares = mbr_encode((1, 0, 0, 0, 0), enc)

@@ -19,7 +19,9 @@ from pmrc import (
 )
 from pmrc.decoding import Response
 from oracles import msr_fill_message, msr_read_message, msr_systematic_remap
-from util import apply_faults, fault_patterns, make_code, random_payload, seeded
+from util import (
+    apply_faults, fault_patterns, make_code, psi_m_basis, random_payload, seeded,
+)
 
 F29 = Fq(29)
 
@@ -69,14 +71,14 @@ def test_encode_zero_message():
 
 def test_encode_unit_message_example():
     params = msr_params(k=3, n=7)
-    enc = build_encoding(params, F29)
+    enc = psi_m_basis(build_encoding(params, F29))
     shares = msr_encode((1, 0, 0, 0, 0, 0), enc)
     assert all(s.symbols == (1, 0) for s in shares)
 
 
 def test_helper_symbol_examples():
     params = msr_params(k=3, n=7)
-    enc = build_encoding(params, F29)
+    enc = psi_m_basis(build_encoding(params, F29))
     zero_shares = msr_encode((0,) * 6, enc)
     assert msr_helper_symbol(zero_shares[1], 1, enc) == (0,)
     unit_shares = msr_encode((1, 0, 0, 0, 0, 0), enc)

@@ -34,12 +34,13 @@ def test_msr_params_examples():
 
 def test_code_is_stated_by_its_inputs():
     """SystemParams holds (mode, n, k, d, beta) and EncodingMatrix holds
-    (params, field, points); everything else is derived from them."""
+    (params, field, points, systematic); everything else is derived from
+    them."""
     assert [f.name for f in dataclasses.fields(SystemParams)] == [
         "mode", "n", "k", "d", "beta",
     ]
     assert [f.name for f in dataclasses.fields(EncodingMatrix)] == [
-        "params", "field", "points",
+        "params", "field", "points", "systematic",
     ]
     p = code_params("mbr", k=3, n=8, d=5, beta=2)
     assert (p.alpha_prime, p.slice_symbols, p.alpha, p.message_symbols) == (5, 12, 10, 24)

@@ -49,7 +49,7 @@ from oracles import (
     share_map_einsum,
     subset_decode_oracle,
 )
-from util import make_code, random_payload
+from util import make_code, psi_m_basis, random_payload
 
 
 def make_header(params, enc, node_id=1, blocks=3, data_len=10):
@@ -59,7 +59,7 @@ def make_header(params, enc, node_id=1, blocks=3, data_len=10):
 def test_header_round_trip():
     params = mbr_params(k=3, d=5, n=8, beta=2)
     enc = build_encoding(params)
-    h = make_header(params, enc, node_id=5, blocks=7, data_len=123)
+    h = make_header(params, enc, node_id=5, blocks=6, data_len=123)  # B = 24
     back = ShardHeader.unpack(io.BytesIO(h.pack()))
     assert back == h
     assert back.enc.params == params
@@ -104,7 +104,7 @@ def test_shard_file_round_trip(tmp_path):
     params = mbr_params(k=2, d=3, n=5)
     enc = build_encoding(params)
     body = np.arange(12, dtype=np.int64).reshape(4, 3)
-    h = make_header(params, enc, node_id=2, blocks=4)
+    h = make_header(params, enc, node_id=2, blocks=4, data_len=20)  # B = 5
     path = tmp_path / shard_filename(2)
     write_shard(path, h, body)
     h2, body2 = read_shard(path)
@@ -124,7 +124,7 @@ def test_encode_blocks_matches_unit_encoder():
         (mbr_params(k=2, d=3, n=5, beta=3), 263),
         (mbr_params(k=12, d=30, n=40), 257),  # B' = 294: two float32 spans
     ):
-        enc = build_encoding(params, Fq(q))
+        enc = psi_m_basis(build_encoding(params, Fq(q)))
         nb = 4
         blocks = np.array(
             [random_payload(rng, params, min(q, 257)) for _ in range(nb)],
@@ -178,7 +178,7 @@ def test_share_map_matches_einsum_reference():
         (mbr_params(k=20, d=50, n=60), 257),
         (mbr_params(k=1, d=39, n=40), 65521),
     ):
-        enc = build_encoding(params, Fq(q))
+        enc = psi_m_basis(build_encoding(params, Fq(q)))
         amap = share_map(enc)
         assert amap.dtype == np.int64 and not amap.flags.writeable
         assert np.array_equal(amap, share_map_einsum(enc))
@@ -189,7 +189,7 @@ def test_share_map_memory_is_its_output():
     little more memory than the (n, alpha', B') map it returns."""
     import tracemalloc
 
-    enc = build_encoding(mbr_params(k=1, d=119, n=120), Fq(65521))
+    enc = psi_m_basis(build_encoding(mbr_params(k=1, d=119, n=120), Fq(65521)))
     enc.psi  # the code's own table, built before the measurement
     tracemalloc.start()
     try:
@@ -530,14 +530,17 @@ def _decode_outcome(decode):
 def test_clean_pass_shortcuts_match_full_reencode(data):
     """decode_repair and decode_reconstruct give the same array (dtype and
     shape included) or the same DecodeFailure text as they do with
-    `locate_then_erase_full`, which re-encodes every position and copies the
-    result: skipping the positions a square inverse fixes, and returning the
-    clean-pass candidate as it is, change no answer. Up to t + 1 responses
-    are replaced by random words, or all of them."""
+    `locate_then_erase_full`, which inverts and re-encodes every position and
+    copies the result: gathering the candidate when the inverted rows are
+    unit rows, skipping the symbols the left inverse reads, and returning the
+    clean-pass candidate as it is, change no answer, in either basis. Up to
+    t + 1 responses are replaced by random words, or all of them."""
     params = data.draw(st.sampled_from(GUARD_CODES), label="code")
     q = data.draw(st.sampled_from([29, 257]), label="q")
     t = data.draw(st.integers(0, 2), label="t")
     enc = build_encoding(params, Fq(q))
+    if not data.draw(st.booleans(), label="systematic"):
+        enc = psi_m_basis(enc)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
     nb = data.draw(st.integers(1, 3), label="blocks")
     bodies = encode_blocks(rng.integers(0, q, size=(nb, params.message_symbols)), enc)
@@ -554,6 +557,8 @@ def test_clean_pass_shortcuts_match_full_reencode(data):
     else:
         r_count = data.draw(_fewest_or_more(params.k + 2 * t, n), label="R")
         ids = data.draw(st.permutations(range(1, n + 1)), label="providers")[:r_count]
+        if data.draw(st.booleans(), label="lowest ids"):
+            ids = list(range(1, r_count + 1))  # a systematic set's gather
         responses = {i: bodies[i] for i in ids}
 
         def decode():

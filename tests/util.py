@@ -8,6 +8,7 @@ from pmrc import (
     CodeMode,
     Fq,
     build_encoding,
+    encoding_from_points,
     mbr_encode,
     mbr_helper_symbol,
     mbr_reconstruct,
@@ -24,6 +25,12 @@ def mode_ops(mode):
     if mode is CodeMode.MSR:
         return msr_encode, msr_helper_symbol, msr_repair, msr_reconstruct
     return mbr_encode, mbr_helper_symbol, mbr_repair, mbr_reconstruct
+
+
+def psi_m_basis(enc):
+    """The same code in the product-matrix basis, where node i stores
+    psi_i @ M of the payload's operand M: a flags-0 shard set's code."""
+    return encoding_from_points(enc.params, enc.field, enc.points, systematic=False)
 
 
 def make_code(params, q):
