@@ -63,6 +63,10 @@ class SystemParams:
     beta: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "mode", CodeMode(self.mode))
+        except ValueError:
+            raise ParameterError(f"unknown mode {self.mode!r}") from None
         if self.mode is CodeMode.MSR:
             if self.d != 2 * self.k - 2:
                 raise ParameterError("MSR repair degree is fixed at d = 2k-2")
@@ -116,9 +120,8 @@ def code_params(
     mode: CodeMode | str, k: int, n: int, d: int | None = None, beta: int = 1
 ) -> SystemParams:
     """Parameters of either mode; a ``d`` of None means MSR's 2k-2."""
-    mode = CodeMode(mode)
     if d is None:
-        if mode is CodeMode.MBR:
+        if mode == CodeMode.MBR:
             raise ParameterError("MBR needs d")
         d = 2 * k - 2
     return SystemParams(mode, n, k, d, beta)
@@ -127,8 +130,8 @@ def code_params(
 def capacity_bound(k: int, d: int, alpha: int, beta: int) -> int:
     """Cut-set upper bound on per-block message size:
     sum_{i=0}^{k-1} min(alpha, (d-i)*beta)."""
-    if k > d:
-        raise ParameterError("bound needs k <= d")
+    if k > d or alpha < 0 or beta < 1:
+        raise ParameterError("bound needs k <= d, alpha >= 0 and beta >= 1")
     return sum(min(alpha, (d - i) * beta) for i in range(k))
 
 

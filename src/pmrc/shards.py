@@ -36,10 +36,12 @@ a body that fails its checks there is an erasure, and the next id is read.
 The code is stated once, as `share_map`: the linear map from one slice's B'
 payload symbols (laid out by `_slice_matrix_index`) to every node's alpha'
 stored symbols. In a systematic code B' of nodes 1..k's stored symbols are
-the payload symbols themselves. `encode_blocks` applies the map, copying
-those symbols, and `decode_reconstruct` inverts it. Symbols stay uint16
-(``<u2``, the on-disk body format) from `read_shard` to `write_shard`; every
-bulk product is `linalg.matmul_mod`.
+the payload symbols themselves; the build of the map records which, as the
+code's layout (at nonzero points, every symbol of nodes 1..k for MSR and
+node i's first d - i + 1 for MBR). `encode_blocks` applies the map, copying
+the payload to the layout, and `decode_reconstruct` inverts it. Symbols stay
+uint16 (``<u2``, the on-disk body format) from `read_shard` to `write_shard`;
+every bulk product is `linalg.matmul_mod`.
 
 This module is the package's one codec. Blocks are independent, and so is
 each beta-slice of a block (a copy of the beta = 1 code), so `encode_blocks`,
@@ -47,13 +49,13 @@ each beta-slice of a block (a copy of the beta = 1 code), so `encode_blocks`,
 of all blocks at once, one word per row. A decode takes the R >= msg_len + 2t
 responses that arrived and the corruption budget t, and gives each word the
 unique message agreeing with at least R - t of them (`_locate_then_erase`):
-one clean-path inverse for all words (a gather when the inverted symbols
-include the payload symbols, as nodes 1..k of a systematic code do); for a
-word left over, Reed-Solomon errors-and-erasures location
-(`decoding.rs_decode_ee`, directly for repair and through the product-matrix
-reduction for reconstruction), then one more inverse without the located
-positions. The file-level calls, the simulator and `pmrc.perblock` (batches
-of one block) all run them.
+one clean-path inverse for all words (a gather of the layout when the
+inverted symbols are nodes 1..k of a systematic code); for a word left
+over, Reed-Solomon errors-and-erasures location (`decoding.rs_decode_ee`,
+directly for repair and through the product-matrix reduction for
+reconstruction), then one more inverse without the located positions. The
+file-level calls, the simulator and `pmrc.perblock` (batches of one block)
+all run them.
 """
 
 from __future__ import annotations
@@ -345,60 +347,42 @@ def _slice_matrix_index(params: SystemParams) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def share_map(enc: EncodingMatrix) -> np.ndarray:
-    """Read-only int64 coefficient tensor A with shape (n, alpha', B')
-    mapping one slice of payload symbols u to every node's stored slice:
-    share_i = A[i] @ u. Built once per encoding.
+def _share_map_layout(enc: EncodingMatrix) -> tuple[np.ndarray, np.ndarray | None]:
+    """`share_map` and, for a systematic code, its layout: the B' ascending
+    rows P of nodes 1..k's stacked (k * alpha', B') map that hold the payload,
+    stacked symbol P_j being u_j itself; None in the product-matrix basis.
 
-    In the product-matrix basis it is one scatter: where cell (r, w) of the
-    operand holds u_j (j = idx[r, w] >= 0), column r of psi is u_j's
+    In the product-matrix basis the map is one scatter: where cell (r, w) of
+    the operand holds u_j (j = idx[r, w] >= 0), column r of psi is u_j's
     coefficient in share column w. The operand's blocks are symmetric, so
     no symbol sits twice in one column and no two cells add up. A systematic
-    code's map is that one times the inverse of the B' rows P of nodes 1..k's
-    stacked map that `linalg.left_inverse` reads, so those rows become unit
-    rows: stacked symbol P_j of nodes 1..k is u_j itself. For MSR, where P is
-    every row, node i stores u's i-th run of alpha' symbols. That build adds
-    one elimination and a uint16 copy of the map to the scatter's cost."""
+    code's map is that one times the inverse of the rows P of nodes 1..k's
+    stacked map that `linalg.left_inverse` reads, which makes row P_j the
+    unit row e_j. At the points pmrc writes (all nonzero) P is every row of
+    nodes 1..k for MSR, so node i stores u's i-th run of alpha' symbols, and
+    node i's first d - i + 1 symbols for MBR. That build adds one
+    elimination and a uint16 copy of the map to the scatter's cost."""
     params = enc.params
     idx = _slice_matrix_index(params)
     r, w = np.nonzero(idx >= 0)
     amap = np.zeros((params.n, params.alpha_prime, params.slice_symbols), dtype=np.int64)
     amap[:, w, idx[r, w]] = enc.psi[:, r]
+    layout = None
     if enc.systematic:
         flat = amap.reshape(-1, params.slice_symbols)
         inv = linalg.left_inverse(flat[: params.k * params.alpha_prime], enc.field.q)
-        flat[:] = linalg.matmul_mod(flat, inv[:, inv.any(axis=0)], enc.field.q)
+        layout = np.flatnonzero(inv.any(axis=0))
+        layout.setflags(write=False)
+        flat[:] = linalg.matmul_mod(flat, inv[:, layout], enc.field.q)
     amap.setflags(write=False)
-    return amap
+    return amap, layout
 
 
-def _unit_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of a's rows that are unit vectors, and each row's first nonzero
-    column (the unit rows' 1)."""
-    nonzero = a != 0
-    return (nonzero.sum(axis=1) == 1) & (a.sum(axis=1) == 1), nonzero.argmax(axis=1)
-
-
-def _unit_selection(a: np.ndarray) -> np.ndarray | None:
-    """For each column j of a, the row that leftmost-pivot elimination of
-    a's rows (`linalg.left_inverse`, `linalg.inverse`) picks for it, when
-    every picked row is the unit row e_j; None otherwise. The left inverse is
-    then the 0/1 selection of those rows. That holds when each column has a
-    unit row and every other row lies in the span of the unit rows above it
-    (its nonzero columns' first unit rows come before it): then the first
-    unit row of each column is exactly the pivot row elimination picks."""
-    if np.count_nonzero(a[0]) > 1:
-        return None  # the usual case: the first row is a pivot and no unit row
-    unit, col = _unit_rows(a)
-    if unit.sum() < a.shape[1]:
-        return None
-    cols, first = np.unique(col[unit], return_index=True)
-    picked = np.full(a.shape[1], a.shape[0])
-    picked[cols] = np.flatnonzero(unit)[first]  # each column's first unit row
-    later = picked > np.arange(a.shape[0])[:, None]  # (row, column) picked below
-    if (picked == a.shape[0]).any() or ((a != 0) & later)[~unit].any():
-        return None
-    return picked
+def share_map(enc: EncodingMatrix) -> np.ndarray:
+    """Read-only int64 coefficient tensor A with shape (n, alpha', B')
+    mapping one slice of payload symbols u to every node's stored slice:
+    share_i = A[i] @ u. Built once per encoding (`_share_map_layout`)."""
+    return _share_map_layout(enc)[0]
 
 
 def _columns(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -416,28 +400,32 @@ def _columns(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _encode_plan(enc: EncodingMatrix) -> tuple[np.ndarray, tuple]:
-    """`share_map` as `encode_blocks` applies it: the transposed rows that
-    are no unit rows (one product's map) and, per node, the node columns it
+    """`share_map` as `encode_blocks` applies it: the transposed rows outside
+    the layout (one product's map) and, per node, the node columns it
     copies, the payload columns they copy, the node columns it computes and
     their columns of that product."""
-    amap = share_map(enc).reshape(-1, enc.params.slice_symbols)
-    unit, src = _unit_rows(amap)
-    at = np.cumsum(~unit) - 1
+    amap, layout = _share_map_layout(enc)
+    amap = amap.reshape(-1, enc.params.slice_symbols)
+    src = np.full(amap.shape[0], -1)
+    if layout is not None:
+        src[layout] = np.arange(layout.size)
+    copy = src >= 0
+    at = np.cumsum(~copy) - 1
     nodes = []
     for rows in np.arange(amap.shape[0]).reshape(enc.params.n, -1):
-        copy = unit[rows]
-        nodes.append((np.flatnonzero(copy), src[rows[copy]],
-                      np.flatnonzero(~copy), at[rows[~copy]]))
-    coded_map = amap[~unit].T
+        mine = copy[rows]
+        nodes.append((np.flatnonzero(mine), src[rows[mine]],
+                      np.flatnonzero(~mine), at[rows[~mine]]))
+    coded_map = amap[~copy].T
     coded_map.setflags(write=False)
     return coded_map, tuple(nodes)
 
 
 def encode_blocks(blocks: np.ndarray, enc: EncodingMatrix) -> dict[int, np.ndarray]:
     """Encode (nblocks, B) payload symbols; returns node_id -> (nblocks,
-    alpha) uint16. A stored symbol whose `share_map` row is a unit row (a
-    systematic code's, on nodes 1..k) is a copy of a payload symbol; one
-    product of every slice's B' symbols with the other rows gives the rest."""
+    alpha) uint16. A systematic code's stored symbols at its layout (on
+    nodes 1..k) are copies of the payload symbols; one product of every
+    slice's B' symbols with the other rows of `share_map` gives the rest."""
     params = enc.params
     if blocks.shape[1] != params.message_symbols:
         raise ParameterError("payload block width must be B")
@@ -489,7 +477,7 @@ def _stack(ys: list[np.ndarray]) -> np.ndarray:
 
 def _locate_then_erase(
     ys: list[np.ndarray], gen: np.ndarray, need: int, t: int, field: Fq,
-    invert, locate, per_block: int,
+    invert, locate, per_block: int, layout: np.ndarray | None,
 ) -> np.ndarray:
     """Messages (nwords, L) of nwords independent codewords, one per row,
     from the R positions that answered: ys[r] holds position r's (nwords, w)
@@ -502,19 +490,21 @@ def _locate_then_erase(
 
     Clean pass: one left inverse of the first ``need`` positions' stacked
     code map gives every word a candidate, accepted when it agrees with at
-    least R - t positions. The left inverse reads L of the inverted symbols:
-    when their code map rows are unit rows (`_unit_selection`) it is a
-    gather of those symbols, else ``invert`` (``linalg.inverse`` or
-    ``left_inverse``) builds it and one product applies it. The candidate
-    reproduces the symbols it read exactly, so only the other symbols are
-    re-encoded and compared. When every word passes, the candidate array is
-    returned as it is. While words remain, ``locate`` maps the first
-    remaining word's (R, w) symbols to the mask of its wrong positions
-    (exact whenever the word has an acceptable message, else it may raise
-    DecodeFailure); those positions are erased, and one inverse of the first
-    ``need`` other positions gives the remaining words new candidates,
-    accepted by the same rule. The call fails as soon as the located word is
-    not accepted.
+    least R - t positions. The left inverse reads L of the inverted symbols.
+    ``layout``, when given, names the L stacked symbols of positions
+    0..need-1 whose code map rows are e_0..e_{L-1} (a systematic code's
+    layout, the positions being nodes 1..k): a pass that inverts those
+    positions gathers them. Any other pass builds the left inverse by
+    ``invert`` (``linalg.inverse`` or ``left_inverse``) and applies it by one
+    product. The candidate reproduces the symbols it read exactly, so only
+    the other symbols are re-encoded and compared. When every word passes,
+    the candidate array is returned as it is. While words remain, ``locate``
+    maps the first remaining word's (R, w) symbols to the mask of its wrong
+    positions (exact whenever the word has an acceptable message, else it
+    may raise DecodeFailure); those positions are erased, and one inverse of
+    the first ``need`` other positions gives the remaining words new
+    candidates, accepted by the same rule. The call fails as soon as the
+    located word is not accepted.
     """
     n_pos = len(ys)
     if t < 0 or n_pos < need + 2 * t:
@@ -532,13 +522,12 @@ def _locate_then_erase(
     located = False
     while undecided.size:
         rows = np.flatnonzero(~erased)[:need]
-        syms = (rows[:, None] * w + np.arange(w)).ravel()
         flat = word.reshape(word.shape[0], -1)  # (nwords, R * w)
-        picked = _unit_selection(maps[syms])
-        if picked is not None:
-            read = syms[picked]
+        if layout is not None and rows[-1] == need - 1:
+            read = layout
             cand = _columns(flat, read).astype(np.uint16, copy=False)
         else:
+            syms = (rows[:, None] * w + np.arange(w)).ravel()
             inv = invert(maps[syms], q)
             read = syms[inv.any(axis=0)]
             used = _columns(flat, syms)
@@ -605,7 +594,7 @@ def poly_decode(
 
     return _locate_then_erase(
         [row[:, None] for row in y], vdm[:, None, :], msg_len, t, field,
-        linalg.inverse, locate, per_block,
+        linalg.inverse, locate, per_block, None,
     ).T
 
 
@@ -699,12 +688,13 @@ def decode_reconstruct(
     the product-matrix reduction to RS decoding."""
     params = enc.params
     ids = list(shares)
-    gen = share_map(enc)[[i - 1 for i in ids]]
+    amap, layout = _share_map_layout(enc)
     locate_mode = _locate_msr if params.mode is CodeMode.MSR else _locate_mbr
     out = _locate_then_erase(
         [shares[i].reshape(-1, params.alpha_prime) for i in ids],
-        gen, params.k, t, enc.field, linalg.left_inverse,
+        amap[[i - 1 for i in ids]], params.k, t, enc.field, linalg.left_inverse,
         lambda word: locate_mode(word, ids, enc, t), params.beta,
+        layout if ids[: params.k] == list(range(1, params.k + 1)) else None,
     )
     return out.reshape(-1, params.message_symbols)
 

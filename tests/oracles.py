@@ -90,9 +90,10 @@ def subset_decode_oracle(
     return candidates.pop()
 
 
-def locate_then_erase_full(ys, gen, need, t, field, invert, locate, per_block):
+def locate_then_erase_full(ys, gen, need, t, field, invert, locate, per_block, layout):
     """`pmrc.shards._locate_then_erase` (same arguments, results and
-    DecodeFailure text) without its shortcuts."""
+    DecodeFailure text) without its shortcuts: every pass inverts, so
+    ``layout`` is not read."""
     n_pos = len(ys)
     if t < 0 or n_pos < need + 2 * t:
         raise ParameterError(

@@ -416,6 +416,11 @@ def test_info_connectivity_mode_as_text(capsys):
     (["info", "--alpha", "4", "--delta", "4", "--kappa", "3", "-t", "2"],
      "budget leaves no usable connectivity"),
     (["info"], "info needs a shard dir"),
+    (["info", "--alpha", "-3", "--delta", "5", "--kappa", "3"], "alpha >= 0 and beta >= 1"),
+    (["info", "--alpha", "4", "--delta", "5", "--kappa", "3", "--beta", "0"],
+     "alpha >= 0 and beta >= 1"),
+    (["info", "--alpha", "4", "--delta", "5", "--kappa", "3", "--beta", "-2", "--json"],
+     "alpha >= 0 and beta >= 1"),
 ])
 def test_info_without_a_usable_question_is_a_bad_argument(capsys, argv, named):
     assert main(argv) == EXIT_BAD_ARGS

@@ -53,6 +53,19 @@ def test_code_is_stated_by_its_inputs():
     assert (a.sigma, build_encoding(mbr_params(k=2, d=3, n=5), Fq(23)).lam) == (None, None)
 
 
+def test_mode_given_as_a_string_is_the_mode():
+    """A plain string names the mode as the enum member does: MSR [40,18,34]
+    has alpha' = k - 1 = 17 and B' = k(k - 1) = 306, not MBR's 34 and 459."""
+    p = SystemParams("msr", 40, 18, 34, 1)
+    assert p.mode is CodeMode.MSR and p == msr_params(k=18, n=40)
+    assert (p.alpha_prime, p.slice_symbols) == (17, 306)
+    assert SystemParams("mbr", 10, 4, 6, 1).mode is CodeMode.MBR
+    with pytest.raises(ParameterError, match="unknown mode 'banana'"):
+        SystemParams("banana", 10, 4, 6, 1)
+    with pytest.raises(ParameterError, match="unknown mode"):
+        code_params("banana", k=4, n=10, d=6)
+
+
 def test_msr_params_rejects_small_n():
     with pytest.raises(ParameterError):
         msr_params(k=3, n=4)  # needs n >= 2k-1 = 5
@@ -79,6 +92,9 @@ def test_capacity_bound_examples():
     assert capacity_bound(2, 3, 2, 1) == 4
     assert capacity_bound(2, 3, 3, 1) == 5
     assert capacity_bound(3, 4, 0, 1) == 0
+    for alpha, beta in ((-3, 1), (4, 0), (4, -2)):
+        with pytest.raises(ParameterError, match="alpha >= 0 and beta >= 1"):
+            capacity_bound(2, 3, alpha, beta)
 
 
 def test_constructed_codes_meet_bound_exactly():

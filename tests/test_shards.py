@@ -193,7 +193,7 @@ def test_share_map_memory_is_its_output():
     enc.psi  # the code's own table, built before the measurement
     tracemalloc.start()
     try:
-        amap = share_map.__wrapped__(enc)
+        amap = shards._share_map_layout.__wrapped__(enc)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -531,10 +531,11 @@ def test_clean_pass_shortcuts_match_full_reencode(data):
     """decode_repair and decode_reconstruct give the same array (dtype and
     shape included) or the same DecodeFailure text as they do with
     `locate_then_erase_full`, which inverts and re-encodes every position and
-    copies the result: gathering the candidate when the inverted rows are
-    unit rows, skipping the symbols the left inverse reads, and returning the
-    clean-pass candidate as it is, change no answer, in either basis. Up to
-    t + 1 responses are replaced by random words, or all of them."""
+    copies the result: gathering the layout when the inverted positions are
+    nodes 1..k of a systematic set, skipping the symbols the left inverse
+    reads, and returning the clean-pass candidate as it is, change no answer,
+    in either basis. Up to t + 1 responses are replaced by random words, or
+    all of them."""
     params = data.draw(st.sampled_from(GUARD_CODES), label="code")
     q = data.draw(st.sampled_from([29, 257]), label="q")
     t = data.draw(st.integers(0, 2), label="t")

@@ -9,6 +9,7 @@ in `input.bin`:
 - `mbr-8-3-5`: MBR [8,3,5] at the default q = 257.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -16,7 +17,10 @@ import shutil
 import numpy as np
 import pytest
 
-from pmrc import Fq, build_encoding, linalg, mbr_params, msr_params
+from pmrc import (
+    ConstructionError, Fq, build_encoding, encoding_from_points, linalg, mbr_params,
+    msr_params, shards,
+)
 from pmrc.cli import EXIT_OK, main
 from pmrc.shards import (
     decode_reconstruct,
@@ -125,6 +129,70 @@ def test_systematic_map_is_the_same_code(params, q):
     message = decode_reconstruct({i: bodies[i] for i in ids}, legacy, 0)
     again = encode_blocks(message, legacy)
     assert all(np.array_equal(again[i], bodies[i]) for i in bodies)
+
+
+def _closed_form_layout(params):
+    """The stacked rows of nodes 1..k that hold the payload, at nonzero
+    points: all of them for MSR, node i's first d - i + 1 symbols for MBR."""
+    ap = params.alpha_prime
+    if params.mode.value == "msr":
+        return np.arange(params.k * ap)
+    return np.concatenate([(i - 1) * ap + np.arange(params.d - i + 1)
+                           for i in range(1, params.k + 1)])
+
+
+@pytest.mark.parametrize("beta", [1, 3])
+@pytest.mark.parametrize("q", [29, 257, 65521])
+def test_layout_has_its_closed_form_at_nonzero_points(q, beta):
+    """The layout `share_map`'s build records is the closed form, on
+    `build_encoding` codes and on random nonzero point sets, and every
+    beta-slice of nodes 1..k's stored symbols holds the slice's payload
+    there. The product-matrix basis (flags 0) has no layout."""
+    rng = np.random.default_rng(q + beta)
+    codes = [
+        msr_params(k=2, n=5, beta=beta), msr_params(k=3, n=7, beta=beta),
+        msr_params(k=4, n=10, beta=beta), mbr_params(k=1, d=1, n=4, beta=beta),
+        mbr_params(k=2, d=3, n=5, beta=beta), mbr_params(k=3, d=3, n=6, beta=beta),
+        mbr_params(k=3, d=5, n=8, beta=beta), mbr_params(k=5, d=8, n=16, beta=beta),
+    ]
+    checked = 0
+    for params in codes:
+        encs = [build_encoding(params, Fq(q))]
+        for _ in range(3):
+            points = rng.choice(np.arange(1, q), params.n, replace=False).tolist()
+            try:
+                encs.append(encoding_from_points(params, Fq(q), points))
+            except ConstructionError:
+                continue  # repeated MSR lambda
+        assert shards._share_map_layout(psi_m_basis(encs[0]))[1] is None
+        for enc in encs:
+            layout = shards._share_map_layout(enc)[1]
+            assert np.array_equal(layout, _closed_form_layout(params)), (params, enc.points)
+            blocks = _payload(params, q, 4, seed=checked)
+            bodies = encode_blocks(blocks, enc)
+            stacked = np.concatenate(
+                [bodies[i].reshape(-1, params.alpha_prime) for i in range(1, params.k + 1)],
+                axis=1,
+            )
+            words = blocks.reshape(-1, params.slice_symbols)
+            assert np.array_equal(stacked[:, layout], words)
+            checked += 1
+    assert checked >= 2 * len(codes)
+
+
+@pytest.mark.parametrize("params,digest", [
+    (msr_params(k=4, n=10), "5958941215fd77c069dee9f2c3a17490ff73c84da2775927c806eef34ab752cd"),
+    (mbr_params(k=5, d=8, n=16), "243d8c8039ec4939933156a49e28b70ace696350f53cf4232f62105b38c796e0"),
+])
+def test_systematic_encode_bytes_are_pinned(params, digest):
+    """The systematic format is fixed: the sha256 of every node's ``<u2``
+    body, in node order, for a fixed payload at the default modulus."""
+    blocks = _payload(params, 256, 12, seed=16)
+    bodies = encode_blocks(blocks, build_encoding(params))
+    h = hashlib.sha256()
+    for i in sorted(bodies):
+        h.update(np.ascontiguousarray(bodies[i], dtype="<u2").tobytes())
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("beta", [1, 2])
