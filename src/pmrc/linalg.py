@@ -9,8 +9,8 @@ Every matrix product runs on one kernel, `matmul_mod`: it multiplies arrays
 of reduced residues on BLAS in float32, summing the inner side in spans short
 enough that every partial sum is an exact float32 integer, and returns uint16
 residues. Word-sized products, and q > 4096 (too large for even one exact
-product), run in int64. Vandermonde matrices are built once per (field,
-points, width) and returned read-only.
+product), run in int64. Vandermonde matrices, and the inverses of square
+ones, are built once per (field, points, width) and returned read-only.
 """
 
 from __future__ import annotations
@@ -107,6 +107,29 @@ def _vandermonde(field: Fq, points: tuple[int, ...], width: int) -> np.ndarray:
             col = col * xs % field.q
     a.setflags(write=False)
     return a
+
+
+@functools.lru_cache(maxsize=1024)
+def vandermonde_inverse(field: Fq, points: tuple[int, ...]) -> np.ndarray:
+    """The inverse of the square Vandermonde matrix at ``points``, as a
+    read-only int64 array built once per (field, points) by one elimination
+    of len(points) rows, and shared."""
+    v = _vandermonde(field, points, len(points))
+    inv = _solve_common(v, np.eye(len(points), dtype=np.int64), field.q, True)
+    inv.setflags(write=False)
+    return inv
+
+
+def inv_mod(a, q: int) -> np.ndarray:
+    """Elementwise a^(q-2) mod q, the inverse of each nonzero residue (0 for
+    0), by whole-array squarings."""
+    a = np.remainder(a, q, dtype=np.int64)
+    out = np.ones_like(a)
+    for bit in bin(q - 2)[2:]:
+        out = out * out % q
+        if bit == "1":
+            out = out * a % q
+    return out
 
 
 def _rref(arr: np.ndarray, q: int, stop_col: int) -> list[int]:

@@ -39,7 +39,10 @@ stored symbols. In a systematic code B' of nodes 1..k's stored symbols are
 the payload symbols themselves; the build of the map records which, as the
 code's layout (at nonzero points, every symbol of nodes 1..k for MSR and
 node i's first d - i + 1 for MBR). `encode_blocks` applies the map, copying
-the payload to the layout, and `decode_reconstruct` inverts it. Symbols stay
+the payload to the layout, and `decode_reconstruct` inverts it. Every inverse
+of the map, the one that makes it systematic included, is built by the
+product-matrix reconstruction (`_reconstruct_inverse`) from k- and
+(k-1)-point Vandermonde solves, never by a B'-sized elimination. Symbols stay
 uint16 (``<u2``, the on-disk body format) from `read_shard` to `write_shard`;
 every bulk product is `linalg.matmul_mod`.
 
@@ -50,8 +53,9 @@ of all blocks at once, one word per row. A decode takes the R >= msg_len + 2t
 responses that arrived and the corruption budget t, and gives each word the
 unique message agreeing with at least R - t of them (`_locate_then_erase`):
 one clean-path inverse for all words (a gather of the layout when the
-inverted symbols are nodes 1..k of a systematic code); for a word left
-over, Reed-Solomon errors-and-erasures location (`decoding.rs_decode_ee`,
+inverted symbols are nodes 1..k of a systematic code; for repair, a
+Vandermonde inverse memoized in `linalg.vandermonde_inverse`); for a word
+left over, Reed-Solomon errors-and-erasures location (`decoding.rs_decode_ee`,
 directly for repair and through the product-matrix reduction for
 reconstruction), then one more inverse without the located positions. The
 file-level calls, the simulator and `pmrc.perblock` (batches of one block)
@@ -356,12 +360,12 @@ def _share_map_layout(enc: EncodingMatrix) -> tuple[np.ndarray, np.ndarray | Non
     the operand holds u_j (j = idx[r, w] >= 0), column r of psi is u_j's
     coefficient in share column w. The operand's blocks are symmetric, so
     no symbol sits twice in one column and no two cells add up. A systematic
-    code's map is that one times the inverse of the rows P of nodes 1..k's
-    stacked map that `linalg.left_inverse` reads, which makes row P_j the
-    unit row e_j. At the points pmrc writes (all nonzero) P is every row of
-    nodes 1..k for MSR, so node i stores u's i-th run of alpha' symbols, and
-    node i's first d - i + 1 symbols for MBR. That build adds one
-    elimination and a uint16 copy of the map to the scatter's cost."""
+    code's map is that one times the inverse of its rows P, the staircase
+    that nodes 1..k's `_reconstruct_inverse` reads, which makes row P_j the
+    unit row e_j. At nonzero points P is every row of nodes 1..k for MSR, so
+    node i stores u's i-th run of alpha' symbols, and node i's first
+    d - i + 1 symbols for MBR. That build adds a few Vandermonde solves, one
+    product and a uint16 copy of the map to the scatter's cost."""
     params = enc.params
     idx = _slice_matrix_index(params)
     r, w = np.nonzero(idx >= 0)
@@ -370,7 +374,7 @@ def _share_map_layout(enc: EncodingMatrix) -> tuple[np.ndarray, np.ndarray | Non
     layout = None
     if enc.systematic:
         flat = amap.reshape(-1, params.slice_symbols)
-        inv = linalg.left_inverse(flat[: params.k * params.alpha_prime], enc.field.q)
+        inv = _reconstruct_inverse(enc, list(range(1, params.k + 1)), None)
         layout = np.flatnonzero(inv.any(axis=0))
         layout.setflags(write=False)
         flat[:] = linalg.matmul_mod(flat, inv[:, layout], enc.field.q)
@@ -494,17 +498,17 @@ def _locate_then_erase(
     ``layout``, when given, names the L stacked symbols of positions
     0..need-1 whose code map rows are e_0..e_{L-1} (a systematic code's
     layout, the positions being nodes 1..k): a pass that inverts those
-    positions gathers them. Any other pass builds the left inverse by
-    ``invert`` (``linalg.inverse`` or ``left_inverse``) and applies it by one
-    product. The candidate reproduces the symbols it read exactly, so only
-    the other symbols are re-encoded and compared. When every word passes,
-    the candidate array is returned as it is. While words remain, ``locate``
-    maps the first remaining word's (R, w) symbols to the mask of its wrong
-    positions (exact whenever the word has an acceptable message, else it
-    may raise DecodeFailure); those positions are erased, and one inverse of
-    the first ``need`` other positions gives the remaining words new
-    candidates, accepted by the same rule. The call fails as soon as the
-    located word is not accepted.
+    positions gathers them. Any other pass gets the (L, need * w) left
+    inverse of the positions it inverts from ``invert`` (given their indices)
+    and applies it by one product. The candidate reproduces the symbols it
+    read exactly, so only the other symbols are re-encoded and compared.
+    When every word passes, the candidate array is returned as it is. While
+    words remain, ``locate`` maps the first remaining word's (R, w) symbols
+    to the mask of its wrong positions (exact whenever the word has an
+    acceptable message, else it may raise DecodeFailure); those positions
+    are erased, and one inverse of the first ``need`` other positions gives
+    the remaining words new candidates, accepted by the same rule. The call
+    fails as soon as the located word is not accepted.
     """
     n_pos = len(ys)
     if t < 0 or n_pos < need + 2 * t:
@@ -528,7 +532,7 @@ def _locate_then_erase(
             cand = _columns(flat, read).astype(np.uint16, copy=False)
         else:
             syms = (rows[:, None] * w + np.arange(w)).ravel()
-            inv = invert(maps[syms], q)
+            inv = invert(rows)
             read = syms[inv.any(axis=0)]
             used = _columns(flat, syms)
             cand = linalg.matmul_mod(used, inv.T, q)
@@ -594,7 +598,8 @@ def poly_decode(
 
     return _locate_then_erase(
         [row[:, None] for row in y], vdm[:, None, :], msg_len, t, field,
-        linalg.inverse, locate, per_block, None,
+        lambda rows: linalg.vandermonde_inverse(field, tuple(int(points[r]) for r in rows)),
+        locate, per_block, None,
     ).T
 
 
@@ -620,29 +625,42 @@ def decode_repair(
     return m.reshape(-1, params.alpha)
 
 
+def _batch_product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """a @ b[i] mod q for each matrix of the (nb, c, w) stack b, as one
+    `linalg.matmul_mod`; (nb, rows of a, w) uint16."""
+    nb, c, w = b.shape
+    out = linalg.matmul_mod(a, b.transpose(1, 0, 2).reshape(c, nb * w), q)
+    return out.reshape(a.shape[0], nb, w).transpose(1, 0, 2)
+
+
+def _msr_pq(y: np.ndarray, ids: list[int], enc: EncodingMatrix):
+    """P and Q, (nb, R, R) each, of nb words of MSR shares y (nb, R, alpha')
+    of nodes ids: with Phi their phi rows, Y Phi^t = P + Lambda Q where
+    P = Phi S1 Phi^t and Q = Phi S2 Phi^t are symmetric, so each
+    off-diagonal pair (i, j), (j, i) of Y Phi^t gives P_ij and Q_ij. Their
+    diagonals are not decoded."""
+    q, rows = enc.field.q, [i - 1 for i in ids]
+    c = linalg.matmul_mod(y.reshape(-1, y.shape[2]), enc.phi[rows].T, q)
+    c = c.reshape(-1, len(ids), len(ids)).astype(np.int64)  # P_ij + lam_i Q_ij
+    lam = np.asarray(enc.lam, dtype=np.int64)[rows]
+    q_mat = (c - c.transpose(0, 2, 1)) * linalg.inv_mod(lam[:, None] - lam, q) % q
+    return (c - lam[:, None] * q_mat) % q, q_mat
+
+
 def _locate_msr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> np.ndarray:
     """Mask of the wrong shares among one MSR slice's (R, alpha') shares y
     of nodes ids.
 
-    With Phi the providers' phi rows, Y Phi^t = P + Lambda Q where P = Phi S1
-    Phi^t and Q = Phi S2 Phi^t are symmetric, so each off-diagonal pair
-    (i, j), (j, i) of Y Phi^t gives Q_ij. Off the diagonal, row i of Q holds
-    the evaluations of S2 phi_i at the other providers' points, and a wrong
-    share y_j = y_j' + e_j spoils entry j of row i unless e_j . phi_i = 0.
-    RS decoding a clean row therefore flags only wrong providers; a wrong
-    provider is flagged by all but at most alpha' - 1 of the R - t or more
-    clean rows, that is by more than t rows, and a correct one only by the t
-    or fewer wrong rows."""
+    Off the diagonal, row i of Q (`_msr_pq`) holds the evaluations of S2
+    phi_i at the other providers' points, and a wrong share y_j = y_j' + e_j
+    spoils entry j of row i unless e_j . phi_i = 0. RS decoding a clean row
+    therefore flags only wrong providers; a wrong provider is flagged by all
+    but at most alpha' - 1 of the R - t or more clean rows, that is by more
+    than t rows, and a correct one only by the t or fewer wrong rows."""
     field = enc.field
-    q = field.q
     points = [enc.point_of(i) for i in ids]
     phi = enc.phi[[i - 1 for i in ids]]
-    lam = np.asarray([enc.lam_of(i) for i in ids], dtype=np.int64)
-    c = linalg.matmul_mod(y, phi.T, q).astype(np.int64)  # c[i, j] = P_ij + lam_i Q_ij
-    gap = (lam[:, None] - lam[None, :]) % q
-    np.fill_diagonal(gap, 1)
-    gap_inv = np.array([[pow(int(v), q - 2, q) for v in row] for row in gap])
-    q_mat = (c - c.T) * gap_inv % q
+    q_mat = _msr_pq(y[None], ids, enc)[1][0]
     votes = np.zeros(len(ids), dtype=np.int64)
     for i, row in enumerate(q_mat.tolist()):
         row[i] = None
@@ -650,31 +668,113 @@ def _locate_msr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> n
             coeffs = decoding.rs_decode_ee(row, points, phi.shape[1], t, field)
         except DecodeFailure:
             continue  # a wrong row; the clean rows flag it
-        flagged = _column(phi, coeffs, q) != q_mat[i]
+        flagged = _column(phi, coeffs, field.q) != q_mat[i]
         flagged[i] = False
         votes += flagged
     return votes > t
 
 
+def _msr_operands(y: np.ndarray, ids: list[int], enc: EncodingMatrix) -> np.ndarray:
+    """The (nb, d, alpha') operands [S1; S2] of nb words of k MSR shares y
+    (Rashmi-Shah-Kumar's MSR reconstruction): off its diagonal, row i of P
+    (`_msr_pq`) holds S1 phi_i at the other k - 1 providers' points, one
+    (k-1)-point Vandermonde solve; rows 0..k-2 of those give S1 by one more.
+    Q gives S2 the same way."""
+    q, k = enc.field.q, enc.params.k
+    points = [enc.point_of(i) for i in ids]
+    others = np.array([[j for j in range(k) if j != i] for i in range(k)], dtype=np.int64)
+    vinv = np.stack([linalg.vandermonde_inverse(enc.field, tuple(points[j] for j in o))
+                     for o in others])
+    halves = []
+    for m in _msr_pq(y, ids, enc):
+        v = np.einsum("iab,nib->nia", vinv, m[:, np.arange(k)[:, None], others]) % q
+        halves.append(np.einsum("ab,nbc->nac", vinv[-1], v[:, :-1]) % q)
+    return np.concatenate(halves, axis=1)
+
+
+def _mbr_operands(y: np.ndarray, ids: list[int], enc: EncodingMatrix, solve) -> np.ndarray:
+    """The (nb, d, d) operands [[S, T^t], [T, 0]] of nb words of MBR shares
+    y (nb, R, d) of nodes ids; ``solve`` maps (R, c) evaluations at their
+    points, a polynomial of degree < k per column, to its (k, c)
+    coefficients. Columns k..d-1 of y evaluate the columns of T^t; once
+    Sigma T is taken off, columns 0..k-1 evaluate those of S."""
+    q, k, d = enc.field.q, enc.params.k, enc.params.d
+    nb, r = y.shape[:2]
+
+    def solve_columns(ev):
+        coeffs = solve(ev.transpose(1, 0, 2).reshape(r, -1))
+        return coeffs.reshape(k, nb, -1).transpose(1, 0, 2)
+
+    t_t = solve_columns(y[:, :, k:])
+    sigma_t = _batch_product(enc.sigma[[i - 1 for i in ids]], t_t.transpose(0, 2, 1), q)
+    m = np.zeros((nb, d, d), dtype=np.int64)
+    m[:, :k, :k] = solve_columns((y[:, :, :k].astype(np.int64) - sigma_t) % q)
+    m[:, :k, k:] = t_t
+    m[:, k:, :k] = t_t.transpose(0, 2, 1)
+    return m
+
+
 def _locate_mbr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> np.ndarray:
     """Mask of the wrong shares among one MBR slice's (R, d) shares y of
-    nodes ids. With M = [[S, T], [T^t, 0]], columns k..d-1 of y are
-    evaluations of the columns of T (degree < k); once the sigma rows times
-    T are subtracted, columns 0..k-1 are evaluations of the columns of S.
-    Each group of columns is one `poly_decode`; the decoded M is re-encoded
-    and compared with y."""
-    field = enc.field
-    q = field.q
-    k, d = enc.params.k, enc.params.d
+    nodes ids: each group of columns of `_mbr_operands` is one
+    `poly_decode`, and the decoded M is re-encoded and compared with y."""
     points = [enc.point_of(i) for i in ids]
-    rows = [i - 1 for i in ids]
-    t_blk = poly_decode(y[:, k:], points, k, t, field)
-    sigma_t = linalg.matmul_mod(enc.sigma[rows], t_blk.T, q)
-    m = np.zeros((d, d), dtype=np.int64)
-    m[:k, :k] = poly_decode((y[:, :k].astype(np.int64) - sigma_t) % q, points, k, t, field)
-    m[:k, k:] = t_blk
-    m[k:, :k] = t_blk.T
-    return (linalg.matmul_mod(enc.psi[rows], m, q) != y).any(axis=1)
+    k = enc.params.k
+    m = _mbr_operands(y[None], ids, enc, lambda ev: poly_decode(ev, points, k, t, enc.field))
+    return (linalg.matmul_mod(enc.psi[[i - 1 for i in ids]], m[0], enc.field.q) != y).any(axis=1)
+
+
+def _mbr_fill(y: np.ndarray, ids: list[int], enc: EncodingMatrix) -> np.ndarray:
+    """k MBR shares y (nb, k, d) with the symbols outside their staircase
+    overwritten from those in it. M is symmetric, so with f_j the polynomial
+    whose coefficients are share j, f_j(x_i) = f_i(x_j) for each earlier
+    share i. Share j keeps its symbols z..e-1, where z (0 or 1) of the
+    earlier shares sit at point 0 and m at nonzero points, e = d - m: its
+    symbol 0 is then f_i(x_j) for the share i at 0, and the rest one m-point
+    Vandermonde solve. The B' kept symbols are each the first not fixed by
+    those before them."""
+    q, d = enc.field.q, enc.params.d
+    psi = enc.psi[[i - 1 for i in ids]]
+    points = [enc.point_of(i) for i in ids]
+    y = y.astype(np.int64)
+    for j in range(1, len(ids)):
+        nz = [i for i in range(j) if points[i]]
+        ev = y[:, :j] @ psi[j] % q  # ev[:, i] = f_i(x_j); int64 sums of d products
+        if len(nz) < j:
+            y[:, j, 0] = ev[:, points.index(0)]
+        if nz:
+            e = d - len(nz)  # f_j(x) = (its first e terms) + x^e h(x), deg h < m
+            h = (ev[:, nz] - y[:, j, :e] @ psi[nz, :e].T) % q
+            h = h * [pow(points[i], -e, q) for i in nz] % q
+            vinv = linalg.vandermonde_inverse(enc.field, tuple(points[i] for i in nz))
+            y[:, j, e:] = h @ vinv.T % q
+    return y
+
+
+def _reconstruct_inverse(
+    enc: EncodingMatrix, ids: list[int], layout: np.ndarray | None
+) -> np.ndarray:
+    """The (B', k * alpha') left inverse of providers ids' stacked share
+    maps: each unit vector decoded by Rashmi-Shah-Kumar's product-matrix
+    reconstruction, a few k- and (k-1)-point Vandermonde solves. It reads
+    only the B' symbols `_mbr_fill` keeps (all for MSR), so it is the one
+    left inverse that elimination finds. With ``layout`` None it gives the
+    product-matrix message; with a systematic code's layout, the payload:
+    the operand re-encoded on nodes 1..k, read at those rows."""
+    params = enc.params
+    q, width = enc.field.q, params.k * params.alpha_prime
+    unit = np.eye(width, dtype=np.int64).reshape(width, params.k, -1)
+    if params.mode is CodeMode.MSR:
+        ops = _msr_operands(unit, ids, enc)
+    else:
+        vinv = linalg.vandermonde_inverse(enc.field, tuple(enc.point_of(i) for i in ids))
+        ops = _mbr_operands(_mbr_fill(unit, ids, enc), ids, enc,
+                            lambda ev: linalg.matmul_mod(vinv, ev, q))
+    if layout is None:
+        values, cells = np.unique(_slice_matrix_index(params), return_index=True)
+        return ops.reshape(width, -1)[:, cells[values >= 0]].T
+    shares = _batch_product(enc.psi[: params.k], ops, q)
+    return shares.reshape(width, -1)[:, layout].T
 
 
 def decode_reconstruct(
@@ -683,16 +783,17 @@ def decode_reconstruct(
     """The (nblocks, B) payload from node_id -> (nblocks, alpha) shares of the
     nodes that answered, up to t of them corrupt; exact when at least k + 2t
     answered. Every slice of every block is one column: a candidate is the
-    left inverse of k providers' stacked share maps applied to their slice
-    shares; the wrong shares of a column that is not clean are located by
-    the product-matrix reduction to RS decoding."""
+    left inverse of k providers' stacked share maps (`_reconstruct_inverse`)
+    applied to their slice shares; the wrong shares of a column that is not
+    clean are located by the product-matrix reduction to RS decoding."""
     params = enc.params
     ids = list(shares)
     amap, layout = _share_map_layout(enc)
     locate_mode = _locate_msr if params.mode is CodeMode.MSR else _locate_mbr
     out = _locate_then_erase(
         [shares[i].reshape(-1, params.alpha_prime) for i in ids],
-        amap[[i - 1 for i in ids]], params.k, t, enc.field, linalg.left_inverse,
+        amap[[i - 1 for i in ids]], params.k, t, enc.field,
+        lambda rows: _reconstruct_inverse(enc, [ids[r] for r in rows], layout),
         lambda word: locate_mode(word, ids, enc, t), params.beta,
         layout if ids[: params.k] == list(range(1, params.k + 1)) else None,
     )

@@ -8,9 +8,11 @@ candidate is unique; finding two distinct ones means the caller exceeded the
 budget, reported as ``AmbiguityError``.
 
 ``locate_then_erase_full`` is `pmrc.shards._locate_then_erase` with every
+pass's left inverse found by elimination (`linalg.left_inverse`), every
 position re-encoded on every pass, agreement counted on all of them and the
-result always gathered into a fresh array: the reference for the shortcuts
-the codec takes on the clean pass.
+result always gathered into a fresh array: the reference for the
+product-matrix inverses the codec builds and for the shortcuts it takes on
+the clean pass.
 
 The message-matrix view of the code is the Psi . M reference that the
 codec's `share_map` is checked against. ``MsrMessageMatrix`` and
@@ -20,7 +22,9 @@ those operands and back, and ``message_matrices`` and
 ``payload_of_matrices`` do the same for a batch of blocks. All of them read
 the layout from `pmrc.shards._slice_matrix_index`, the one statement of it
 in the library. ``share_map_einsum`` is `share_map` built as the product of
-psi with a one-hot operand, the reference for the codec's scatter.
+psi with a one-hot operand, the reference for the codec's scatter, and
+``share_map_by_elimination`` builds the systematic map and layout by one
+B'-sized elimination, the reference for the product-matrix build.
 ``msr_systematic_remap`` solves for the message under which k chosen nodes
 store the payload verbatim.
 """
@@ -35,7 +39,7 @@ from pmrc import (
     CodeMode, DecodeFailure, EncodingMatrix, Fq, ParameterError, PmrcError,
     SingularMatrixError, SystemParams,
 )
-from pmrc.linalg import matmul_mod, solve
+from pmrc.linalg import left_inverse, matmul_mod, solve
 from pmrc.perblock import _check_mode
 from pmrc.shards import _slice_matrix_index, share_map
 
@@ -92,8 +96,9 @@ def subset_decode_oracle(
 
 def locate_then_erase_full(ys, gen, need, t, field, invert, locate, per_block, layout):
     """`pmrc.shards._locate_then_erase` (same arguments, results and
-    DecodeFailure text) without its shortcuts: every pass inverts, so
-    ``layout`` is not read."""
+    DecodeFailure text) without its shortcuts: every pass eliminates the
+    stacked code map of the positions it inverts, so neither ``invert`` nor
+    ``layout`` is read."""
     n_pos = len(ys)
     if t < 0 or n_pos < need + 2 * t:
         raise ParameterError(
@@ -109,7 +114,7 @@ def locate_then_erase_full(ys, gen, need, t, field, invert, locate, per_block, l
     located = False
     while undecided.size:
         rows = np.flatnonzero(~erased)[:need]
-        inv = invert(np.concatenate(gen[rows]), q)
+        inv = left_inverse(np.concatenate(gen[rows]), q)
         cand = matmul_mod(word[:, rows].reshape(word.shape[0], -1), inv.T, q)
         again = matmul_mod(cand, code_maps.T, q).reshape(word.shape)
         ok = (again == word).all(axis=2).sum(axis=1) >= n_pos - t
@@ -164,6 +169,22 @@ def share_map_einsum(enc: EncodingMatrix) -> np.ndarray:
     idx = _slice_matrix_index(params)
     onehot = (idx[:, :, None] == np.arange(params.slice_symbols)).astype(np.int64)
     return np.einsum("nd,dwu->nwu", enc.psi, onehot) % enc.field.q
+
+
+def share_map_by_elimination(enc: EncodingMatrix) -> tuple[np.ndarray, np.ndarray | None]:
+    """`pmrc.shards._share_map_layout` by elimination: the product-matrix
+    map times the inverse of the rows of nodes 1..k's stacked map that
+    `linalg.left_inverse` reads, those rows being the layout (None in the
+    product-matrix basis)."""
+    params = enc.params
+    amap = share_map_einsum(enc)
+    if not enc.systematic:
+        return amap, None
+    flat = amap.reshape(-1, params.slice_symbols)
+    inv = left_inverse(flat[: params.k * params.alpha_prime], enc.field.q)
+    layout = np.flatnonzero(inv.any(axis=0))
+    mapped = matmul_mod(flat, inv[:, layout], enc.field.q).astype(np.int64)
+    return mapped.reshape(amap.shape), layout
 
 
 def _symmetric(m: np.ndarray) -> bool:

@@ -626,16 +626,20 @@ def test_decode_steps_need_unique_decoding():
         decode_reconstruct({}, enc, 0)
 
 
-def _count_inverses(monkeypatch):
+def _count_pass_inverses(monkeypatch, op):
+    """Records each erase pass's inverse: a reconstruct pass builds one by
+    `shards._reconstruct_inverse`, a repair pass takes one Vandermonde
+    inverse (from its cache or not)."""
     calls = []
-    for name in ("inverse", "left_inverse"):
-        orig = getattr(linalg, name)
+    owner, name = (shards, "_reconstruct_inverse") if op == "reconstruct" else (
+        linalg, "vandermonde_inverse")
+    orig = getattr(owner, name)
 
-        def counted(a, q, orig=orig):
-            calls.append(a.shape)
-            return orig(a, q)
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
 
-        monkeypatch.setattr(linalg, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -660,7 +664,7 @@ def test_whole_shard_corruption_costs_two_inverses_per_slice(monkeypatch):
         for i in (1, 2):
             bodies[i] = (bodies[i] + 1 + (np.arange(bodies[i].size) % (q - 1)).reshape(
                 bodies[i].shape)) % q
-        calls = _count_inverses(monkeypatch)
+        calls = _count_pass_inverses(monkeypatch, op)
         if op == "reconstruct":
             got, _ = reconstruct_blocks(bodies, enc, s=0, t=2)
             assert (got == blocks).all()

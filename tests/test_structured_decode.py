@@ -1,0 +1,207 @@
+"""The product-matrix decode: every reconstruct inverse and the systematic
+map come from k- and (k-1)-point Vandermonde solves, not from a B'-sized
+elimination, and change no answer.
+
+`shards._reconstruct_inverse` builds the left inverse of k providers' stacked
+share maps that reads their staircase of B' symbols. The left inverse that
+reads a given B' independent symbols is unique, so it must equal the one
+`linalg.left_inverse` finds by elimination, entry for entry, in both bases
+and at any points, 0 included.
+"""
+
+import random
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pmrc import (
+    ConstructionError, DecodeFailure, Fq, SystemParams, build_encoding,
+    encoding_from_points, linalg, mbr_params, msr_params, shards,
+)
+from pmrc.shards import (
+    decode_reconstruct, decode_repair, encode_blocks, helper_symbols, share_map,
+)
+from oracles import locate_then_erase_full, share_map_by_elimination
+
+
+def _points(rng, params, q, zero_at=None):
+    """n distinct random points of F_q (MSR: with distinct lambda = x^(k-1)),
+    with 0 at index ``zero_at`` when given."""
+    pts, lams = [], set()
+    while len(pts) < params.n:
+        x = 0 if len(pts) == zero_at else rng.randrange(1, q)
+        lam = pow(x, params.k - 1, q) if params.mode.value == "msr" else x
+        if x not in pts and lam not in lams:
+            pts.append(x)
+            lams.add(lam)
+    return pts
+
+
+def _code(params, q, systematic, zero_at=None, seed=0):
+    pts = _points(random.Random(seed), params, q, zero_at)
+    return encoding_from_points(params, Fq(q), pts, systematic)
+
+
+def _stacked(enc, ids):
+    return np.concatenate([share_map(enc)[i - 1] for i in ids])
+
+
+INVERSE_CODES = [
+    msr_params(k=2, n=5),
+    msr_params(k=4, n=10),
+    mbr_params(k=1, d=3, n=5),
+    mbr_params(k=3, d=3, n=6),
+    mbr_params(k=3, d=5, n=8),
+    mbr_params(k=5, d=8, n=16),
+]
+
+
+@pytest.mark.parametrize("params", INVERSE_CODES, ids=str)
+@pytest.mark.parametrize("q", [257, 65521])
+def test_reconstruct_inverse_is_the_elimination_one(params, q):
+    """For random provider sets in random order, with and without a point
+    at 0 (before, among or after the providers), in both bases."""
+    rng = random.Random(f"{params}{q}")
+    for trial in range(12):
+        zero_at = rng.choice([None, 0, rng.randrange(params.n)])
+        enc = _code(params, q, trial % 2 == 0, zero_at, seed=trial)
+        _, layout = shards._share_map_layout(enc)
+        for _ in range(4):
+            ids = rng.sample(range(1, params.n + 1), params.k)
+            got = shards._reconstruct_inverse(enc, ids, layout)
+            assert np.array_equal(got, linalg.left_inverse(_stacked(enc, ids), q))
+
+
+@pytest.mark.parametrize("params,q,zero_at", [
+    (msr_params(k=4, n=10), 257, None),
+    (msr_params(k=3, n=7, beta=3), 257, 1),
+    (msr_params(k=2, n=5, beta=3), 65521, None),
+    (mbr_params(k=3, d=5, n=8), 257, None),
+    (mbr_params(k=5, d=8, n=16, beta=3), 257, None),
+    (mbr_params(k=4, d=6, n=9), 257, 2),  # node 3 at point 0 moves the layout
+    (mbr_params(k=3, d=4, n=6, beta=3), 65521, 0),
+], ids=str)
+def test_systematic_map_and_layout_match_elimination(params, q, zero_at):
+    """The map and layout the product-matrix build gives are the ones the
+    elimination gives, bit for bit: they are on-disk format."""
+    if zero_at is None:
+        enc = build_encoding(params, Fq(q))
+    else:
+        enc = _code(params, q, True, zero_at, seed=5)
+    amap, layout = shards._share_map_layout(enc)
+    want_map, want_layout = share_map_by_elimination(enc)
+    assert np.array_equal(amap, want_map)
+    assert np.array_equal(layout, want_layout)
+
+
+def _rref_rows(monkeypatch):
+    rows = []
+    orig = linalg._rref
+
+    def counted(arr, q, stop_col):
+        rows.append(arr.shape[0])
+        return orig(arr, q, stop_col)
+
+    monkeypatch.setattr(linalg, "_rref", counted)
+    return rows
+
+
+def test_wide_codes_run_no_elimination_past_d_rows(monkeypatch):
+    """A t = 0 read of a systematic MBR [40,12,30] set from nodes 2..13,
+    and a first systematic map of MBR [60,20,50], each ran one B'-sized
+    elimination (294 and 810 rows); now none has more than d rows."""
+    params = mbr_params(k=12, d=30, n=40)
+    enc = build_encoding(params, Fq(257))
+    blocks = np.random.default_rng(3).integers(0, 256, size=(4, params.message_symbols))
+    bodies = encode_blocks(blocks, enc)
+    rows = _rref_rows(monkeypatch)
+    shares = {i: bodies[i] for i in range(2, params.k + 2)}
+    assert np.array_equal(decode_reconstruct(shares, enc, 0), blocks)
+    assert rows and max(rows) <= params.d
+
+    params = mbr_params(k=20, d=50, n=60)
+    enc = build_encoding(params, Fq(257))
+    shards._share_map_layout.cache_clear()
+    rows.clear()
+    amap = share_map(enc)
+    assert amap.shape == (60, 50, params.slice_symbols)
+    assert rows and max(rows) <= params.d
+
+
+HYPOTHESIS_CODES = [
+    SystemParams("msr", 5, 2, 2, 1),
+    SystemParams("msr", 7, 3, 4, 1),
+    SystemParams("msr", 7, 3, 4, 2),
+    SystemParams("mbr", 7, 2, 3, 1),
+    SystemParams("mbr", 8, 3, 5, 2),
+    SystemParams("mbr", 7, 3, 3, 1),
+]
+
+
+def _outcome(decode):
+    try:
+        return decode()
+    except DecodeFailure as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_structured_decode_matches_elimination_oracle(data):
+    """decode_reconstruct and decode_repair give the same array or the same
+    DecodeFailure text as `locate_then_erase_full`, which finds every pass's
+    left inverse by `linalg.left_inverse`: both bases, q in {257, 65521},
+    beta in {1, 2}, header points with and without 0, contact sets from
+    nodes 1..k or drawn at random, and scattered faults (each block its own
+    wrong nodes, one symbol changed per wrong node) within and beyond t."""
+    params = data.draw(st.sampled_from(HYPOTHESIS_CODES), label="code")
+    q = data.draw(st.sampled_from([257, 65521]), label="q")
+    zero_at = data.draw(st.one_of(st.none(), st.integers(0, params.n - 1)), label="zero at")
+    systematic = data.draw(st.booleans(), label="systematic")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    try:
+        enc = _code(params, q, systematic, zero_at, seed)
+    except ConstructionError:
+        return
+    rng = np.random.default_rng(seed)
+    nb = data.draw(st.integers(1, 4), label="blocks")
+    bodies = encode_blocks(rng.integers(0, q, size=(nb, params.message_symbols)), enc)
+    n = params.n
+    repair = data.draw(st.booleans(), label="repair")
+    need = params.d if repair else params.k
+    top = n - 1 if repair else n
+    t = data.draw(st.integers(0, (top - need) // 2), label="t")
+    r_count = data.draw(st.integers(need + 2 * t, top), label="R")
+    if repair:
+        failed = data.draw(st.integers(1, n), label="failed")
+        others = [i for i in range(1, n + 1) if i != failed]
+        ids = data.draw(st.permutations(others), label="helpers")[:r_count]
+        responses = {h: helper_symbols(bodies[h], failed, enc) for h in ids}
+    else:
+        ids = data.draw(st.permutations(range(1, n + 1)), label="providers")[:r_count]
+        if data.draw(st.booleans(), label="lowest ids"):
+            ids = list(range(1, r_count + 1))
+        responses = {i: bodies[i].copy() for i in ids}
+    beyond = data.draw(st.booleans(), label="beyond budget")
+    for b in range(nb):
+        n_bad = int(rng.integers(t + 1, r_count + 1) if beyond else rng.integers(0, t + 1))
+        for i in rng.permutation(ids)[:n_bad]:
+            col = int(rng.integers(responses[i].shape[1]))
+            responses[i][b, col] = (int(responses[i][b, col]) + int(rng.integers(1, q))) % q
+
+    def decode():
+        if repair:
+            return decode_repair(responses, failed, enc, t)
+        return decode_reconstruct(responses, enc, t)
+
+    got = _outcome(decode)
+    with mock.patch.object(shards, "_locate_then_erase", locate_then_erase_full):
+        want = _outcome(decode)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+        assert np.array_equal(got, want)

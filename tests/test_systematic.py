@@ -248,7 +248,9 @@ def test_clean_systematic_msr_read_is_a_gather(monkeypatch, params):
 def test_clean_mbr_read_checks_only_the_unread_symbols(monkeypatch, systematic):
     """MBR [16,5,8] from nodes 1..5: the left inverse reads B' = 30 of the
     kd = 40 symbols, and one check product re-encodes the other 10, in both
-    bases. The systematic read has no elimination and no candidate product."""
+    bases. The systematic read has no elimination and no candidate product;
+    the product-matrix read builds its inverse from k-point solves, so no
+    elimination has more than k rows."""
     params = mbr_params(k=5, d=8, n=16)
     enc = build_encoding(params, Fq(257))
     if not systematic:
@@ -260,6 +262,10 @@ def test_clean_mbr_read_checks_only_the_unread_symbols(monkeypatch, systematic):
     products, eliminations = _count(monkeypatch, "matmul_mod"), _count(monkeypatch, "_rref")
     assert np.array_equal(decode_reconstruct(shares, enc, 0), blocks)
     unread = params.k * params.d - params.slice_symbols
-    assert [b.shape for _, b, _ in products][-1] == (params.slice_symbols, unread)
-    assert len(products) == (1 if systematic else 2)
-    assert len(eliminations) == (0 if systematic else 1)
+    shapes = [b.shape for _, b, _ in products]
+    assert shapes[-1] == (params.slice_symbols, unread)
+    if systematic:
+        assert len(products) == 1 and eliminations == []
+    else:
+        assert shapes[-2] == (params.k * params.d, params.slice_symbols)  # candidate
+        assert all(arr.shape[0] <= params.k for arr, *_ in eliminations)
