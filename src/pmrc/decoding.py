@@ -1,17 +1,38 @@
-"""Errors-and-erasures decoding and the response type of `pmrc.perblock`.
+"""Reed-Solomon error location, the reference decoders tests compare it
+against, and the response type of `pmrc.perblock`.
 
-The shipping codec is the batched one in `pmrc.shards`. It calls
-``rs_decode_ee`` to locate the wrong responses of a block that fails its
-clean path.
+``locate`` is the codec's one locating primitive. Its words are evaluations
+of polynomials of degree < msg_len at R distinct points, one word per row,
+and it maps them to the positions where each word is wrong. Every word of a
+batch goes through the same few array steps:
 
-``rs_decode_ee`` is a polynomial-time decoder. Erasures are fixed by
-dropping their positions; the error locator is found algebraically from the
-Berlekamp-Welch key equation N(x_i) = v_i * E(x_i), solved as a linear
-system with E monic of degree tau = min(t_max, (R - msg_len) // 2), where R
-is the received count. Any solution yields the message as N / E when at most
-tau entries are wrong. Its final acceptance check is the paper's rule:
-agreement with >= R - t_max received entries, which within budget (at most
-t_max wrong entries and R >= msg_len + 2t) only the true message meets.
+- syndromes, by one `linalg.matmul_mod` with 2t rows of the generalized
+  Reed-Solomon parity check, H[j, i] = v_i x_i^j with column multipliers
+  v_i = 1/prod_{l != i}(x_i - x_l), built once per point set;
+- Berlekamp's key equation, solved by Massey's shift-register synthesis
+  ("Shift-register synthesis and BCH decoding", IEEE Trans. IT 1969) with
+  the word axis vectorised, which gives the shortest connection polynomial
+  C of length L;
+- a root search by one product: the reversed locator z^L C(1/z) evaluated
+  at every point. An error at point 0 shows there as a zero constant term,
+  where it shortens deg C below L.
+
+A word with at most t wrong positions, R >= msg_len + 2t, gets exactly its
+wrong positions. Any other word gets some set of at most t positions, or
+none when the roots do not account for L; a mask is therefore only a
+suggestion, and the codec (`pmrc.shards`) accepts a message only when it
+agrees with at least R - t positions. ``locate_off_diagonal`` does the same
+for each row of a square array with the row's own point left out, the
+product-matrix MSR reduction's rows of Q.
+
+``rs_decode_ee`` is the Berlekamp-Welch errors-and-erasures decoder,
+solving N(x_i) = y_i E(x_i) as a linear system per word. No codec path
+calls it: it is a test reference, and stays defined here (as do
+``linalg.inverse``, ``left_inverse``, ``solve``, ``solve_any`` and the
+``msr_*``/``mbr_*`` names in `pmrc.simulator`) because the benchmark tracer
+(perfbench/tracer.py) binds it. Its final acceptance check is the paper's
+rule: agreement with >= R - t_max received entries, which within budget (at
+most t_max wrong entries and R >= msg_len + 2t) only the true message meets.
 
 ``consistency_reconstruct`` lifts the same accept rule to vector symbols:
 candidates come from an error-free k-subset solver and are kept when their
@@ -26,6 +47,8 @@ as untrusted.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
@@ -53,6 +76,123 @@ class Response:
     @property
     def erased(self) -> bool:
         return self.symbols is None
+
+
+@functools.lru_cache(maxsize=256)
+def parity_check(field: Fq, points: tuple[int, ...], rows: int) -> np.ndarray:
+    """The first ``rows`` rows of the parity check of polynomial evaluations
+    at ``points``, H[j, i] = v_i x_i^j with v_i = 1/prod_{l != i}(x_i - x_l):
+    H @ c = 0 for the evaluations c of any polynomial of degree < R - rows.
+    A read-only int64 array, built once per (field, points, rows)."""
+    q = field.q
+    mult = [pow(math.prod(x - y for y in points if y != x) % q, q - 2, q) for x in points]
+    h = linalg.vandermonde(field, points, rows).T * np.asarray(mult, dtype=np.int64) % q
+    h.setflags(write=False)
+    return h
+
+
+def _massey(syn: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Berlekamp-Massey over the first axis of (N, 2t) syndromes, without
+    inversions: each row's shortest linear feedback shift register, its
+    connection polynomial C (N, 2t + 1) low-first, up to a nonzero factor,
+    and its length L (N,). Within budget C(z) is a multiple of the product
+    over the errors of (1 - x_i z)."""
+    n_words, n_syn = syn.shape
+    syn = syn.astype(np.int64)
+    conn = np.zeros((n_words, n_syn + 1), dtype=np.int64)
+    conn[:, 0] = 1
+    prev = conn.copy()  # the register before the last length change, times z^m
+    length = np.zeros(n_words, dtype=np.int64)
+    last = np.ones(n_words, dtype=np.int64)  # the discrepancy at that change
+    for n in range(n_syn):
+        disc = (conn[:, : n + 1] * syn[:, n::-1]).sum(axis=1) % q
+        prev[:, 1:] = prev[:, :-1].copy()
+        prev[:, 0] = 0
+        new = (last[:, None] * conn - disc[:, None] * prev) % q
+        grow = (disc != 0) & (2 * length <= n)
+        prev[grow] = conn[grow]
+        last[grow] = disc[grow]
+        length[grow] = n + 1 - length[grow]
+        conn = new
+    return conn, length
+
+
+def _error_positions(
+    syn: np.ndarray, points: Sequence[int], t: int, field: Fq, skip: np.ndarray | None = None
+) -> np.ndarray:
+    """(N, R) masks of the positions whose errors explain (N, 2t) syndromes:
+    the roots at ``points`` of each reversed locator z^L C(1/z), kept only
+    when L <= t and the roots outside ``skip`` (an (N, R) mask of points not
+    in the row's word) number exactly L; else the row's mask is empty."""
+    conn, length = _massey(syn, field.q)
+    # coefficient j of z^L C(1/z) is C_{L-j}; a row with L > t fails below
+    at = length[:, None] - np.arange(t + 1)
+    rev = np.where(at >= 0, np.take_along_axis(conn, np.maximum(at, 0), axis=1), 0)
+    values = linalg.matmul_mod(rev, linalg.vandermonde(field, points, t + 1).T, field.q)
+    roots = values == 0
+    if skip is not None:
+        roots &= ~skip
+    roots &= ((length <= t) & (roots.sum(axis=1) == length))[:, None]
+    return roots
+
+
+def _check_locate(n_points: int, msg_len: int, t: int) -> None:
+    if t < 0 or n_points < msg_len + 2 * t:
+        raise ParameterError(
+            f"{n_points} points cannot locate {t} errors on a length-{msg_len} "
+            f"message; need t >= 0 and at least msg_len + 2t"
+        )
+
+
+def locate(
+    values: np.ndarray, points: Sequence[int], msg_len: int, t: int, field: Fq
+) -> np.ndarray:
+    """(N, R) masks of the wrong entries of N words of evaluations (N, R) at
+    ``points`` of polynomials of degree < msg_len: exactly the wrong entries
+    of a word with at most t of them, at most t entries for any other word.
+    Needs R >= msg_len + 2t."""
+    points = tuple(int(x) for x in points)
+    _check_locate(len(points), msg_len, t)
+    values = np.asarray(values)
+    if not t:
+        return np.zeros(values.shape, dtype=bool)
+    syn = linalg.matmul_mod(values, parity_check(field, points, 2 * t).T, field.q)
+    return _error_positions(syn, points, t, field)
+
+
+@functools.lru_cache(maxsize=64)
+def _off_diagonal_checks(field: Fq, points: tuple[int, ...], rows: int) -> np.ndarray:
+    """(R * R, R * rows) block-diagonal parity check: block i is the
+    parity check at every point but the i-th, with a zero row at i."""
+    r = len(points)
+    h = np.zeros((r, r, r, rows), dtype=np.int64)
+    for i in range(r):
+        others = [j for j in range(r) if j != i]
+        h[i, others, i] = parity_check(field, tuple(points[j] for j in others), rows).T
+    h = h.reshape(r * r, r * rows)
+    h.setflags(write=False)
+    return h
+
+
+def locate_off_diagonal(
+    values: np.ndarray, points: Sequence[int], msg_len: int, t: int, field: Fq
+) -> np.ndarray:
+    """`locate` for each row i of N square arrays (N, R, R) as a word at
+    every point but the i-th; entry i of row i is ignored and never flagged.
+    (N, R, R) masks, all rows' syndromes taken by one product. Needs
+    R - 1 >= msg_len + 2t."""
+    points = tuple(int(x) for x in points)
+    r = len(points)
+    _check_locate(r - 1, msg_len, t)
+    n_words = values.shape[0]
+    if not t:
+        return np.zeros(values.shape, dtype=bool)
+    syn = linalg.matmul_mod(
+        values.reshape(n_words, r * r), _off_diagonal_checks(field, points, 2 * t), field.q
+    )
+    skip = np.broadcast_to(np.eye(r, dtype=bool), (n_words, r, r)).reshape(-1, r)
+    mask = _error_positions(syn.reshape(n_words * r, 2 * t), points, t, field, skip)
+    return mask.reshape(n_words, r, r)
 
 
 def _poly_divmod(num: Sequence[int], den: Sequence[int], field: Fq):

@@ -51,13 +51,15 @@ each beta-slice of a block (a copy of the beta = 1 code), so `encode_blocks`,
 `helper_symbols`, `decode_repair` and `decode_reconstruct` work on all slices
 of all blocks at once, one word per row. A decode takes the R >= msg_len + 2t
 responses that arrived and the corruption budget t, and gives each word the
-unique message agreeing with at least R - t of them (`_locate_then_erase`):
-one clean-path inverse for all words (a gather of the layout when the
-inverted symbols are nodes 1..k of a systematic code; for repair, a
-Vandermonde inverse memoized in `linalg.vandermonde_inverse`); for a word
-left over, Reed-Solomon errors-and-erasures location (`decoding.rs_decode_ee`,
-directly for repair and through the product-matrix reduction for
-reconstruction), then one more inverse without the located positions. The
+unique message agreeing with at least R - t of them (`_locate_then_erase`),
+locating each word at most once and decoding it at most once: a probe of
+word 0 alone, whose located wrong positions the first pass leaves out; one
+pass over all words (a gather of the layout when the inverted symbols are
+nodes 1..k of a systematic code; for repair, a Vandermonde inverse memoized
+in `linalg.vandermonde_inverse`); then the words left over located together
+by Reed-Solomon error location (`decoding.locate`, directly for repair and
+through the product-matrix reduction for reconstruction), grouped by the
+positions they invert, one pass per group over its own words. The
 file-level calls, the simulator and `pmrc.perblock` (batches of one block)
 all run them.
 """
@@ -479,9 +481,15 @@ def _stack(ys: list[np.ndarray]) -> np.ndarray:
     return rows.view(dtype).reshape(rows.shape[0], len(ys), w)
 
 
+# words one batched locate takes, so that its temporaries (for MBR, a few
+# (words, d, d) int64 arrays) stay bounded whatever the file size
+_LOCATE_CHUNK = 2048
+
+
 def _locate_then_erase(
     ys: list[np.ndarray], gen: np.ndarray, need: int, t: int, field: Fq,
-    invert, locate, per_block: int, layout: np.ndarray | None,
+    invert, decode, locate, per_block: int, layout: np.ndarray | None,
+    counts: dict | None = None,
 ) -> np.ndarray:
     """Messages (nwords, L) of nwords independent codewords, one per row,
     from the R positions that answered: ys[r] holds position r's (nwords, w)
@@ -489,122 +497,206 @@ def _locate_then_erase(
     and any ``need`` positions determine a message. Up to t positions per
     word may be wrong. R >= need + 2t makes the message agreeing with at
     least R - t positions unique; it is returned for every word, or
-    DecodeFailure naming the block (``per_block`` consecutive words) of a
-    word that has none.
-
-    Clean pass: one left inverse of the first ``need`` positions' stacked
-    code map gives every word a candidate, accepted when it agrees with at
-    least R - t positions. The left inverse reads L of the inverted symbols.
-    ``layout``, when given, names the L stacked symbols of positions
-    0..need-1 whose code map rows are e_0..e_{L-1} (a systematic code's
-    layout, the positions being nodes 1..k): a pass that inverts those
-    positions gathers them. Any other pass gets the (L, need * w) left
-    inverse of the positions it inverts from ``invert`` (given their indices)
-    and applies it by one product. The candidate reproduces the symbols it
-    read exactly, so only the other symbols are re-encoded and compared.
-    When every word passes, the candidate array is returned as it is. While
-    words remain, ``locate`` maps the first remaining word's (R, w) symbols
-    to the mask of its wrong positions (exact whenever the word has an
-    acceptable message, else it may raise DecodeFailure); those positions
-    are erased, and one inverse of the first ``need`` other positions gives
-    the remaining words new candidates, accepted by the same rule. The call
-    fails as soon as the located word is not accepted.
-    """
+    DecodeFailure naming the block (``per_block`` consecutive words) of the
+    lowest word that has none. ``counts``, when given, receives the number
+    of passes, of located words and of distinct masks (`_erase_passes`)."""
     n_pos = len(ys)
     if t < 0 or n_pos < need + 2 * t:
         raise ParameterError(
             f"{n_pos} responses cannot correct {t} errors; "
             f"need t >= 0 and at least {need} + 2t"
         )
+    out, failed = _erase_passes(
+        _stack(ys), gen, need, t, field, invert, decode, locate, layout, counts, True
+    )
+    if failed.any():
+        raise DecodeFailure(
+            f"block {int(np.argmax(failed)) // per_block} exceeded the (t={t}) "
+            "corruption budget"
+        )
+    return out
+
+
+def _erase_passes(
+    word: np.ndarray, gen: np.ndarray, need: int, t: int, field: Fq,
+    invert, decode, locate, layout: np.ndarray | None, counts: dict | None,
+    stop: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_locate_then_erase` on the (nwords, R, w) array ``word``: the
+    messages, and the mask of the words that have none (their messages read
+    0). With ``stop`` it returns once the lowest such word is known.
+
+    A pass inverts ``need`` positions, its rows, for a set of words: each
+    word gets the candidate those positions determine, accepted when it
+    agrees with at least R - t positions. A pass over need * w words or more
+    applies the (L, need * w) left inverse ``invert(rows)`` of the rows'
+    stacked code map, built once per rows, and re-encodes only the symbols
+    it did not read: it reproduces the ones it read. ``layout``, when given,
+    names the L stacked symbols of positions 0..need-1 whose code map rows
+    are e_0..e_{L-1} (a systematic code's layout, the positions being nodes
+    1..k): a pass that inverts those positions gathers them. A pass over
+    fewer words takes ``decode(rows, symbols)`` of their (g, need * w)
+    symbols, which need only give the message when those symbols are right,
+    and re-encodes every position.
+
+    Each word is located at most once and decoded at most once:
+    - the probe: word 0 alone under the first ``need`` positions. If it is
+      not accepted, ``locate`` maps its (1, R, w) symbols to the (1, R) mask
+      of its wrong positions, and the first pass leaves them out. At t = 0
+      nothing can be located, and there is no probe;
+    - the first pass, over every word. When all are accepted, the
+      candidates are returned as they are;
+    - the words left over are located together, `_LOCATE_CHUNK` at a time,
+      and grouped by the rows their masks leave; each group gets one pass
+      over its own words.
+    A mask is exact for a word that has an acceptable message, and then its
+    group's pass accepts it; otherwise it is only a suggestion, and no pass
+    accepts a word that has none. So a word fails when its pass rejects it,
+    when its mask flags no position or more than t, or when its rows are
+    the first pass's, which rejected it."""
+    nwords, n_pos, w = word.shape
     q = field.q
-    word = _stack(ys)  # (nwords, R, w)
-    w, width = gen.shape[1], gen.shape[2]
-    maps = gen.reshape(-1, width)  # row r * w + j: symbol j of position r
-    out = np.empty((word.shape[0], width), dtype=np.uint16)
-    undecided = np.arange(out.shape[0])
-    erased = np.zeros(n_pos, dtype=bool)
-    located = False
-    while undecided.size:
-        rows = np.flatnonzero(~erased)[:need]
-        flat = word.reshape(word.shape[0], -1)  # (nwords, R * w)
-        if layout is not None and rows[-1] == need - 1:
-            read = layout
-            cand = _columns(flat, read).astype(np.uint16, copy=False)
-        else:
-            syms = (rows[:, None] * w + np.arange(w)).ravel()
-            inv = invert(rows)
-            read = syms[inv.any(axis=0)]
-            used = _columns(flat, syms)
-            cand = linalg.matmul_mod(used, inv.T, q)
+    maps = gen.reshape(-1, gen.shape[2])  # row r * w + j: symbol j of position r
+    flat = word.reshape(nwords, n_pos * w)
+    setups: dict[bytes, tuple] = {}
+
+    def setup(rows: np.ndarray, syms: np.ndarray, gather: bool) -> tuple:
+        inv = None if gather else invert(rows).T
+        read = layout if gather else syms[inv.any(axis=1)]
         check = np.ones(flat.shape[1], dtype=bool)
         check[read] = False  # reproduced by construction
         checked = np.flatnonzero(check)
         groups: dict[int, list[int]] = {}  # position -> its checked columns
         for c, r in enumerate((checked // w).tolist()):
             groups.setdefault(r, []).append(c)
+        return inv, checked, list(groups.values()), maps[checked].T
+
+    def attempt(rows: np.ndarray, part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        syms = (rows[:, None] * w + np.arange(w)).ravel()
+        gather = layout is not None and rows[-1] == need - 1
+        # a few words: re-encoding every position costs less than an
+        # inverse and the check of the symbols it did not read
+        few = part.shape[0] < need * w
+        if not few:
+            key = rows.tobytes()
+            if key not in setups:
+                setups[key] = setup(rows, syms, gather)
+            inv, checked, groups, check_map = setups[key]
+        if gather:
+            cand = _columns(part, layout).astype(np.uint16, copy=False)
+        elif few:
+            cand = decode(rows, _columns(part, syms))
+        else:
+            cand = linalg.matmul_mod(_columns(part, syms), inv, q)
+        if few:
+            again = linalg.matmul_mod(cand, maps.T, q).reshape(part.shape[0], n_pos, w)
+            agree = (again == part.reshape(again.shape)).all(axis=2).sum(axis=1)
+            return cand, agree >= n_pos - t
         agree = np.full(cand.shape[0], n_pos - len(groups))
         if groups:
-            again = linalg.matmul_mod(cand, maps[checked].T, q)
-            same = again == _columns(flat, checked)  # (nwords, checked symbols)
+            same = linalg.matmul_mod(cand, check_map, q) == _columns(part, checked)
             # whole-column steps over the short symbol axis: numpy's
             # reductions along a short innermost axis cost several times more
-            for first, *rest in groups.values():
+            for first, *rest in groups:
                 for c in rest:
                     same[:, first] &= same[:, c]
                 agree += same[:, first]
-        ok = agree >= n_pos - t
-        if not located and ok.all():
-            return cand
-        if located and not ok[0]:
+        return cand, agree >= n_pos - t
+
+    out = np.zeros((nwords, gen.shape[2]), dtype=np.uint16)
+    failed = np.zeros(nwords, dtype=bool)
+    rows0 = np.arange(need)  # the first pass's rows
+    passes, located, patterns = 0, 0, set()
+
+    def done():
+        if counts is not None:
+            counts.update(passes=passes, located=located, patterns=len(patterns))
+        return out, failed
+
+    probed = bool(t and nwords) and not attempt(rows0, flat[:1])[1][0]
+    if probed:
+        mask = locate(word[:1])[0]
+        located = 1
+        patterns.add(mask.tobytes())
+        if 0 < mask.sum() <= t:
+            rows0 = np.flatnonzero(~mask)[:need]
+        else:
+            failed[0] = True
+            if stop:
+                return done()
+    cand, ok = attempt(rows0, flat)
+    passes = 1
+    if ok.all():
+        out = cand
+        return done()
+    out[ok] = cand[ok]
+    if probed:  # word 0 had its own pass
+        failed[0], ok[0] = not ok[0], True
+    left = np.flatnonzero(~ok)
+    if not t:
+        failed[left] = True
+    if not t or (stop and failed[0]):
+        return done()
+    for at in range(0, left.size, _LOCATE_CHUNK):
+        idx = left[at : at + _LOCATE_CHUNK]
+        masks = locate(word[idx])
+        located += idx.size
+        patterns.update(m.tobytes() for m in np.unique(masks, axis=0))
+        flags = masks.sum(axis=1)
+        usable = (flags > 0) & (flags <= t)
+        failed[idx[~usable]] = True
+        # the first need positions each usable mask leaves
+        rows = np.argsort(masks[usable], axis=1, kind="stable")[:, :need]
+        keys, group = np.unique(rows, axis=0, return_inverse=True)
+        for g, key in enumerate(keys):
+            members = idx[usable][group.ravel() == g]
+            if np.array_equal(key, rows0):
+                failed[members] = True
+                continue
+            cand, ok = attempt(key, flat[members])
+            passes += 1
+            out[members[ok]] = cand[ok]
+            failed[members[~ok]] = True
+        if stop and failed.any():
             break
-        out[undecided[ok]] = cand[ok]
-        undecided = undecided[~ok]
-        word = word[~ok]
-        if undecided.size:
-            try:
-                erased = locate(word[0])
-            except DecodeFailure:
-                break
-            located = True
-            if erased.sum() > t:
-                break
-    else:
-        return out
-    raise DecodeFailure(
-        f"block {undecided[0] // per_block} exceeded the (t={t}) corruption budget"
-    )
+    return done()
 
 
-def _column(a: np.ndarray, coeffs: Sequence[int], q: int) -> np.ndarray:
-    """a @ coeffs mod q for one decoded coefficient vector."""
-    return linalg.matmul_mod(a, np.asarray(coeffs)[:, None], q)[:, 0]
+def _poly_code(field: Fq, points: tuple[int, ...], msg_len: int, t: int):
+    """`_erase_passes`'s code map, invert, decode and locate for words of
+    one symbol, evaluations at ``points`` of polynomials of degree <
+    msg_len: the inverse of rows is the memoized Vandermonde inverse of
+    their points, and a word is located by `decoding.locate`."""
+    def invert(rows):
+        return linalg.vandermonde_inverse(field, tuple(points[r] for r in rows))
+
+    def decode(rows, used):
+        return linalg.matmul_mod(used, invert(rows).T, field.q)
+
+    def locate(word: np.ndarray) -> np.ndarray:
+        return decoding.locate(word[:, :, 0], points, msg_len, t, field)
+
+    return linalg.vandermonde(field, points, msg_len)[:, None, :], invert, decode, locate
 
 
 def poly_decode(
     y: Sequence[np.ndarray], points: Sequence[int], msg_len: int, t: int, field: Fq,
-    per_block: int = 1,
+    per_block: int = 1, counts: dict | None = None,
 ) -> np.ndarray:
     """Decode R rows of ncols polynomial evaluations (an (R, ncols) array or
     a list of rows) to (msg_len, ncols) coefficients, tolerating up to t
-    wrong rows per column; needs R >=
-    msg_len + 2t. A column that is not clean is located by the
-    Berlekamp-Welch key equation (`decoding.rs_decode_ee`); a failure names
-    the block of ``per_block`` consecutive columns it belongs to."""
-    vdm = linalg.vandermonde(field, points, msg_len)
-
-    def locate(word: np.ndarray) -> np.ndarray:
-        coeffs = decoding.rs_decode_ee(word[:, 0].tolist(), points, msg_len, t, field)
-        return _column(vdm, coeffs, field.q) != word[:, 0]
-
+    wrong rows per column; needs R >= msg_len + 2t. Columns that are not
+    clean are located together (`decoding.locate`); a failure names the
+    block of ``per_block`` consecutive columns it belongs to."""
+    gen, *code = _poly_code(field, tuple(int(x) for x in points), msg_len, t)
     return _locate_then_erase(
-        [row[:, None] for row in y], vdm[:, None, :], msg_len, t, field,
-        lambda rows: linalg.vandermonde_inverse(field, tuple(int(points[r]) for r in rows)),
-        locate, per_block, None,
+        [row[:, None] for row in y], gen, msg_len, t, field, *code, per_block, None, counts
     ).T
 
 
 def decode_repair(
-    symbols: dict[int, np.ndarray], failed_id: int, enc: EncodingMatrix, t: int
+    symbols: dict[int, np.ndarray], failed_id: int, enc: EncodingMatrix, t: int,
+    counts: dict | None = None,
 ) -> np.ndarray:
     """The failed node's (nblocks, alpha) share from helper_id -> (nblocks,
     beta) repair symbols of the helpers that answered, up to t of them
@@ -615,7 +707,7 @@ def decode_repair(
     ap = params.alpha_prime
     m = poly_decode(
         [y.reshape(-1) for y in symbols.values()],
-        [enc.point_of(h) for h in symbols], params.d, t, enc.field, params.beta,
+        [enc.point_of(h) for h in symbols], params.d, t, enc.field, params.beta, counts,
     ).T
     if params.mode is CodeMode.MSR:
         # phi_f^t S1 + lambda_f phi_f^t S2, by the symmetry of S1 and S2
@@ -648,30 +740,22 @@ def _msr_pq(y: np.ndarray, ids: list[int], enc: EncodingMatrix):
 
 
 def _locate_msr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> np.ndarray:
-    """Mask of the wrong shares among one MSR slice's (R, alpha') shares y
-    of nodes ids.
+    """(nb, R) masks of the wrong shares among nb MSR words of (R, alpha')
+    shares y of nodes ids.
 
     Off the diagonal, row i of Q (`_msr_pq`) holds the evaluations of S2
     phi_i at the other providers' points, and a wrong share y_j = y_j' + e_j
-    spoils entry j of row i unless e_j . phi_i = 0. RS decoding a clean row
-    therefore flags only wrong providers; a wrong provider is flagged by all
-    but at most alpha' - 1 of the R - t or more clean rows, that is by more
-    than t rows, and a correct one only by the t or fewer wrong rows."""
-    field = enc.field
+    spoils entry j of row i unless e_j . phi_i = 0. RS location of a clean
+    row therefore flags only wrong providers; a wrong provider is flagged by
+    all but at most alpha' - 1 of the R - t or more clean rows, that is by
+    more than t rows, and a correct one only by the t or fewer wrong rows.
+    Every row of every word is located by one `decoding.locate_off_diagonal`."""
     points = [enc.point_of(i) for i in ids]
-    phi = enc.phi[[i - 1 for i in ids]]
-    q_mat = _msr_pq(y[None], ids, enc)[1][0]
-    votes = np.zeros(len(ids), dtype=np.int64)
-    for i, row in enumerate(q_mat.tolist()):
-        row[i] = None
-        try:
-            coeffs = decoding.rs_decode_ee(row, points, phi.shape[1], t, field)
-        except DecodeFailure:
-            continue  # a wrong row; the clean rows flag it
-        flagged = _column(phi, coeffs, field.q) != q_mat[i]
-        flagged[i] = False
-        votes += flagged
-    return votes > t
+    q_mat = _msr_pq(y, ids, enc)[1]
+    flagged = decoding.locate_off_diagonal(
+        q_mat, points, enc.params.alpha_prime, t, enc.field
+    )
+    return flagged.sum(axis=1) > t
 
 
 def _msr_operands(y: np.ndarray, ids: list[int], enc: EncodingMatrix) -> np.ndarray:
@@ -715,13 +799,25 @@ def _mbr_operands(y: np.ndarray, ids: list[int], enc: EncodingMatrix, solve) -> 
 
 
 def _locate_mbr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> np.ndarray:
-    """Mask of the wrong shares among one MBR slice's (R, d) shares y of
-    nodes ids: each group of columns of `_mbr_operands` is one
-    `poly_decode`, and the decoded M is re-encoded and compared with y."""
-    points = [enc.point_of(i) for i in ids]
-    k = enc.params.k
-    m = _mbr_operands(y[None], ids, enc, lambda ev: poly_decode(ev, points, k, t, enc.field))
-    return (linalg.matmul_mod(enc.psi[[i - 1 for i in ids]], m[0], enc.field.q) != y).any(axis=1)
+    """(nb, R) masks of the wrong shares among nb MBR words of (R, d) shares
+    y of nodes ids: each group of columns of `_mbr_operands`, of all words
+    at once, is one `_erase_passes` of polynomial evaluations, and the
+    decoded M is re-encoded and compared with y. A word with a column that
+    has no acceptable polynomial has no acceptable message: no mask."""
+    q, k, nb = enc.field.q, enc.params.k, y.shape[0]
+    gen, *code = _poly_code(enc.field, tuple(enc.point_of(i) for i in ids), k, t)
+    hopeless = np.zeros(nb, dtype=bool)
+
+    def solve(ev: np.ndarray) -> np.ndarray:
+        coeffs, failed = _erase_passes(ev.T[:, :, None], gen, k, t, enc.field, *code,
+                                       None, None, False)
+        hopeless[failed.reshape(nb, -1).any(axis=1)] = True
+        return coeffs.T
+
+    m = _mbr_operands(y, ids, enc, solve)
+    wrong = (_batch_product(enc.psi[[i - 1 for i in ids]], m, q) != y).any(axis=2)
+    wrong[hopeless] = False
+    return wrong
 
 
 def _mbr_fill(y: np.ndarray, ids: list[int], enc: EncodingMatrix) -> np.ndarray:
@@ -751,41 +847,67 @@ def _mbr_fill(y: np.ndarray, ids: list[int], enc: EncodingMatrix) -> np.ndarray:
     return y
 
 
+def _reconstruct_apply(
+    enc: EncodingMatrix, ids: list[int], layout: np.ndarray | None, y: np.ndarray
+) -> np.ndarray:
+    """(nb, B') uint16 messages of nb words of k shares y (nb, k, alpha') of
+    providers ids, by Rashmi-Shah-Kumar's product-matrix reconstruction: a
+    few k- and (k-1)-point Vandermonde solves. With ``layout`` None it gives
+    the product-matrix message; with a systematic code's layout, the
+    payload: the operand re-encoded on nodes 1..k, read at those rows. MBR
+    reads every symbol of y: shares that hold a codeword give its message."""
+    params = enc.params
+    q, nb = enc.field.q, y.shape[0]
+    if params.mode is CodeMode.MSR:
+        ops = _msr_operands(y, ids, enc)
+    else:
+        vinv = linalg.vandermonde_inverse(enc.field, tuple(enc.point_of(i) for i in ids))
+        ops = _mbr_operands(y, ids, enc, lambda ev: linalg.matmul_mod(vinv, ev, q))
+    if layout is None:
+        values, cells = np.unique(_slice_matrix_index(params), return_index=True)
+        return ops.reshape(nb, -1)[:, cells[values >= 0]].astype(np.uint16)
+    shares = _batch_product(enc.psi[: params.k], ops, q)
+    return shares.reshape(nb, -1)[:, layout]
+
+
 def _reconstruct_inverse(
     enc: EncodingMatrix, ids: list[int], layout: np.ndarray | None
 ) -> np.ndarray:
     """The (B', k * alpha') left inverse of providers ids' stacked share
-    maps: each unit vector decoded by Rashmi-Shah-Kumar's product-matrix
-    reconstruction, a few k- and (k-1)-point Vandermonde solves. It reads
-    only the B' symbols `_mbr_fill` keeps (all for MSR), so it is the one
-    left inverse that elimination finds. With ``layout`` None it gives the
-    product-matrix message; with a systematic code's layout, the payload:
-    the operand re-encoded on nodes 1..k, read at those rows."""
+    maps that reads the B' symbols `_mbr_fill` keeps (for MSR, all): the
+    `_reconstruct_apply` of their unit vectors, for MBR filled first, and
+    zero columns for the others. So it is the one left inverse that
+    elimination finds."""
     params = enc.params
-    q, width = enc.field.q, params.k * params.alpha_prime
-    unit = np.eye(width, dtype=np.int64).reshape(width, params.k, -1)
-    if params.mode is CodeMode.MSR:
-        ops = _msr_operands(unit, ids, enc)
-    else:
-        vinv = linalg.vandermonde_inverse(enc.field, tuple(enc.point_of(i) for i in ids))
-        ops = _mbr_operands(_mbr_fill(unit, ids, enc), ids, enc,
-                            lambda ev: linalg.matmul_mod(vinv, ev, q))
-    if layout is None:
-        values, cells = np.unique(_slice_matrix_index(params), return_index=True)
-        return ops.reshape(width, -1)[:, cells[values >= 0]].T
-    shares = _batch_product(enc.psi[: params.k], ops, q)
-    return shares.reshape(width, -1)[:, layout].T
+    k, d, width = params.k, params.d, params.k * params.alpha_prime
+    kept = np.ones((k, params.alpha_prime), dtype=bool)
+    if params.mode is CodeMode.MBR:
+        points = [enc.point_of(i) for i in ids]
+        for j in range(k):  # `_mbr_fill`: share j keeps symbols z..d-m-1
+            m = sum(1 for x in points[:j] if x)
+            kept[j] = (np.arange(d) >= int(m < j)) & (np.arange(d) < d - m)
+    kept = np.flatnonzero(kept)
+    unit = np.zeros((kept.size, width), dtype=np.int64)
+    unit[np.arange(kept.size), kept] = 1
+    unit = unit.reshape(kept.size, k, -1)
+    if params.mode is CodeMode.MBR:
+        unit = _mbr_fill(unit, ids, enc)
+    inv = np.zeros((params.slice_symbols, width), dtype=np.int64)
+    inv[:, kept] = _reconstruct_apply(enc, ids, layout, unit).T
+    return inv
 
 
 def decode_reconstruct(
-    shares: dict[int, np.ndarray], enc: EncodingMatrix, t: int
+    shares: dict[int, np.ndarray], enc: EncodingMatrix, t: int,
+    counts: dict | None = None,
 ) -> np.ndarray:
     """The (nblocks, B) payload from node_id -> (nblocks, alpha) shares of the
     nodes that answered, up to t of them corrupt; exact when at least k + 2t
-    answered. Every slice of every block is one column: a candidate is the
-    left inverse of k providers' stacked share maps (`_reconstruct_inverse`)
-    applied to their slice shares; the wrong shares of a column that is not
-    clean are located by the product-matrix reduction to RS decoding."""
+    answered. Every slice of every block is one word: a large pass applies
+    the left inverse of its k providers' stacked share maps
+    (`_reconstruct_inverse`), a small one the product-matrix reconstruction
+    itself (`_reconstruct_apply`). The wrong shares of words that are not
+    clean are located by the product-matrix reduction to RS location."""
     params = enc.params
     ids = list(shares)
     amap, layout = _share_map_layout(enc)
@@ -794,8 +916,10 @@ def decode_reconstruct(
         [shares[i].reshape(-1, params.alpha_prime) for i in ids],
         amap[[i - 1 for i in ids]], params.k, t, enc.field,
         lambda rows: _reconstruct_inverse(enc, [ids[r] for r in rows], layout),
+        lambda rows, used: _reconstruct_apply(
+            enc, [ids[r] for r in rows], layout, used.reshape(used.shape[0], params.k, -1)),
         lambda word: locate_mode(word, ids, enc, t), params.beta,
-        layout if ids[: params.k] == list(range(1, params.k + 1)) else None,
+        layout if ids[: params.k] == list(range(1, params.k + 1)) else None, counts,
     )
     return out.reshape(-1, params.message_symbols)
 
@@ -835,11 +959,13 @@ def repair_blocks(
     delta = connectivity(params, s, t, repair=True)
     helpers = _lowest_ids(bodies, delta, skip=failed_id)
     symbols = {h: helper_symbols(body, failed_id, enc) for h, body in helpers.items()}
-    share = decode_repair(symbols, failed_id, enc, t)
+    counts: dict = {}
+    share = decode_repair(symbols, failed_id, enc, t, counts)
     info = {
         "helpers": list(helpers),
         "connectivity": delta,
         "downloaded": delta * params.beta * share.shape[0],
+        **counts,
     }
     return share, info
 
@@ -855,10 +981,12 @@ def reconstruct_blocks(
     params = enc.params
     kappa = connectivity(params, s, t, repair=False)
     chosen = _lowest_ids(bodies, kappa)
-    out = decode_reconstruct(chosen, enc, t)
+    counts: dict = {}
+    out = decode_reconstruct(chosen, enc, t, counts)
     info = {
         "providers": list(chosen),
         "connectivity": kappa,
         "downloaded": kappa * params.alpha * out.shape[0],
+        **counts,
     }
     return out, info

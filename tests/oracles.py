@@ -94,11 +94,13 @@ def subset_decode_oracle(
     return candidates.pop()
 
 
-def locate_then_erase_full(ys, gen, need, t, field, invert, locate, per_block, layout):
+def locate_then_erase_full(ys, gen, need, t, field, invert, decode, locate, per_block,
+                           layout, counts=None):
     """`pmrc.shards._locate_then_erase` (same arguments, results and
-    DecodeFailure text) without its shortcuts: every pass eliminates the
-    stacked code map of the positions it inverts, so neither ``invert`` nor
-    ``layout`` is read."""
+    DecodeFailure text) without its shortcuts: one pass over every word
+    left, then one word located at a time, and every pass eliminates the
+    stacked code map of the positions it inverts, so ``invert``, ``decode``
+    and ``layout`` are not read and ``counts`` is left as it is."""
     n_pos = len(ys)
     if t < 0 or n_pos < need + 2 * t:
         raise ParameterError(
@@ -125,7 +127,7 @@ def locate_then_erase_full(ys, gen, need, t, field, invert, locate, per_block, l
         word = word[~ok]
         if undecided.size:
             try:
-                erased = locate(word[0])
+                erased = locate(word[:1])[0]
             except DecodeFailure:
                 break
             located = True

@@ -4,6 +4,8 @@ from itertools import combinations
 import pytest
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmrc import (
     DecodeFailure,
@@ -11,7 +13,7 @@ from pmrc import (
     ParameterError,
     rs_decode_ee,
 )
-from pmrc.decoding import Response, consistency_reconstruct
+from pmrc.decoding import Response, consistency_reconstruct, locate, locate_off_diagonal
 from pmrc.linalg import matmul_mod, rank, solve, vandermonde
 from oracles import AmbiguityError, subset_decode_oracle
 
@@ -247,3 +249,75 @@ def test_consistency_preconditions():
         consistency_reconstruct(
             [Response(1, (1,)), Response(1, (1,))], 1, 0, solve_k, reencode
         )
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_locate_matches_rs_decode_ee_and_the_subset_oracle(data):
+    """The batched locator against both reference decoders, word by word: a
+    word that has a message agreeing with at least R - t entries (the
+    subset oracle's answer, and rs_decode_ee's) is flagged exactly where it
+    differs from that message's evaluations; any other word gets at most t
+    flags. q in {29, 257, 65521}, point sets with and without 0, R from
+    msg_len + 2t up, and 0 to t + 2 wrong entries per word."""
+    q = data.draw(st.sampled_from([29, 257, 65521]), label="q")
+    f = Fq(q)
+    msg_len = data.draw(st.integers(1, 3), label="msg_len")
+    t = data.draw(st.integers(0, 3), label="t")
+    r = data.draw(st.integers(msg_len + 2 * t, msg_len + 2 * t + 2), label="R")
+    rng = random.Random(data.draw(st.integers(0, 2**16), label="seed"))
+    points = rng.sample(range(1, q), r)
+    if data.draw(st.booleans(), label="point 0"):
+        points[rng.randrange(r)] = 0
+    rows = vandermonde(f, points, msg_len)
+    words = []
+    for _ in range(data.draw(st.integers(1, 4), label="words")):
+        values = evals([rng.randrange(q) for _ in range(msg_len)], points, q)
+        for i in rng.sample(range(r), min(r, rng.randrange(t + 3))):
+            values[i] = (values[i] + rng.randrange(1, q)) % q
+        words.append(values)
+    masks = locate(np.array(words), points, msg_len, t, f)
+    assert masks.shape == (len(words), r) and masks.dtype == bool
+    for values, mask in zip(words, masks):
+        try:
+            msg = subset_decode_oracle(values, rows, t, f)
+        except DecodeFailure:
+            with pytest.raises(DecodeFailure):
+                rs_decode_ee(values, points, msg_len, t, f)
+            assert mask.sum() <= t
+            continue
+        assert rs_decode_ee(values, points, msg_len, t, f) == msg
+        assert mask.tolist() == [a != b for a, b in zip(evals(msg, points, q), values)]
+
+
+def test_locate_off_diagonal_leaves_each_rows_own_point_out():
+    """Row i of a square array is a word at every point but the i-th: its
+    diagonal entry is never read or flagged, and each row is located as
+    `locate` locates it at the other points."""
+    q, t, msg_len = 257, 1, 3
+    f = Fq(q)
+    rng = random.Random(3)
+    points = [0, 3, 5, 7, 11, 13]
+    values = np.array([
+        [[rng.randrange(q) for _ in points] for _ in points] for _ in range(3)
+    ])
+    for word in values:
+        for i, row in enumerate(word):
+            word[i] = evals([rng.randrange(q) for _ in range(msg_len)], points, q)
+            bad = rng.choice([j for j in range(len(points)) if j != i])
+            word[i, bad] = (word[i, bad] + 1 + rng.randrange(q - 1)) % q
+            word[i, i] = rng.randrange(q)  # the row's own point: never read
+    got = locate_off_diagonal(values, points, msg_len, t, f)
+    for word, masks in zip(values, got):
+        for i, (row, mask) in enumerate(zip(word, masks)):
+            others = [j for j in range(len(points)) if j != i]
+            want = locate(row[None, others], [points[j] for j in others], msg_len, t, f)
+            assert not mask[i] and mask[others].tolist() == want[0].tolist()
+            assert mask.sum() == 1
+
+
+def test_locate_needs_room_for_the_budget():
+    with pytest.raises(ParameterError):
+        locate(np.zeros((1, 4), dtype=np.int64), [1, 2, 3, 4], 3, 1, F29)
+    with pytest.raises(ParameterError):
+        locate_off_diagonal(np.zeros((1, 5, 5), dtype=np.int64), [1, 2, 3, 4, 5], 3, 1, F29)

@@ -23,7 +23,7 @@ from pmrc import (
     mbr_params,
     msr_params,
 )
-from pmrc import shards
+from pmrc import decoding, shards
 from pmrc.shards import (
     ShardHeader,
     blocks_to_bytes,
@@ -33,6 +33,7 @@ from pmrc.shards import (
     encode_blocks,
     helper_symbols,
     load_shard_set,
+    poly_decode,
     read_shard,
     reconstruct_blocks,
     repair_blocks,
@@ -627,11 +628,12 @@ def test_decode_steps_need_unique_decoding():
 
 
 def _count_pass_inverses(monkeypatch, op):
-    """Records each erase pass's inverse: a reconstruct pass builds one by
-    `shards._reconstruct_inverse`, a repair pass takes one Vandermonde
-    inverse (from its cache or not)."""
+    """Records each decode of a pass or of the probe: a reconstruct applies
+    the product-matrix reconstruction once (`shards._reconstruct_apply`), to
+    its words or to the unit vectors of its inverse, and a repair takes one
+    Vandermonde inverse (from its cache or not)."""
     calls = []
-    owner, name = (shards, "_reconstruct_inverse") if op == "reconstruct" else (
+    owner, name = (shards, "_reconstruct_apply") if op == "reconstruct" else (
         linalg, "vandermonde_inverse")
     orig = getattr(owner, name)
 
@@ -673,3 +675,86 @@ def test_whole_shard_corruption_costs_two_inverses_per_slice(monkeypatch):
             assert (got == truth).all()
         assert 1 <= len(calls) <= 2 * params.beta, (op, len(calls))
         monkeypatch.undo()
+
+
+def test_info_counts_passes_located_words_and_patterns():
+    """`info` counts the erase passes, the words located and their distinct
+    masks. Clean: one pass, nothing located. Whole-shard damage (nodes 1 and
+    2 wrong in every block): word 0 is located alone, and the one pass that
+    erases its mask takes every word. Scattered (block b's node b + 1
+    wrong): the probe's mask serves block 0, and blocks 1..5 are located
+    together, one pass per pattern."""
+    params = mbr_params(k=5, d=8, n=16)
+    enc = build_encoding(params)
+    q = enc.field.q
+    nb = 6
+    blocks = np.random.default_rng(8).integers(0, 256, size=(nb, params.message_symbols))
+    clean = encode_blocks(blocks, enc)
+
+    def counts(info):
+        return info["passes"], info["located"], info["patterns"]
+
+    whole = dict(clean)
+    for i in (1, 2):
+        whole[i] = (clean[i] + np.random.default_rng(i).integers(1, q, clean[i].shape)) % q
+    scattered = {i: body.copy() for i, body in clean.items()}
+    for b in range(nb):
+        scattered[b + 1][b, 0] = (scattered[b + 1][b, 0] + 1) % q
+    for bodies, want in ((clean, (1, 0, 0)), (whole, (1, 1, 1)), (scattered, (6, 6, 6))):
+        got, info = reconstruct_blocks(bodies, enc, t=2)
+        assert (got == blocks).all()
+        assert counts(info) == want
+    for bodies, want in ((clean, (1, 0, 0)), (whole, (1, 1, 1))):
+        share, info = repair_blocks(
+            {i: body for i, body in bodies.items() if i != params.n}, params.n, enc, t=2
+        )
+        assert (share == clean[params.n]).all()
+        assert counts(info) == want
+
+
+@pytest.mark.parametrize("params", [
+    msr_params(k=3, n=9, beta=2), mbr_params(k=3, d=5, n=9, beta=2),
+], ids=str)
+def test_failure_names_the_lowest_block_without_a_message(params):
+    """Block 0 has one wrong share, decodable with its own mask; blocks 2
+    and 5 have two, past t = 1, on different nodes. The decode names block
+    2, as the loop that locates one word at a time does."""
+    enc = build_encoding(params)
+    q = enc.field.q
+    nb = 7
+    blocks = np.random.default_rng(4).integers(0, 256, size=(nb, params.message_symbols))
+    shares = {i: body.copy() for i, body in encode_blocks(blocks, enc).items()
+              if i <= params.k + 2}
+    for b, nodes in ((0, (2,)), (2, (1, 3)), (5, (4, 5))):
+        for i in nodes:
+            shares[i][b] = (shares[i][b] + 1) % q
+    want = "block 2 exceeded the (t=1) corruption budget"
+    for loop in (shards._locate_then_erase, locate_then_erase_full):
+        with mock.patch.object(shards, "_locate_then_erase", loop):
+            with pytest.raises(DecodeFailure) as failure:
+                decode_reconstruct(shares, enc, 1)
+        assert str(failure.value) == want
+    head = {i: share[:2] for i, share in shares.items()}
+    assert (decode_reconstruct(head, enc, 1) == blocks[:2]).all()
+
+
+def test_a_word_located_to_the_first_rows_fails():
+    """A word that the first pass rejected and whose mask leaves that pass's
+    rows has no acceptable message. With R = 5 > msg_len + 2t the locator
+    reads 2t = 2 of the 3 syndromes, so two errors whose first two syndromes
+    are those of one error at the last point locate there; the decode names
+    the word's block, as the loop that locates one word at a time does."""
+    f, points = Fq(257), [1, 2, 3, 4, 5]
+    h = decoding.parity_check(f, tuple(points), 3)
+    errors = np.zeros(5, dtype=np.int64)
+    errors[2:4] = linalg.solve(h[:2, 2:4], h[:2, 4:], 257)[:, 0]
+    assert errors[2:4].all() and (h[2] @ errors - h[2, 4]) % 257
+    y = linalg.matmul_mod(linalg.vandermonde(f, points, 2), np.array([[3, 7], [5, 11]]), 257)
+    y = y.astype(np.int64)
+    y[:, 1] = (y[:, 1] + errors) % 257
+    assert decoding.locate(y.T, points, 2, 1, f)[1].tolist() == [False] * 4 + [True]
+    for loop in (shards._locate_then_erase, locate_then_erase_full):
+        with mock.patch.object(shards, "_locate_then_erase", loop):
+            with pytest.raises(DecodeFailure) as failure:
+                poly_decode(y, points, 2, 1, f)
+        assert str(failure.value) == "block 1 exceeded the (t=1) corruption budget"
