@@ -21,9 +21,15 @@ A word with at most t wrong positions, R >= msg_len + 2t, gets exactly its
 wrong positions. Any other word gets some set of at most t positions, or
 none when the roots do not account for L; a mask is therefore only a
 suggestion, and the codec (`pmrc.shards`) accepts a message only when it
-agrees with at least R - t positions. ``locate_off_diagonal`` does the same
-for each row of a square array with the row's own point left out, the
-product-matrix MSR reduction's rows of Q.
+agrees with at least R - t positions.
+
+A word may also miss one point x_e, its erased position. Its syndromes at
+the other R - 1 points come from 2t + 1 rows S of the same R-point check
+as T_j = S_{j+1} - x_e S_j, since v_l (x_l - x_e) are the column
+multipliers without x_e, and x_e is left out of the root search (Forney's
+erasure syndromes, "On decoding BCH codes", IEEE Trans. IT 1965).
+``locate_off_diagonal`` locates each row of a square array so, with the
+row's own point erased: the product-matrix MSR reduction's rows of Q.
 
 ``rs_decode_ee`` is the Berlekamp-Welch errors-and-erasures decoder,
 solving N(x_i) = y_i E(x_i) as a linear system per word. No codec path
@@ -136,42 +142,36 @@ def _error_positions(
     return roots
 
 
-def _check_locate(n_points: int, msg_len: int, t: int) -> None:
+def locate(
+    values: np.ndarray, points: Sequence[int], msg_len: int, t: int, field: Fq,
+    erased: np.ndarray | None = None,
+) -> np.ndarray:
+    """(N, R) masks of the wrong entries of N words of evaluations (N, R) at
+    ``points`` of polynomials of degree < msg_len: exactly the wrong entries
+    of a word with at most t of them, at most t entries for any other word.
+    ``erased`` (N,) names one position per word that is not part of it: its
+    entry is ignored and never flagged, and the word is located at the other
+    R - 1 points (Forney's erasure syndromes). Needs R >= msg_len + 2t, one
+    more point with ``erased``."""
+    points = tuple(int(x) for x in points)
+    n_points = len(points) - (erased is not None)
     if t < 0 or n_points < msg_len + 2 * t:
         raise ParameterError(
             f"{n_points} points cannot locate {t} errors on a length-{msg_len} "
             f"message; need t >= 0 and at least msg_len + 2t"
         )
-
-
-def locate(
-    values: np.ndarray, points: Sequence[int], msg_len: int, t: int, field: Fq
-) -> np.ndarray:
-    """(N, R) masks of the wrong entries of N words of evaluations (N, R) at
-    ``points`` of polynomials of degree < msg_len: exactly the wrong entries
-    of a word with at most t of them, at most t entries for any other word.
-    Needs R >= msg_len + 2t."""
-    points = tuple(int(x) for x in points)
-    _check_locate(len(points), msg_len, t)
     values = np.asarray(values)
     if not t:
         return np.zeros(values.shape, dtype=bool)
-    syn = linalg.matmul_mod(values, parity_check(field, points, 2 * t).T, field.q)
-    return _error_positions(syn, points, t, field)
-
-
-@functools.lru_cache(maxsize=64)
-def _off_diagonal_checks(field: Fq, points: tuple[int, ...], rows: int) -> np.ndarray:
-    """(R * R, R * rows) block-diagonal parity check: block i is the
-    parity check at every point but the i-th, with a zero row at i."""
-    r = len(points)
-    h = np.zeros((r, r, r, rows), dtype=np.int64)
-    for i in range(r):
-        others = [j for j in range(r) if j != i]
-        h[i, others, i] = parity_check(field, tuple(points[j] for j in others), rows).T
-    h = h.reshape(r * r, r * rows)
-    h.setflags(write=False)
-    return h
+    if erased is None:
+        syn = linalg.matmul_mod(values, parity_check(field, points, 2 * t).T, field.q)
+        return _error_positions(syn, points, t, field)
+    # S_{j+1} - x_e S_j, the syndromes at the other points (module docstring)
+    syn = linalg.matmul_mod(values, parity_check(field, points, 2 * t + 1).T, field.q)
+    x_e = np.asarray(points, dtype=np.int64)[erased][:, None]
+    syn = (syn[:, 1:] - x_e * syn[:, :-1]) % field.q
+    skip = np.arange(len(points)) == erased[:, None]
+    return _error_positions(syn, points, t, field, skip)
 
 
 def locate_off_diagonal(
@@ -179,20 +179,10 @@ def locate_off_diagonal(
 ) -> np.ndarray:
     """`locate` for each row i of N square arrays (N, R, R) as a word at
     every point but the i-th; entry i of row i is ignored and never flagged.
-    (N, R, R) masks, all rows' syndromes taken by one product. Needs
-    R - 1 >= msg_len + 2t."""
-    points = tuple(int(x) for x in points)
-    r = len(points)
-    _check_locate(r - 1, msg_len, t)
-    n_words = values.shape[0]
-    if not t:
-        return np.zeros(values.shape, dtype=bool)
-    syn = linalg.matmul_mod(
-        values.reshape(n_words, r * r), _off_diagonal_checks(field, points, 2 * t), field.q
-    )
-    skip = np.broadcast_to(np.eye(r, dtype=bool), (n_words, r, r)).reshape(-1, r)
-    mask = _error_positions(syn.reshape(n_words * r, 2 * t), points, t, field, skip)
-    return mask.reshape(n_words, r, r)
+    (N, R, R) masks. Needs R - 1 >= msg_len + 2t."""
+    n_words, r = values.shape[:2]
+    erased = np.tile(np.arange(r), n_words)
+    return locate(values.reshape(-1, r), points, msg_len, t, field, erased).reshape(values.shape)
 
 
 def _poly_divmod(num: Sequence[int], den: Sequence[int], field: Fq):

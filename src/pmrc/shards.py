@@ -749,7 +749,8 @@ def _locate_msr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> n
     row therefore flags only wrong providers; a wrong provider is flagged by
     all but at most alpha' - 1 of the R - t or more clean rows, that is by
     more than t rows, and a correct one only by the t or fewer wrong rows.
-    Every row of every word is located by one `decoding.locate_off_diagonal`."""
+    Every row of every word is located by one `decoding.locate_off_diagonal`
+    call, as an R-point word with its own point erased."""
     points = [enc.point_of(i) for i in ids]
     q_mat = _msr_pq(y, ids, enc)[1]
     flagged = decoding.locate_off_diagonal(

@@ -316,6 +316,63 @@ def test_locate_off_diagonal_leaves_each_rows_own_point_out():
             assert mask.sum() == 1
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_locate_off_diagonal_is_locate_at_the_other_points(data):
+    """Each row of each square array is masked as `locate` masks it at the
+    other R - 1 points, whatever its own entry holds: q in {29, 257, 65521},
+    t in 0..3, point sets with and without 0, and 0 to t + 2 wrong entries
+    per row, so rows within and beyond the budget, and rows that look like
+    one error at their own point."""
+    q = data.draw(st.sampled_from([29, 257, 65521]), label="q")
+    f = Fq(q)
+    msg_len = data.draw(st.integers(1, 3), label="msg_len")
+    t = data.draw(st.integers(0, 3), label="t")
+    r = data.draw(st.integers(msg_len + 2 * t + 1, msg_len + 2 * t + 3), label="R")
+    rng = random.Random(data.draw(st.integers(0, 2**16), label="seed"))
+    points = rng.sample(range(1, q), r)
+    if data.draw(st.booleans(), label="point 0"):
+        points[rng.randrange(r)] = 0
+    values = np.zeros((data.draw(st.integers(1, 3), label="words"), r, r), dtype=np.int64)
+    for word in values:
+        for i in range(r):
+            word[i] = evals([rng.randrange(q) for _ in range(msg_len)], points, q)
+            for j in rng.sample(range(r), min(r, rng.randrange(t + 3))):
+                word[i, j] = (word[i, j] + rng.randrange(1, q)) % q
+            word[i, i] = rng.randrange(q)
+    if data.draw(st.booleans(), label="one error at the own point"):
+        # entries c/(x_i - x_l): syndromes at the other points proportional to
+        # x_i^j, as if the only error were at the row's own point
+        i = rng.randrange(r)
+        scale = rng.randrange(1, q)
+        values[0, i] = [scale * pow(points[i] - x, q - 2, q) % q for x in points]
+    got = locate_off_diagonal(values, points, msg_len, t, f)
+    assert got.shape == values.shape and got.dtype == bool
+    for word, masks in zip(values, got):
+        for i, (row, mask) in enumerate(zip(word, masks)):
+            others = [j for j in range(r) if j != i]
+            want = locate(row[None, others], [points[j] for j in others], msg_len, t, f)
+            assert not mask[i] and mask[others].tolist() == want[0].tolist()
+
+
+def test_locate_off_diagonal_memory_is_its_input():
+    """MSR location at R = 60, t = 20 holds no more than a small multiple
+    of its (1, R, R) word: nothing of size R^3."""
+    import tracemalloc
+
+    f = Fq(257)
+    points = [3 * i + 7 for i in range(60)]  # a point set no other test uses
+    rng = np.random.default_rng(19)
+    values = rng.integers(0, 257, (1, 60, 60))
+    tracemalloc.start()
+    try:
+        locate_off_diagonal(values, points, 19, 20, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_locate_needs_room_for_the_budget():
     with pytest.raises(ParameterError):
         locate(np.zeros((1, 4), dtype=np.int64), [1, 2, 3, 4], 3, 1, F29)
