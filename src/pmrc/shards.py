@@ -35,16 +35,15 @@ a body that fails its checks there is an erasure, and the next id is read.
 
 The code is stated once, as `share_map`: the linear map from one slice's B'
 payload symbols (laid out by `_slice_matrix_index`) to every node's alpha'
-stored symbols. In a systematic code B' of nodes 1..k's stored symbols are
-the payload symbols themselves; the build of the map records which, as the
-code's layout (at nonzero points, every symbol of nodes 1..k for MSR and
-node i's first d - i + 1 for MBR). `encode_blocks` applies the map, copying
-the payload to the layout, and `decode_reconstruct` inverts it. Every inverse
-of the map, the one that makes it systematic included, is built by the
-product-matrix reconstruction (`_reconstruct_inverse`) from k- and
-(k-1)-point Vandermonde solves, never by a B'-sized elimination. Symbols stay
-uint16 (``<u2``, the on-disk body format) from `read_shard` to `write_shard`;
-every bulk product is `linalg.matmul_mod`.
+stored symbols. In a systematic code B' of nodes 1..k's stored symbols are the
+payload symbols themselves; the build of the map records which, as the code's
+layout (at nonzero points, every symbol of nodes 1..k for MSR and node i's
+first d - i + 1 for MBR). `encode_blocks` applies the map, copying the payload
+to the layout, and `decode_reconstruct` inverts it. Every inverse of the map is
+the product-matrix reconstruction of the identity (`_reconstruct_inverse`),
+filled by `_mbr_fill`, which alone knows the B' symbols k MBR shares keep.
+Symbols stay uint16 (``<u2``, the on-disk body format) from `read_shard` to
+`write_shard`; every bulk product is `linalg.matmul_mod`.
 
 This module is the package's one codec. Blocks are independent, and so is
 each beta-slice of a block (a copy of the beta = 1 code), so `encode_blocks`,
@@ -362,12 +361,13 @@ def _share_map_layout(enc: EncodingMatrix) -> tuple[np.ndarray, np.ndarray | Non
     the operand holds u_j (j = idx[r, w] >= 0), column r of psi is u_j's
     coefficient in share column w. The operand's blocks are symmetric, so
     no symbol sits twice in one column and no two cells add up. A systematic
-    code's map is that one times the inverse of its rows P, the staircase
-    that nodes 1..k's `_reconstruct_inverse` reads, which makes row P_j the
-    unit row e_j. At nonzero points P is every row of nodes 1..k for MSR, so
-    node i stores u's i-th run of alpha' symbols, and node i's first
-    d - i + 1 symbols for MBR. That build adds a few Vandermonde solves, one
-    product and a uint16 copy of the map to the scatter's cost."""
+    code's map is that one times the inverse of its rows P, the nonzero
+    columns of nodes 1..k's `_reconstruct_inverse` (for MBR the symbols
+    `_mbr_fill` keeps), which makes row P_j the unit row e_j. At nonzero
+    points P is every row of nodes 1..k for MSR, so node i stores u's i-th
+    run of alpha' symbols, and node i's first d - i + 1 symbols for MBR.
+    That build adds a few Vandermonde solves, one product and a uint16 copy
+    of the map to the scatter's cost, and peaks below three times the map."""
     params = enc.params
     idx = _slice_matrix_index(params)
     r, w = np.nonzero(idx >= 0)
@@ -828,8 +828,8 @@ def _mbr_fill(y: np.ndarray, ids: list[int], enc: EncodingMatrix) -> np.ndarray:
     share i. Share j keeps its symbols z..e-1, where z (0 or 1) of the
     earlier shares sit at point 0 and m at nonzero points, e = d - m: its
     symbol 0 is then f_i(x_j) for the share i at 0, and the rest one m-point
-    Vandermonde solve. The B' kept symbols are each the first not fixed by
-    those before them."""
+    Vandermonde solve. The B' kept symbols, each the first not fixed by
+    those before it, are known here alone; shares zero on them fill to 0."""
     q, d = enc.field.q, enc.params.d
     psi = enc.psi[[i - 1 for i in ids]]
     points = [enc.point_of(i) for i in ids]
@@ -871,30 +871,29 @@ def _reconstruct_apply(
     return shares.reshape(nb, -1)[:, layout]
 
 
+# identity rows one `_reconstruct_inverse` step fills and applies, so that
+# its temporaries are bounded by the slab, not by the square of k * alpha'
+_INVERSE_SLAB = 128
+
+
 def _reconstruct_inverse(
     enc: EncodingMatrix, ids: list[int], layout: np.ndarray | None
 ) -> np.ndarray:
-    """The (B', k * alpha') left inverse of providers ids' stacked share
-    maps that reads the B' symbols `_mbr_fill` keeps (for MSR, all): the
-    `_reconstruct_apply` of their unit vectors, for MBR filled first, and
-    zero columns for the others. So it is the one left inverse that
+    """The (B', k * alpha') uint16 left inverse of providers ids' stacked
+    share maps that reads the B' symbols `_mbr_fill` keeps (for MSR, all):
+    the `_reconstruct_apply` of the identity's rows, for MBR filled first,
+    `_INVERSE_SLAB` rows at a time. A row outside the kept symbols fills to
+    zero, and so does its column. So it is the one left inverse that
     elimination finds."""
     params = enc.params
-    k, d, width = params.k, params.d, params.k * params.alpha_prime
-    kept = np.ones((k, params.alpha_prime), dtype=bool)
-    if params.mode is CodeMode.MBR:
-        points = [enc.point_of(i) for i in ids]
-        for j in range(k):  # `_mbr_fill`: share j keeps symbols z..d-m-1
-            m = sum(1 for x in points[:j] if x)
-            kept[j] = (np.arange(d) >= int(m < j)) & (np.arange(d) < d - m)
-    kept = np.flatnonzero(kept)
-    unit = np.zeros((kept.size, width), dtype=np.int64)
-    unit[np.arange(kept.size), kept] = 1
-    unit = unit.reshape(kept.size, k, -1)
-    if params.mode is CodeMode.MBR:
-        unit = _mbr_fill(unit, ids, enc)
-    inv = np.zeros((params.slice_symbols, width), dtype=np.int64)
-    inv[:, kept] = _reconstruct_apply(enc, ids, layout, unit).T
+    width = params.k * params.alpha_prime
+    inv = np.empty((params.slice_symbols, width), dtype=np.uint16)
+    for at in range(0, width, _INVERSE_SLAB):
+        unit = np.eye(min(_INVERSE_SLAB, width - at), width, at, dtype=np.int64)
+        unit = unit.reshape(-1, params.k, params.alpha_prime)
+        if params.mode is CodeMode.MBR:
+            unit = _mbr_fill(unit, ids, enc)
+        inv[:, at : at + unit.shape[0]] = _reconstruct_apply(enc, ids, layout, unit).T
     return inv
 
 

@@ -552,6 +552,7 @@ def test_simulate_over_budget_event_is_reported_and_exits_decode_failure(
      "scenario: event 1 (fail): node 2 already failed"),
     ({"events": [{"op": "repair", "node": 2}]},
      "scenario: event 0 (repair): node 2 is alive; fail it first"),
+    ({"events": [{"node": 2}]}, "scenario: event 0 needs an 'op'"),
 ])
 def test_simulate_malformed_scenario_is_a_bad_argument(tmp_path, capsys, cfg, named):
     path = tmp_path / "scenario.json"

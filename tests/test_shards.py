@@ -201,6 +201,23 @@ def test_share_map_memory_is_its_output():
     assert peak <= 1.25 * amap.nbytes, (peak, amap.nbytes)
 
 
+def test_systematic_map_memory_is_a_few_maps():
+    """The systematic map of MSR [100,30,58] at q = 401 inverts nodes
+    1..30's (870, 870) maps: the identity is applied in slabs, so the
+    build peaks below three times the (n, alpha', B') map it returns."""
+    import tracemalloc
+
+    enc = build_encoding(msr_params(k=30, n=100), Fq(401))
+    enc.psi, enc.phi  # the code's own tables, built before the measurement
+    tracemalloc.start()
+    try:
+        amap = shards._share_map_layout.__wrapped__(enc)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * amap.nbytes, (peak, amap.nbytes)
+
+
 def test_message_layout_matches_triangle_walk():
     rng = np.random.default_rng(12)
     for params in (

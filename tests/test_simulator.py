@@ -273,3 +273,31 @@ def test_report_dict_keeps_field_order_and_drops_unset():
     assert list(bare.to_dict()) == [
         "kind", "s", "t", "connectivity", "downloaded", "outcome",
     ]
+
+
+@pytest.mark.parametrize("step,kind", [
+    ("decode_repair", "repair"), ("decode_reconstruct", "reconstruct"),
+])
+def test_exhaustive_sweep_files_a_wrong_result_and_goes_on(monkeypatch, step, kind):
+    """A decoder that returns one wrong result: the sweep files its MISMATCH
+    in ``bad`` and runs every other event, after a wrong repair on a rebuilt
+    cluster (the wrong share would spoil the next events' helpers)."""
+    import pmrc.simulator as sim
+
+    enc = build_encoding(mbr_params(k=2, d=3, n=6), Fq(23))
+    clean_events, clean_bad = sim.exhaustive_resilience_check(enc)
+    assert clean_bad == []
+    real, calls = getattr(sim, step), []
+
+    def wrong_once(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(kind)
+        if len(calls) == 1:
+            out = out.copy()
+            out[0, 0] = (int(out[0, 0]) + 1) % 23
+        return out
+
+    monkeypatch.setattr(sim, step, wrong_once)
+    events, bad = sim.exhaustive_resilience_check(enc)
+    assert events == clean_events
+    assert [(r.kind, r.outcome) for r in bad] == [(kind, MISMATCH)]

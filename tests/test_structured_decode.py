@@ -56,6 +56,8 @@ INVERSE_CODES = [
     mbr_params(k=3, d=3, n=6),
     mbr_params(k=3, d=5, n=8),
     mbr_params(k=5, d=8, n=16),
+    msr_params(k=9, n=17),  # k * alpha' = 72
+    mbr_params(k=6, d=12, n=14),  # k * alpha' = 72
 ]
 
 
@@ -73,6 +75,22 @@ def test_reconstruct_inverse_is_the_elimination_one(params, q):
             ids = rng.sample(range(1, params.n + 1), params.k)
             got = shards._reconstruct_inverse(enc, ids, layout)
             assert np.array_equal(got, linalg.left_inverse(_stacked(enc, ids), q))
+
+
+@pytest.mark.parametrize("slab", [1, 7, 64])
+@pytest.mark.parametrize("params", INVERSE_CODES[-2:], ids=str)
+def test_reconstruct_inverse_is_the_elimination_one_in_any_slabs(monkeypatch, params, slab):
+    """The identity taken in slabs of ``slab`` rows, boundaries inside a
+    share and between shares, gives the same left inverse, with and without
+    a point at 0."""
+    monkeypatch.setattr(shards, "_INVERSE_SLAB", slab)
+    rng = random.Random(f"{params}{slab}")
+    for trial, zero_at in enumerate([None, 0, 3]):
+        enc = _code(params, 257, trial != 1, zero_at, seed=trial)
+        _, layout = shards._share_map_layout(enc)
+        ids = rng.sample(range(1, params.n + 1), params.k)
+        got = shards._reconstruct_inverse(enc, ids, layout)
+        assert np.array_equal(got, linalg.left_inverse(_stacked(enc, ids), 257))
 
 
 @pytest.mark.parametrize("params,q,zero_at", [
