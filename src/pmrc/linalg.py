@@ -5,12 +5,15 @@ takes the modulus q: an array does not carry its field. Solving and rank use
 plain Gaussian elimination with leftmost-nonzero pivoting (exact arithmetic
 needs no pivot scaling) and return int64 arrays.
 
-Every matrix product runs on one kernel, `matmul_mod`: it multiplies arrays
-of reduced residues on BLAS in float32, summing the inner side in spans short
-enough that every partial sum is an exact float32 integer, and returns uint16
-residues. Word-sized products, and q > 4096 (too large for even one exact
-product), run in int64. Vandermonde matrices, and the inverses of square
-ones, are built once per (field, points, width) and returned read-only.
+The codec's bulk products run on one kernel, `matmul_mod`, which returns
+uint16 residues. It makes each product whole on BLAS, in float32 when the
+whole inner sum of reduced residues stays below 2**22 and in float64 (any
+q < 2**16) otherwise, and reduces it once, exactly, with no fix-up pass.
+Word-sized products run in int64. The product-matrix reconstruction's
+per-word solves bypass it: `shards._mbr_fill` multiplies int64 arrays with
+`@` and `shards._msr_operands` with `np.einsum`, neither on BLAS.
+Vandermonde matrices, and the inverses of square ones, are built once per
+(field, points, width) and returned read-only.
 """
 
 from __future__ import annotations
@@ -24,43 +27,48 @@ from .errors import InconsistentSystemError, ParameterError, SingularMatrixError
 from .field import Fq
 
 
-# output entries per kernel step, whatever the operand length: the float32
-# product and its reduction temporary are 4 MB each (int64: one, 8 MB)
-_CHUNK = 1 << 20
+# output entries per kernel step, whatever the operand length: the product
+# and its reduction temporary stay in cache (256 KB each in float32)
+_STEP = 1 << 16
+# rows per step at least, so that a wide b is not streamed again every step
+_STEP_ROWS = 256
 # below this many multiply-adds the BLAS call and the float reduction cost
 # more than an int64 product (the per-block codec's word-sized products)
 _SMALL = 1 << 14
 
 
 def _compute_dtype(rows: int, inner: int, cols: int, q: int):
-    """int64 for word-sized products and for q > 4096, where one product of
-    residues plus a carry below q can pass 2**24; float32 otherwise."""
-    if rows * inner * cols >= _SMALL and (q - 1) ** 2 + q <= 2**24:
-        return np.float32
-    return np.int64
+    """int64 for word-sized products; otherwise float32 when the whole inner
+    sum, at most inner * (q-1)**2, stays below 2**22, float64 when it stays
+    below 2**51 (any inner < 2**19 at q < 2**16): the bounds under which
+    `_reduce` is exact. int64 past both."""
+    top = inner * (q - 1) ** 2
+    if rows * inner * cols < _SMALL or top >= 2**51:
+        return np.int64
+    return np.float32 if top < 2**22 else np.float64
 
 
 def _reduce(p: np.ndarray, q: int) -> np.ndarray:
-    """p mod q for nonnegative exact integers p. In float, p - floor(p/q)q
-    with a rounded 1/q is off by at most one q either way, fixed up after."""
+    """p mod q for nonnegative exact integers p, in place. In float it is
+    p - q * floor((p + 1/2) * fl(1/q)), exact with no fix-up: (p + 1/2)/q
+    lies at least 1/(2q) from every integer, and while p < 2**22 (float32)
+    or p < 2**51 (float64) the two roundings move it by less."""
     if p.dtype == np.int64:
         return np.remainder(p, q, out=p)
-    f = p * (1 / q)
+    f = p + 0.5
+    f *= 1 / q
     np.floor(f, out=f)
     f *= q
     p -= f
-    np.add(p, q, out=p, where=p < 0)
-    np.subtract(p, q, out=p, where=p >= q)
     return p
 
 
 def matmul_mod(a, b, q: int) -> np.ndarray:
     """Exact (a @ b) % q as uint16, for 2-D arrays of residues in [0, q) of
-    any integer or float dtype. The product runs in `_compute_dtype`, as the
-    transpose of b^t @ a^t when that has fewer output columns, in steps of
-    at most `_CHUNK` output entries along the rows. In float32 each step sums
-    the inner side in spans whose sum plus a reduced carry stays below 2**24,
-    so exact, and reduces after each."""
+    any integer or float dtype. The product runs in `_compute_dtype`, whole
+    inner side at once, as the transpose of b^t @ a^t when that has fewer
+    output columns, in steps of about `_STEP` output entries (`_STEP_ROWS`
+    rows at least) along the rows, each reduced as it is made."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -70,18 +78,11 @@ def matmul_mod(a, b, q: int) -> np.ndarray:
         a, b = b.T, a.T
     (rows, inner), cols = a.shape, b.shape[1]
     kind = _compute_dtype(rows, inner, cols, q)
-    span = (2**24 - q) // (q - 1) ** 2 if kind is np.float32 else inner or 1
-    step = max(_CHUNK // (cols or 1), 1)
+    step = max(_STEP // (cols or 1), _STEP_ROWS)
     bk = b.astype(kind, copy=False)
     out = np.empty((rows, cols), dtype=np.uint16)
     for i in range(0, rows, step):
-        part = a[i : i + step].astype(kind, copy=False)
-        acc = _reduce(part @ bk if span >= inner else part[:, :span] @ bk[:span], q)
-        for j in range(span, inner, span):
-            p = part[:, j : j + span] @ bk[j : j + span]
-            p += acc
-            acc = _reduce(p, q)
-        out[i : i + step] = acc
+        out[i : i + step] = _reduce(a[i : i + step].astype(kind, copy=False) @ bk, q)
     return out.T if flip else out
 
 

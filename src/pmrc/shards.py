@@ -43,7 +43,10 @@ to the layout, and `decode_reconstruct` inverts it. Every inverse of the map is
 the product-matrix reconstruction of the identity (`_reconstruct_inverse`),
 filled by `_mbr_fill`, which alone knows the B' symbols k MBR shares keep.
 Symbols stay uint16 (``<u2``, the on-disk body format) from `read_shard` to
-`write_shard`; every bulk product is `linalg.matmul_mod`.
+`write_shard`. The bulk products (encoding, repair symbols, inverses, the
+located words' checks) run on `linalg.matmul_mod`; the reconstruction's
+per-word solves do not: `_mbr_fill` multiplies int64 arrays with `@` and
+`_msr_operands` with `np.einsum`.
 
 This module is the package's one codec. Blocks are independent, and so is
 each beta-slice of a block (a copy of the beta = 1 code), so `encode_blocks`,

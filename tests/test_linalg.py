@@ -17,6 +17,10 @@ from pmrc import (
     smallest_prime_at_least,
 )
 from pmrc.linalg import (
+    _SMALL,
+    _STEP,
+    _STEP_ROWS,
+    _compute_dtype,
     inverse,
     left_inverse,
     _reduce,
@@ -106,7 +110,7 @@ def test_rank_vandermonde_min():
 
 def test_solve_round_trip_random():
     """solve recovers x from a @ x, and left_inverse gives L @ a = I, on
-    random Vandermonde systems; q = 65521 runs the kernel's int64 path. The
+    random Vandermonde systems, whose word-sized products run in int64. The
     tables the solvers read (vandermonde, and an encoding's psi with its phi
     and sigma views) reject writes."""
     rng = random.Random(3)
@@ -214,22 +218,28 @@ def _operand(rng, shape, q, entries, dtype):
     return a.astype(dtype)
 
 
+def _float32_width(q):
+    """The widest inner side whose whole sum, inner * (q-1)**2, stays below
+    2**22: the float32 limit (63 at q = 257, 0 for q > 2048)."""
+    return (2**22 - 1) // (q - 1) ** 2
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    q=st.sampled_from([257, 401, 65521]),
-    side=st.sampled_from([-1, 0, 1, 2]),
+    q=st.sampled_from([257, 401, 2039, 4093, 65521]),
+    side=st.sampled_from([-1, 0, 1, 2, 3]),
     rows=st.integers(0, 5),
-    cols=st.integers(0, 5) | st.integers(60, 200),
+    cols=st.integers(0, 5) | st.integers(60, 200) | st.integers(3300, 4000),
     entries=st.sampled_from(["top", "near-top", "any"]),
     dtypes=st.tuples(*[st.sampled_from([np.uint16, np.int64, np.float32])] * 2),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_matmul_mod_matches_int64(q, side, rows, cols, entries, dtypes, seed):
-    # inner widths just inside, at and past one exact float32 span, and past
-    # three (q = 65521 stays int64); the wider column counts take the
-    # products off the small int64 path
-    width = (2**24 - 1) // (q - 1) ** 2  # widest exact float32 inner width
-    inner = max(0, {-1: width - 1, 0: width, 1: width + 1, 2: 3 * width + 5}[side])
+    # inner widths just inside, at and past the float32 whole-inner limit,
+    # then well past it and a wide float64 sum; the wider column counts take
+    # the products off the small int64 path
+    width = _float32_width(q)
+    inner = max(0, {-1: width - 1, 0: width, 1: width + 1, 2: 3 * width + 5, 3: 300}[side])
     rng = np.random.default_rng(seed)
     a = _operand(rng, (rows, inner), q, entries, dtypes[0])
     b = _operand(rng, (inner, cols), q, entries, dtypes[1])
@@ -238,9 +248,28 @@ def test_matmul_mod_matches_int64(q, side, rows, cols, entries, dtypes, seed):
     assert np.array_equal(got, a.astype(np.int64) @ b.astype(np.int64) % q)
 
 
+@pytest.mark.parametrize("q", [257, 401, 2039, 4093, 65521])
+def test_compute_dtype_is_int64_only_for_word_sized_products(q):
+    # a product of _SMALL multiply-adds or more runs in float32 when its whole
+    # inner sum stays below 2**22 and in float64 when it stays below 2**51
+    # (inner < 2**19 at any q < 2**16); smaller products run in int64
+    width, wide = _float32_width(q), (2**51 - 1) // (q - 1) ** 2
+    assert wide >= 2**19 and width == {257: 63, 401: 26, 2039: 1}.get(q, 0)
+    for inner in sorted({1, width, width + 1, 300, 2**19 - 1, wide} - {0}):
+        kind = np.float32 if inner <= width else np.float64
+        cols = -(-_SMALL // inner)  # rows * inner * cols reaches _SMALL
+        assert _compute_dtype(1, inner, cols, q) is kind
+        assert _compute_dtype(7, inner, cols, q) is kind
+        if inner < _SMALL:
+            assert _compute_dtype(1, inner, cols - 1, q) is np.int64
+    assert _compute_dtype(1, wide + 1, 1, q) is np.int64
+
+
 def test_matmul_mod_chunks_the_long_side():
     # both orientations of the wide-output product cross the step boundary
-    # (more than 2**20 output entries); zero-size operands give empty products
+    # (more than _STEP output entries); an output wider than _STEP //
+    # _STEP_ROWS columns takes _STEP_ROWS rows a step, again both ways;
+    # zero-size operands give empty products
     q = 257
     rng = np.random.default_rng(12)
     tall = rng.integers(0, q, size=(70_001, 9))
@@ -248,18 +277,25 @@ def test_matmul_mod_chunks_the_long_side():
         small = rng.integers(0, q, size=(9, cols))
         assert np.array_equal(matmul_mod(tall, small, q), tall @ small % q)
         assert np.array_equal(matmul_mod(small.T, tall.T, q), small.T @ tall.T % q)
+    long, wide = rng.integers(0, q, size=(1000, 9)), rng.integers(0, q, size=(9, 700))
+    assert _STEP // 700 < _STEP_ROWS < 1000
+    assert np.array_equal(matmul_mod(long, wide, q), long @ wide % q)
+    assert np.array_equal(matmul_mod(wide.T, long.T, q), wide.T @ long.T % q)
     assert matmul_mod(np.zeros((0, 4)), np.zeros((4, 6)), q).shape == (0, 6)
     assert matmul_mod(np.zeros((3, 0)), np.zeros((0, 2)), q).tolist() == [[0, 0]] * 3
     with pytest.raises(ParameterError):
         matmul_mod(np.zeros((2, 3)), np.zeros((2, 3)), q)
 
 
-@pytest.mark.parametrize("q", [3, 257, 401, 65519, 65521])
+@pytest.mark.parametrize("q", [3, 257, 401, 2039, 4093, 65519, 65521])
 def test_float_reduction_is_exact_up_to_the_bound(q):
-    # around every multiple of q near 2**24 the rounded floor(p / q) is off
-    # by one either way; the fix-up must catch both
-    top = (2**24 - 1) // q
-    m = np.concatenate([np.arange(0, 2000), np.arange(max(top - 50_000, 0), top + 1)])
-    p = (m[:, None] * q + np.arange(-2, 3)).ravel()
-    p = p[(p >= 0) & (p < 2**24)]
-    assert np.array_equal(_reduce(p.astype(np.float32), q), p % q)
+    # p - q * floor((p + 1/2) * fl(1/q)) needs no fix-up below 2**22 in
+    # float32 and 2**51 in float64; the rounded quotient comes closest to an
+    # integer around the multiples of q near the bound, so probe +-2 around
+    # each of them there, and near 0
+    for dtype, bound in ((np.float32, 2**22), (np.float64, 2**51)):
+        top = (bound - 1) // q
+        m = np.concatenate([np.arange(0, 2000), np.arange(max(top - 50_000, 0), top + 1)])
+        p = (m[:, None] * q + np.arange(-2, 3)).ravel()
+        p = p[(p >= 0) & (p < bound)]
+        assert np.array_equal(_reduce(p.astype(dtype), q), p % q)
