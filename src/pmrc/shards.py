@@ -43,7 +43,11 @@ to the layout, and `decode_reconstruct` inverts it. Every inverse of the map is
 the product-matrix reconstruction of the identity (`_reconstruct_inverse`),
 filled by `_mbr_fill`, which alone knows the B' symbols k MBR shares keep.
 Symbols stay uint16 (``<u2``, the on-disk body format) from `read_shard` to
-`write_shard`. The bulk products (encoding, repair symbols, inverses, the
+`write_shard`, and so does the map. At beta = 1 a node `encode_blocks` takes
+whole from the payload or the product stays a view of it until `write_shard`
+copies it; that copy and every other body assembly move one row per numpy
+item (`_rows`), never a few symbols. The bulk products (encoding, the
+systematic map, repair symbols and the MSR repair fold, inverses, the
 located words' checks) run on `linalg.matmul_mod`; the reconstruction's
 per-word solves do not: `_mbr_fill` multiplies int64 arrays with `@` and
 `_msr_operands` with `np.einsum`.
@@ -175,6 +179,17 @@ def shard_filename(node_id: int) -> str:
     return f"node{node_id:04d}.shard"
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The (rows, w) array ``a`` as (rows, 1) items of w symbols, one row
+    each: a view when its rows are contiguous runs (a column run of a wider
+    array), else of a contiguous copy (a transposed product). numpy copies
+    such items a row at a time, several times faster than it copies short
+    runs of symbols."""
+    if a.strides[1] != a.itemsize:
+        a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize)))
+
+
 def write_shard(path, header: ShardHeader, body: np.ndarray) -> None:
     params = header.enc.params
     if body.shape != (header.block_count, params.alpha):
@@ -185,7 +200,7 @@ def write_shard(path, header: ShardHeader, body: np.ndarray) -> None:
     head = header.pack()
     with open(path, "wb") as fp:
         fp.write(head)
-        fp.write(np.ascontiguousarray(body, dtype="<u2"))
+        fp.write(np.ascontiguousarray(_rows(body.astype("<u2", copy=False))))
 
 
 def _read_header(fp, path) -> ShardHeader:
@@ -364,31 +379,36 @@ def _share_map_layout(enc: EncodingMatrix) -> tuple[np.ndarray, np.ndarray | Non
     the operand holds u_j (j = idx[r, w] >= 0), column r of psi is u_j's
     coefficient in share column w. The operand's blocks are symmetric, so
     no symbol sits twice in one column and no two cells add up. A systematic
-    code's map is that one times the inverse of its rows P, the nonzero
+    code's map is that one times the inverse L of its rows P, the nonzero
     columns of nodes 1..k's `_reconstruct_inverse` (for MBR the symbols
     `_mbr_fill` keeps), which makes row P_j the unit row e_j. At nonzero
     points P is every row of nodes 1..k for MSR, so node i stores u's i-th
     run of alpha' symbols, and node i's first d - i + 1 symbols for MBR.
-    That build adds a few Vandermonde solves, one product and a uint16 copy
-    of the map to the scatter's cost, and peaks below three times the map."""
+    By the scatter, column w of every node's map is psi's columns r times
+    L's rows idx[r, w]: alpha' products of at most d inner terms, each the
+    size of one column of the map, so the build peaks at little more than
+    the map and that inverse."""
     params = enc.params
     idx = _slice_matrix_index(params)
-    r, w = np.nonzero(idx >= 0)
-    amap = np.zeros((params.n, params.alpha_prime, params.slice_symbols), dtype=np.int64)
-    amap[:, w, idx[r, w]] = enc.psi[:, r]
+    amap = np.zeros((params.n, params.alpha_prime, params.slice_symbols), dtype=np.uint16)
     layout = None
-    if enc.systematic:
-        flat = amap.reshape(-1, params.slice_symbols)
+    if not enc.systematic:
+        r, w = np.nonzero(idx >= 0)
+        amap[:, w, idx[r, w]] = enc.psi[:, r]
+    else:
         inv = _reconstruct_inverse(enc, list(range(1, params.k + 1)), None)
         layout = np.flatnonzero(inv.any(axis=0))
         layout.setflags(write=False)
-        flat[:] = linalg.matmul_mod(flat, inv[:, layout], enc.field.q)
+        inv = inv[:, layout]
+        for w in range(params.alpha_prime):
+            r = np.flatnonzero(idx[:, w] >= 0)
+            amap[:, w] = linalg.matmul_mod(enc.psi[:, r], inv[idx[r, w]], enc.field.q)
     amap.setflags(write=False)
     return amap, layout
 
 
 def share_map(enc: EncodingMatrix) -> np.ndarray:
-    """Read-only int64 coefficient tensor A with shape (n, alpha', B')
+    """Read-only uint16 coefficient tensor A with shape (n, alpha', B')
     mapping one slice of payload symbols u to every node's stored slice:
     share_i = A[i] @ u. Built once per encoding (`_share_map_layout`)."""
     return _share_map_layout(enc)[0]
@@ -410,21 +430,25 @@ def _columns(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _encode_plan(enc: EncodingMatrix) -> tuple[np.ndarray, tuple]:
     """`share_map` as `encode_blocks` applies it: the transposed rows outside
-    the layout (one product's map) and, per node, the node columns it
-    copies, the payload columns they copy, the node columns it computes and
-    their columns of that product."""
+    the layout (one product's map) and, per node, the runs its stored
+    symbols copy, each (source: 0 the payload, 1 the product; the source's
+    first column; the node's first column; width)."""
     amap, layout = _share_map_layout(enc)
     amap = amap.reshape(-1, enc.params.slice_symbols)
     src = np.full(amap.shape[0], -1)
     if layout is not None:
         src[layout] = np.arange(layout.size)
     copy = src >= 0
-    at = np.cumsum(~copy) - 1
+    kind = (~copy).astype(np.int64).reshape(enc.params.n, -1)
+    col = np.where(copy, src, np.cumsum(~copy) - 1).reshape(enc.params.n, -1)
     nodes = []
-    for rows in np.arange(amap.shape[0]).reshape(enc.params.n, -1):
-        mine = copy[rows]
-        nodes.append((np.flatnonzero(mine), src[rows[mine]],
-                      np.flatnonzero(~mine), at[rows[~mine]]))
+    for kinds, cols in zip(kind, col):
+        # both sources' columns count up in stacked order: a run ends only
+        # where the source changes
+        start = np.flatnonzero(np.r_[True, np.diff(kinds) != 0])
+        width = np.diff(np.r_[start, cols.size])
+        nodes.append(tuple(zip(kinds[start].tolist(), cols[start].tolist(),
+                               start.tolist(), width.tolist())))
     coded_map = amap[~copy].T
     coded_map.setflags(write=False)
     return coded_map, tuple(nodes)
@@ -434,23 +458,23 @@ def encode_blocks(blocks: np.ndarray, enc: EncodingMatrix) -> dict[int, np.ndarr
     """Encode (nblocks, B) payload symbols; returns node_id -> (nblocks,
     alpha) uint16. A systematic code's stored symbols at its layout (on
     nodes 1..k) are copies of the payload symbols; one product of every
-    slice's B' symbols with the other rows of `share_map` gives the rest."""
+    slice's B' symbols with the other rows of `share_map` gives the rest.
+    At beta = 1 a node that is one run of either is a view of it; any other
+    is put together a row of each run at a time (`_rows`)."""
     params = enc.params
     if blocks.shape[1] != params.message_symbols:
         raise ParameterError("payload block width must be B")
     coded_map, nodes = _encode_plan(enc)
     words = blocks.reshape(-1, params.slice_symbols).astype(np.uint16, copy=False)
-    coded = linalg.matmul_mod(words, coded_map, enc.field.q)
+    sources = (words, linalg.matmul_mod(words, coded_map, enc.field.q))
     bodies = {}
-    for i, (copy_at, copy_from, code_at, code_from) in enumerate(nodes, 1):
-        if not code_at.size:
-            body = _columns(words, copy_from)
-        elif not copy_at.size:
-            body = _columns(coded, code_from)
+    for i, runs in enumerate(nodes, 1):
+        if len(runs) == 1 and params.beta == 1:
+            body = sources[runs[0][0]][:, runs[0][1] : runs[0][1] + params.alpha]
         else:
             body = np.empty((words.shape[0], params.alpha_prime), dtype=np.uint16)
-            body[:, copy_at] = _columns(words, copy_from)
-            body[:, code_at] = _columns(coded, code_from)
+            for s, at, to, w in runs:
+                _rows(body[:, to : to + w])[...] = _rows(sources[s][:, at : at + w])
         bodies[i] = body.reshape(blocks.shape[0], params.alpha)
     return bodies
 
@@ -473,15 +497,11 @@ def helper_symbols(
 
 
 def _stack(ys: list[np.ndarray]) -> np.ndarray:
-    """np.stack(ys, axis=1) of R (nwords, w) arrays. When they share a dtype
-    and their rows are contiguous, each row is copied as one w-symbol item,
-    about twice as fast as numpy's copy of short runs."""
-    dtype, w = ys[0].dtype, ys[0].shape[1]
-    if any(y.dtype != dtype or y.strides[1] != dtype.itemsize for y in ys):
-        return np.stack(ys, axis=1)
-    item = np.dtype(f"V{w * dtype.itemsize}")
-    rows = np.concatenate([y.view(item) for y in ys], axis=1)
-    return rows.view(dtype).reshape(rows.shape[0], len(ys), w)
+    """np.stack(ys, axis=1) of R (nwords, w) arrays, each row copied as one
+    w-symbol item (`_rows`)."""
+    dtype = np.result_type(*ys)
+    rows = np.concatenate([_rows(y.astype(dtype, copy=False)) for y in ys], axis=1)
+    return rows.view(dtype).reshape(rows.shape[0], len(ys), ys[0].shape[1])
 
 
 # words one batched locate takes, so that its temporaries (for MBR, a few
@@ -714,8 +734,9 @@ def decode_repair(
     ).T
     if params.mode is CodeMode.MSR:
         # phi_f^t S1 + lambda_f phi_f^t S2, by the symmetry of S1 and S2
-        m = (m[:, :ap] + enc.lam_of(failed_id) * m[:, ap:].astype(np.int64)) % enc.field.q
-        m = m.astype(np.uint16)
+        eye = np.eye(ap, dtype=np.int64)
+        m = linalg.matmul_mod(m, np.concatenate([eye, enc.lam_of(failed_id) * eye]),
+                              enc.field.q)
     # MBR: M is symmetric, so m_f itself is the lost slice share
     return m.reshape(-1, params.alpha)
 

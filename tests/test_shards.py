@@ -115,6 +115,29 @@ def test_shard_file_round_trip(tmp_path):
     assert path.stat().st_size == len(h.pack()) + 4 * params.alpha * 2
 
 
+def test_write_shard_writes_the_u2_body(tmp_path):
+    """write_shard writes the header and the body's ``<u2`` bytes in row
+    order, whatever the body's layout: a column run of a wider array (an
+    encoded node's view), a beta = 2 body, a transposed product, an int64
+    body (`pmrc damage`'s) and a 0-block body."""
+    rng = np.random.default_rng(9)
+    wide = rng.integers(0, 257, size=(6, 11)).astype(np.uint16)
+    cases = [
+        (msr_params(k=4, n=10), wide[:, 4:7]),
+        (mbr_params(k=3, d=5, n=8, beta=2), rng.integers(0, 257, size=(5, 10)).astype(np.uint16)),
+        (msr_params(k=4, n=10), rng.integers(0, 257, size=(3, 6)).astype(np.uint16).T),
+        (mbr_params(k=5, d=8, n=16), rng.integers(0, 257, size=(4, 8))),
+        (msr_params(k=4, n=10), wide[:0, 4:7]),
+    ]
+    for params, body in cases:
+        enc = build_encoding(params)
+        h = ShardHeader(enc, 2, body.shape[0], body.shape[0] * params.message_symbols)
+        path = tmp_path / shard_filename(2)
+        write_shard(path, h, body)
+        want = h.pack() + np.ascontiguousarray(body, "<u2").tobytes()
+        assert path.read_bytes() == want, (params, body.dtype, body.strides)
+
+
 def test_encode_blocks_matches_unit_encoder():
     """Every block's shares equal the product-matrix definition psi @ M,
     slice by slice, with M laid out by the *_fill_message layout."""
@@ -181,7 +204,7 @@ def test_share_map_matches_einsum_reference():
     ):
         enc = psi_m_basis(build_encoding(params, Fq(q)))
         amap = share_map(enc)
-        assert amap.dtype == np.int64 and not amap.flags.writeable
+        assert amap.dtype == np.uint16 and not amap.flags.writeable
         assert np.array_equal(amap, share_map_einsum(enc))
 
 
@@ -467,10 +490,39 @@ def test_decode_repair_matches_subset_oracle(data):
         assert (got == bodies[failed]).all()
 
 
+@pytest.mark.parametrize("q", [257, 4093, 65521])
+@pytest.mark.parametrize("beta", [1, 2])
+def test_msr_repair_fold_matches_int64_formula(q, beta):
+    """decode_repair folds each MSR word m_f = [S1; S2] phi_f into
+    phi_f^t S1 + lambda_f phi_f^t S2 as one product with [I; lambda_f I]: it
+    equals the int64 formula, and gives the lost share, at word counts that
+    run the kernel in int64 and on BLAS (one word with the product flipped,
+    and just under and over `linalg._SMALL` multiply-adds)."""
+    params = msr_params(k=4, n=10, beta=beta)
+    enc = build_encoding(params, Fq(q))
+    ap, failed = params.alpha_prime, 3
+    per_word = 2 * ap * ap  # the fold's multiply-adds per word
+    counts = [1, linalg._SMALL // per_word // beta, linalg._SMALL // per_word // beta + 1]
+    kinds = [linalg._compute_dtype(nb * beta, 2 * ap, ap, q) for nb in counts]
+    assert kinds[1] is np.int64 and kinds[2] is not np.int64
+    helpers = [i for i in range(1, params.n + 1) if i != failed][: params.d]
+    rng = np.random.default_rng(q + beta)
+    for nb in counts:
+        bodies = encode_blocks(rng.integers(0, q, size=(nb, params.message_symbols)), enc)
+        symbols = {h: helper_symbols(bodies[h], failed, enc) for h in helpers}
+        m = poly_decode([y.reshape(-1) for y in symbols.values()],
+                        [enc.point_of(h) for h in helpers], params.d, 0, enc.field).T
+        want = (m[:, :ap] + enc.lam_of(failed) * m[:, ap:].astype(np.int64)) % q
+        got = decode_repair(symbols, failed, enc, 0)
+        assert got.dtype == np.uint16 and got.shape == (nb, params.alpha)
+        assert np.array_equal(got, want.reshape(got.shape))
+        assert np.array_equal(got, bodies[failed])
+
+
 def _oracle_reconstruct(received, ids, enc, t):
     """consistency_reconstruct per block, with share_map as the code."""
     params = enc.params
-    amap = share_map(enc)
+    amap = share_map(enc).astype(np.int64)  # uint16 products would wrap
     ap, bp = params.alpha_prime, params.slice_symbols
 
     def solve_k(sub_ids, sub_shares):

@@ -104,7 +104,9 @@ def test_reconstruct_inverse_is_the_elimination_one_in_any_slabs(monkeypatch, pa
 ], ids=str)
 def test_systematic_map_and_layout_match_elimination(params, q, zero_at):
     """The map and layout the product-matrix build gives are the ones the
-    elimination gives, bit for bit: they are on-disk format."""
+    elimination gives, bit for bit: they are on-disk format. `encode_blocks`,
+    which copies the payload at the layout in runs and computes the rest,
+    stores that map applied to every slice."""
     if zero_at is None:
         enc = build_encoding(params, Fq(q))
     else:
@@ -113,6 +115,11 @@ def test_systematic_map_and_layout_match_elimination(params, q, zero_at):
     want_map, want_layout = share_map_by_elimination(enc)
     assert np.array_equal(amap, want_map)
     assert np.array_equal(layout, want_layout)
+    blocks = np.random.default_rng(5).integers(0, q, size=(3, params.message_symbols))
+    words = blocks.reshape(-1, params.slice_symbols)
+    for i, body in encode_blocks(blocks, enc).items():
+        want = words @ want_map[i - 1].astype(np.int64).T % q
+        assert np.array_equal(body.reshape(-1, params.alpha_prime), want)
 
 
 def _rref_rows(monkeypatch):

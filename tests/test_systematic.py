@@ -23,11 +23,13 @@ from pmrc import (
 )
 from pmrc.cli import EXIT_OK, main
 from pmrc.shards import (
+    ShardHeader,
     decode_reconstruct,
     encode_blocks,
     read_shard,
     shard_filename,
     share_map,
+    write_shard,
 )
 from oracles import msr_read_message, msr_systematic_remap
 from util import psi_m_basis
@@ -181,17 +183,24 @@ def test_layout_has_its_closed_form_at_nonzero_points(q, beta):
 
 
 @pytest.mark.parametrize("params,digest", [
-    (msr_params(k=4, n=10), "5958941215fd77c069dee9f2c3a17490ff73c84da2775927c806eef34ab752cd"),
-    (mbr_params(k=5, d=8, n=16), "243d8c8039ec4939933156a49e28b70ace696350f53cf4232f62105b38c796e0"),
+    (msr_params(k=4, n=10), "225deef5650441926be13647cd16b1e7c71ce8e50bd8b391844a7c238a988aa9"),
+    (mbr_params(k=5, d=8, n=16), "8b2b8391e73a7860fe30d04b12183faab14da14fffaad68b998cf3738a64430e"),
+    # nodes 1..k hold payload copies and coded symbols, at beta > 1 and wide
+    (mbr_params(k=3, d=5, n=8, beta=2),
+     "1b66581eef8da662e8c1ab450d0bc1a479807a2bfb2813927fa1ff1a1bc9b80b"),
+    (mbr_params(k=12, d=30, n=40), "af75714c18a5cf26a11b051472a2ebf01a1e521816022ac11e1c5236971f92d8"),
 ])
-def test_systematic_encode_bytes_are_pinned(params, digest):
-    """The systematic format is fixed: the sha256 of every node's ``<u2``
-    body, in node order, for a fixed payload at the default modulus."""
+def test_systematic_encode_bytes_are_pinned(tmp_path, params, digest):
+    """The systematic format is fixed: the sha256 of every node's shard file
+    as `write_shard` writes it, in node order, for a fixed payload at the
+    default modulus."""
     blocks = _payload(params, 256, 12, seed=16)
-    bodies = encode_blocks(blocks, build_encoding(params))
+    enc = build_encoding(params)
     h = hashlib.sha256()
-    for i in sorted(bodies):
-        h.update(np.ascontiguousarray(bodies[i], dtype="<u2").tobytes())
+    for i, body in sorted(encode_blocks(blocks, enc).items()):
+        path = tmp_path / shard_filename(i)
+        write_shard(path, ShardHeader(enc, i, blocks.shape[0], blocks.size), body)
+        h.update(path.read_bytes())
     assert h.hexdigest() == digest
 
 
