@@ -57,15 +57,15 @@ each beta-slice of a block (a copy of the beta = 1 code), so `encode_blocks`,
 `helper_symbols`, `decode_repair` and `decode_reconstruct` work on all slices
 of all blocks at once, one word per row. A decode takes the R >= msg_len + 2t
 responses that arrived and the corruption budget t, and gives each word the
-unique message agreeing with at least R - t of them (`_locate_then_erase`),
-locating each word at most once and decoding it at most once: a probe of
-word 0 alone, whose located wrong positions the first pass leaves out; one
-pass over all words (a gather of the layout when the inverted symbols are
-nodes 1..k of a systematic code; for repair, a Vandermonde inverse memoized
-in `linalg.vandermonde_inverse`); then the words left over located together
-by Reed-Solomon error location (`decoding.locate`, directly for repair and
-through the product-matrix reduction for reconstruction), grouped by the
-positions they invert, one pass per group over its own words. The
+unique message agreeing with at least R - t of them (`_locate_then_erase`).
+One loop locates each word at most once: the lowest undecided words (word 0
+alone, then chunks) are located by Reed-Solomon error location
+(`decoding.locate`, directly for repair and through the product-matrix
+reduction for reconstruction), then the chunk's most common positions
+decode every undecided word, and each other group of positions its own
+words. A pass over many words applies one inverse (a gather of the layout
+when the inverted symbols are nodes 1..k of a systematic code; for repair,
+a Vandermonde inverse memoized in `linalg.vandermonde_inverse`). The
 file-level calls, the simulator and `pmrc.perblock` (batches of one block)
 all run them.
 """
@@ -562,21 +562,23 @@ def _erase_passes(
     symbols, which need only give the message when those symbols are right,
     and re-encodes every position.
 
-    Each word is located at most once and decoded at most once:
-    - the probe: word 0 alone under the first ``need`` positions. If it is
-      not accepted, ``locate`` maps its (1, R, w) symbols to the (1, R) mask
-      of its wrong positions, and the first pass leaves them out. At t = 0
-      nothing can be located, and there is no probe;
-    - the first pass, over every word. When all are accepted, the
-      candidates are returned as they are;
-    - the words left over are located together, `_LOCATE_CHUNK` at a time,
-      and grouped by the rows their masks leave; each group gets one pass
-      over its own words.
-    A mask is exact for a word that has an acceptable message, and then its
-    group's pass accepts it; otherwise it is only a suggestion, and no pass
-    accepts a word that has none. So a word fails when its pass rejects it,
-    when its mask flags no position or more than t, or when its rows are
-    the first pass's, which rejected it."""
+    Each word is located at most once, by one loop that repeats two steps
+    until no word is undecided:
+    - locate: ``locate`` maps the (m, R, w) symbols of the m lowest
+      undecided words (word 0 alone the first time, then `_LOCATE_CHUNK`)
+      to (m, R) masks of their wrong positions, and the words are grouped
+      by their rows, the first ``need`` positions their masks leave;
+    - pass: the chunk's most common rows run over every undecided word,
+      and each other row set over its own located words.
+    A located word still undecided after its round fails: its mask flags
+    more than t positions, its rows already ran over every undecided word,
+    or its own pass rejected it. At t = 0 nothing can be located, and the
+    one pass is the first ``need`` positions over every word. A mask is
+    exact for a word that has an acceptable message, and then its rows'
+    pass accepts it; otherwise it is only a suggestion, and no pass accepts
+    a word that has none. Only located words fail, and each chunk is the
+    lowest undecided words, so the round that fails the lowest word without
+    a message fails no lower one."""
     nwords, n_pos, w = word.shape
     q = field.q
     maps = gen.reshape(-1, gen.shape[2])  # row r * w + j: symbol j of position r
@@ -628,61 +630,57 @@ def _erase_passes(
 
     out = np.zeros((nwords, gen.shape[2]), dtype=np.uint16)
     failed = np.zeros(nwords, dtype=bool)
-    rows0 = np.arange(need)  # the first pass's rows
+    undecided = np.ones(nwords, dtype=bool)
+    left = np.arange(nwords)  # the undecided words, ascending
+    swept: set[bytes] = set()  # rows that ran over every undecided word
     passes, located, patterns = 0, 0, set()
 
-    def done():
+    def done(out):
         if counts is not None:
             counts.update(passes=passes, located=located, patterns=len(patterns))
         return out, failed
 
-    probed = bool(t and nwords) and not attempt(rows0, flat[:1])[1][0]
-    if probed:
-        mask = locate(word[:1])[0]
-        located = 1
-        patterns.add(mask.tobytes())
-        if 0 < mask.sum() <= t:
-            rows0 = np.flatnonzero(~mask)[:need]
-        else:
-            failed[0] = True
-            if stop:
-                return done()
-    cand, ok = attempt(rows0, flat)
-    passes = 1
-    if ok.all():
-        out = cand
-        return done()
-    out[ok] = cand[ok]
-    if probed:  # word 0 had its own pass
-        failed[0], ok[0] = not ok[0], True
-    left = np.flatnonzero(~ok)
-    if not t:
-        failed[left] = True
-    if not t or (stop and failed[0]):
-        return done()
-    for at in range(0, left.size, _LOCATE_CHUNK):
-        idx = left[at : at + _LOCATE_CHUNK]
-        masks = locate(word[idx])
-        located += idx.size
-        patterns.update(m.tobytes() for m in np.unique(masks, axis=0))
-        flags = masks.sum(axis=1)
-        usable = (flags > 0) & (flags <= t)
-        failed[idx[~usable]] = True
-        # the first need positions each usable mask leaves
-        rows = np.argsort(masks[usable], axis=1, kind="stable")[:, :need]
-        keys, group = np.unique(rows, axis=0, return_inverse=True)
-        for g, key in enumerate(keys):
-            members = idx[usable][group.ravel() == g]
-            if np.array_equal(key, rows0):
-                failed[members] = True
-                continue
-            cand, ok = attempt(key, flat[members])
+    size = 1 if t else nwords  # word 0 alone first; at t = 0 nothing is located
+    while left.size:
+        idx, size = left[:size], _LOCATE_CHUNK
+        sets: dict[bytes, tuple] = {}  # rows -> (rows, indices into idx)
+        if t:
+            masks = locate(word[idx])
+            located += idx.size
+            by_mask: dict[bytes, list[int]] = {}
+            for j, key in enumerate(map(bytes, np.packbits(masks, axis=1))):
+                by_mask.setdefault(key, []).append(j)
+            patterns.update(by_mask)
+            for js in by_mask.values():
+                if masks[js[0]].sum() <= t:
+                    rows = np.flatnonzero(~masks[js[0]])[:need]
+                    sets.setdefault(rows.tobytes(), (rows, []))[1].extend(js)
+        else:  # nothing to locate: the first need positions, over every word
+            sets[b""] = (np.arange(need), [])
+        fresh = sorted((s for key, s in sets.items() if key not in swept),
+                       key=lambda s: -len(s[1]))
+        for n_set, (rows, js) in enumerate(fresh):
+            if not n_set:  # the chunk's most common rows: over every undecided word
+                swept.add(rows.tobytes())
+                them = left
+            else:
+                them = idx[js]
+                them = them[undecided[them]]
+                if not them.size:
+                    continue
+            run = them[-1] - them[0] + 1 == them.size
+            cand, ok = attempt(rows, flat[them[0] : them[-1] + 1] if run else flat[them])
             passes += 1
-            out[members[ok]] = cand[ok]
-            failed[members[~ok]] = True
+            if them.size == nwords and ok.all():  # one pass took every word
+                return done(cand)
+            out[them[ok]] = cand[ok]
+            undecided[them[ok]] = False
+        failed[idx[undecided[idx]]] = True  # located, and no pass accepted it
+        undecided[idx] = False
+        left = left[undecided[left]]
         if stop and failed.any():
             break
-    return done()
+    return done(out)
 
 
 def _poly_code(field: Fq, points: tuple[int, ...], msg_len: int, t: int):

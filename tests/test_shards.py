@@ -748,37 +748,45 @@ def test_whole_shard_corruption_costs_two_inverses_per_slice(monkeypatch):
 
 def test_info_counts_passes_located_words_and_patterns():
     """`info` counts the erase passes, the words located and their distinct
-    masks. Clean: one pass, nothing located. Whole-shard damage (nodes 1 and
-    2 wrong in every block): word 0 is located alone, and the one pass that
-    erases its mask takes every word. Scattered (block b's node b + 1
-    wrong): the probe's mask serves block 0, and blocks 1..5 are located
-    together, one pass per pattern."""
+    masks. Clean: word 0 is located alone, and the pass its empty mask
+    leaves takes every word. Whole-shard damage (nodes 1 and 2 wrong in
+    every block): the one pass that erases word 0's mask takes every word.
+    Scattered (block b's node b + 1 wrong): word 0's mask serves block 0,
+    and blocks 1..5 are located in two chunks, one pass per pattern. Block 0
+    clean (nodes 1 and 2 wrong from block 1 on, over more blocks than a
+    located chunk holds): one chunk is located, and the pass its mask leaves
+    takes every word left."""
     params = mbr_params(k=5, d=8, n=16)
     enc = build_encoding(params)
     q = enc.field.q
-    nb = 6
+    nb = 20
     blocks = np.random.default_rng(8).integers(0, 256, size=(nb, params.message_symbols))
     clean = encode_blocks(blocks, enc)
 
     def counts(info):
         return info["passes"], info["located"], info["patterns"]
 
-    whole = dict(clean)
+    whole, later = dict(clean), dict(clean)
     for i in (1, 2):
         whole[i] = (clean[i] + np.random.default_rng(i).integers(1, q, clean[i].shape)) % q
+        later[i] = np.concatenate([clean[i][:1], whole[i][1:]])
     scattered = {i: body.copy() for i, body in clean.items()}
-    for b in range(nb):
+    for b in range(6):
         scattered[b + 1][b, 0] = (scattered[b + 1][b, 0] + 1) % q
-    for bodies, want in ((clean, (1, 0, 0)), (whole, (1, 1, 1)), (scattered, (6, 6, 6))):
-        got, info = reconstruct_blocks(bodies, enc, t=2)
-        assert (got == blocks).all()
-        assert counts(info) == want
-    for bodies, want in ((clean, (1, 0, 0)), (whole, (1, 1, 1))):
-        share, info = repair_blocks(
-            {i: body for i, body in bodies.items() if i != params.n}, params.n, enc, t=2
-        )
-        assert (share == clean[params.n]).all()
-        assert counts(info) == want
+    with mock.patch.object(shards, "_LOCATE_CHUNK", 4):
+        for bodies, want in ((clean, (1, 1, 1)), (whole, (1, 1, 1)), (scattered, (6, 6, 6)),
+                             (later, (2, 5, 2))):
+            got, info = reconstruct_blocks(bodies, enc, t=2)
+            assert (got == blocks).all()
+            assert counts(info) == want
+        for bodies, want in ((clean, (1, 1, 1)), (whole, (1, 1, 1)), (later, (2, 5, 2))):
+            share, info = repair_blocks(
+                {i: body for i, body in bodies.items() if i != params.n}, params.n, enc, t=2
+            )
+            assert (share == clean[params.n]).all()
+            assert counts(info) == want
+        # block 0 clean: word 0 and one chunk, not every word after word 0
+        assert info["located"] <= 1 + shards._LOCATE_CHUNK < nb - 1
 
 
 @pytest.mark.parametrize("params", [

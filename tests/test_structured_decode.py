@@ -180,8 +180,11 @@ def test_structured_decode_matches_elimination_oracle(data):
     DecodeFailure text as `locate_then_erase_full`, which finds every pass's
     left inverse by `linalg.left_inverse`: both bases, q in {257, 65521},
     beta in {1, 2}, header points with and without 0, contact sets from
-    nodes 1..k or drawn at random, and scattered faults (each block its own
-    wrong nodes, one symbol changed per wrong node) within and beyond t."""
+    nodes 1..k or drawn at random, located chunks of 1, 2, 3 or 2048 words,
+    and three kinds of faults: scattered (each block its own wrong nodes, one
+    symbol changed per wrong node) within and beyond t, and whole-shard
+    damage from a drawn block on (block 0 clean when it is not block 0), on
+    up to t + 1 nodes."""
     params = data.draw(st.sampled_from(HYPOTHESIS_CODES), label="code")
     q = data.draw(st.sampled_from([257, 65521]), label="q")
     zero_at = data.draw(st.one_of(st.none(), st.integers(0, params.n - 1)), label="zero at")
@@ -210,19 +213,28 @@ def test_structured_decode_matches_elimination_oracle(data):
         if data.draw(st.booleans(), label="lowest ids"):
             ids = list(range(1, r_count + 1))
         responses = {i: bodies[i].copy() for i in ids}
-    beyond = data.draw(st.booleans(), label="beyond budget")
-    for b in range(nb):
-        n_bad = int(rng.integers(t + 1, r_count + 1) if beyond else rng.integers(0, t + 1))
-        for i in rng.permutation(ids)[:n_bad]:
-            col = int(rng.integers(responses[i].shape[1]))
-            responses[i][b, col] = (int(responses[i][b, col]) + int(rng.integers(1, q))) % q
+    damage = data.draw(st.sampled_from(["within", "beyond", "from a block on"]), label="damage")
+    if damage == "from a block on":
+        first = data.draw(st.integers(0, nb - 1), label="first damaged block")
+        for i in rng.permutation(ids)[: int(rng.integers(0, t + 2))]:
+            tail = responses[i][first:]
+            tail[...] = (tail + rng.integers(1, q, tail.shape)) % q
+    else:
+        for b in range(nb):
+            n_bad = int(rng.integers(t + 1, r_count + 1) if damage == "beyond"
+                        else rng.integers(0, t + 1))
+            for i in rng.permutation(ids)[:n_bad]:
+                col = int(rng.integers(responses[i].shape[1]))
+                responses[i][b, col] = (int(responses[i][b, col]) + int(rng.integers(1, q))) % q
+    chunk = data.draw(st.sampled_from([1, 2, 3, 2048]), label="located chunk")
 
     def decode():
         if repair:
             return decode_repair(responses, failed, enc, t)
         return decode_reconstruct(responses, enc, t)
 
-    got = _outcome(decode)
+    with mock.patch.object(shards, "_LOCATE_CHUNK", chunk):
+        got = _outcome(decode)
     with mock.patch.object(shards, "_locate_then_erase", locate_then_erase_full):
         want = _outcome(decode)
     if isinstance(want, str):
