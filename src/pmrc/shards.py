@@ -40,8 +40,10 @@ payload symbols themselves; the build of the map records which, as the code's
 layout (at nonzero points, every symbol of nodes 1..k for MSR and node i's
 first d - i + 1 for MBR). `encode_blocks` applies the map, copying the payload
 to the layout, and `decode_reconstruct` inverts it. Every inverse of the map is
-the product-matrix reconstruction of the identity (`_reconstruct_inverse`),
-filled by `_mbr_fill`, which alone knows the B' symbols k MBR shares keep.
+the product-matrix reconstruction of the identity (`_build_inverse`), filled
+by `_mbr_fill`, which alone knows the B' symbols k MBR shares keep; it depends
+on the code and the providers alone, so `_reconstruct_inverse` builds each
+once and keeps it, as `linalg.vandermonde_inverse` keeps its inverses.
 Symbols stay uint16 (``<u2``, the on-disk body format) from `read_shard` to
 `write_shard`, and so does the map. At beta = 1 a node `encode_blocks` takes
 whole from the payload or the product stays a view of it until `write_shard`
@@ -63,11 +65,13 @@ alone, then chunks) are located by Reed-Solomon error location
 (`decoding.locate`, directly for repair and through the product-matrix
 reduction for reconstruction), then the chunk's most common positions
 decode every undecided word, and each other group of positions its own
-words. A pass over many words applies one inverse (a gather of the layout
-when the inverted symbols are nodes 1..k of a systematic code; for repair,
-a Vandermonde inverse memoized in `linalg.vandermonde_inverse`). The
-file-level calls, the simulator and `pmrc.perblock` (batches of one block)
-all run them.
+words. A pass over many words applies one inverse: a gather of the layout
+when the inverted symbols are nodes 1..k of a systematic code, else for
+reconstruction the product-matrix inverse memoized in `_reconstruct_inverse`
+and for repair the Vandermonde inverse memoized in
+`linalg.vandermonde_inverse`, so a later decode from the same providers
+builds none. The file-level calls, the simulator and `pmrc.perblock`
+(batches of one block) all run them.
 """
 
 from __future__ import annotations
@@ -380,7 +384,7 @@ def _share_map_layout(enc: EncodingMatrix) -> tuple[np.ndarray, np.ndarray | Non
     coefficient in share column w. The operand's blocks are symmetric, so
     no symbol sits twice in one column and no two cells add up. A systematic
     code's map is that one times the inverse L of its rows P, the nonzero
-    columns of nodes 1..k's `_reconstruct_inverse` (for MBR the symbols
+    columns of nodes 1..k's `_build_inverse` (for MBR the symbols
     `_mbr_fill` keeps), which makes row P_j the unit row e_j. At nonzero
     points P is every row of nodes 1..k for MSR, so node i stores u's i-th
     run of alpha' symbols, and node i's first d - i + 1 symbols for MBR.
@@ -396,7 +400,7 @@ def _share_map_layout(enc: EncodingMatrix) -> tuple[np.ndarray, np.ndarray | Non
         r, w = np.nonzero(idx >= 0)
         amap[:, w, idx[r, w]] = enc.psi[:, r]
     else:
-        inv = _reconstruct_inverse(enc, list(range(1, params.k + 1)), None)
+        inv = _build_inverse(enc, list(range(1, params.k + 1)), None)
         layout = np.flatnonzero(inv.any(axis=0))
         layout.setflags(write=False)
         inv = inv[:, layout]
@@ -628,7 +632,7 @@ def _erase_passes(
                 agree += same[:, first]
         return cand, agree >= n_pos - t
 
-    out = np.zeros((nwords, gen.shape[2]), dtype=np.uint16)
+    out = None  # allocated once a pass leaves a word undecided
     failed = np.zeros(nwords, dtype=bool)
     undecided = np.ones(nwords, dtype=bool)
     left = np.arange(nwords)  # the undecided words, ascending
@@ -638,6 +642,8 @@ def _erase_passes(
     def done(out):
         if counts is not None:
             counts.update(passes=passes, located=located, patterns=len(patterns))
+        if out is None:
+            out = np.zeros((nwords, gen.shape[2]), dtype=np.uint16)
         return out, failed
 
     size = 1 if t else nwords  # word 0 alone first; at t = 0 nothing is located
@@ -673,6 +679,8 @@ def _erase_passes(
             passes += 1
             if them.size == nwords and ok.all():  # one pass took every word
                 return done(cand)
+            if out is None:
+                out = np.zeros((nwords, gen.shape[2]), dtype=np.uint16)
             out[them[ok]] = cand[ok]
             undecided[them[ok]] = False
         failed[idx[undecided[idx]]] = True  # located, and no pass accepted it
@@ -893,20 +901,23 @@ def _reconstruct_apply(
     return shares.reshape(nb, -1)[:, layout]
 
 
-# identity rows one `_reconstruct_inverse` step fills and applies, so that
-# its temporaries are bounded by the slab, not by the square of k * alpha'
+# identity rows one `_build_inverse` step fills and applies, so that its
+# temporaries are bounded by the slab, not by the square of k * alpha'
 _INVERSE_SLAB = 128
+# the largest inverse `_reconstruct_inverse` keeps: its 64 hold 32 MiB at
+# most, whatever code a header states
+_INVERSE_MEMO_BYTES = 1 << 19
 
 
-def _reconstruct_inverse(
+def _build_inverse(
     enc: EncodingMatrix, ids: list[int], layout: np.ndarray | None
 ) -> np.ndarray:
-    """The (B', k * alpha') uint16 left inverse of providers ids' stacked
-    share maps that reads the B' symbols `_mbr_fill` keeps (for MSR, all):
-    the `_reconstruct_apply` of the identity's rows, for MBR filled first,
-    `_INVERSE_SLAB` rows at a time. A row outside the kept symbols fills to
-    zero, and so does its column. So it is the one left inverse that
-    elimination finds."""
+    """The (B', k * alpha') read-only uint16 left inverse of providers ids'
+    stacked share maps that reads the B' symbols `_mbr_fill` keeps (for
+    MSR, all): the `_reconstruct_apply` of the identity's rows, for MBR
+    filled first, `_INVERSE_SLAB` rows at a time. A row outside the kept
+    symbols fills to zero, and so does its column. So it is the one left
+    inverse that elimination finds."""
     params = enc.params
     width = params.k * params.alpha_prime
     inv = np.empty((params.slice_symbols, width), dtype=np.uint16)
@@ -916,7 +927,26 @@ def _reconstruct_inverse(
         if params.mode is CodeMode.MBR:
             unit = _mbr_fill(unit, ids, enc)
         inv[:, at : at + unit.shape[0]] = _reconstruct_apply(enc, ids, layout, unit).T
+    inv.setflags(write=False)
     return inv
+
+
+@functools.lru_cache(maxsize=64)
+def _memo_inverse(enc: EncodingMatrix, ids: tuple[int, ...], systematic: bool) -> np.ndarray:
+    return _build_inverse(enc, list(ids), _share_map_layout(enc)[1] if systematic else None)
+
+
+def _reconstruct_inverse(
+    enc: EncodingMatrix, ids: list[int], layout: np.ndarray | None
+) -> np.ndarray:
+    """`_build_inverse`, built once per (code, ids in order, basis) and
+    shared: the inverse depends on which providers are read, never on the
+    data. ``layout`` is None or the code's own layout; an inverse over
+    `_INVERSE_MEMO_BYTES` is built every time and not kept."""
+    params = enc.params
+    if 2 * params.slice_symbols * params.k * params.alpha_prime > _INVERSE_MEMO_BYTES:
+        return _build_inverse(enc, ids, layout)
+    return _memo_inverse(enc, tuple(ids), layout is not None)
 
 
 def decode_reconstruct(

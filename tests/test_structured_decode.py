@@ -89,8 +89,71 @@ def test_reconstruct_inverse_is_the_elimination_one_in_any_slabs(monkeypatch, pa
         enc = _code(params, 257, trial != 1, zero_at, seed=trial)
         _, layout = shards._share_map_layout(enc)
         ids = rng.sample(range(1, params.n + 1), params.k)
-        got = shards._reconstruct_inverse(enc, ids, layout)
+        got = shards._build_inverse(enc, ids, layout)  # not the memo: built in these slabs
         assert np.array_equal(got, linalg.left_inverse(_stacked(enc, ids), 257))
+
+
+@pytest.mark.parametrize("params", [INVERSE_CODES[1], INVERSE_CODES[5]], ids=str)
+def test_memoized_inverse_is_read_only_and_the_built_one(params):
+    """Each (code, providers in order, basis) has its own memoized inverse,
+    read-only, shared by every later call and equal to a fresh build."""
+    rng = random.Random(str(params))
+    for trial in range(4):
+        enc = _code(params, 257, trial % 2 == 0, rng.choice([None, 0]), seed=trial)
+        _, layout = shards._share_map_layout(enc)
+        ids = rng.sample(range(1, params.n + 1), params.k)
+        for order in (ids, ids[::-1], rng.sample(ids, len(ids))):
+            got = shards._reconstruct_inverse(enc, order, layout)
+            assert not got.flags.writeable
+            assert np.array_equal(got, shards._build_inverse(enc, order, layout))
+            assert shards._reconstruct_inverse(enc, list(order), layout) is got
+
+
+@pytest.mark.parametrize("systematic", [True, False])
+def test_second_reconstruct_builds_no_inverse(monkeypatch, systematic):
+    """A second decode of 60-block MBR [16,5,8] sets read from the same
+    providers (at least k * alpha' = 40 words, so its passes apply an
+    inverse) builds none: clean from nodes 3..7, and at t = 1 from nodes
+    3..9 with node 4 wrong in every block."""
+    params = mbr_params(k=5, d=8, n=16)
+    enc = _code(params, 257, systematic, seed=7)
+    blocks = np.random.default_rng(7).integers(0, 256, size=(60, params.message_symbols))
+    bodies = encode_blocks(blocks, enc)
+    wrong = {**bodies, 4: (bodies[4] + 1) % 257}
+    shards._memo_inverse.cache_clear()
+    builds = []
+    orig = shards._build_inverse
+
+    def counted(enc, ids, layout):
+        builds.append(ids)
+        return orig(enc, ids, layout)
+
+    monkeypatch.setattr(shards, "_build_inverse", counted)
+    for shares, t in (({i: bodies[i] for i in range(3, 8)}, 0),
+                      ({i: wrong[i] for i in range(3, 10)}, 1)):
+        for call in range(2):
+            before = len(builds)
+            assert np.array_equal(decode_reconstruct(shares, enc, t), blocks)
+            assert (len(builds) > before) == (call == 0), (t, builds)
+
+
+def test_inverse_memo_keeps_a_bounded_size():
+    """The memo keeps a bounded number of inverses of at most
+    `_INVERSE_MEMO_BYTES` each, 32 MiB in all: MBR [40,12,30]'s (211 KB)
+    is kept, the 1.5 MB one of the widest code CI runs, MSR [100,30,58] at
+    q = 401, is built on every call and not kept."""
+    assert shards._memo_inverse.cache_info().maxsize * shards._INVERSE_MEMO_BYTES <= 32 << 20
+    shards._memo_inverse.cache_clear()
+    enc = build_encoding(mbr_params(k=12, d=30, n=40), Fq(257))
+    kept = shards._reconstruct_inverse(enc, list(range(3, 15)), None)
+    assert kept.nbytes <= shards._INVERSE_MEMO_BYTES
+    assert shards._memo_inverse.cache_info().currsize == 1
+    enc = build_encoding(msr_params(k=30, n=100), Fq(401))
+    ids = list(range(3, 33))
+    wide = shards._reconstruct_inverse(enc, ids, None)
+    assert wide.nbytes > shards._INVERSE_MEMO_BYTES and not wide.flags.writeable
+    assert shards._reconstruct_inverse(enc, ids, None) is not wide
+    assert shards._memo_inverse.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("params,q,zero_at", [
@@ -142,6 +205,8 @@ def test_wide_codes_run_no_elimination_past_d_rows(monkeypatch):
     enc = build_encoding(params, Fq(257))
     blocks = np.random.default_rng(3).integers(0, 256, size=(4, params.message_symbols))
     bodies = encode_blocks(blocks, enc)
+    shards._memo_inverse.cache_clear()  # every inverse is built, not found
+    linalg.vandermonde_inverse.cache_clear()
     rows = _rref_rows(monkeypatch)
     shares = {i: bodies[i] for i in range(2, params.k + 2)}
     assert np.array_equal(decode_reconstruct(shares, enc, 0), blocks)
