@@ -356,7 +356,7 @@ def main(argv=None) -> int:
     except DecodeFailure as e:
         print(f"error: decode failure: {e}", file=sys.stderr)
         return EXIT_DECODE
-    except (PmrcError, ValueError) as e:
+    except PmrcError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_ARGS
     except BrokenPipeError:

@@ -29,7 +29,9 @@ as T_j = S_{j+1} - x_e S_j, since v_l (x_l - x_e) are the column
 multipliers without x_e, and x_e is left out of the root search (Forney's
 erasure syndromes, "On decoding BCH codes", IEEE Trans. IT 1965).
 ``locate_off_diagonal`` locates each row of a square array so, with the
-row's own point erased: the product-matrix MSR reduction's rows of Q.
+row's own point erased: the product-matrix MSR reduction's rows of Q. The
+MBR reduction's rows of Phi S Phi^t have no entry to erase and go to
+``locate`` itself.
 
 ``rs_decode_ee`` is the Berlekamp-Welch errors-and-erasures decoder,
 solving N(x_i) = y_i E(x_i) as a linear system per word. No codec path
@@ -104,23 +106,26 @@ def _massey(syn: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     and its length L (N,). Within budget C(z) is a multiple of the product
     over the errors of (1 - x_i z)."""
     n_words, n_syn = syn.shape
-    syn = syn.astype(np.int64)
-    conn = np.zeros((n_words, n_syn + 1), dtype=np.int64)
-    conn[:, 0] = 1
+    # the word axis innermost: numpy's steps along a short innermost axis
+    # cost several times more
+    syn = syn.T.astype(np.int64)
+    conn = np.zeros((n_syn + 1, n_words), dtype=np.int64)
+    conn[0] = 1
     prev = conn.copy()  # the register before the last length change, times z^m
     length = np.zeros(n_words, dtype=np.int64)
     last = np.ones(n_words, dtype=np.int64)  # the discrepancy at that change
     for n in range(n_syn):
-        disc = (conn[:, : n + 1] * syn[:, n::-1]).sum(axis=1) % q
-        prev[:, 1:] = prev[:, :-1].copy()
-        prev[:, 0] = 0
-        new = (last[:, None] * conn - disc[:, None] * prev) % q
+        disc = (conn[: n + 1] * syn[n::-1]).sum(axis=0) % q
+        top = n + 2  # conn and z * prev have degree at most n + 1
+        prev[1:top] = prev[: top - 1].copy()
+        prev[0] = 0
         grow = (disc != 0) & (2 * length <= n)
-        prev[grow] = conn[grow]
-        last[grow] = disc[grow]
-        length[grow] = n + 1 - length[grow]
-        conn = new
-    return conn, length
+        new = (last * conn[:top] - disc * prev[:top]) % q
+        prev[:top] = np.where(grow, conn[:top], prev[:top])
+        conn[:top] = new
+        last = np.where(grow, disc, last)
+        length = np.where(grow, n + 1 - length, length)
+    return conn.T, length
 
 
 def _error_positions(

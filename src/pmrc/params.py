@@ -223,7 +223,8 @@ class EncodingMatrix:
         return self.phi[self.check_node(node_id) - 1]
 
     def lam_of(self, node_id: int) -> int:
-        assert self.lam is not None
+        if self.lam is None:
+            raise ParameterError("an MBR code has no lambda")
         return self.lam[self.check_node(node_id) - 1]
 
     def point_of(self, node_id: int) -> int:

@@ -62,16 +62,16 @@ responses that arrived and the corruption budget t, and gives each word the
 unique message agreeing with at least R - t of them (`_locate_then_erase`).
 One loop locates each word at most once: the lowest undecided words (word 0
 alone, then chunks) are located by Reed-Solomon error location
-(`decoding.locate`, directly for repair and through the product-matrix
-reduction for reconstruction), then the chunk's most common positions
-decode every undecided word, and each other group of positions its own
-words. A pass over many words applies one inverse: a gather of the layout
-when the inverted symbols are nodes 1..k of a systematic code, else for
-reconstruction the product-matrix inverse memoized in `_reconstruct_inverse`
-and for repair the Vandermonde inverse memoized in
-`linalg.vandermonde_inverse`, so a later decode from the same providers
-builds none. The file-level calls, the simulator and `pmrc.perblock`
-(batches of one block) all run them.
+(`decoding.locate`: directly for repair; for reconstruction, by a vote of
+the located rows of Phi S Phi^t for MBR, with its T columns, or of Q for
+MSR), then the chunk's most common positions decode every undecided word,
+and each other group of positions its own words. A pass over many words
+applies one inverse: a gather of the layout when the inverted symbols are
+nodes 1..k of a systematic code, else for reconstruction the product-matrix
+inverse memoized in `_reconstruct_inverse` and for repair the Vandermonde
+inverse memoized in `linalg.vandermonde_inverse`, so a later decode from
+the same providers builds none. The file-level calls, the simulator and
+`pmrc.perblock` (batches of one block) all run them.
 """
 
 from __future__ import annotations
@@ -509,7 +509,7 @@ def _stack(ys: list[np.ndarray]) -> np.ndarray:
 
 
 # words one batched locate takes, so that its temporaries (for MBR, a few
-# (words, d, d) int64 arrays) stay bounded whatever the file size
+# (words, k + 2t, R) arrays) stay bounded whatever the file size
 _LOCATE_CHUNK = 2048
 
 
@@ -526,32 +526,7 @@ def _locate_then_erase(
     least R - t positions unique; it is returned for every word, or
     DecodeFailure naming the block (``per_block`` consecutive words) of the
     lowest word that has none. ``counts``, when given, receives the number
-    of passes, of located words and of distinct masks (`_erase_passes`)."""
-    n_pos = len(ys)
-    if t < 0 or n_pos < need + 2 * t:
-        raise ParameterError(
-            f"{n_pos} responses cannot correct {t} errors; "
-            f"need t >= 0 and at least {need} + 2t"
-        )
-    out, failed = _erase_passes(
-        _stack(ys), gen, need, t, field, invert, decode, locate, layout, counts, True
-    )
-    if failed.any():
-        raise DecodeFailure(
-            f"block {int(np.argmax(failed)) // per_block} exceeded the (t={t}) "
-            "corruption budget"
-        )
-    return out
-
-
-def _erase_passes(
-    word: np.ndarray, gen: np.ndarray, need: int, t: int, field: Fq,
-    invert, decode, locate, layout: np.ndarray | None, counts: dict | None,
-    stop: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """`_locate_then_erase` on the (nwords, R, w) array ``word``: the
-    messages, and the mask of the words that have none (their messages read
-    0). With ``stop`` it returns once the lowest such word is known.
+    of passes, of located words and of distinct masks.
 
     A pass inverts ``need`` positions, its rows, for a set of words: each
     word gets the candidate those positions determine, accepted when it
@@ -574,16 +549,23 @@ def _erase_passes(
       by their rows, the first ``need`` positions their masks leave;
     - pass: the chunk's most common rows run over every undecided word,
       and each other row set over its own located words.
-    A located word still undecided after its round fails: its mask flags
-    more than t positions, its rows already ran over every undecided word,
-    or its own pass rejected it. At t = 0 nothing can be located, and the
-    one pass is the first ``need`` positions over every word. A mask is
-    exact for a word that has an acceptable message, and then its rows'
-    pass accepts it; otherwise it is only a suggestion, and no pass accepts
-    a word that has none. Only located words fail, and each chunk is the
-    lowest undecided words, so the round that fails the lowest word without
-    a message fails no lower one."""
-    nwords, n_pos, w = word.shape
+    A located word still undecided after its round has no message: its
+    mask flags more than t positions, its rows already ran over every
+    undecided word, or its own pass rejected it. At t = 0 nothing can be
+    located, and the one pass is the first ``need`` positions over every
+    word. A mask is exact for a word that has an acceptable message, and
+    then its rows' pass accepts it; otherwise it is only a suggestion, and
+    no pass accepts a word that has none. Only located words fail, and each
+    chunk is the lowest undecided words, so the first round that leaves a
+    word undecided names the lowest word without a message."""
+    n_pos = len(ys)
+    if t < 0 or n_pos < need + 2 * t:
+        raise ParameterError(
+            f"{n_pos} responses cannot correct {t} errors; "
+            f"need t >= 0 and at least {need} + 2t"
+        )
+    word = _stack(ys)
+    nwords, _, w = word.shape
     q = field.q
     maps = gen.reshape(-1, gen.shape[2])  # row r * w + j: symbol j of position r
     flat = word.reshape(nwords, n_pos * w)
@@ -633,7 +615,6 @@ def _erase_passes(
         return cand, agree >= n_pos - t
 
     out = None  # allocated once a pass leaves a word undecided
-    failed = np.zeros(nwords, dtype=bool)
     undecided = np.ones(nwords, dtype=bool)
     left = np.arange(nwords)  # the undecided words, ascending
     swept: set[bytes] = set()  # rows that ran over every undecided word
@@ -642,9 +623,7 @@ def _erase_passes(
     def done(out):
         if counts is not None:
             counts.update(passes=passes, located=located, patterns=len(patterns))
-        if out is None:
-            out = np.zeros((nwords, gen.shape[2]), dtype=np.uint16)
-        return out, failed
+        return np.zeros((nwords, gen.shape[2]), dtype=np.uint16) if out is None else out
 
     size = 1 if t else nwords  # word 0 alone first; at t = 0 nothing is located
     while left.size:
@@ -683,29 +662,13 @@ def _erase_passes(
                 out = np.zeros((nwords, gen.shape[2]), dtype=np.uint16)
             out[them[ok]] = cand[ok]
             undecided[them[ok]] = False
-        failed[idx[undecided[idx]]] = True  # located, and no pass accepted it
-        undecided[idx] = False
+        lost = idx[undecided[idx]]  # located, and no pass accepted it
+        if lost.size:
+            raise DecodeFailure(
+                f"block {int(lost[0]) // per_block} exceeded the (t={t}) corruption budget"
+            )
         left = left[undecided[left]]
-        if stop and failed.any():
-            break
     return done(out)
-
-
-def _poly_code(field: Fq, points: tuple[int, ...], msg_len: int, t: int):
-    """`_erase_passes`'s code map, invert, decode and locate for words of
-    one symbol, evaluations at ``points`` of polynomials of degree <
-    msg_len: the inverse of rows is the memoized Vandermonde inverse of
-    their points, and a word is located by `decoding.locate`."""
-    def invert(rows):
-        return linalg.vandermonde_inverse(field, tuple(points[r] for r in rows))
-
-    def decode(rows, used):
-        return linalg.matmul_mod(used, invert(rows).T, field.q)
-
-    def locate(word: np.ndarray) -> np.ndarray:
-        return decoding.locate(word[:, :, 0], points, msg_len, t, field)
-
-    return linalg.vandermonde(field, points, msg_len)[:, None, :], invert, decode, locate
 
 
 def poly_decode(
@@ -716,10 +679,19 @@ def poly_decode(
     a list of rows) to (msg_len, ncols) coefficients, tolerating up to t
     wrong rows per column; needs R >= msg_len + 2t. Columns that are not
     clean are located together (`decoding.locate`); a failure names the
-    block of ``per_block`` consecutive columns it belongs to."""
-    gen, *code = _poly_code(field, tuple(int(x) for x in points), msg_len, t)
+    block of ``per_block`` consecutive columns it belongs to. The inverse
+    of a pass's rows is the memoized Vandermonde inverse of their points."""
+    points = tuple(int(x) for x in points)
+
+    def invert(rows):
+        return linalg.vandermonde_inverse(field, tuple(points[r] for r in rows))
+
     return _locate_then_erase(
-        [row[:, None] for row in y], gen, msg_len, t, field, *code, per_block, None, counts
+        [row[:, None] for row in y], linalg.vandermonde(field, points, msg_len)[:, None, :],
+        msg_len, t, field, invert,
+        lambda rows, used: linalg.matmul_mod(used, invert(rows).T, field.q),
+        lambda word: decoding.locate(word[:, :, 0], points, msg_len, t, field),
+        per_block, None, counts,
     ).T
 
 
@@ -807,23 +779,18 @@ def _msr_operands(y: np.ndarray, ids: list[int], enc: EncodingMatrix) -> np.ndar
     return np.concatenate(halves, axis=1)
 
 
-def _mbr_operands(y: np.ndarray, ids: list[int], enc: EncodingMatrix, solve) -> np.ndarray:
-    """The (nb, d, d) operands [[S, T^t], [T, 0]] of nb words of MBR shares
-    y (nb, R, d) of nodes ids; ``solve`` maps (R, c) evaluations at their
-    points, a polynomial of degree < k per column, to its (k, c)
-    coefficients. Columns k..d-1 of y evaluate the columns of T^t; once
-    Sigma T is taken off, columns 0..k-1 evaluate those of S."""
+def _mbr_operands(y: np.ndarray, ids: list[int], enc: EncodingMatrix) -> np.ndarray:
+    """The (nb, d, d) operands [[S, T^t], [T, 0]] of nb words of k MBR shares
+    y (nb, k, d) of nodes ids. Columns k..d-1 of y evaluate the columns of
+    T^t at their points, a polynomial of degree < k per column, one k-point
+    Vandermonde solve; once Sigma T is taken off, columns 0..k-1 evaluate
+    those of S."""
     q, k, d = enc.field.q, enc.params.k, enc.params.d
-    nb, r = y.shape[:2]
-
-    def solve_columns(ev):
-        coeffs = solve(ev.transpose(1, 0, 2).reshape(r, -1))
-        return coeffs.reshape(k, nb, -1).transpose(1, 0, 2)
-
-    t_t = solve_columns(y[:, :, k:])
+    vinv = linalg.vandermonde_inverse(enc.field, tuple(enc.point_of(i) for i in ids))
+    t_t = _batch_product(vinv, y[:, :, k:], q)
     sigma_t = _batch_product(enc.sigma[[i - 1 for i in ids]], t_t.transpose(0, 2, 1), q)
-    m = np.zeros((nb, d, d), dtype=np.int64)
-    m[:, :k, :k] = solve_columns((y[:, :, :k].astype(np.int64) - sigma_t) % q)
+    m = np.zeros((y.shape[0], d, d), dtype=np.int64)
+    m[:, :k, :k] = _batch_product(vinv, (y[:, :, :k].astype(np.int64) - sigma_t) % q, q)
     m[:, :k, k:] = t_t
     m[:, k:, :k] = t_t.transpose(0, 2, 1)
     return m
@@ -831,24 +798,39 @@ def _mbr_operands(y: np.ndarray, ids: list[int], enc: EncodingMatrix, solve) -> 
 
 def _locate_mbr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> np.ndarray:
     """(nb, R) masks of the wrong shares among nb MBR words of (R, d) shares
-    y of nodes ids: each group of columns of `_mbr_operands`, of all words
-    at once, is one `_erase_passes` of polynomial evaluations, and the
-    decoded M is re-encoded and compared with y. A word with a column that
-    has no acceptable polynomial has no acceptable message: no mask."""
-    q, k, nb = enc.field.q, enc.params.k, y.shape[0]
-    gen, *code = _poly_code(enc.field, tuple(enc.point_of(i) for i in ids), k, t)
-    hopeless = np.zeros(nb, dtype=bool)
+    y of nodes ids.
 
-    def solve(ev: np.ndarray) -> np.ndarray:
-        coeffs, failed = _erase_passes(ev.T[:, :, None], gen, k, t, enc.field, *code,
-                                       None, None, False)
-        hopeless[failed.reshape(nb, -1).any(axis=1)] = True
-        return coeffs.T
-
-    m = _mbr_operands(y, ids, enc, solve)
-    wrong = (_batch_product(enc.psi[[i - 1 for i in ids]], m, q) != y).any(axis=2)
-    wrong[hopeless] = False
-    return wrong
+    Columns k..d-1 of the shares evaluate the columns of T^t, polynomials of
+    degree < k, and are located directly: they flag exactly the shares wrong
+    there. For the rest, P_ij = y_j[:k] . phi_i - y_i[k:] . sigma_j equals
+    phi_j^t S phi_i, so row i of P holds the evaluations of S phi_i at the
+    providers' points. When y_i[k:] is right, a wrong share y_j = y_j' + e_j
+    spoils entry j of row i exactly when e_j[:k] . phi_i != 0. At most t of
+    the lowest k + 2t rows have a wrong y_i[k:]; a share wrong in its first
+    k symbols is flagged by all but at most k - 1 of the k + t or more
+    others, that is by more than t rows, and a share right there only by
+    the t or fewer. The
+    rows of every word are located by one `decoding.locate` call, the
+    columns by another, and the mask is the union of the two."""
+    q, k = enc.field.q, enc.params.k
+    nb, r, d = y.shape
+    m = k + 2 * t
+    rows = [i - 1 for i in ids]
+    points = [enc.point_of(i) for i in ids]
+    columns = decoding.locate(y[:, :, k:].transpose(0, 2, 1).reshape(nb * (d - k), r),
+                              points, k, t, enc.field)
+    wrong = columns.reshape(nb, d - k, r).any(axis=1)
+    # the lowest m rows of P, (nb, m, R): y_j[:k] . phi_i plus y_i[k:] . (-sigma_j)
+    p = np.add(
+        linalg.matmul_mod(y[:, :, :k].reshape(nb * r, k), enc.phi[rows[:m]].T, q)
+        .reshape(nb, r, m).transpose(0, 2, 1),
+        linalg.matmul_mod(y[:, :m, k:].reshape(nb * m, d - k), -enc.sigma[rows].T % q, q)
+        .reshape(nb, m, r),
+        dtype=np.int32,
+    )
+    p %= q
+    votes = decoding.locate(p.reshape(nb * m, r), points, k, t, enc.field)
+    return wrong | (votes.reshape(nb, m, r).sum(axis=1) > t)
 
 
 def _mbr_fill(y: np.ndarray, ids: list[int], enc: EncodingMatrix) -> np.ndarray:
@@ -889,11 +871,7 @@ def _reconstruct_apply(
     reads every symbol of y: shares that hold a codeword give its message."""
     params = enc.params
     q, nb = enc.field.q, y.shape[0]
-    if params.mode is CodeMode.MSR:
-        ops = _msr_operands(y, ids, enc)
-    else:
-        vinv = linalg.vandermonde_inverse(enc.field, tuple(enc.point_of(i) for i in ids))
-        ops = _mbr_operands(y, ids, enc, lambda ev: linalg.matmul_mod(vinv, ev, q))
+    ops = (_msr_operands if params.mode is CodeMode.MSR else _mbr_operands)(y, ids, enc)
     if layout is None:
         values, cells = np.unique(_slice_matrix_index(params), return_index=True)
         return ops.reshape(nb, -1)[:, cells[values >= 0]].astype(np.uint16)

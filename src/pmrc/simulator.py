@@ -298,7 +298,10 @@ def params_from_scenario(cfg: dict) -> SystemParams:
 
 def load_scenario(path) -> dict:
     with open(path, "r", encoding="utf-8") as fp:
-        cfg = json.load(fp)
+        try:
+            cfg = json.load(fp)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise ParameterError(f"scenario: {e}") from None
     if not isinstance(cfg, dict) or "events" not in cfg:
         raise ParameterError("scenario: top-level object with an 'events' list required")
     return cfg

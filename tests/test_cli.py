@@ -572,6 +572,32 @@ def test_simulate_infeasible_event_is_named(tmp_path, capsys):
         "(s=0, t=2) needs 6 nodes, at most 5 fit" in out.err
 
 
+@pytest.mark.parametrize("blob", [b"{not json", b"\xff\xfe not utf-8"])
+def test_simulate_scenario_that_is_not_json_is_a_bad_argument(tmp_path, capsys, blob):
+    """A scenario file that does not parse (bad JSON, or bytes that are not
+    UTF-8) is the user's input: exit 2 with the parser's message.
+    `load_scenario` raises ParameterError for it, so `main` catches no
+    ValueError (see the codec test below)."""
+    path = tmp_path / "scenario.json"
+    path.write_bytes(blob)
+    assert main(["simulate", str(path)]) == EXIT_BAD_ARGS
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: scenario: ")
+
+
+def test_a_value_error_inside_the_codec_is_not_a_bad_argument(tmp_path, monkeypatch):
+    """A ValueError raised inside the codec is a bug, not a bad argument: it
+    propagates out of `main` rather than exiting 2."""
+    _, out = encode(tmp_path, mode="msr", k=4, n=10)
+
+    def broken(*args, **kwargs):
+        raise ValueError("cannot change data-type for array")
+
+    monkeypatch.setattr(shards, "_locate_then_erase", broken)
+    with pytest.raises(ValueError, match="cannot change data-type"):
+        main(["reconstruct", str(out), "-o", str(tmp_path / "back.bin"), "-t", "1"])
+
+
 def test_damage_matrix_end_to_end(tmp_path):
     """Every feasible (s, t) with randomized damage within budget restores
     exact bytes for both repair and reconstruction."""

@@ -53,6 +53,15 @@ def test_code_is_stated_by_its_inputs():
     assert (a.sigma, build_encoding(mbr_params(k=2, d=3, n=5), Fq(23)).lam) == (None, None)
 
 
+def test_lam_of_an_mbr_code_is_a_parameter_error():
+    """An MBR code has no Lambda; asking for a node's lambda is refused with
+    ParameterError, which ``python -O`` keeps, not with an assert."""
+    enc = build_encoding(mbr_params(k=3, d=5, n=8))
+    with pytest.raises(ParameterError, match="MBR"):
+        enc.lam_of(1)
+    assert build_encoding(msr_params(k=3, n=7), Fq(29)).lam_of(2) == 4
+
+
 def test_mode_given_as_a_string_is_the_mode():
     """A plain string names the mode as the enum member does: MSR [40,18,34]
     has alpha' = k - 1 = 17 and B' = k(k - 1) = 306, not MBR's 34 and 459."""

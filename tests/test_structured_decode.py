@@ -10,6 +10,7 @@ and at any points, 0 included.
 """
 
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -307,3 +308,93 @@ def test_structured_decode_matches_elimination_oracle(data):
     else:
         assert isinstance(got, np.ndarray) and got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+MASK_CODES = [
+    mbr_params(k=3, d=3, n=9),  # d = k: no T symbols
+    mbr_params(k=4, d=4, n=12),
+    mbr_params(k=2, d=15, n=20),  # d much larger than k
+    mbr_params(k=5, d=8, n=16),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_locate_mbr_flags_exactly_the_wrong_shares(data):
+    """Within budget `_locate_mbr` returns exactly the wrong shares of every
+    word, at R > k + 2t (s >= 1), providers in any order, with and without
+    a point at 0, whether a share is wrong in its S symbols (0..k-1) only,
+    its T symbols (k..d-1) only, or both."""
+    params = data.draw(st.sampled_from(MASK_CODES), label="code")
+    k, d, n = params.k, params.d, params.n
+    zero_at = data.draw(st.one_of(st.none(), st.integers(0, n - 1)), label="zero at")
+    enc = _code(params, 257, data.draw(st.booleans(), label="systematic"), zero_at,
+                data.draw(st.integers(0, 3), label="points seed"))
+    t = data.draw(st.integers(1, (n - k - 1) // 2), label="t")
+    r_count = data.draw(st.integers(k + 2 * t + 1, n), label="R")
+    ids = data.draw(st.permutations(range(1, n + 1)), label="providers")[:r_count]
+    part = data.draw(st.sampled_from(["S", "T", "both"] if d > k else ["S"]), label="part")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    nb = 5
+    bodies = encode_blocks(rng.integers(0, 256, size=(nb, params.message_symbols)), enc)
+    y = np.stack([bodies[i] for i in ids], axis=1)
+    want = np.zeros((nb, r_count), dtype=bool)
+    for b in range(nb):
+        for j in rng.permutation(r_count)[: int(rng.integers(0, t + 1))]:
+            s_cols = rng.permutation(k)[: int(rng.integers(1, k + 1))]
+            t_cols = k + rng.permutation(d - k)[: int(rng.integers(1, max(d - k, 1) + 1))]
+            cols = {"S": s_cols, "T": t_cols, "both": np.r_[s_cols, t_cols]}[part]
+            y[b, j, cols] = (y[b, j, cols] + rng.integers(1, 257, cols.size)) % 257
+            want[b, j] = True
+    assert np.array_equal(shards._locate_mbr(y, ids, enc, t), want)
+
+
+def test_locate_mbr_peak_memory_of_one_chunk():
+    """One located chunk, `_LOCATE_CHUNK` words of MBR [60,20,50] at R = 60
+    and t = 4, each with four wrong shares, peaks below 6x the chunk's
+    shares (decoding M and re-encoding it peaked at 10.3x)."""
+    params = mbr_params(k=20, d=50, n=60)
+    enc = build_encoding(params, Fq(257))
+    nb = shards._LOCATE_CHUNK
+    rng = np.random.default_rng(11)
+    bodies = encode_blocks(rng.integers(0, 256, size=(nb, params.message_symbols)), enc)
+    ids = list(range(1, params.n + 1))
+    y = np.stack([bodies[i] for i in ids], axis=1)
+    del bodies
+    want = np.zeros((nb, params.n), dtype=bool)
+    for b in range(nb):
+        for j in rng.choice(params.n, 4, replace=False):
+            y[b, j, b % params.d] = (y[b, j, b % params.d] + 1) % 257
+            want[b, j] = True
+    shards._locate_mbr(y[:1], ids, enc, 4)  # build the shared tables outside the trace
+    tracemalloc.start()
+    try:
+        got = shards._locate_mbr(y, ids, enc, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 6 * y.nbytes, peak / y.nbytes
+
+
+def test_locate_mbr_vote_holds_at_its_bound():
+    """MBR [16,5,8] at t = 3 from R = k + 2t = 11 providers: nodes 1 and 2
+    are wrong in a T symbol, which spoils rows 0 and 1 of P, and node 3 in
+    its S symbols by the coefficients of prod (x - x_i) over nodes 4..7, so
+    k - 1 = 4 of the 9 clean rows miss it. The other 5 flag it, more than
+    t; had only k + t rows voted, 2 would."""
+    params = mbr_params(k=5, d=8, n=16)
+    enc = build_encoding(params, Fq(257))
+    k, t, ids = params.k, 3, list(range(1, 12))
+    blocks = np.random.default_rng(2).integers(0, 256, size=(3, params.message_symbols))
+    bodies = encode_blocks(blocks, enc)
+    y = np.stack([bodies[i] for i in ids], axis=1)
+    y[:, 0, k] = (y[:, 0, k] + 1) % 257
+    y[:, 1, -1] = (y[:, 1, -1] + 5) % 257
+    error = np.polynomial.polynomial.polyfromroots([enc.point_of(i) for i in range(4, 8)])
+    error = error.astype(np.int64) % 257  # low-first, k coefficients
+    assert (linalg.vandermonde(enc.field, enc.points[:11], k) @ error % 257 == 0).sum() == k - 1
+    y[:, 2, :k] = (y[:, 2, :k] + error) % 257
+    want = np.zeros((3, 11), dtype=bool)
+    want[:, :3] = True
+    assert np.array_equal(shards._locate_mbr(y, ids, enc, t), want)
