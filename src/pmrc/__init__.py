@@ -5,11 +5,7 @@ corruptions during repair or reconstruction are absorbed by connecting to
 s + 2t extra nodes at decode time, never by re-encoding.
 """
 
-from .decoding import (
-    Response,
-    consistency_reconstruct,
-    rs_decode_ee,
-)
+from .decoding import Response
 from .errors import (
     ConstructionError,
     DecodeFailure,
@@ -42,16 +38,8 @@ from .params import (
     feasible_pairs,
     mbr_params,
     msr_params,
-    resilience_feasible,
 )
-from .simulator import (
-    AdversaryPlan,
-    ClusterState,
-    EventReport,
-    adversary_patterns,
-    exhaustive_resilience_check,
-    run_scenario,
-)
+from .simulator import AdversaryPlan, ClusterState, EventReport, run_scenario
 
 __version__ = "0.1.0"
 
@@ -72,13 +60,10 @@ __all__ = [
     "Response",
     "SingularMatrixError",
     "SystemParams",
-    "adversary_patterns",
     "build_encoding",
     "capacity_bound",
-    "consistency_reconstruct",
     "default_modulus",
     "encoding_from_points",
-    "exhaustive_resilience_check",
     "feasible_pairs",
     "is_prime",
     "mbr_encode",
@@ -91,8 +76,6 @@ __all__ = [
     "msr_params",
     "msr_reconstruct",
     "msr_repair",
-    "resilience_feasible",
-    "rs_decode_ee",
     "run_scenario",
     "smallest_prime_at_least",
     "vandermonde",

@@ -8,6 +8,7 @@ Commands: encode, damage, repair, reconstruct, info, simulate. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import errno
 import json
@@ -43,10 +44,6 @@ EXIT_DECODE = 4
 EXIT_IO = 5
 
 
-def _parse_params(args) -> SystemParams:
-    return code_params(args.mode, args.k, args.n, args.d, args.beta)
-
-
 def _pick_field(args, n: int) -> Fq:
     """The field of --q, checked as every field is and at least the default
     for n; the default field without it."""
@@ -70,7 +67,7 @@ def _node_list(text: str) -> list[int]:
 
 
 def cmd_encode(args) -> int:
-    params = _parse_params(args)
+    params = code_params(args.mode, args.k, args.n, args.d, args.beta)
     field = _pick_field(args, params.n)
     # a shard this encode would not overwrite could outvote the new set later
     names = sorted(os.listdir(args.out_dir)) if os.path.isdir(args.out_dir) else []
@@ -85,11 +82,12 @@ def cmd_encode(args) -> int:
     blocks = shards.bytes_to_blocks(data, params.message_symbols)
     bodies = shards.encode_blocks(blocks, enc)
     os.makedirs(args.out_dir, exist_ok=True)
+    # in place: a crash mid-encode mixes old and new shards either way, and a
+    # new file per shard costs about a quarter of a small file's encode
     for node_id, body in bodies.items():
         header = ShardHeader(enc, node_id, blocks.shape[0], len(data))
-        shards.write_shard(
-            os.path.join(args.out_dir, shard_filename(node_id)), header, body
-        )
+        path = os.path.join(args.out_dir, shard_filename(node_id))
+        shards.write_shard(path, header, body, in_place=True)
     print(
         f"encoded {len(data)} bytes into {params.n} shards "
         f"({blocks.shape[0]} blocks, mode={params.mode.value}, q={field.q})"
@@ -126,9 +124,9 @@ def cmd_damage(args) -> int:
 
 def _check_writable(path, make_dirs: bool = False) -> None:
     """Raise the OSError that writing the file ``path`` would raise, before
-    any work is done: its directory must exist (with ``make_dirs``, its
-    nearest existing ancestor, as `os.makedirs` would find it) and ``path``
-    be writable."""
+    any work is done: its directory (with ``make_dirs``, its nearest existing
+    ancestor, as `os.makedirs` would find it) must exist and be writable, for
+    `shards.replacing` renames into it, and an existing ``path`` writable."""
     folder = os.path.dirname(path) or "."
     while make_dirs and not os.path.lexists(folder):
         folder = os.path.dirname(folder) or "."
@@ -137,7 +135,9 @@ def _check_writable(path, make_dirs: bool = False) -> None:
         raise OSError(code, os.strerror(code), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+    # a pipe or a device is written in place, a file renamed into the folder
+    need = [path] if os.path.exists(path) and not os.path.isfile(path) else [folder, path]
+    if not all(os.access(p, os.W_OK) for p in need if os.path.exists(p)):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
@@ -158,10 +158,14 @@ def cmd_repair(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     _check_writable(args.output)
+    for name in shards.shard_files(args.dir) if os.path.exists(args.output) else []:
+        with contextlib.suppress(OSError):  # a dangling link among the shards
+            if os.path.samefile(args.output, os.path.join(args.dir, name)):
+                raise ParameterError(f"output {args.output} is shard {name} of its input")
     header, bodies = shards.load_shard_set(args.dir)
     blocks, info = shards.reconstruct_blocks(bodies, header.enc, args.s, args.t)
     data = shards.blocks_to_bytes(blocks, header.data_len)
-    with open(args.output, "wb") as fp:
+    with shards.replacing(args.output) as fp:
         fp.write(data)
     print(
         f"reconstructed {len(data)} bytes from {info['connectivity']} shards "
@@ -254,14 +258,11 @@ def cmd_info(args) -> int:
         return EXIT_OK
     if args.mode is None or args.k is None:
         raise ParameterError("info needs a shard dir, or --mode and -k")
-    ns = argparse.Namespace(
-        mode=args.mode, k=args.k, d=args.d, beta=args.beta,
-        n=args.n if args.n is not None else None,
-    )
-    if ns.n is None:
+    n = args.n
+    if n is None:
         # smallest legal cluster: n = d+1 (only the (0,0) budget fits there)
-        ns.n = (2 * args.k - 2 if args.mode == "msr" else args.d or args.k) + 1
-    params = _parse_params(ns)
+        n = (2 * args.k - 2 if args.mode == "msr" else args.d or args.k) + 1
+    params = code_params(args.mode, args.k, n, args.d, args.beta)
     _print_info(_info_payload(params, _pick_field(args, params.n).q), args.json)
     return EXIT_OK
 
@@ -273,8 +274,8 @@ def cmd_simulate(args) -> int:
     lines.append(json.dumps({"summary": stats}))
     text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fp:
-            fp.write(text)
+        with shards.replacing(args.output) as fp:
+            fp.write(text.encode())
         print(f"wrote {len(reports)} event reports to {args.output}")
     else:
         sys.stdout.write(text)

@@ -1,9 +1,9 @@
 """Dense exact linear algebra over a prime field.
 
 Matrices are plain 2-D numpy arrays of residues in [0, q), and every call
-takes the modulus q: an array does not carry its field. Solving and rank use
-plain Gaussian elimination with leftmost-nonzero pivoting (exact arithmetic
-needs no pivot scaling) and return int64 arrays.
+takes the modulus q: an array does not carry its field. Solving uses plain
+Gaussian elimination with leftmost-nonzero pivoting (exact arithmetic
+needs no pivot scaling) and returns int64 arrays.
 
 The codec's bulk products run on one kernel, `matmul_mod`, which returns
 uint16 residues. It makes each product whole on BLAS, in float32 when the
@@ -189,11 +189,6 @@ def solve(a, y, q: int) -> np.ndarray:
 def solve_any(a, y, q: int) -> np.ndarray:
     """Some x with a @ x = y mod q (free variables set to zero)."""
     return _solve_common(a, y, q, require_unique=False)
-
-
-def rank(a, q: int) -> int:
-    a = np.array(a, dtype=np.int64)
-    return len(_rref(a, q, a.shape[1]))
 
 
 def inverse(a, q: int) -> np.ndarray:

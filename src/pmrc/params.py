@@ -143,13 +143,6 @@ def budget_extra(s: int, t: int) -> int:
     return s + 2 * t
 
 
-def resilience_feasible(params: SystemParams, s: int, t: int) -> bool:
-    """Whether budget (s, t) fits: repair needs d+s+2t <= n-1 helpers and
-    reconstruction k+s+2t <= n providers."""
-    extra = budget_extra(s, t)
-    return params.d + extra <= params.n - 1 and params.k + extra <= params.n
-
-
 def connectivity(params: SystemParams, s: int, t: int, repair: bool) -> int:
     """Nodes a decode under budget (s, t) contacts: Delta = d+s+2t helpers
     for repair (InfeasibleError past n-1), kappa = k+s+2t providers for

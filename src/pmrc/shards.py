@@ -76,6 +76,7 @@ the same providers builds none. The file-level calls, the simulator and
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import struct
@@ -183,6 +184,34 @@ def shard_filename(node_id: int) -> str:
     return f"node{node_id:04d}.shard"
 
 
+def shard_files(directory) -> list[str]:
+    """The sorted ``node*.shard`` names in ``directory``."""
+    names = os.listdir(directory)
+    return sorted(f for f in names if f.startswith("node") and f.endswith(".shard"))
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A binary file that replaces ``path`` once the block ends cleanly: it is
+    written as ``<path>.tmp`` beside it (or beside a link's target), renamed
+    over it, and removed on an exception, so ``path`` is never half written.
+    No fsync: a power loss is not covered. A pipe or a device is written in place."""
+    if not os.path.isfile(path) and os.path.exists(path):
+        with open(path, "wb") as fp:
+            yield fp
+        return
+    path = os.path.realpath(path) if os.path.islink(path) else path
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fp:
+            yield fp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _rows(a: np.ndarray) -> np.ndarray:
     """The (rows, w) array ``a`` as (rows, 1) items of w symbols, one row
     each: a view when its rows are contiguous runs (a column run of a wider
@@ -194,7 +223,7 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.shape[1] * a.itemsize)))
 
 
-def write_shard(path, header: ShardHeader, body: np.ndarray) -> None:
+def write_shard(path, header: ShardHeader, body: np.ndarray, in_place: bool = False) -> None:
     params = header.enc.params
     if body.shape != (header.block_count, params.alpha):
         raise ParameterError(
@@ -202,7 +231,7 @@ def write_shard(path, header: ShardHeader, body: np.ndarray) -> None:
             f"alpha={params.alpha})"
         )
     head = header.pack()
-    with open(path, "wb") as fp:
+    with open(path, "wb") if in_place else replacing(path) as fp:
         fp.write(head)
         fp.write(np.ascontiguousarray(_rows(body.astype("<u2", copy=False))))
 
@@ -285,10 +314,7 @@ def load_shard_set(directory) -> tuple[ShardHeader, ShardBodies]:
     misnamed shard is an erasure, not a fatal error. Returns the reference
     header and the lazy `ShardBodies` of the rest, whose bodies are read only
     when a decode picks them."""
-    names = sorted(
-        f for f in os.listdir(directory)
-        if f.startswith("node") and f.endswith(".shard")
-    )
+    names = shard_files(directory)
     if not names:
         raise InfeasibleError(f"no shard files in {directory}")
     readable: list[tuple[str, ShardHeader]] = []

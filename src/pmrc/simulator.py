@@ -33,12 +33,11 @@ from .params import (
     build_encoding,
     code_params,
     connectivity,
-    feasible_pairs,
 )
 # msr_*/mbr_* are not called here: bound so the benchmark tracer
 # (perfbench/tracer.py) resolves them, until ROADMAP item 2 retargets it.
 from .perblock import (  # noqa: F401
-    NodeShare, mbr_encode, mbr_helper_symbol, mbr_reconstruct, mbr_repair,
+    mbr_encode, mbr_helper_symbol, mbr_reconstruct, mbr_repair,
     msr_encode, msr_helper_symbol, msr_reconstruct, msr_repair,
 )
 from .shards import decode_reconstruct, decode_repair, encode_blocks, helper_symbols
@@ -110,10 +109,10 @@ class ClusterState:
         self.enc.check_node(node)
         return self._shares[node] is not None
 
-    def share(self, node: int, block: int) -> NodeShare:
+    def share(self, node: int, block: int) -> tuple[int, ...]:
         if not self.is_alive(node):
             raise ParameterError(f"node {node} is failed")
-        return NodeShare(node, tuple(int(v) for v in self._shares[node][block]))
+        return tuple(int(v) for v in self._shares[node][block])
 
     def fail(self, node: int) -> None:
         """Discard a live node's shares (it is replaced by an empty node)."""
@@ -214,68 +213,6 @@ class ClusterState:
                 detail="recovered payload differs from ground truth",
             )
         return report, blocks
-
-    def verify_consistent(self) -> bool:
-        """Debug sweep: every alive share matches the encoding of the
-        retained payloads."""
-        return all(
-            np.array_equal(self._shares[node], self._truth[node])
-            for node in self.alive()
-        )
-
-
-def adversary_patterns(nodes: Sequence[int], s: int, t: int, seed: int = 0):
-    """Exhaustive-adversary mode: every whole-response fault pattern within
-    the (s, t) budget over the given nodes, values still seeded-random."""
-    from itertools import combinations
-
-    nodes = sorted(nodes)
-    for n_erase in range(s + 1):
-        for erase in combinations(nodes, n_erase):
-            rest = [x for x in nodes if x not in erase]
-            for n_corrupt in range(t + 1):
-                for corrupt in combinations(rest, n_corrupt):
-                    yield AdversaryPlan(
-                        erase=frozenset(erase), corrupt=frozenset(corrupt), seed=seed
-                    )
-
-
-def exhaustive_resilience_check(
-    enc: EncodingMatrix, blocks: int = 1, seeds: Sequence[int] = (0,)
-) -> tuple[int, list[EventReport]]:
-    """Sweep every feasible (s, t), failed node, and adversary pattern on a
-    fresh cluster; returns (event count, non-success reports)."""
-    params = enc.params
-    payloads = _seeded_rng("exhaustive-payload").integers(
-        0, enc.field.q, size=(blocks, params.message_symbols)
-    )
-    events = 0
-    bad: list[EventReport] = []
-    pairs = sorted(feasible_pairs(params))
-    # a successful repair restores the exact share, so one cluster serves the
-    # whole sweep; it is only rebuilt after a (budget-violating) failure
-    cluster = ClusterState(enc, payloads)
-    for s, t in pairs:
-        delta = connectivity(params, s, t, repair=True)
-        kappa = connectivity(params, s, t, repair=False)
-        for failed in range(1, params.n + 1):
-            helpers = [i for i in range(1, params.n + 1) if i != failed][:delta]
-            for plan_seed in seeds:
-                for plan in adversary_patterns(helpers, s, t, seed=plan_seed):
-                    cluster.fail(failed)
-                    report = cluster.repair(failed, s, t, plan)
-                    events += 1
-                    if report.outcome != SUCCESS:
-                        bad.append(report)
-                        cluster = ClusterState(enc, payloads)
-        providers = list(range(1, kappa + 1))
-        for plan_seed in seeds:
-            for plan in adversary_patterns(providers, s, t, seed=plan_seed):
-                report, _ = cluster.reconstruct(s, t, plan)
-                events += 1
-                if report.outcome != SUCCESS:
-                    bad.append(report)
-    return events, bad
 
 
 def _integer(value, what: str) -> int:

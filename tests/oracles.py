@@ -26,7 +26,8 @@ psi with a one-hot operand, the reference for the codec's scatter, and
 ``share_map_by_elimination`` builds the systematic map and layout by one
 B'-sized elimination, the reference for the product-matrix build.
 ``msr_systematic_remap`` solves for the message under which k chosen nodes
-store the payload verbatim.
+store the payload verbatim. ``rank`` is a matrix's rank mod q, by the
+library's elimination.
 """
 
 from dataclasses import dataclass
@@ -39,9 +40,14 @@ from pmrc import (
     CodeMode, DecodeFailure, EncodingMatrix, Fq, ParameterError, PmrcError,
     SingularMatrixError, SystemParams,
 )
-from pmrc.linalg import left_inverse, matmul_mod, solve
+from pmrc.linalg import _rref, left_inverse, matmul_mod, solve
 from pmrc.perblock import _check_mode
 from pmrc.shards import _slice_matrix_index, share_map
+
+
+def rank(a, q: int) -> int:
+    a = np.array(a, dtype=np.int64)
+    return len(_rref(a, q, a.shape[1]))
 
 
 class AmbiguityError(PmrcError):

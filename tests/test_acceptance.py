@@ -17,14 +17,13 @@ from pmrc import (
     feasible_pairs,
     mbr_params,
     msr_params,
-    rs_decode_ee,
 )
 from pmrc.cli import EXIT_OK, main
-from pmrc.decoding import Response
-from pmrc.linalg import rank, vandermonde
+from pmrc.decoding import Response, rs_decode_ee
+from pmrc.linalg import vandermonde
 from pmrc.shards import poly_decode, shard_filename
 from pmrc.simulator import SUCCESS, ClusterState
-from oracles import subset_decode_oracle
+from oracles import rank, subset_decode_oracle
 from util import apply_faults, fault_patterns, make_code, random_payload, seeded
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import stat
 import struct
 import subprocess
 import sys
@@ -771,6 +772,103 @@ def test_repair_checks_its_output_before_reading(tmp_path, monkeypatch):
     assert main(["damage", str(out), "--corrupt", "2,3", "--seed", "1"]) == EXIT_OK
     assert main(args + ["-t", "1"]) == EXIT_DECODE
     assert not (tmp_path / "fresh").exists()
+
+
+def test_failed_shard_write_leaves_the_old_shard(tmp_path):
+    """A write_shard that raises after the header went out (a full disk, as
+    the body is converted) leaves the shard it would have replaced
+    byte-identical, and no temporary file."""
+    _, out = encode(tmp_path, mode="msr", k=3, n=7)
+    path = out / shard_filename(3)
+    before = path.read_bytes()
+    header, body = read_shard(path)
+
+    class FullDisk(np.ndarray):
+        def astype(self, *args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError):
+        write_shard(path, header, body.view(FullDisk))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == [shard_filename(i) for i in range(1, 8)]
+
+
+def test_reconstruct_that_fails_leaves_its_output(tmp_path, monkeypatch):
+    """An existing output survives an exit-4 reconstruct and a write whose
+    rename fails (exit 5), and no temporary file is left beside it."""
+    _, out = encode(tmp_path, mode="mbr", k=3, d=5, n=8)
+    dest = tmp_path / "keep.bin"
+    dest.write_bytes(b"keep")
+    assert main(["damage", str(out), "--corrupt", "1,2", "--seed", "1"]) == EXIT_OK
+    assert main(["reconstruct", str(out), "-o", str(dest), "-t", "1"]) == EXIT_DECODE
+
+    def no_rename(src, dst):
+        raise OSError(28, "No space left on device", src)
+
+    monkeypatch.setattr(shards.os, "replace", no_rename)
+    assert main(["reconstruct", str(out), "-o", str(dest), "-t", "2"]) == EXIT_IO
+    assert dest.read_bytes() == b"keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.bin", "orig.bin", "shards"]
+
+
+def test_reconstruct_refuses_to_write_over_a_shard_it_reads(tmp_path, monkeypatch, capsys):
+    """OUT naming a shard of DIR, by its path, a symbolic link or a hard
+    link, exits 2 before any body is read and leaves the shard as it was."""
+    data, out = encode(tmp_path, mode="msr", k=3, n=7)
+    shard = out / shard_filename(4)
+    before = shard.read_bytes()
+    (tmp_path / "soft").symlink_to(shard)
+    os.link(shard, tmp_path / "hard")
+    reads = _count_body_reads(monkeypatch)
+    capsys.readouterr()
+    for dest in (shard, tmp_path / "soft", tmp_path / "hard"):
+        assert main(["reconstruct", str(out), "-o", str(dest)]) == EXIT_BAD_ARGS
+        assert shard_filename(4) in capsys.readouterr().err
+    assert reads == [] and shard.read_bytes() == before
+    dest = tmp_path / "back.bin"
+    assert main(["reconstruct", str(out), "-o", str(dest)]) == EXIT_OK
+    assert dest.read_bytes() == data
+
+
+def test_reconstruct_writes_through_a_link_and_into_a_pipe(tmp_path):
+    """An OUT that is a symbolic link replaces its target and stays a link;
+    one that is a pipe is written in place, not replaced by a file."""
+    data, out = encode(tmp_path, mode="msr", k=3, n=7)
+    link, target = tmp_path / "link", tmp_path / "target.bin"
+    target.write_bytes(b"old")
+    link.symlink_to(target)
+    assert main(["reconstruct", str(out), "-o", str(link)]) == EXIT_OK
+    assert link.is_symlink() and target.read_bytes() == data
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # 3000 bytes fit its buffer
+    try:
+        assert main(["reconstruct", str(out), "-o", str(fifo)]) == EXIT_OK
+        assert os.read(reader, len(data) + 1) == data
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link", "orig.bin", "pipe", "shards", "target.bin",
+    ]
+
+
+def test_leftover_temporary_shard_is_not_a_shard(tmp_path, capsys):
+    """A ``node*.shard.tmp`` left by a killed write is neither voted on nor
+    a stale shard that blocks a re-encode."""
+    data, out = encode(tmp_path, mode="msr", k=3, n=7)
+    (out / (shard_filename(1) + ".tmp")).write_bytes(b"PMRC cut short")
+    (out / (shard_filename(16) + ".tmp")).write_bytes((out / shard_filename(2)).read_bytes())
+    capsys.readouterr()
+    header, bodies = shards.load_shard_set(out)
+    assert sorted(bodies) == list(range(1, 8))
+    assert "skipped" not in capsys.readouterr().err
+    src = tmp_path / "orig.bin"
+    argv = ["encode", str(src), "-o", str(out), "--mode", "msr", "-k", "3", "-n", "7"]
+    assert main(argv) == EXIT_OK
+    dest = tmp_path / "back.bin"
+    assert main(["reconstruct", str(out), "-o", str(dest)]) == EXIT_OK
+    assert dest.read_bytes() == data
 
 
 @pytest.mark.parametrize("q", [257, 65521])

@@ -7,15 +7,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmrc import (
-    DecodeFailure,
-    Fq,
-    ParameterError,
-    rs_decode_ee,
+from pmrc import DecodeFailure, Fq, ParameterError
+from pmrc.decoding import (
+    Response, consistency_reconstruct, locate, locate_off_diagonal, rs_decode_ee,
 )
-from pmrc.decoding import Response, consistency_reconstruct, locate, locate_off_diagonal
-from pmrc.linalg import matmul_mod, rank, solve, vandermonde
-from oracles import AmbiguityError, subset_decode_oracle
+from pmrc.linalg import matmul_mod, solve, vandermonde
+from oracles import AmbiguityError, rank, subset_decode_oracle
 
 F29 = Fq(29)
 

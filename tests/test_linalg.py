@@ -25,11 +25,11 @@ from pmrc.linalg import (
     left_inverse,
     _reduce,
     matmul_mod,
-    rank,
     solve,
     solve_any,
     vandermonde,
 )
+from oracles import rank
 
 F13 = Fq(13)
 F29 = Fq(29)

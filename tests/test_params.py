@@ -17,10 +17,9 @@ from pmrc import (
     feasible_pairs,
     mbr_params,
     msr_params,
-    resilience_feasible,
 )
-from pmrc.linalg import rank
-from pmrc.params import code_params
+from pmrc.params import budget_extra, code_params
+from oracles import rank
 
 
 def test_msr_params_examples():
@@ -117,11 +116,11 @@ def test_constructed_codes_meet_bound_exactly():
 
 def test_resilience_feasible():
     p = mbr_params(k=2, d=3, n=6)
-    assert resilience_feasible(p, 0, 0)
-    assert resilience_feasible(p, 0, 1)  # Delta = 5 <= n-1
-    assert not resilience_feasible(p, 2, 1)  # d+s+2t = 7 > 5
+    assert (0, 0) in feasible_pairs(p)
+    assert (0, 1) in feasible_pairs(p)  # Delta = 5 <= n-1
+    assert (2, 1) not in feasible_pairs(p)  # d+s+2t = 7 > 5
     with pytest.raises(ParameterError):
-        resilience_feasible(p, -1, 0)
+        budget_extra(-1, 0)
 
 
 def test_only_zero_budget_when_n_is_d_plus_one():
@@ -130,7 +129,7 @@ def test_only_zero_budget_when_n_is_d_plus_one():
     for s in range(3):
         for t in range(3):
             if (s, t) != (0, 0):
-                assert not resilience_feasible(p, s, t)
+                assert (s, t) not in feasible_pairs(p)
 
 
 def test_feasible_pairs_ordering():

@@ -17,13 +17,13 @@ from pmrc import (
     ParameterError,
     Response,
     build_encoding,
-    consistency_reconstruct,
     encoding_from_points,
     linalg,
     mbr_params,
     msr_params,
 )
 from pmrc import decoding, shards
+from pmrc.decoding import consistency_reconstruct
 from pmrc.shards import (
     ShardHeader,
     blocks_to_bytes,

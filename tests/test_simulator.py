@@ -17,7 +17,7 @@ from pmrc import (
     run_scenario,
 )
 from pmrc.simulator import DETECTED, MISMATCH, SUCCESS, load_scenario
-from util import OVER_BUDGET, random_payload
+from util import OVER_BUDGET, random_payload, verify_consistent
 
 
 def small_cluster(params=None, q=29, blocks=2, seed=0):
@@ -30,13 +30,13 @@ def small_cluster(params=None, q=29, blocks=2, seed=0):
 
 def test_fail_then_repair_restores_share():
     c = small_cluster()
-    before = [c.share(3, b).symbols for b in c.blocks]
+    before = [c.share(3, b) for b in c.blocks]
     c.fail(3)
     assert not c.is_alive(3)
     report = c.repair(3)
     assert report.outcome == SUCCESS
-    assert [c.share(3, b).symbols for b in c.blocks] == before
-    assert c.verify_consistent()
+    assert [c.share(3, b) for b in c.blocks] == before
+    assert verify_consistent(c)
 
 
 def test_fail_twice_errors():
@@ -129,7 +129,7 @@ def test_erasures_beyond_s_are_detected_without_decoding():
     assert not c.is_alive(2)
     report, _ = c.reconstruct(adversary=AdversaryPlan(erase=frozenset({5})))
     assert report.outcome == SUCCESS
-    assert c.repair(2).outcome == SUCCESS and c.verify_consistent()
+    assert c.repair(2).outcome == SUCCESS and verify_consistent(c)
 
 
 def test_corruption_beyond_t_is_detected_and_the_scenario_goes_on():
@@ -163,7 +163,7 @@ def test_all_feasible_budgets_succeed_one_encoding():
         corrupt = frozenset(pool[s : s + t])
         rep, _ = c.reconstruct(s=s, t=t, adversary=AdversaryPlan(erase, corrupt, seed=s))
         assert rep.outcome == SUCCESS, (s, t)
-    assert c.verify_consistent()
+    assert verify_consistent(c)
 
 
 def test_permuted_selection_still_succeeds():
@@ -235,24 +235,6 @@ def test_report_serialization():
     assert set(d) >= {"kind", "s", "t", "connectivity", "downloaded", "outcome"}
 
 
-def test_adversary_patterns_enumeration():
-    from pmrc import adversary_patterns
-
-    plans = list(adversary_patterns([1, 2, 3], s=1, t=1))
-    # (erase, corrupt) sizes: (0,0) 1, (0,1) 3, (1,0) 3, (1,1) 3*2 = 6
-    assert len(plans) == 13
-    assert all(not (p.erase & p.corrupt) for p in plans)
-
-
-def test_exhaustive_adversary_sweep_small():
-    from pmrc import exhaustive_resilience_check
-
-    enc = build_encoding(mbr_params(k=2, d=3, n=6), Fq(23))
-    events, bad = exhaustive_resilience_check(enc, blocks=1, seeds=(0, 1))
-    assert events > 0
-    assert bad == []
-
-
 def test_negative_seed_replays_identically():
     cfg = dict(SCENARIO, seed=-3)
     r1, stats1 = run_scenario(cfg)
@@ -273,31 +255,3 @@ def test_report_dict_keeps_field_order_and_drops_unset():
     assert list(bare.to_dict()) == [
         "kind", "s", "t", "connectivity", "downloaded", "outcome",
     ]
-
-
-@pytest.mark.parametrize("step,kind", [
-    ("decode_repair", "repair"), ("decode_reconstruct", "reconstruct"),
-])
-def test_exhaustive_sweep_files_a_wrong_result_and_goes_on(monkeypatch, step, kind):
-    """A decoder that returns one wrong result: the sweep files its MISMATCH
-    in ``bad`` and runs every other event, after a wrong repair on a rebuilt
-    cluster (the wrong share would spoil the next events' helpers)."""
-    import pmrc.simulator as sim
-
-    enc = build_encoding(mbr_params(k=2, d=3, n=6), Fq(23))
-    clean_events, clean_bad = sim.exhaustive_resilience_check(enc)
-    assert clean_bad == []
-    real, calls = getattr(sim, step), []
-
-    def wrong_once(*args, **kwargs):
-        out = real(*args, **kwargs)
-        calls.append(kind)
-        if len(calls) == 1:
-            out = out.copy()
-            out[0, 0] = (int(out[0, 0]) + 1) % 23
-        return out
-
-    monkeypatch.setattr(sim, step, wrong_once)
-    events, bad = sim.exhaustive_resilience_check(enc)
-    assert events == clean_events
-    assert [(r.kind, r.outcome) for r in bad] == [(kind, MISMATCH)]

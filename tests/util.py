@@ -1,5 +1,5 @@
-"""Shared helpers for the test suite: mode dispatch, fault patterns and an
-over-budget scenario."""
+"""Shared helpers for the test suite: mode dispatch, fault patterns, a
+simulator consistency sweep and an over-budget scenario."""
 
 import random
 from itertools import combinations
@@ -19,6 +19,7 @@ from pmrc import (
     msr_repair,
 )
 from pmrc.decoding import Response
+from pmrc.shards import encode_blocks
 
 
 def mode_ops(mode):
@@ -79,6 +80,16 @@ def apply_faults(rng, responses, erase, corrupt, q):
 
 def seeded(*parts):
     return random.Random(":".join(str(p) for p in parts))
+
+
+def verify_consistent(cluster):
+    """Every alive share of a simulator cluster equals the encoding of its
+    payloads."""
+    truth = encode_blocks(cluster.payloads, cluster.enc)
+    return all(
+        [list(cluster.share(node, b)) for b in cluster.blocks] == truth[node].tolist()
+        for node in cluster.alive()
+    )
 
 
 # corruption beyond t where the decoder has redundancy (t = 1) to detect it
