@@ -82,12 +82,13 @@ def cmd_encode(args) -> int:
     blocks = shards.bytes_to_blocks(data, params.message_symbols)
     bodies = shards.encode_blocks(blocks, enc)
     os.makedirs(args.out_dir, exist_ok=True)
-    # in place: a crash mid-encode mixes old and new shards either way, and a
-    # new file per shard costs about a quarter of a small file's encode
     for node_id, body in bodies.items():
         header = ShardHeader(enc, node_id, blocks.shape[0], len(data))
         path = os.path.join(args.out_dir, shard_filename(node_id))
-        shards.write_shard(path, header, body, in_place=True)
+        # delete the old shard (a link's target): a rename onto a free name costs least
+        if os.path.isfile(path):
+            os.remove(os.path.realpath(path) if os.path.islink(path) else path)
+        shards.write_shard(path, header, body)
     print(
         f"encoded {len(data)} bytes into {params.n} shards "
         f"({blocks.shape[0]} blocks, mode={params.mode.value}, q={field.q})"
@@ -156,6 +157,12 @@ def cmd_repair(args) -> int:
     return EXIT_OK
 
 
+def _summary_stream(output):
+    """stdout, unless ``output`` was written in place (a pipe, a terminal or a
+    device such as /dev/stdout), where the summary would follow the data."""
+    return sys.stdout if os.path.isfile(output) else sys.stderr
+
+
 def cmd_reconstruct(args) -> int:
     _check_writable(args.output)
     for name in shards.shard_files(args.dir) if os.path.exists(args.output) else []:
@@ -169,7 +176,8 @@ def cmd_reconstruct(args) -> int:
         fp.write(data)
     print(
         f"reconstructed {len(data)} bytes from {info['connectivity']} shards "
-        f"({info['downloaded']} symbols downloaded)"
+        f"({info['downloaded']} symbols downloaded)",
+        file=_summary_stream(args.output),
     )
     return EXIT_OK
 
@@ -276,7 +284,8 @@ def cmd_simulate(args) -> int:
     if args.output:
         with shards.replacing(args.output) as fp:
             fp.write(text.encode())
-        print(f"wrote {len(reports)} event reports to {args.output}")
+        print(f"wrote {len(reports)} event reports to {args.output}",
+              file=_summary_stream(args.output))
     else:
         sys.stdout.write(text)
     return EXIT_OK if stats["successes"] == stats["events"] else EXIT_DECODE
@@ -351,8 +360,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasibleError, ConstructionError) as e:
-        print(f"error: infeasible: {e}", file=sys.stderr)
+    except (InfeasibleError, ConstructionError, MemoryError) as e:
+        print(f"error: infeasible: {e or 'out of memory'}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except DecodeFailure as e:
         print(f"error: decode failure: {e}", file=sys.stderr)

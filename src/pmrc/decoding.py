@@ -27,11 +27,10 @@ A word may also miss one point x_e, its erased position. Its syndromes at
 the other R - 1 points come from 2t + 1 rows S of the same R-point check
 as T_j = S_{j+1} - x_e S_j, since v_l (x_l - x_e) are the column
 multipliers without x_e, and x_e is left out of the root search (Forney's
-erasure syndromes, "On decoding BCH codes", IEEE Trans. IT 1965).
-``locate_off_diagonal`` locates each row of a square array so, with the
-row's own point erased: the product-matrix MSR reduction's rows of Q. The
-MBR reduction's rows of Phi S Phi^t have no entry to erase and go to
-``locate`` itself.
+erasure syndromes, "On decoding BCH codes", IEEE Trans. IT 1965). The
+product-matrix MSR reduction's rows of Q are located so, each with the
+row's own point erased; the MBR reduction's rows of Phi S Phi^t have no
+entry to erase.
 
 ``rs_decode_ee`` is the Berlekamp-Welch errors-and-erasures decoder,
 solving N(x_i) = y_i E(x_i) as a linear system per word. No codec path
@@ -177,17 +176,6 @@ def locate(
     syn = (syn[:, 1:] - x_e * syn[:, :-1]) % field.q
     skip = np.arange(len(points)) == erased[:, None]
     return _error_positions(syn, points, t, field, skip)
-
-
-def locate_off_diagonal(
-    values: np.ndarray, points: Sequence[int], msg_len: int, t: int, field: Fq
-) -> np.ndarray:
-    """`locate` for each row i of N square arrays (N, R, R) as a word at
-    every point but the i-th; entry i of row i is ignored and never flagged.
-    (N, R, R) masks. Needs R - 1 >= msg_len + 2t."""
-    n_words, r = values.shape[:2]
-    erased = np.tile(np.arange(r), n_words)
-    return locate(values.reshape(-1, r), points, msg_len, t, field, erased).reshape(values.shape)
 
 
 def _poly_divmod(num: Sequence[int], den: Sequence[int], field: Fq):

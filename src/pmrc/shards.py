@@ -223,7 +223,8 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.shape[1] * a.itemsize)))
 
 
-def write_shard(path, header: ShardHeader, body: np.ndarray, in_place: bool = False) -> None:
+def write_shard(path, header: ShardHeader, body: np.ndarray) -> None:
+    """Write the shard file ``path`` whole, through `replacing`."""
     params = header.enc.params
     if body.shape != (header.block_count, params.alpha):
         raise ParameterError(
@@ -231,7 +232,7 @@ def write_shard(path, header: ShardHeader, body: np.ndarray, in_place: bool = Fa
             f"alpha={params.alpha})"
         )
     head = header.pack()
-    with open(path, "wb") if in_place else replacing(path) as fp:
+    with replacing(path) as fp:
         fp.write(head)
         fp.write(np.ascontiguousarray(_rows(body.astype("<u2", copy=False))))
 
@@ -777,14 +778,14 @@ def _locate_msr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> n
     row therefore flags only wrong providers; a wrong provider is flagged by
     all but at most alpha' - 1 of the R - t or more clean rows, that is by
     more than t rows, and a correct one only by the t or fewer wrong rows.
-    Every row of every word is located by one `decoding.locate_off_diagonal`
-    call, as an R-point word with its own point erased."""
+    Every row of every word is located by one `decoding.locate` call, as an
+    R-point word with its own point erased."""
     points = [enc.point_of(i) for i in ids]
     q_mat = _msr_pq(y, ids, enc)[1]
-    flagged = decoding.locate_off_diagonal(
-        q_mat, points, enc.params.alpha_prime, t, enc.field
-    )
-    return flagged.sum(axis=1) > t
+    nb, r = q_mat.shape[:2]
+    flagged = decoding.locate(q_mat.reshape(-1, r), points, enc.params.alpha_prime, t,
+                              enc.field, erased=np.tile(np.arange(r), nb))
+    return flagged.reshape(q_mat.shape).sum(axis=1) > t
 
 
 def _msr_operands(y: np.ndarray, ids: list[int], enc: EncodingMatrix) -> np.ndarray:

@@ -40,6 +40,16 @@ def write_random_file(path, size, seed=0):
     return data
 
 
+def run_pmrc(*argv):
+    """``python -m pmrc.cli argv`` in a child process, through real pipes; the
+    child imports the same pmrc package as this process."""
+    src = os.path.dirname(os.path.dirname(pmrc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "pmrc.cli", *argv],
+                          capture_output=True, env=env)
+
+
 def encode(tmp_path, name="orig.bin", size=3000, mode="mbr", k=3, d=5, n=8, extra=()):
     src = tmp_path / name
     data = write_random_file(src, size)
@@ -871,6 +881,91 @@ def test_leftover_temporary_shard_is_not_a_shard(tmp_path, capsys):
     assert dest.read_bytes() == data
 
 
+def test_encode_over_a_set_leaves_each_shard_old_absent_or_new(tmp_path, monkeypatch):
+    """An encode over an existing set whose third rename fails exits 5 and
+    leaves shards 1-2 new, shard 3 absent and the rest old: the old shard
+    is deleted before its replacement is written, never cut short."""
+    _, out = encode(tmp_path, mode="msr", k=3, n=7)
+    old = {p.name: p.read_bytes() for p in out.iterdir()}
+    new, fresh = tmp_path / "new.bin", tmp_path / "fresh"
+    write_random_file(new, 3000, seed=1)
+    argv = ["encode", str(new), "--mode", "msr", "-k", "3", "-n", "7", "-o"]
+    assert main(argv + [str(fresh)]) == EXIT_OK
+    renames = []
+    replace = shards.os.replace
+
+    def third_fails(src, dst):
+        renames.append(dst)
+        if len(renames) == 3:
+            raise OSError(28, "No space left on device", src)
+        replace(src, dst)
+
+    monkeypatch.setattr(shards.os, "replace", third_fails)
+    assert main(argv + [str(out)]) == EXIT_IO
+    names = [shard_filename(i) for i in range(1, 8)]
+    assert sorted(p.name for p in out.iterdir()) == names[:2] + names[3:]
+    for name in names[:2]:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes() != old[name]
+    for name in names[3:]:
+        assert (out / name).read_bytes() == old[name]
+
+
+def test_encode_over_linked_shards(tmp_path):
+    """A shard that is a symbolic link stays one, pointing at the rewritten
+    target; a hard link to an old shard keeps the old bytes. Every shard
+    then equals a fresh encode, and no temporary file is left."""
+    _, out = encode(tmp_path, mode="mbr", k=3, d=5, n=8)
+    link, target = out / shard_filename(1), tmp_path / "elsewhere.shard"
+    os.replace(link, target)
+    link.symlink_to(target)
+    old2 = (out / shard_filename(2)).read_bytes()
+    os.link(out / shard_filename(2), tmp_path / "hard")
+    new, fresh = tmp_path / "new.bin", tmp_path / "fresh"
+    write_random_file(new, 3000, seed=1)
+    argv = ["encode", str(new), "--mode", "mbr", "-k", "3", "-d", "5", "-n", "8", "-o"]
+    assert main(argv + [str(fresh)]) == EXIT_OK
+    assert main(argv + [str(out)]) == EXIT_OK
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    for i in range(1, 9):
+        assert (out / shard_filename(i)).read_bytes() == (fresh / shard_filename(i)).read_bytes()
+    assert (tmp_path / "hard").read_bytes() == old2
+    assert not [p for p in tmp_path.rglob("*.tmp")]
+
+
+def test_stream_outputs_carry_only_their_data(tmp_path, capsys):
+    """`reconstruct -o /dev/stdout` and `simulate -o /dev/stdout` through a
+    real pipe hand the reader the output alone; the summary goes to stderr,
+    and to stdout when OUT is a regular file."""
+    data, out = encode(tmp_path, mode="msr", k=3, n=7)
+    capsys.readouterr()
+    assert main(["reconstruct", str(out), "-o", str(tmp_path / "back.bin")]) == EXIT_OK
+    got = capsys.readouterr()
+    assert got.out.startswith("reconstructed 3000 bytes") and got.err == ""
+    proc = run_pmrc("reconstruct", str(out), "-o", "/dev/stdout")
+    assert proc.returncode == EXIT_OK and proc.stdout == data
+    assert proc.stderr.startswith(b"reconstructed 3000 bytes")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"mode": "msr", "k": 3, "n": 7, "events": [
+        {"op": "fail", "node": 1}, {"op": "repair", "node": 1}]}))
+    proc = run_pmrc("simulate", str(scenario), "-o", "/dev/stdout")
+    assert proc.returncode == EXIT_OK
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(lines) == 3 and lines[-1]["summary"]["successes"] == 2
+    assert proc.stderr.startswith(b"wrote 2 event reports to /dev/stdout")
+
+
+def test_simulation_bigger_than_memory_is_infeasible(tmp_path, capsys):
+    """A scenario whose payload cannot be allocated (43.7 TiB) exits 3 with
+    one line, not numpy's MemoryError traceback."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(
+        {"mode": "msr", "k": 3, "n": 7, "blocks": 1000000000000, "events": []}))
+    assert main(["simulate", str(path)]) == EXIT_INFEASIBLE
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: infeasible: ")
+    assert out.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("q", [257, 65521])
 def test_shard_bodies_stay_u2(tmp_path, q):
     """Bodies are uint16 from encode_blocks through write_shard and
@@ -926,18 +1021,9 @@ def test_multi_slice_codes_end_to_end(tmp_path, capsys, mode, beta):
 
 
 def test_console_entry_point_runs():
-    # the child must import the same pmrc package as this process
-    src = os.path.dirname(os.path.dirname(pmrc.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pmrc.cli", "info", "--mode", "mbr", "-k", "2", "-d", "3", "-n", "6"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = run_pmrc("info", "--mode", "mbr", "-k", "2", "-d", "3", "-n", "6")
     assert proc.returncode == 0
-    assert "[6, 2, 3]" in proc.stdout
+    assert b"[6, 2, 3]" in proc.stdout
 
 
 def test_every_export_resolves():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pmrc import DecodeFailure, Fq, ParameterError
 from pmrc.decoding import (
-    Response, consistency_reconstruct, locate, locate_off_diagonal, rs_decode_ee,
+    Response, consistency_reconstruct, locate, rs_decode_ee,
 )
 from pmrc.linalg import matmul_mod, solve, vandermonde
 from oracles import AmbiguityError, rank, subset_decode_oracle
@@ -287,10 +287,18 @@ def test_locate_matches_rs_decode_ee_and_the_subset_oracle(data):
         assert mask.tolist() == [a != b for a, b in zip(evals(msg, points, q), values)]
 
 
-def test_locate_off_diagonal_leaves_each_rows_own_point_out():
-    """Row i of a square array is a word at every point but the i-th: its
-    diagonal entry is never read or flagged, and each row is located as
-    `locate` locates it at the other points."""
+def locate_rows_erased(values, points, msg_len, t, f):
+    """`locate` for each row i of N square arrays (N, R, R) as a word with
+    point i erased, as the MSR reconstruction locates its rows of Q."""
+    n_words, r = values.shape[:2]
+    erased = np.tile(np.arange(r), n_words)
+    return locate(values.reshape(-1, r), points, msg_len, t, f, erased).reshape(values.shape)
+
+
+def test_locate_erased_leaves_each_rows_own_point_out():
+    """Row i of a square array, located with point i erased, is a word at
+    every point but the i-th: its diagonal entry is never read or flagged,
+    and each row is located as `locate` locates it at the other points."""
     q, t, msg_len = 257, 1, 3
     f = Fq(q)
     rng = random.Random(3)
@@ -304,7 +312,7 @@ def test_locate_off_diagonal_leaves_each_rows_own_point_out():
             bad = rng.choice([j for j in range(len(points)) if j != i])
             word[i, bad] = (word[i, bad] + 1 + rng.randrange(q - 1)) % q
             word[i, i] = rng.randrange(q)  # the row's own point: never read
-    got = locate_off_diagonal(values, points, msg_len, t, f)
+    got = locate_rows_erased(values, points, msg_len, t, f)
     for word, masks in zip(values, got):
         for i, (row, mask) in enumerate(zip(word, masks)):
             others = [j for j in range(len(points)) if j != i]
@@ -315,7 +323,7 @@ def test_locate_off_diagonal_leaves_each_rows_own_point_out():
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
-def test_locate_off_diagonal_is_locate_at_the_other_points(data):
+def test_locate_erased_is_locate_at_the_other_points(data):
     """Each row of each square array is masked as `locate` masks it at the
     other R - 1 points, whatever its own entry holds: q in {29, 257, 65521},
     t in 0..3, point sets with and without 0, and 0 to t + 2 wrong entries
@@ -343,7 +351,7 @@ def test_locate_off_diagonal_is_locate_at_the_other_points(data):
         i = rng.randrange(r)
         scale = rng.randrange(1, q)
         values[0, i] = [scale * pow(points[i] - x, q - 2, q) % q for x in points]
-    got = locate_off_diagonal(values, points, msg_len, t, f)
+    got = locate_rows_erased(values, points, msg_len, t, f)
     assert got.shape == values.shape and got.dtype == bool
     for word, masks in zip(values, got):
         for i, (row, mask) in enumerate(zip(word, masks)):
@@ -352,7 +360,7 @@ def test_locate_off_diagonal_is_locate_at_the_other_points(data):
             assert not mask[i] and mask[others].tolist() == want[0].tolist()
 
 
-def test_locate_off_diagonal_memory_is_its_input():
+def test_locate_erased_memory_is_its_input():
     """MSR location at R = 60, t = 20 holds no more than a small multiple
     of its (1, R, R) word: nothing of size R^3."""
     import tracemalloc
@@ -363,7 +371,7 @@ def test_locate_off_diagonal_memory_is_its_input():
     values = rng.integers(0, 257, (1, 60, 60))
     tracemalloc.start()
     try:
-        locate_off_diagonal(values, points, 19, 20, f)
+        locate_rows_erased(values, points, 19, 20, f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -374,4 +382,4 @@ def test_locate_needs_room_for_the_budget():
     with pytest.raises(ParameterError):
         locate(np.zeros((1, 4), dtype=np.int64), [1, 2, 3, 4], 3, 1, F29)
     with pytest.raises(ParameterError):
-        locate_off_diagonal(np.zeros((1, 5, 5), dtype=np.int64), [1, 2, 3, 4, 5], 3, 1, F29)
+        locate_rows_erased(np.zeros((1, 5, 5), dtype=np.int64), [1, 2, 3, 4, 5], 3, 1, F29)
