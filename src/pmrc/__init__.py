@@ -2,32 +2,19 @@
 
 One fixed encoding serves every feasible (s, t) budget: erasures and silent
 corruptions during repair or reconstruction are absorbed by connecting to
-s + 2t extra nodes at decode time, never by re-encoding.
+s + 2t extra nodes at decode time, never by re-encoding. The codec's calls
+(encode, repair and reconstruct, on many blocks at once) are in `pmrc.shards`.
 """
 
-from .decoding import Response
 from .errors import (
     ConstructionError,
     DecodeFailure,
-    InconsistentSystemError,
     InfeasibleError,
     ParameterError,
     PmrcError,
-    SingularMatrixError,
 )
 from .field import Fq, default_modulus, is_prime, smallest_prime_at_least
 from .linalg import vandermonde
-from .perblock import (
-    NodeShare,
-    mbr_encode,
-    mbr_helper_symbol,
-    mbr_reconstruct,
-    mbr_repair,
-    msr_encode,
-    msr_helper_symbol,
-    msr_reconstruct,
-    msr_repair,
-)
 from .params import (
     CodeMode,
     EncodingMatrix,
@@ -52,13 +39,9 @@ __all__ = [
     "EncodingMatrix",
     "EventReport",
     "Fq",
-    "InconsistentSystemError",
     "InfeasibleError",
-    "NodeShare",
     "ParameterError",
     "PmrcError",
-    "Response",
-    "SingularMatrixError",
     "SystemParams",
     "build_encoding",
     "capacity_bound",
@@ -66,16 +49,8 @@ __all__ = [
     "encoding_from_points",
     "feasible_pairs",
     "is_prime",
-    "mbr_encode",
-    "mbr_helper_symbol",
     "mbr_params",
-    "mbr_reconstruct",
-    "mbr_repair",
-    "msr_encode",
-    "msr_helper_symbol",
     "msr_params",
-    "msr_reconstruct",
-    "msr_repair",
     "run_scenario",
     "smallest_prime_at_least",
     "vandermonde",

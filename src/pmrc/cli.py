@@ -136,8 +136,8 @@ def _check_writable(path, make_dirs: bool = False) -> None:
         raise OSError(code, os.strerror(code), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    # a pipe or a device is written in place, a file renamed into the folder
-    need = [path] if os.path.exists(path) and not os.path.isfile(path) else [folder, path]
+    # a path written in place needs no folder, a file renamed into it does
+    need = [path] if shards.written_in_place(path) else [folder, path]
     if not all(os.access(p, os.W_OK) for p in need if os.path.exists(p)):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
@@ -158,9 +158,9 @@ def cmd_repair(args) -> int:
 
 
 def _summary_stream(output):
-    """stdout, unless ``output`` was written in place (a pipe, a terminal or a
-    device such as /dev/stdout), where the summary would follow the data."""
-    return sys.stdout if os.path.isfile(output) else sys.stderr
+    """stdout, unless ``output`` was written in place (`shards.written_in_place`),
+    where the summary would follow the data."""
+    return sys.stderr if shards.written_in_place(output) else sys.stdout
 
 
 def cmd_reconstruct(args) -> int:

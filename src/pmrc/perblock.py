@@ -1,13 +1,12 @@
-"""Per-block calls: the batched codec of `pmrc.shards` on a batch of one block.
-
-msr_/mbr_encode take one block's B payload symbols; the helper-symbol, repair
-and reconstruct calls take a NodeShare or a word of `Response`s. Each call
+"""The tests' per-block harness: the batched codec of `pmrc.shards` on a
+batch of one block, taking and returning `decoding.Response` records. It is
+not public API, and stays in `src/` only because the benchmark tracer
+(perfbench/tracer.py) binds its calls through `pmrc.simulator`. Each call
 checks the code's mode and its arguments, then runs one codec step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,37 +17,29 @@ from .errors import ParameterError
 from .params import CodeMode, EncodingMatrix, SystemParams, connectivity
 
 
-@dataclass(frozen=True)
-class NodeShare:
-    """The alpha symbols a node stores for one block (slice-major order)."""
-
-    node_id: int
-    symbols: tuple[int, ...]
-
-
 def _check_mode(params: SystemParams, mode: CodeMode):
     if params.mode is not mode:
         name = mode.value.upper()
         raise ParameterError(f"{name} operation on non-{name} parameters")
 
 
-def _encode_one(payload: Sequence[int], enc: EncodingMatrix) -> list[NodeShare]:
+def _encode_one(payload: Sequence[int], enc: EncodingMatrix) -> list[Response]:
     width, q = enc.params.message_symbols, enc.field.q
     block = np.asarray(payload, dtype=np.int64)
     if block.shape != (width,) or ((block < 0) | (block >= q)).any():
         raise ParameterError(f"payload must be {width} elements of F_{q}")
     bodies = shards.encode_blocks(block[None], enc)
-    return [NodeShare(i, tuple(body[0].tolist())) for i, body in bodies.items()]
+    return [Response(i, tuple(body[0].tolist())) for i, body in bodies.items()]
 
 
 def _helper_one(
-    helper_share: NodeShare, failed_id: int, enc: EncodingMatrix
+    helper_share: Response, failed_id: int, enc: EncodingMatrix
 ) -> tuple[int, ...]:
     enc.check_node(failed_id)
     enc.check_node(helper_share.node_id)
     if failed_id == helper_share.node_id:
         raise ParameterError("a node cannot help repair itself")
-    if len(helper_share.symbols) != enc.params.alpha:
+    if len(helper_share.symbols or ()) != enc.params.alpha:
         raise ParameterError("helper share has wrong length")
     share = np.asarray([helper_share.symbols], dtype=np.int64)
     return tuple(shards.helper_symbols(share, failed_id, enc)[0].tolist())
@@ -88,11 +79,11 @@ def _received(
 
 def _repair_one(
     responses: Sequence[Response], failed_id: int, enc: EncodingMatrix, s: int, t: int
-) -> NodeShare:
+) -> Response:
     enc.check_node(failed_id)
     received = _received(responses, enc, s, t, failed_id)
     share = shards.decode_repair(received, failed_id, enc, t)
-    return NodeShare(failed_id, tuple(share[0].tolist()))
+    return Response(failed_id, tuple(share[0].tolist()))
 
 
 def _reconstruct_one(
@@ -102,14 +93,14 @@ def _reconstruct_one(
     return tuple(shards.decode_reconstruct(received, enc, t)[0].tolist())
 
 
-def msr_encode(payload: Sequence[int], enc: EncodingMatrix) -> list[NodeShare]:
+def msr_encode(payload: Sequence[int], enc: EncodingMatrix) -> list[Response]:
     """Every node's share of one block's B payload symbols: per slice, its
     psi row times the message matrix [S1; S2]."""
     _check_mode(enc.params, CodeMode.MSR)
     return _encode_one(payload, enc)
 
 
-def mbr_encode(payload: Sequence[int], enc: EncodingMatrix) -> list[NodeShare]:
+def mbr_encode(payload: Sequence[int], enc: EncodingMatrix) -> list[Response]:
     """Every node's share of one block's B payload symbols: per slice, its
     psi row times the symmetric message matrix [[S, T^t], [T, 0]]."""
     _check_mode(enc.params, CodeMode.MBR)
@@ -117,7 +108,7 @@ def mbr_encode(payload: Sequence[int], enc: EncodingMatrix) -> list[NodeShare]:
 
 
 def msr_helper_symbol(
-    helper_share: NodeShare, failed_id: int, enc: EncodingMatrix
+    helper_share: Response, failed_id: int, enc: EncodingMatrix
 ) -> tuple[int, ...]:
     """The beta repair symbols helper h sends for failed node f: per slice the
     inner product of h's stored row with phi_f. Depends only on h's own share
@@ -127,7 +118,7 @@ def msr_helper_symbol(
 
 
 def mbr_helper_symbol(
-    helper_share: NodeShare, failed_id: int, enc: EncodingMatrix
+    helper_share: Response, failed_id: int, enc: EncodingMatrix
 ) -> tuple[int, ...]:
     """Per slice, the helper's stored d-row dotted with psi_f; a function of
     the helper's own share and the failed id only."""
@@ -138,7 +129,7 @@ def mbr_helper_symbol(
 def msr_repair(
     responses: Sequence[Response], failed_id: int, enc: EncodingMatrix,
     s: int = 0, t: int = 0,
-) -> NodeShare:
+) -> Response:
     """Exact repair of the failed node's share from d+s+2t helper responses
     with at most s erased and at most t silently corrupted."""
     _check_mode(enc.params, CodeMode.MSR)
@@ -148,7 +139,7 @@ def msr_repair(
 def mbr_repair(
     responses: Sequence[Response], failed_id: int, enc: EncodingMatrix,
     s: int = 0, t: int = 0,
-) -> NodeShare:
+) -> Response:
     """Exact repair from d+s+2t responses; the decoded m_f = M psi_f is the
     lost share itself because M is symmetric."""
     _check_mode(enc.params, CodeMode.MBR)

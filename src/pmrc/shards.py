@@ -79,6 +79,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+import stat
 import struct
 import sys
 from collections import Counter
@@ -190,14 +191,29 @@ def shard_files(directory) -> list[str]:
     return sorted(f for f in names if f.startswith("node") and f.endswith(".shard"))
 
 
+def written_in_place(path) -> bool:
+    """Whether `replacing` writes ``path`` in place: a path that exists and is
+    not a regular file (a pipe, a terminal, a device), or the file stdout is
+    open on (``-o /dev/stdout >> log``), where a rename would drop what it held."""
+    try:
+        st = os.stat(path)
+        return not stat.S_ISREG(st.st_mode) or os.path.samestat(st, os.fstat(1))
+    except OSError:
+        return False
+
+
 @contextlib.contextmanager
 def replacing(path):
     """A binary file that replaces ``path`` once the block ends cleanly: it is
     written as ``<path>.tmp`` beside it (or beside a link's target), renamed
     over it, and removed on an exception, so ``path`` is never half written.
-    No fsync: a power loss is not covered. A pipe or a device is written in place."""
-    if not os.path.isfile(path) and os.path.exists(path):
-        with open(path, "wb") as fp:
+    No fsync: a power loss is not covered. A path `written_in_place` is
+    written as it is, stdout's own file through stdout's descriptor: so a
+    shell's ``>>`` keeps what the file held, and after a ``>`` the shell's
+    next write lands after the data, not over its start."""
+    if written_in_place(path):
+        stdout = os.path.isfile(path)  # the one regular file written in place
+        with os.fdopen(os.dup(1), "wb") if stdout else open(path, "wb") as fp:
             yield fp
         return
     path = os.path.realpath(path) if os.path.islink(path) else path

@@ -35,7 +35,7 @@ from .params import (
     connectivity,
 )
 # msr_*/mbr_* are not called here: bound so the benchmark tracer
-# (perfbench/tracer.py) resolves them, until ROADMAP item 2 retargets it.
+# (perfbench/tracer.py) resolves them, until ROADMAP item 1 retargets it.
 from .perblock import (  # noqa: F401
     mbr_encode, mbr_helper_symbol, mbr_reconstruct, mbr_repair,
     msr_encode, msr_helper_symbol, msr_reconstruct, msr_repair,

@@ -37,9 +37,9 @@ from typing import Sequence
 import numpy as np
 
 from pmrc import (
-    CodeMode, DecodeFailure, EncodingMatrix, Fq, ParameterError, PmrcError,
-    SingularMatrixError, SystemParams,
+    CodeMode, DecodeFailure, EncodingMatrix, Fq, ParameterError, PmrcError, SystemParams,
 )
+from pmrc.errors import SingularMatrixError
 from pmrc.linalg import _rref, left_inverse, matmul_mod, solve
 from pmrc.perblock import _check_mode
 from pmrc.shards import _slice_matrix_index, share_map

@@ -40,14 +40,20 @@ def write_random_file(path, size, seed=0):
     return data
 
 
-def run_pmrc(*argv):
-    """``python -m pmrc.cli argv`` in a child process, through real pipes; the
-    child imports the same pmrc package as this process."""
+def child_env():
+    """The environment in which a child process imports the same pmrc package
+    as this process."""
     src = os.path.dirname(os.path.dirname(pmrc.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_pmrc(*argv, stdout=subprocess.PIPE):
+    """``python -m pmrc.cli argv`` in a child process, through real pipes (or
+    the given ``stdout``)."""
     return subprocess.run([sys.executable, "-m", "pmrc.cli", *argv],
-                          capture_output=True, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, env=child_env())
 
 
 def encode(tmp_path, name="orig.bin", size=3000, mode="mbr", k=3, d=5, n=8, extra=()):
@@ -784,6 +790,26 @@ def test_repair_checks_its_output_before_reading(tmp_path, monkeypatch):
     assert not (tmp_path / "fresh").exists()
 
 
+def test_output_folder_without_write_permission_exits_io(tmp_path, monkeypatch, capsys):
+    """An output folder the user may not write to exits 5 ("Permission
+    denied") before any body is read, and leaves no temporary file. A root
+    user may write anywhere, so `os.access` is made to deny that folder."""
+    _, out = encode(tmp_path, mode="mbr", k=3, d=5, n=8)
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    access = os.access
+    monkeypatch.setattr(pmrc.cli.os, "access",
+                        lambda p, mode: os.path.abspath(p) != str(locked) and access(p, mode))
+    reads = _count_body_reads(monkeypatch)
+    capsys.readouterr()
+    for argv in (["reconstruct", str(out), "-o", str(locked / "back.bin")],
+                 ["repair", str(out), "--node", "1", "-o", str(locked)]):
+        assert main(argv) == EXIT_IO
+        assert "Permission denied" in capsys.readouterr().err
+    assert reads == [] and list(locked.iterdir()) == []
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_failed_shard_write_leaves_the_old_shard(tmp_path):
     """A write_shard that raises after the header went out (a full disk, as
     the body is converted) leaves the shard it would have replaced
@@ -952,6 +978,53 @@ def test_stream_outputs_carry_only_their_data(tmp_path, capsys):
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
     assert len(lines) == 3 and lines[-1]["summary"]["successes"] == 2
     assert proc.stderr.startswith(b"wrote 2 event reports to /dev/stdout")
+
+
+def test_out_that_is_stdouts_file_is_appended_to(tmp_path):
+    """`-o /dev/stdout >> log`: OUT is the file stdout is open on, so it is
+    written in place through stdout, never renamed over. The log keeps what
+    it held, stays the same file, and the summary goes to stderr. After
+    `> log` (truncated, not appending) the next write to that stdout, as in
+    `{ pmrc ...; echo done; } > log`, lands after the output."""
+    data, out = encode(tmp_path, mode="msr", k=3, n=7)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"mode": "msr", "k": 3, "n": 7, "events": [
+        {"op": "fail", "node": 1}, {"op": "repair", "node": 1}]}))
+    log = tmp_path / "log"
+    log.write_bytes(b"KEEP")
+    inode = os.stat(log).st_ino
+    with open(log, "ab") as fp:
+        proc = run_pmrc("reconstruct", str(out), "-o", "/dev/stdout", stdout=fp)
+    assert proc.returncode == EXIT_OK
+    assert log.read_bytes() == b"KEEP" + data and os.stat(log).st_ino == inode
+    assert proc.stderr.startswith(b"reconstructed 3000 bytes")
+    with open(log, "ab") as fp:
+        proc = run_pmrc("simulate", str(scenario), "-o", "/dev/stdout", stdout=fp)
+    assert proc.returncode == EXIT_OK
+    tail = log.read_bytes()[len(data) + 4:]
+    lines = [json.loads(line) for line in tail.splitlines()]
+    assert len(lines) == 3 and lines[-1]["summary"]["successes"] == 2
+    assert proc.stderr.startswith(b"wrote 2 event reports to /dev/stdout")
+    with open(log, "wb") as fp:
+        proc = run_pmrc("reconstruct", str(out), "-o", "/dev/stdout", stdout=fp)
+        fp.write(b"done")
+    assert proc.returncode == EXIT_OK and log.read_bytes() == data + b"done"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_reader_that_stops_early_ends_the_output_quietly(tmp_path):
+    """`pmrc reconstruct DIR -o /dev/stdout | head -c 10`: the reader closes
+    the pipe after 10 bytes, so the write meets a broken pipe; the command
+    exits 0 with nothing on stderr. The file is bigger than a pipe holds."""
+    data, out = encode(tmp_path, mode="msr", k=3, n=7, size=300_000)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pmrc.cli", "reconstruct", str(out), "-o", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    )
+    assert proc.stdout.read(10) == data[:10]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == EXIT_OK and err == b""
 
 
 def test_simulation_bigger_than_memory_is_infeasible(tmp_path, capsys):

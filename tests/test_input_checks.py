@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from pmrc import (
-    ClusterState, CodeMode, Fq, NodeShare, ParameterError, SystemParams, build_encoding,
-    linalg, msr_helper_symbol, msr_params, run_scenario,
+    ClusterState, CodeMode, Fq, ParameterError, SystemParams, build_encoding,
+    linalg, msr_params, run_scenario,
 )
-from pmrc.decoding import rs_decode_ee
+from pmrc.decoding import Response, rs_decode_ee
+from pmrc.perblock import msr_helper_symbol
 from pmrc.shards import ShardHeader, blocks_to_bytes, encode_blocks, write_shard
 
 PARAMS = msr_params(k=2, n=5)
@@ -29,7 +30,7 @@ CASES = [
      "data_len exceeds decoded payload"),
     (lambda tmp: encode_blocks(np.zeros((1, PARAMS.message_symbols + 1), dtype=np.int64), ENC),
      "payload block width must be B"),
-    (lambda tmp: msr_helper_symbol(NodeShare(1, (0, 0)), 2, ENC),
+    (lambda tmp: msr_helper_symbol(Response(1, (0, 0)), 2, ENC),
      "helper share has wrong length"),
     (lambda tmp: _failed_node_share(), "node 2 is failed"),
     (lambda tmp: run_scenario({"mode": "msr", "k": 2, "n": 5, "events": [{"node": 1}]}),

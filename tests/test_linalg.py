@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from pmrc import (
     Fq,
-    InconsistentSystemError,
     ParameterError,
-    SingularMatrixError,
     build_encoding,
     mbr_params,
     msr_params,
     smallest_prime_at_least,
 )
+from pmrc.errors import InconsistentSystemError, SingularMatrixError
 from pmrc.linalg import (
     _SMALL,
     _STEP,

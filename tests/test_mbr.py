@@ -9,13 +9,11 @@ from pmrc import (
     ParameterError,
     build_encoding,
     feasible_pairs,
-    mbr_encode,
-    mbr_helper_symbol,
     mbr_params,
-    mbr_repair,
     msr_params,
 )
 from pmrc.decoding import Response
+from pmrc.perblock import mbr_encode, mbr_helper_symbol, mbr_repair
 from oracles import mbr_fill_message, mbr_read_message
 from util import (
     apply_faults, fault_patterns, make_code, psi_m_basis, random_payload, seeded,

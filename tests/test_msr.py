@@ -11,13 +11,10 @@ from pmrc import (
     build_encoding,
     feasible_pairs,
     mbr_params,
-    msr_encode,
-    msr_helper_symbol,
     msr_params,
-    msr_reconstruct,
-    msr_repair,
 )
 from pmrc.decoding import Response
+from pmrc.perblock import msr_encode, msr_helper_symbol, msr_reconstruct, msr_repair
 from oracles import msr_fill_message, msr_read_message, msr_systematic_remap
 from util import (
     apply_faults, fault_patterns, make_code, psi_m_basis, random_payload, seeded,

@@ -15,7 +15,6 @@ from pmrc import (
     Fq,
     InfeasibleError,
     ParameterError,
-    Response,
     build_encoding,
     encoding_from_points,
     linalg,
@@ -23,7 +22,7 @@ from pmrc import (
     msr_params,
 )
 from pmrc import decoding, shards
-from pmrc.decoding import consistency_reconstruct
+from pmrc.decoding import Response, consistency_reconstruct
 from pmrc.shards import (
     ShardHeader,
     blocks_to_bytes,

@@ -9,6 +9,9 @@ from pmrc import (
     Fq,
     build_encoding,
     encoding_from_points,
+)
+from pmrc.decoding import Response
+from pmrc.perblock import (
     mbr_encode,
     mbr_helper_symbol,
     mbr_reconstruct,
@@ -18,7 +21,6 @@ from pmrc import (
     msr_reconstruct,
     msr_repair,
 )
-from pmrc.decoding import Response
 from pmrc.shards import encode_blocks
 
 
