@@ -158,9 +158,9 @@ def cmd_repair(args) -> int:
 
 
 def _summary_stream(output):
-    """stdout, unless ``output`` was written in place (`shards.written_in_place`),
-    where the summary would follow the data."""
-    return sys.stderr if shards.written_in_place(output) else sys.stdout
+    """stdout, unless ``output`` was written in place (`shards.written_in_place`)
+    other than as stderr's file, where the summary would follow the data."""
+    return sys.stderr if shards.written_in_place(output) in (1, -1) else sys.stdout
 
 
 def cmd_reconstruct(args) -> int:

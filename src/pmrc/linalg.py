@@ -33,7 +33,7 @@ _STEP = 1 << 16
 # rows per step at least, so that a wide b is not streamed again every step
 _STEP_ROWS = 256
 # below this many multiply-adds the BLAS call and the float reduction cost
-# more than an int64 product (the per-block codec's word-sized products)
+# more than an int64 product (the located words' and small files' products)
 _SMALL = 1 << 14
 
 

@@ -65,12 +65,13 @@ alone, then chunks) are located by Reed-Solomon error location
 (`decoding.locate`: directly for repair; for reconstruction, by a vote of
 the located rows of Phi S Phi^t for MBR, with its T columns, or of Q for
 MSR), then the chunk's most common positions decode every undecided word,
-and each other group of positions its own words. A pass over many words
-applies one inverse: a gather of the layout when the inverted symbols are
-nodes 1..k of a systematic code, else for reconstruction the product-matrix
-inverse memoized in `_reconstruct_inverse` and for repair the Vandermonde
-inverse memoized in `linalg.vandermonde_inverse`, so a later decode from
-the same providers builds none. The file-level calls, the simulator and
+and each other group of positions its own words. Each decode's own solve
+step gives a pass its candidates: repair applies the Vandermonde inverse
+memoized in `linalg.vandermonde_inverse`; reconstruction gathers the layout
+when the pass reads nodes 1..k of a systematic code, reconstructs each of
+fewer than k * alpha' words, and otherwise applies the product-matrix
+inverse memoized in `_reconstruct_inverse`. So a later decode from the same
+providers builds no inverse. The file-level calls, the simulator and
 `pmrc.perblock` (batches of one block) all run them.
 """
 
@@ -191,15 +192,21 @@ def shard_files(directory) -> list[str]:
     return sorted(f for f in names if f.startswith("node") and f.endswith(".shard"))
 
 
-def written_in_place(path) -> bool:
-    """Whether `replacing` writes ``path`` in place: a path that exists and is
-    not a regular file (a pipe, a terminal, a device), or the file stdout is
-    open on (``-o /dev/stdout >> log``), where a rename would drop what it held."""
+def written_in_place(path) -> int | None:
+    """How `replacing` writes ``path`` in place, or None when it renames a new
+    file over it (a regular file, or none yet): 1 or 2 when it is the file
+    stdout or stderr is open on (``-o /dev/stdout >> log``), where a rename
+    would drop what it held, else -1 for any other path that exists and is
+    not a regular file (a pipe, a terminal, a device)."""
     try:
         st = os.stat(path)
-        return not stat.S_ISREG(st.st_mode) or os.path.samestat(st, os.fstat(1))
     except OSError:
-        return False
+        return None
+    for fd in (1, 2):
+        with contextlib.suppress(OSError):  # a closed stream
+            if os.path.samestat(st, os.fstat(fd)):
+                return fd
+    return None if stat.S_ISREG(st.st_mode) else -1
 
 
 @contextlib.contextmanager
@@ -208,12 +215,13 @@ def replacing(path):
     written as ``<path>.tmp`` beside it (or beside a link's target), renamed
     over it, and removed on an exception, so ``path`` is never half written.
     No fsync: a power loss is not covered. A path `written_in_place` is
-    written as it is, stdout's own file through stdout's descriptor: so a
-    shell's ``>>`` keeps what the file held, and after a ``>`` the shell's
-    next write lands after the data, not over its start."""
-    if written_in_place(path):
-        stdout = os.path.isfile(path)  # the one regular file written in place
-        with os.fdopen(os.dup(1), "wb") if stdout else open(path, "wb") as fp:
+    written as it is, the file of stdout or stderr through a copy of that
+    stream's descriptor: so a shell's ``>>`` keeps what the file held, and
+    after a ``>`` the shell's next write lands after the data, not over its
+    start."""
+    fd = written_in_place(path)
+    if fd:
+        with os.fdopen(os.dup(fd), "wb") if fd > 0 else open(path, "wb") as fp:
             yield fp
         return
     path = os.path.realpath(path) if os.path.islink(path) else path
@@ -427,10 +435,11 @@ def _share_map_layout(enc: EncodingMatrix) -> tuple[np.ndarray, np.ndarray | Non
     coefficient in share column w. The operand's blocks are symmetric, so
     no symbol sits twice in one column and no two cells add up. A systematic
     code's map is that one times the inverse L of its rows P, the nonzero
-    columns of nodes 1..k's `_build_inverse` (for MBR the symbols
-    `_mbr_fill` keeps), which makes row P_j the unit row e_j. At nonzero
-    points P is every row of nodes 1..k for MSR, so node i stores u's i-th
-    run of alpha' symbols, and node i's first d - i + 1 symbols for MBR.
+    columns of nodes 1..k's `_build_inverse` in the product-matrix basis
+    (the code's flags-0 twin; for MBR the symbols `_mbr_fill` keeps), which
+    makes row P_j the unit row e_j. At nonzero points P is every row of
+    nodes 1..k for MSR, so node i stores u's i-th run of alpha' symbols,
+    and node i's first d - i + 1 symbols for MBR.
     By the scatter, column w of every node's map is psi's columns r times
     L's rows idx[r, w]: alpha' products of at most d inner terms, each the
     size of one column of the map, so the build peaks at little more than
@@ -443,7 +452,8 @@ def _share_map_layout(enc: EncodingMatrix) -> tuple[np.ndarray, np.ndarray | Non
         r, w = np.nonzero(idx >= 0)
         amap[:, w, idx[r, w]] = enc.psi[:, r]
     else:
-        inv = _build_inverse(enc, list(range(1, params.k + 1)), None)
+        twin = encoding_from_points(params, enc.field, enc.points, systematic=False)
+        inv = _build_inverse(twin, list(range(1, params.k + 1)))
         layout = np.flatnonzero(inv.any(axis=0))
         layout.setflags(write=False)
         inv = inv[:, layout]
@@ -558,8 +568,7 @@ _LOCATE_CHUNK = 2048
 
 def _locate_then_erase(
     ys: list[np.ndarray], gen: np.ndarray, need: int, t: int, field: Fq,
-    invert, decode, locate, per_block: int, layout: np.ndarray | None,
-    counts: dict | None = None,
+    solve, locate, per_block: int, counts: dict | None = None,
 ) -> np.ndarray:
     """Messages (nwords, L) of nwords independent codewords, one per row,
     from the R positions that answered: ys[r] holds position r's (nwords, w)
@@ -571,18 +580,15 @@ def _locate_then_erase(
     lowest word that has none. ``counts``, when given, receives the number
     of passes, of located words and of distinct masks.
 
-    A pass inverts ``need`` positions, its rows, for a set of words: each
-    word gets the candidate those positions determine, accepted when it
-    agrees with at least R - t positions. A pass over need * w words or more
-    applies the (L, need * w) left inverse ``invert(rows)`` of the rows'
-    stacked code map, built once per rows, and re-encodes only the symbols
-    it did not read: it reproduces the ones it read. ``layout``, when given,
-    names the L stacked symbols of positions 0..need-1 whose code map rows
-    are e_0..e_{L-1} (a systematic code's layout, the positions being nodes
-    1..k): a pass that inverts those positions gathers them. A pass over
-    fewer words takes ``decode(rows, symbols)`` of their (g, need * w)
-    symbols, which need only give the message when those symbols are right,
-    and re-encodes every position.
+    A pass solves ``need`` positions, its rows, for a set of words:
+    ``solve(rows, symbols)`` takes the words' (g, need * w) symbols at those
+    rows and gives each word the (g, L) candidate they determine, with the
+    columns of ``symbols`` the candidates reproduce by construction, or None
+    when it makes no such promise (it need only give the message when those
+    symbols are right). A candidate is accepted when it agrees with at least
+    R - t positions; every symbol it does not reproduce is re-encoded and
+    compared, the code map of those symbols taken once per decode and set
+    of reproduced columns.
 
     Each word is located at most once, by one loop that repeats two steps
     until no word is undecided:
@@ -593,14 +599,14 @@ def _locate_then_erase(
     - pass: the chunk's most common rows run over every undecided word,
       and each other row set over its own located words.
     A located word still undecided after its round has no message: its
-    mask flags more than t positions, its rows already ran over every
-    undecided word, or its own pass rejected it. At t = 0 nothing can be
-    located, and the one pass is the first ``need`` positions over every
-    word. A mask is exact for a word that has an acceptable message, and
-    then its rows' pass accepts it; otherwise it is only a suggestion, and
-    no pass accepts a word that has none. Only located words fail, and each
-    chunk is the lowest undecided words, so the first round that leaves a
-    word undecided names the lowest word without a message."""
+    mask flags more than t positions, or its rows' pass rejected it. At
+    t = 0 nothing can be located, and the one pass is the first ``need``
+    positions over every word. A mask is exact for a word that has an
+    acceptable message, and then its rows' pass accepts it; otherwise it is
+    only a suggestion, and no pass accepts a word that has none. Only
+    located words fail, and each chunk is the lowest undecided words, so the
+    first round that leaves a word undecided names the lowest word without
+    a message."""
     n_pos = len(ys)
     if t < 0 or n_pos < need + 2 * t:
         raise ParameterError(
@@ -612,55 +618,41 @@ def _locate_then_erase(
     q = field.q
     maps = gen.reshape(-1, gen.shape[2])  # row r * w + j: symbol j of position r
     flat = word.reshape(nwords, n_pos * w)
-    setups: dict[bytes, tuple] = {}
-
-    def setup(rows: np.ndarray, syms: np.ndarray, gather: bool) -> tuple:
-        inv = None if gather else invert(rows).T
-        read = layout if gather else syms[inv.any(axis=1)]
-        check = np.ones(flat.shape[1], dtype=bool)
-        check[read] = False  # reproduced by construction
-        checked = np.flatnonzero(check)
-        groups: dict[int, list[int]] = {}  # position -> its checked columns
-        for c, r in enumerate((checked // w).tolist()):
-            groups.setdefault(r, []).append(c)
-        return inv, checked, list(groups.values()), maps[checked].T
+    checks: dict[bytes, tuple] = {}  # reproduced columns -> how to check the rest
 
     def attempt(rows: np.ndarray, part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         syms = (rows[:, None] * w + np.arange(w)).ravel()
-        gather = layout is not None and rows[-1] == need - 1
-        # a few words: re-encoding every position costs less than an
-        # inverse and the check of the symbols it did not read
-        few = part.shape[0] < need * w
-        if not few:
-            key = rows.tobytes()
-            if key not in setups:
-                setups[key] = setup(rows, syms, gather)
-            inv, checked, groups, check_map = setups[key]
-        if gather:
-            cand = _columns(part, layout).astype(np.uint16, copy=False)
-        elif few:
-            cand = decode(rows, _columns(part, syms))
-        else:
-            cand = linalg.matmul_mod(_columns(part, syms), inv, q)
-        if few:
+        cand, reproduced = solve(rows, _columns(part, syms))
+        if reproduced is None:
             again = linalg.matmul_mod(cand, maps.T, q).reshape(part.shape[0], n_pos, w)
             agree = (again == part.reshape(again.shape)).all(axis=2).sum(axis=1)
             return cand, agree >= n_pos - t
-        agree = np.full(cand.shape[0], n_pos - len(groups))
-        if groups:
-            same = linalg.matmul_mod(cand, check_map, q) == _columns(part, checked)
-            # whole-column steps over the short symbol axis: numpy's
-            # reductions along a short innermost axis cost several times more
-            for first, *rest in groups:
-                for c in rest:
-                    same[:, first] &= same[:, c]
-                agree += same[:, first]
-        return cand, agree >= n_pos - t
+        kept = syms[reproduced]
+        key = kept.tobytes()
+        if key not in checks:
+            unread = np.ones(flat.shape[1], dtype=bool)
+            unread[kept] = False
+            checked = unread.nonzero()[0]
+            groups: dict[int, list[int]] = {}  # position -> its checked columns
+            for c, r in enumerate((checked // w).tolist()):
+                groups.setdefault(r, []).append(c)
+            firsts = [cs[0] for cs in groups.values()]
+            pairs = [(cs[0], c) for cs in groups.values() for c in cs[1:]]
+            checks[key] = checked, firsts, pairs, maps[checked].T
+        checked, firsts, pairs, check_map = checks[key]
+        if not firsts:  # every position reproduced
+            return cand, np.ones(cand.shape[0], dtype=bool)
+        same = linalg.matmul_mod(cand, check_map, q) == _columns(part, checked)
+        # whole-column ANDs per position: numpy's reductions along a short
+        # innermost axis cost several times more
+        for first, c in pairs:
+            same[:, first] &= same[:, c]
+        # the reproduced positions agree; R - t in all needs len(firsts) - t here
+        return cand, same[:, firsts].sum(axis=1) >= len(firsts) - t
 
     out = None  # allocated once a pass leaves a word undecided
     undecided = np.ones(nwords, dtype=bool)
     left = np.arange(nwords)  # the undecided words, ascending
-    swept: set[bytes] = set()  # rows that ran over every undecided word
     passes, located, patterns = 0, 0, set()
 
     def done(out):
@@ -685,11 +677,9 @@ def _locate_then_erase(
                     sets.setdefault(rows.tobytes(), (rows, []))[1].extend(js)
         else:  # nothing to locate: the first need positions, over every word
             sets[b""] = (np.arange(need), [])
-        fresh = sorted((s for key, s in sets.items() if key not in swept),
-                       key=lambda s: -len(s[1]))
-        for n_set, (rows, js) in enumerate(fresh):
+        ranked = sorted(sets.values(), key=lambda s: -len(s[1]))
+        for n_set, (rows, js) in enumerate(ranked):
             if not n_set:  # the chunk's most common rows: over every undecided word
-                swept.add(rows.tobytes())
                 them = left
             else:
                 them = idx[js]
@@ -722,19 +712,20 @@ def poly_decode(
     a list of rows) to (msg_len, ncols) coefficients, tolerating up to t
     wrong rows per column; needs R >= msg_len + 2t. Columns that are not
     clean are located together (`decoding.locate`); a failure names the
-    block of ``per_block`` consecutive columns it belongs to. The inverse
-    of a pass's rows is the memoized Vandermonde inverse of their points."""
+    block of ``per_block`` consecutive columns it belongs to. A pass applies
+    the memoized Vandermonde inverse of its rows' points, which reproduces
+    every symbol it reads."""
     points = tuple(int(x) for x in points)
 
-    def invert(rows):
-        return linalg.vandermonde_inverse(field, tuple(points[r] for r in rows))
+    def solve(rows, used):
+        inv = linalg.vandermonde_inverse(field, tuple(points[r] for r in rows))
+        return linalg.matmul_mod(used, inv.T, field.q), np.arange(used.shape[1])
 
     return _locate_then_erase(
         [row[:, None] for row in y], linalg.vandermonde(field, points, msg_len)[:, None, :],
-        msg_len, t, field, invert,
-        lambda rows, used: linalg.matmul_mod(used, invert(rows).T, field.q),
+        msg_len, t, field, solve,
         lambda word: decoding.locate(word[:, :, 0], points, msg_len, t, field),
-        per_block, None, counts,
+        per_block, counts,
     ).T
 
 
@@ -903,23 +894,21 @@ def _mbr_fill(y: np.ndarray, ids: list[int], enc: EncodingMatrix) -> np.ndarray:
     return y
 
 
-def _reconstruct_apply(
-    enc: EncodingMatrix, ids: list[int], layout: np.ndarray | None, y: np.ndarray
-) -> np.ndarray:
+def _reconstruct_apply(enc: EncodingMatrix, ids: list[int], y: np.ndarray) -> np.ndarray:
     """(nb, B') uint16 messages of nb words of k shares y (nb, k, alpha') of
     providers ids, by Rashmi-Shah-Kumar's product-matrix reconstruction: a
-    few k- and (k-1)-point Vandermonde solves. With ``layout`` None it gives
-    the product-matrix message; with a systematic code's layout, the
-    payload: the operand re-encoded on nodes 1..k, read at those rows. MBR
-    reads every symbol of y: shares that hold a codeword give its message."""
+    few k- and (k-1)-point Vandermonde solves. In the product-matrix basis
+    it gives the operand's symbols; in a systematic code, the payload: the
+    operand re-encoded on nodes 1..k, read at the code's layout. MBR reads
+    every symbol of y: shares that hold a codeword give its message."""
     params = enc.params
     q, nb = enc.field.q, y.shape[0]
     ops = (_msr_operands if params.mode is CodeMode.MSR else _mbr_operands)(y, ids, enc)
-    if layout is None:
+    if not enc.systematic:
         values, cells = np.unique(_slice_matrix_index(params), return_index=True)
         return ops.reshape(nb, -1)[:, cells[values >= 0]].astype(np.uint16)
     shares = _batch_product(enc.psi[: params.k], ops, q)
-    return shares.reshape(nb, -1)[:, layout]
+    return shares.reshape(nb, -1)[:, _share_map_layout(enc)[1]]
 
 
 # identity rows one `_build_inverse` step fills and applies, so that its
@@ -930,9 +919,7 @@ _INVERSE_SLAB = 128
 _INVERSE_MEMO_BYTES = 1 << 19
 
 
-def _build_inverse(
-    enc: EncodingMatrix, ids: list[int], layout: np.ndarray | None
-) -> np.ndarray:
+def _build_inverse(enc: EncodingMatrix, ids: list[int]) -> np.ndarray:
     """The (B', k * alpha') read-only uint16 left inverse of providers ids'
     stacked share maps that reads the B' symbols `_mbr_fill` keeps (for
     MSR, all): the `_reconstruct_apply` of the identity's rows, for MBR
@@ -947,27 +934,24 @@ def _build_inverse(
         unit = unit.reshape(-1, params.k, params.alpha_prime)
         if params.mode is CodeMode.MBR:
             unit = _mbr_fill(unit, ids, enc)
-        inv[:, at : at + unit.shape[0]] = _reconstruct_apply(enc, ids, layout, unit).T
+        inv[:, at : at + unit.shape[0]] = _reconstruct_apply(enc, ids, unit).T
     inv.setflags(write=False)
     return inv
 
 
 @functools.lru_cache(maxsize=64)
-def _memo_inverse(enc: EncodingMatrix, ids: tuple[int, ...], systematic: bool) -> np.ndarray:
-    return _build_inverse(enc, list(ids), _share_map_layout(enc)[1] if systematic else None)
+def _memo_inverse(enc: EncodingMatrix, ids: tuple[int, ...]) -> np.ndarray:
+    return _build_inverse(enc, list(ids))
 
 
-def _reconstruct_inverse(
-    enc: EncodingMatrix, ids: list[int], layout: np.ndarray | None
-) -> np.ndarray:
-    """`_build_inverse`, built once per (code, ids in order, basis) and
-    shared: the inverse depends on which providers are read, never on the
-    data. ``layout`` is None or the code's own layout; an inverse over
-    `_INVERSE_MEMO_BYTES` is built every time and not kept."""
+def _reconstruct_inverse(enc: EncodingMatrix, ids: list[int]) -> np.ndarray:
+    """`_build_inverse`, built once per (code, ids in order) and shared: the
+    inverse depends on which providers are read, never on the data. An
+    inverse over `_INVERSE_MEMO_BYTES` is built every time and not kept."""
     params = enc.params
     if 2 * params.slice_symbols * params.k * params.alpha_prime > _INVERSE_MEMO_BYTES:
-        return _build_inverse(enc, ids, layout)
-    return _memo_inverse(enc, tuple(ids), layout is not None)
+        return _build_inverse(enc, ids)
+    return _memo_inverse(enc, tuple(ids))
 
 
 def decode_reconstruct(
@@ -976,23 +960,36 @@ def decode_reconstruct(
 ) -> np.ndarray:
     """The (nblocks, B) payload from node_id -> (nblocks, alpha) shares of the
     nodes that answered, up to t of them corrupt; exact when at least k + 2t
-    answered. Every slice of every block is one word: a large pass applies
-    the left inverse of its k providers' stacked share maps
-    (`_reconstruct_inverse`), a small one the product-matrix reconstruction
-    itself (`_reconstruct_apply`). The wrong shares of words that are not
-    clean are located by the product-matrix reduction to RS location."""
+    answered. Every slice of every block is one word. A pass over nodes
+    1..k of a systematic code gathers the payload at the code's layout; any
+    other pass over fewer than k * alpha' words applies the product-matrix
+    reconstruction itself (`_reconstruct_apply`) and promises nothing, and
+    a larger one the left inverse of its k providers' stacked share maps
+    (`_reconstruct_inverse`), which reproduces the symbols it reads. The
+    wrong shares of words that are not clean are located by the
+    product-matrix reduction to RS location."""
     params = enc.params
     ids = list(shares)
     amap, layout = _share_map_layout(enc)
+    first_k = list(range(1, params.k + 1))
     locate_mode = _locate_msr if params.mode is CodeMode.MSR else _locate_mbr
+
+    def solve(rows, used):
+        providers = [ids[r] for r in rows]
+        if layout is not None and providers == first_k:
+            return _columns(used, layout).astype(np.uint16, copy=False), layout
+        if used.shape[0] < params.k * params.alpha_prime:
+            # a few words: their own reconstruction, re-encoded at every
+            # position, costs less than an inverse and its check
+            y = used.reshape(used.shape[0], params.k, -1)
+            return _reconstruct_apply(enc, providers, y), None
+        inv = _reconstruct_inverse(enc, providers)
+        return linalg.matmul_mod(used, inv.T, enc.field.q), np.flatnonzero(inv.any(axis=0))
+
     out = _locate_then_erase(
         [shares[i].reshape(-1, params.alpha_prime) for i in ids],
-        amap[[i - 1 for i in ids]], params.k, t, enc.field,
-        lambda rows: _reconstruct_inverse(enc, [ids[r] for r in rows], layout),
-        lambda rows, used: _reconstruct_apply(
-            enc, [ids[r] for r in rows], layout, used.reshape(used.shape[0], params.k, -1)),
-        lambda word: locate_mode(word, ids, enc, t), params.beta,
-        layout if ids[: params.k] == list(range(1, params.k + 1)) else None, counts,
+        amap[[i - 1 for i in ids]], params.k, t, enc.field, solve,
+        lambda word: locate_mode(word, ids, enc, t), params.beta, counts,
     )
     return out.reshape(-1, params.message_symbols)
 

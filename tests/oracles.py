@@ -100,13 +100,12 @@ def subset_decode_oracle(
     return candidates.pop()
 
 
-def locate_then_erase_full(ys, gen, need, t, field, invert, decode, locate, per_block,
-                           layout, counts=None):
+def locate_then_erase_full(ys, gen, need, t, field, solve, locate, per_block, counts=None):
     """`pmrc.shards._locate_then_erase` (same arguments, results and
     DecodeFailure text) without its shortcuts: one pass over every word
     left, then one word located at a time, and every pass eliminates the
-    stacked code map of the positions it inverts, so ``invert``, ``decode``
-    and ``layout`` are not read and ``counts`` is left as it is."""
+    stacked code map of the positions it inverts, so ``solve`` is not read
+    and ``counts`` is left as it is."""
     n_pos = len(ys)
     if t < 0 or n_pos < need + 2 * t:
         raise ParameterError(

@@ -49,11 +49,11 @@ def child_env():
     return env
 
 
-def run_pmrc(*argv, stdout=subprocess.PIPE):
+def run_pmrc(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     """``python -m pmrc.cli argv`` in a child process, through real pipes (or
-    the given ``stdout``)."""
+    the given ``stdout`` and ``stderr``)."""
     return subprocess.run([sys.executable, "-m", "pmrc.cli", *argv],
-                          stdout=stdout, stderr=subprocess.PIPE, env=child_env())
+                          stdout=stdout, stderr=stderr, env=child_env())
 
 
 def encode(tmp_path, name="orig.bin", size=3000, mode="mbr", k=3, d=5, n=8, extra=()):
@@ -1010,6 +1010,32 @@ def test_out_that_is_stdouts_file_is_appended_to(tmp_path):
         fp.write(b"done")
     assert proc.returncode == EXIT_OK and log.read_bytes() == data + b"done"
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_out_that_is_stderrs_file_is_appended_to(tmp_path):
+    """`-o /dev/stderr 2>> log`: OUT is the file stderr is open on, so it is
+    written in place through stderr, never renamed over. The log keeps what
+    it held and stays the same file, and the summary goes to stdout."""
+    data, out = encode(tmp_path, mode="msr", k=3, n=7)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"mode": "msr", "k": 3, "n": 7, "events": [
+        {"op": "fail", "node": 1}, {"op": "repair", "node": 1}]}))
+    log = tmp_path / "log"
+    log.write_bytes(b"KEEP")
+    inode = os.stat(log).st_ino
+    with open(log, "ab") as fp:
+        proc = run_pmrc("reconstruct", str(out), "-o", "/dev/stderr", stderr=fp)
+    assert proc.returncode == EXIT_OK
+    assert log.read_bytes() == b"KEEP" + data and os.stat(log).st_ino == inode
+    assert proc.stdout.startswith(b"reconstructed 3000 bytes")
+    with open(log, "ab") as fp:
+        proc = run_pmrc("simulate", str(scenario), "-o", "/dev/stderr", stderr=fp)
+    assert proc.returncode == EXIT_OK
+    tail = log.read_bytes()[len(data) + 4:]
+    lines = [json.loads(line) for line in tail.splitlines()]
+    assert len(lines) == 3 and lines[-1]["summary"]["successes"] == 2
+    assert proc.stdout.startswith(b"wrote 2 event reports to /dev/stderr")
+    assert os.stat(log).st_ino == inode and not list(tmp_path.glob("*.tmp"))
 
 
 def test_reader_that_stops_early_ends_the_output_quietly(tmp_path):

@@ -8,7 +8,7 @@ from pmrc import (
     ClusterState, CodeMode, Fq, ParameterError, SystemParams, build_encoding,
     linalg, msr_params, run_scenario,
 )
-from pmrc.decoding import Response, rs_decode_ee
+from pmrc.decoding import Response, consistency_reconstruct, rs_decode_ee
 from pmrc.perblock import msr_helper_symbol
 from pmrc.shards import ShardHeader, blocks_to_bytes, encode_blocks, write_shard
 
@@ -41,6 +41,10 @@ CASES = [
      "evaluation points must be distinct"),
     (lambda tmp: rs_decode_ee([1, 2, 3], [1, 2, 3], 1, -1, Fq(257)),
      "t_max must be nonnegative"),
+    (lambda tmp: rs_decode_ee([1, None, 3], [1, 2, 3], 2, 1, Fq(257)),
+     "2 received symbols cannot tolerate 1 errors on a length-2 message"),
+    (lambda tmp: consistency_reconstruct([], 1, -1, None, None), "t_max must be nonnegative"),
+    (lambda tmp: Fq(257).pow(2, -1), "exponent must be nonnegative"),
     (lambda tmp: SystemParams(CodeMode.MSR, 5, 2, 2, 0), "beta must be >= 1"),
     (lambda tmp: linalg.inverse(np.zeros((2, 3), dtype=np.int64), 257),
      "only square matrices have inverses"),
@@ -48,7 +52,12 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("call,message", CASES, ids=[m for _, m in CASES])
+# each case is named by its message; a repeated one also by its row
+IDS = [m if m not in [n for _, n in CASES[:i]] else f"{m} (row {i})"
+       for i, (_, m) in enumerate(CASES)]
+
+
+@pytest.mark.parametrize("call,message", CASES, ids=IDS)
 def test_bad_input_is_a_parameter_error(tmp_path, call, message):
     with pytest.raises(ParameterError) as err:
         call(tmp_path)

@@ -834,3 +834,20 @@ def test_a_word_located_to_the_first_rows_fails():
             with pytest.raises(DecodeFailure) as failure:
                 poly_decode(y, points, 2, 1, f)
         assert str(failure.value) == "block 1 exceeded the (t=1) corruption budget"
+
+
+def test_a_set_whose_words_an_earlier_pass_took_runs_no_pass():
+    """Word 0 is wrong at rows {0, 1, 2}, words 1..40 at rows {1, 3} and word
+    41 at row {4}, at t = 3. Word 0's rows (3, 4) take word 0 alone; in the
+    next round, rows (0, 2), the chunk's most common, run over every
+    undecided word and take word 41 too, so word 41's own rows (0, 1) have
+    no word left and run no pass."""
+    f, points = Fq(257), list(range(1, 9))
+    msg = np.random.default_rng(29).integers(0, 257, size=(2, 42))
+    y = linalg.matmul_mod(linalg.vandermonde(f, points, 2), msg, 257).astype(np.int64)
+    for cols, rows in (([0], [0, 1, 2]), (range(1, 41), [1, 3]), ([41], [4])):
+        for r in rows:
+            y[r, list(cols)] = (y[r, list(cols)] + 1 + r) % 257
+    counts = {}
+    assert np.array_equal(poly_decode(y, points, 2, 3, f, counts=counts), msg)
+    assert counts == {"passes": 2, "located": 42, "patterns": 3}

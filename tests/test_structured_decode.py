@@ -71,10 +71,9 @@ def test_reconstruct_inverse_is_the_elimination_one(params, q):
     for trial in range(12):
         zero_at = rng.choice([None, 0, rng.randrange(params.n)])
         enc = _code(params, q, trial % 2 == 0, zero_at, seed=trial)
-        _, layout = shards._share_map_layout(enc)
         for _ in range(4):
             ids = rng.sample(range(1, params.n + 1), params.k)
-            got = shards._reconstruct_inverse(enc, ids, layout)
+            got = shards._reconstruct_inverse(enc, ids)
             assert np.array_equal(got, linalg.left_inverse(_stacked(enc, ids), q))
 
 
@@ -88,9 +87,8 @@ def test_reconstruct_inverse_is_the_elimination_one_in_any_slabs(monkeypatch, pa
     rng = random.Random(f"{params}{slab}")
     for trial, zero_at in enumerate([None, 0, 3]):
         enc = _code(params, 257, trial != 1, zero_at, seed=trial)
-        _, layout = shards._share_map_layout(enc)
         ids = rng.sample(range(1, params.n + 1), params.k)
-        got = shards._build_inverse(enc, ids, layout)  # not the memo: built in these slabs
+        got = shards._build_inverse(enc, ids)  # not the memo: built in these slabs
         assert np.array_equal(got, linalg.left_inverse(_stacked(enc, ids), 257))
 
 
@@ -101,13 +99,12 @@ def test_memoized_inverse_is_read_only_and_the_built_one(params):
     rng = random.Random(str(params))
     for trial in range(4):
         enc = _code(params, 257, trial % 2 == 0, rng.choice([None, 0]), seed=trial)
-        _, layout = shards._share_map_layout(enc)
         ids = rng.sample(range(1, params.n + 1), params.k)
         for order in (ids, ids[::-1], rng.sample(ids, len(ids))):
-            got = shards._reconstruct_inverse(enc, order, layout)
+            got = shards._reconstruct_inverse(enc, order)
             assert not got.flags.writeable
-            assert np.array_equal(got, shards._build_inverse(enc, order, layout))
-            assert shards._reconstruct_inverse(enc, list(order), layout) is got
+            assert np.array_equal(got, shards._build_inverse(enc, order))
+            assert shards._reconstruct_inverse(enc, list(order)) is got
 
 
 @pytest.mark.parametrize("systematic", [True, False])
@@ -125,9 +122,9 @@ def test_second_reconstruct_builds_no_inverse(monkeypatch, systematic):
     builds = []
     orig = shards._build_inverse
 
-    def counted(enc, ids, layout):
+    def counted(enc, ids):
         builds.append(ids)
-        return orig(enc, ids, layout)
+        return orig(enc, ids)
 
     monkeypatch.setattr(shards, "_build_inverse", counted)
     for shares, t in (({i: bodies[i] for i in range(3, 8)}, 0),
@@ -146,14 +143,14 @@ def test_inverse_memo_keeps_a_bounded_size():
     assert shards._memo_inverse.cache_info().maxsize * shards._INVERSE_MEMO_BYTES <= 32 << 20
     shards._memo_inverse.cache_clear()
     enc = build_encoding(mbr_params(k=12, d=30, n=40), Fq(257))
-    kept = shards._reconstruct_inverse(enc, list(range(3, 15)), None)
+    kept = shards._reconstruct_inverse(enc, list(range(3, 15)))
     assert kept.nbytes <= shards._INVERSE_MEMO_BYTES
     assert shards._memo_inverse.cache_info().currsize == 1
     enc = build_encoding(msr_params(k=30, n=100), Fq(401))
     ids = list(range(3, 33))
-    wide = shards._reconstruct_inverse(enc, ids, None)
+    wide = shards._reconstruct_inverse(enc, ids)
     assert wide.nbytes > shards._INVERSE_MEMO_BYTES and not wide.flags.writeable
-    assert shards._reconstruct_inverse(enc, ids, None) is not wide
+    assert shards._reconstruct_inverse(enc, ids) is not wide
     assert shards._memo_inverse.cache_info().currsize == 1
 
 
