@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import dataclasses
 import errno
+import itertools
 import json
 import os
 import re
@@ -77,21 +78,29 @@ def cmd_encode(args) -> int:
         raise ParameterError(f"{args.out_dir} holds shards an n={params.n} encode "
                              f"would not overwrite: {', '.join(stale)}")
     enc = build_encoding(params, field)
-    with open(args.input, "rb") as fp:
-        data = fp.read()
-    blocks = shards.bytes_to_blocks(data, params.message_symbols)
-    bodies = shards.encode_blocks(blocks, enc)
-    os.makedirs(args.out_dir, exist_ok=True)
-    for node_id, body in bodies.items():
-        header = ShardHeader(enc, node_id, blocks.shape[0], len(data))
-        path = os.path.join(args.out_dir, shard_filename(node_id))
-        # delete the old shard (a link's target): a rename onto a free name costs least
-        if os.path.isfile(path):
-            os.remove(os.path.realpath(path) if os.path.islink(path) else path)
-        shards.write_shard(path, header, body)
+    data_len = 0
+    with open(args.input, "rb") as src, contextlib.ExitStack() as stack:
+        os.makedirs(args.out_dir, exist_ok=True)
+        room = bytes(len(ShardHeader(enc, 0, 0, 0).pack()))  # for the header
+        files = {}
+        for node_id in range(params.n, 0, -1):  # entered last, renamed first
+            path = os.path.join(args.out_dir, shard_filename(node_id))
+            files[node_id] = stack.enter_context(shards.replacing(path, delete_first=True))
+            files[node_id].write(room)
+        # the input a chunk of blocks at a time, so a pipe streams too
+        while data := src.read(shards.chunk_blocks(params) * params.message_symbols):
+            data_len += len(data)
+            bodies = shards.encode_blocks(
+                shards.bytes_to_blocks(data, params.message_symbols), enc)
+            for node_id, fp in files.items():  # none left to hold the chunk's product
+                shards.write_rows(fp, bodies.pop(node_id))
+        nblocks = -(-data_len // params.message_symbols)
+        for node_id, fp in files.items():  # the headers, once the input has ended
+            fp.seek(0)
+            fp.write(ShardHeader(enc, node_id, nblocks, data_len).pack())
     print(
-        f"encoded {len(data)} bytes into {params.n} shards "
-        f"({blocks.shape[0]} blocks, mode={params.mode.value}, q={field.q})"
+        f"encoded {data_len} bytes into {params.n} shards "
+        f"({nblocks} blocks, mode={params.mode.value}, q={field.q})"
     )
     return EXIT_OK
 
@@ -109,14 +118,14 @@ def cmd_damage(args) -> int:
         os.remove(os.path.join(args.dir, shard_filename(node)))
         print(f"erased shard of node {node}")
     rng = np.random.default_rng(args.seed)
+    params = header.enc.params
     for node in corrupt:
-        shape = (header.block_count, header.enc.params.alpha)
-        fake = rng.integers(0, header.enc.field.q, size=shape, dtype=np.int64)
-        shards.write_shard(
-            os.path.join(args.dir, shard_filename(node)),
-            dataclasses.replace(header, node_id=node),
-            fake,
-        )
+        with shards.replacing(os.path.join(args.dir, shard_filename(node))) as fp:
+            fp.write(dataclasses.replace(header, node_id=node).pack())
+            # drawn a chunk of rows at a time: the same symbols as one draw
+            for lo, hi in shards.block_chunks(header.block_count, params):
+                shards.write_rows(fp, rng.integers(0, header.enc.field.q, dtype=np.int64,
+                                                   size=(hi - lo, params.alpha)))
         print(f"corrupted shard of node {node}")
     if not erase and not corrupt:
         print("nothing to damage")
@@ -147,12 +156,21 @@ def cmd_repair(args) -> int:
     path = os.path.join(out_dir, shard_filename(args.node))
     _check_writable(path, make_dirs=True)
     header, bodies = shards.load_shard_set(args.dir)
-    body, info = shards.repair_blocks(bodies, args.node, header.enc, args.s, args.t)
-    os.makedirs(out_dir, exist_ok=True)
-    shards.write_shard(path, dataclasses.replace(header, node_id=args.node), body)
+    with contextlib.closing(bodies):
+        chunks = shards.repair_chunks(bodies, args.node, header.enc, args.s, args.t)
+        # the first chunk decodes first: a repair that fails at once makes no folder
+        chunks = itertools.chain([next(chunks)], chunks)
+        os.makedirs(out_dir, exist_ok=True)
+        downloaded = 0
+        with shards.replacing(path) as fp:
+            fp.write(dataclasses.replace(header, node_id=args.node).pack())
+            for body, info in chunks:
+                shards.write_rows(fp, body)
+                downloaded += info["downloaded"]
+                del body  # not held while the next chunk decodes
     print(
         f"repaired node {args.node} from {info['connectivity']} helpers "
-        f"({info['downloaded']} symbols downloaded)"
+        f"({downloaded} symbols downloaded)"
     )
     return EXIT_OK
 
@@ -170,13 +188,22 @@ def cmd_reconstruct(args) -> int:
             if os.path.samefile(args.output, os.path.join(args.dir, name)):
                 raise ParameterError(f"output {args.output} is shard {name} of its input")
     header, bodies = shards.load_shard_set(args.dir)
-    blocks, info = shards.reconstruct_blocks(bodies, header.enc, args.s, args.t)
-    data = shards.blocks_to_bytes(blocks, header.data_len)
-    with shards.replacing(args.output) as fp:
-        fp.write(data)
+    with contextlib.closing(bodies):
+        chunks = shards.reconstruct_chunks(bodies, header.enc, args.s, args.t)
+        # the first chunk decodes first: a decode that fails at once leaves OUT
+        # as it was
+        chunks = itertools.chain([next(chunks)], chunks)
+        left, downloaded = header.data_len, 0
+        with shards.replacing(args.output) as fp:
+            for blocks, info in chunks:
+                data = shards.blocks_to_bytes(blocks, min(blocks.size, left))
+                fp.write(data)
+                left -= len(data)
+                downloaded += info["downloaded"]
+                del blocks, data  # not held while the next chunk decodes
     print(
-        f"reconstructed {len(data)} bytes from {info['connectivity']} shards "
-        f"({info['downloaded']} symbols downloaded)",
+        f"reconstructed {header.data_len} bytes from {info['connectivity']} shards "
+        f"({downloaded} symbols downloaded)",
         file=_summary_stream(args.output),
     )
     return EXIT_OK
@@ -260,8 +287,14 @@ def cmd_info(args) -> int:
         payload["systematic"] = header.enc.systematic
         payload["blocks"] = header.block_count
         payload["data_len"] = header.data_len
-        # a shard is present when its body reads cleanly, not just its header
-        payload["shards_present"] = [i for i in bodies if bodies.get(i) is not None]
+        # a shard is present when its body reads cleanly, chunk by chunk, not
+        # just its header
+        for i in bodies:
+            for lo, hi in shards.block_chunks(header.block_count, header.enc.params):
+                if bodies.rows(i, lo, hi) is None:
+                    break
+            bodies.close()
+        payload["shards_present"] = list(bodies)
         _print_info(payload, args.json)
         return EXIT_OK
     if args.mode is None or args.k is None:

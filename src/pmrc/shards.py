@@ -30,8 +30,18 @@ field element) and are zero-padded to a whole number of B-symbol blocks.
 distinct points in the field, distinct lambda for MSR), sets an unknown
 flag or a block count that does not fit its byte length is an erasure like
 an unreadable one. `repair_blocks` and `reconstruct_blocks` read only the
-Delta or kappa lowest-id bodies they decode, each once, through `read_shard`;
-a body that fails its checks there is an erasure, and the next id is read.
+Delta or kappa lowest-id bodies they decode; a body that fails its checks
+there is an erasure, and the next id is read.
+
+The file-level commands hold a bounded part of a file, whatever its size:
+`repair_chunks` and `reconstruct_chunks` run `repair_blocks` and
+`reconstruct_blocks` on one chunk of blocks at a time (`block_chunks`,
+`_CHUNK_SYMBOLS` payload symbols), through `ShardBodies.chunk` views that
+open each shard once and read each chunk of its body by a positioned read,
+keeping none. Each chunk decodes on its own; the passes and located words a
+file's chunks count are summed and their masks counted once, a DecodeFailure
+names the file's block, and an inverse too large for the memo is kept for
+the file. `write_rows` appends each chunk to its shard file.
 
 The code is stated once, as `share_map`: the linear map from one slice's B'
 payload symbols (laid out by `_slice_matrix_index`) to every node's alpha'
@@ -44,9 +54,9 @@ the product-matrix reconstruction of the identity (`_build_inverse`), filled
 by `_mbr_fill`, which alone knows the B' symbols k MBR shares keep; it depends
 on the code and the providers alone, so `_reconstruct_inverse` builds each
 once and keeps it, as `linalg.vandermonde_inverse` keeps its inverses.
-Symbols stay uint16 (``<u2``, the on-disk body format) from `read_shard` to
-`write_shard`, and so does the map. At beta = 1 a node `encode_blocks` takes
-whole from the payload or the product stays a view of it until `write_shard`
+Symbols stay uint16 (``<u2``, the on-disk body format) from `ShardBodies.rows`
+to `write_rows`, and so does the map. At beta = 1 a node `encode_blocks` takes
+whole from the payload or the product stays a view of it until `write_rows`
 copies it; that copy and every other body assembly move one row per numpy
 item (`_rows`), never a few symbols. The bulk products (encoding, the
 systematic map, repair symbols and the MSR repair fold, inverses, the
@@ -78,6 +88,7 @@ providers builds no inverse. The file-level calls, the simulator and
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import os
 import stat
@@ -210,11 +221,13 @@ def written_in_place(path) -> int | None:
 
 
 @contextlib.contextmanager
-def replacing(path):
+def replacing(path, delete_first: bool = False):
     """A binary file that replaces ``path`` once the block ends cleanly: it is
     written as ``<path>.tmp`` beside it (or beside a link's target), renamed
     over it, and removed on an exception, so ``path`` is never half written.
-    No fsync: a power loss is not covered. A path `written_in_place` is
+    With ``delete_first`` the old file is deleted just before the rename,
+    which then lands on a free name and costs less. No fsync: a power loss
+    is not covered. A path `written_in_place` is
     written as it is, the file of stdout or stderr through a copy of that
     stream's descriptor: so a shell's ``>>`` keeps what the file held, and
     after a ``>`` the shell's next write lands after the data, not over its
@@ -229,6 +242,8 @@ def replacing(path):
     try:
         with open(tmp, "wb") as fp:
             yield fp
+        if delete_first and os.path.isfile(path):
+            os.remove(path)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -258,7 +273,13 @@ def write_shard(path, header: ShardHeader, body: np.ndarray) -> None:
     head = header.pack()
     with replacing(path) as fp:
         fp.write(head)
-        fp.write(np.ascontiguousarray(_rows(body.astype("<u2", copy=False))))
+        write_rows(fp, body)
+
+
+def write_rows(fp, rows: np.ndarray) -> None:
+    """Append (blocks, alpha) symbols to a shard body open as ``fp``, as
+    ``<u2``, copied a row at a time (`_rows`)."""
+    fp.write(np.ascontiguousarray(_rows(rows.astype("<u2", copy=False))))
 
 
 def _read_header(fp, path) -> ShardHeader:
@@ -291,30 +312,71 @@ def _warn_skipped(names: Sequence[str]) -> None:
 
 class ShardBodies(Mapping):
     """node_id -> (block_count, alpha) body of the shards whose headers agree
-    with the reference header. A body is read by `read_shard` on first use
-    and kept, so each is read at most once. A body that fails read_shard's
-    checks (or whose header changed since the vote) is skipped with a warning
-    and its id drops out of the mapping: to the caller it is an erasure, and
-    ``get`` returns None for it."""
+    with the reference header, read a chunk of blocks at a time and never
+    kept. `rows` opens a shard on its first use, once (its header is read
+    again and must still agree), and reads the rows asked for by one
+    positioned read into a fresh array, checking that every symbol is below
+    q. A shard that cannot be opened, or whose rows are short or hold a
+    symbol >= q, is skipped with a warning and its id drops out of the
+    mapping: to the caller it is an erasure from that chunk on, and `rows`
+    (like ``get``) returns None for it. Indexing reads a whole body the same
+    way. The shards opened stay open until `close`."""
 
     def __init__(self, header: ShardHeader, paths: dict[int, str]):
         self.header = header
         self._paths = dict(sorted(paths.items()))
-        self._read: dict[int, np.ndarray] = {}
+        self._files: dict = {}  # node_id -> its open file
+        self._body_at = len(header.pack())  # the same in every shard of the set
+        self.blocks = (0, header.block_count)  # the blocks indexing reads
+
+    def chunk(self, start: int, stop: int) -> "ShardBodies":
+        """This mapping with indexing reading blocks start..stop: a view that
+        shares its open files and the ids dropped."""
+        view = copy.copy(self)
+        view.blocks = (start, stop)
+        return view
+
+    def _open(self, node_id: int) -> None:
+        """Open shard node_id's file, once; its header must still agree with
+        the reference header."""
+        path = self._paths[node_id]
+        fp = self._files[node_id] = open(path, "rb", buffering=0)
+        header = _read_header(fp, path)
+        if not header.same_shard_set(self.header) or header.node_id != node_id:
+            raise ParameterError(f"shard header changed: {path}")
+
+    def rows(self, node_id: int, start: int, stop: int) -> np.ndarray | None:
+        """Blocks start..stop of node_id's body, (stop - start, alpha) ``<u2``,
+        or None when they cannot be read (the id then drops out)."""
+        path = self._paths[node_id]
+        alpha = self.header.enc.params.alpha
+        try:
+            if node_id not in self._files:
+                self._open(node_id)
+            body = np.empty((stop - start, alpha), dtype="<u2")
+            at = self._body_at + 2 * alpha * start
+            if os.preadv(self._files[node_id].fileno(), [body], at) != body.nbytes:
+                raise ParameterError(f"shard body truncated: {path}")
+            if body.size and int(body.max()) >= self.header.enc.field.q:
+                raise ParameterError(f"shard symbols exceed the field modulus: {path}")
+        except (ParameterError, ConstructionError, OSError):
+            if node_id in self._files:
+                self._files.pop(node_id).close()
+            del self._paths[node_id]
+            _warn_skipped([os.path.basename(path)])
+            return None
+        return body
+
+    def close(self) -> None:
+        for fp in self._files.values():
+            fp.close()
+        self._files.clear()
 
     def __getitem__(self, node_id: int) -> np.ndarray:
-        if node_id not in self._read:
-            path = self._paths[node_id]
-            try:
-                header, body = read_shard(path)
-                if not header.same_shard_set(self.header) or header.node_id != node_id:
-                    raise ParameterError(f"shard header changed: {path}")
-            except (ParameterError, ConstructionError, OSError):
-                del self._paths[node_id]
-                _warn_skipped([os.path.basename(path)])
-                raise KeyError(node_id) from None
-            self._read[node_id] = body
-        return self._read[node_id]
+        body = self.rows(node_id, *self.blocks)
+        if body is None:
+            raise KeyError(node_id)
+        return body
 
     def __contains__(self, node_id) -> bool:
         return node_id in self._paths
@@ -564,6 +626,36 @@ def _stack(ys: list[np.ndarray]) -> np.ndarray:
 # words one batched locate takes, so that its temporaries (for MBR, a few
 # (words, k + 2t, R) arrays) stay bounded whatever the file size
 _LOCATE_CHUNK = 2048
+# payload symbols (bytes) the file-level commands hold per chunk of blocks, so
+# that their memory is bounded whatever the file size. Measured on the
+# benchmark's clean round of 2 MB files (2-vCPU VM, numpy 2.4): at 2**19 the
+# round peaked 17 MB (19%) below whole-file decodes and ran no slower; at
+# 2**18 its repairs ran about 8% slower, each chunk costing some 0.25 ms of
+# calls (14 helper reads and products and the decode's set-up)
+_CHUNK_SYMBOLS = 1 << 19
+
+
+def chunk_blocks(params: SystemParams) -> int:
+    """Blocks per chunk: `_CHUNK_SYMBOLS` payload symbols, and at least k *
+    alpha' words, so that a reconstruct pass over a whole chunk applies an
+    inverse (`decode_reconstruct`)."""
+    least = -(-params.k * params.alpha_prime // params.beta)
+    return max(least, _CHUNK_SYMBOLS // params.message_symbols)
+
+
+def block_chunks(block_count: int, params: SystemParams) -> list[tuple[int, int]]:
+    """The (start, stop) block ranges of a file's chunks; one empty range for
+    an empty file."""
+    per = chunk_blocks(params)
+    return [(lo, min(lo + per, block_count)) for lo in range(0, max(block_count, 1), per)]
+
+
+class _OverBudget(DecodeFailure):
+    """The DecodeFailure that names the lowest block without a message."""
+
+    def __init__(self, block: int, t: int):
+        super().__init__(f"block {block} exceeded the (t={t}) corruption budget")
+        self.block, self.t = block, t
 
 
 def _locate_then_erase(
@@ -578,7 +670,9 @@ def _locate_then_erase(
     least R - t positions unique; it is returned for every word, or
     DecodeFailure naming the block (``per_block`` consecutive words) of the
     lowest word that has none. ``counts``, when given, receives the number
-    of passes, of located words and of distinct masks.
+    of passes, of located words and of distinct masks, the first two added
+    to any it holds; a ``masks`` set in it (a file's, shared by its chunks)
+    collects the masks, and the last then counts all it holds.
 
     A pass solves ``need`` positions, its rows, for a set of words:
     ``solve(rows, symbols)`` takes the words' (g, need * w) symbols at those
@@ -653,11 +747,14 @@ def _locate_then_erase(
     out = None  # allocated once a pass leaves a word undecided
     undecided = np.ones(nwords, dtype=bool)
     left = np.arange(nwords)  # the undecided words, ascending
-    passes, located, patterns = 0, 0, set()
+    passes, located = 0, 0
+    patterns = counts.get("masks", set()) if counts is not None else set()
 
     def done(out):
         if counts is not None:
-            counts.update(passes=passes, located=located, patterns=len(patterns))
+            counts.update(passes=counts.get("passes", 0) + passes,
+                          located=counts.get("located", 0) + located,
+                          patterns=len(patterns))
         return np.zeros((nwords, gen.shape[2]), dtype=np.uint16) if out is None else out
 
     size = 1 if t else nwords  # word 0 alone first; at t = 0 nothing is located
@@ -697,9 +794,7 @@ def _locate_then_erase(
             undecided[them[ok]] = False
         lost = idx[undecided[idx]]  # located, and no pass accepted it
         if lost.size:
-            raise DecodeFailure(
-                f"block {int(lost[0]) // per_block} exceeded the (t={t}) corruption budget"
-            )
+            raise _OverBudget(int(lost[0]) // per_block, t)
         left = left[undecided[left]]
     return done(out)
 
@@ -944,30 +1039,38 @@ def _memo_inverse(enc: EncodingMatrix, ids: tuple[int, ...]) -> np.ndarray:
     return _build_inverse(enc, list(ids))
 
 
-def _reconstruct_inverse(enc: EncodingMatrix, ids: list[int]) -> np.ndarray:
+def _reconstruct_inverse(enc: EncodingMatrix, ids: list[int],
+                         kept: dict | None = None) -> np.ndarray:
     """`_build_inverse`, built once per (code, ids in order) and shared: the
     inverse depends on which providers are read, never on the data. An
-    inverse over `_INVERSE_MEMO_BYTES` is built every time and not kept."""
+    inverse over `_INVERSE_MEMO_BYTES` is kept only in ``kept``, a file's
+    (the last one built), and without it built every time."""
     params = enc.params
-    if 2 * params.slice_symbols * params.k * params.alpha_prime > _INVERSE_MEMO_BYTES:
+    if 2 * params.slice_symbols * params.k * params.alpha_prime <= _INVERSE_MEMO_BYTES:
+        return _memo_inverse(enc, tuple(ids))
+    if kept is None:
         return _build_inverse(enc, ids)
-    return _memo_inverse(enc, tuple(ids))
+    if tuple(ids) not in kept:
+        kept.clear()
+        kept[tuple(ids)] = _build_inverse(enc, ids)
+    return kept[tuple(ids)]
 
 
 def decode_reconstruct(
     shares: dict[int, np.ndarray], enc: EncodingMatrix, t: int,
-    counts: dict | None = None,
+    counts: dict | None = None, kept: dict | None = None,
 ) -> np.ndarray:
     """The (nblocks, B) payload from node_id -> (nblocks, alpha) shares of the
     nodes that answered, up to t of them corrupt; exact when at least k + 2t
     answered. Every slice of every block is one word. A pass over nodes
     1..k of a systematic code gathers the payload at the code's layout; any
-    other pass over fewer than k * alpha' words applies the product-matrix
-    reconstruction itself (`_reconstruct_apply`) and promises nothing, and
-    a larger one the left inverse of its k providers' stacked share maps
-    (`_reconstruct_inverse`), which reproduces the symbols it reads. The
-    wrong shares of words that are not clean are located by the
-    product-matrix reduction to RS location."""
+    other pass over fewer than k * alpha' words, unless its inverse is in
+    ``kept``, applies the product-matrix reconstruction itself
+    (`_reconstruct_apply`) and promises nothing, and a larger one the left
+    inverse of its k providers' stacked share maps (`_reconstruct_inverse`,
+    which keeps a large one in ``kept``, a file's), which reproduces the
+    symbols it reads. The wrong shares of words that are not clean are
+    located by the product-matrix reduction to RS location."""
     params = enc.params
     ids = list(shares)
     amap, layout = _share_map_layout(enc)
@@ -978,12 +1081,13 @@ def decode_reconstruct(
         providers = [ids[r] for r in rows]
         if layout is not None and providers == first_k:
             return _columns(used, layout).astype(np.uint16, copy=False), layout
-        if used.shape[0] < params.k * params.alpha_prime:
+        if used.shape[0] < params.k * params.alpha_prime and tuple(providers) not in (
+                kept or {}):
             # a few words: their own reconstruction, re-encoded at every
             # position, costs less than an inverse and its check
             y = used.reshape(used.shape[0], params.k, -1)
             return _reconstruct_apply(enc, providers, y), None
-        inv = _reconstruct_inverse(enc, providers)
+        inv = _reconstruct_inverse(enc, providers, kept)
         return linalg.matmul_mod(used, inv.T, enc.field.q), np.flatnonzero(inv.any(axis=0))
 
     out = _locate_then_erase(
@@ -1012,30 +1116,37 @@ def _lowest_ids(
     return picked
 
 
+def _info(counts: dict) -> dict:
+    """The decode counts an info reports: not the masks a file's chunks share."""
+    return {k: v for k, v in counts.items() if k != "masks"}
+
+
 def repair_blocks(
     bodies: Mapping[int, np.ndarray],
     failed_id: int,
     enc: EncodingMatrix,
     s: int = 0,
     t: int = 0,
+    counts: dict | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Regenerate the failed node's (nblocks, alpha) body from shard bodies.
 
     Helpers are the Delta = d+s+2t lowest-id present nodes; each contributes
     its per-block repair symbols, computed exactly as a live helper would.
+    ``counts`` is a file's, shared by its chunks (`repair_chunks`).
     """
     params = enc.params
     enc.check_node(failed_id)
     delta = connectivity(params, s, t, repair=True)
     helpers = _lowest_ids(bodies, delta, skip=failed_id)
     symbols = {h: helper_symbols(body, failed_id, enc) for h, body in helpers.items()}
-    counts: dict = {}
+    counts = {} if counts is None else counts
     share = decode_repair(symbols, failed_id, enc, t, counts)
     info = {
         "helpers": list(helpers),
         "connectivity": delta,
         "downloaded": delta * params.beta * share.shape[0],
-        **counts,
+        **_info(counts),
     }
     return share, info
 
@@ -1045,18 +1156,55 @@ def reconstruct_blocks(
     enc: EncodingMatrix,
     s: int = 0,
     t: int = 0,
+    counts: dict | None = None,
+    kept: dict | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Recover (nblocks, B) payload symbols from the kappa = k+s+2t lowest-id
-    shards."""
+    shards. ``counts`` and ``kept`` are a file's, shared by its chunks
+    (`reconstruct_chunks`)."""
     params = enc.params
     kappa = connectivity(params, s, t, repair=False)
     chosen = _lowest_ids(bodies, kappa)
-    counts: dict = {}
-    out = decode_reconstruct(chosen, enc, t, counts)
+    counts = {} if counts is None else counts
+    out = decode_reconstruct(chosen, enc, t, counts, kept)
     info = {
         "providers": list(chosen),
         "connectivity": kappa,
         "downloaded": kappa * params.alpha * out.shape[0],
-        **counts,
+        **_info(counts),
     }
     return out, info
+
+
+def _by_chunk(bodies: ShardBodies, params: SystemParams, decode):
+    """``decode(chunk)`` of each chunk of blocks (`block_chunks`) of a shard
+    set in turn, as a `ShardBodies.chunk` view. Each chunk decodes on its
+    own, so the first that fails names the file's lowest block without a
+    message."""
+    for lo, hi in block_chunks(bodies.header.block_count, params):
+        try:
+            yield decode(bodies.chunk(lo, hi))
+        except _OverBudget as failure:
+            raise _OverBudget(lo + failure.block, failure.t) from None
+
+
+def repair_chunks(bodies: ShardBodies, failed_id: int, enc: EncodingMatrix,
+                  s: int = 0, t: int = 0):
+    """`repair_blocks` of each chunk of blocks of a shard set in turn: its
+    (blocks, alpha) rows of the failed node's body and its info, whose
+    decode counts are the file's so far (passes and located words summed,
+    masks distinct over the file)."""
+    counts: dict = {"masks": set()}
+    return _by_chunk(bodies, enc.params,
+                     lambda chunk: repair_blocks(chunk, failed_id, enc, s, t, counts))
+
+
+def reconstruct_chunks(bodies: ShardBodies, enc: EncodingMatrix, s: int = 0, t: int = 0):
+    """`reconstruct_blocks` of each chunk of blocks of a shard set in turn:
+    its (blocks, B) payload symbols and its info, with the file's decode
+    counts so far (`repair_chunks`). An inverse too large for the memo
+    (`_reconstruct_inverse`) is kept for the file, so it is built once."""
+    counts: dict = {"masks": set()}
+    kept: dict = {}
+    return _by_chunk(bodies, enc.params,
+                     lambda chunk: reconstruct_blocks(chunk, enc, s, t, counts, kept))

@@ -679,15 +679,17 @@ def test_out_of_range_node_id_is_an_erasure(tmp_path, capsys, body_of):
 
 
 def _count_body_reads(monkeypatch):
-    """Paths passed to shards.read_shard from now on, in call order."""
+    """Names of the shards whose bodies are opened for reading from now on
+    (`shards.ShardBodies` opens each once, and reads it a chunk at a time),
+    in call order."""
     paths = []
-    orig = shards.read_shard
+    orig = shards.ShardBodies._open
 
-    def counted(path):
-        paths.append(os.path.basename(path))
-        return orig(path)
+    def counted(self, node_id):
+        paths.append(shard_filename(node_id))
+        return orig(self, node_id)
 
-    monkeypatch.setattr(shards, "read_shard", counted)
+    monkeypatch.setattr(shards.ShardBodies, "_open", counted)
     return paths
 
 

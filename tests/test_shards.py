@@ -343,9 +343,9 @@ def test_load_shard_set_skips_bad_files(tmp_path, capsys):
 
 
 def test_shard_bodies_read_lazily_and_drop_bad_bodies(tmp_path, capsys):
-    """The header vote reads no body. A body is read on first use and kept;
-    one with a symbol >= q, or whose header changed since the vote, drops
-    out of the mapping with a warning naming its file."""
+    """The header vote reads no body. A body is read on each use and never
+    kept; one with a symbol >= q, or whose header changed since the vote,
+    drops out of the mapping with a warning naming its file."""
     params = mbr_params(k=2, d=3, n=5)
     enc = build_encoding(params)
     bodies = encode_blocks(np.ones((2, params.message_symbols), dtype=np.int64), enc)
@@ -361,7 +361,7 @@ def test_shard_bodies_read_lazily_and_drop_bad_bodies(tmp_path, capsys):
         tmp_path / shard_filename(4), make_header(params, enc, 4, 2, 8), bodies[4]
     )
     assert list(loaded) == [1, 2, 3, 4, 5] and capsys.readouterr().err == ""
-    assert loaded[1] is loaded[1] and (loaded[1] == bodies[1]).all()
+    assert loaded[1] is not loaded[1] and (loaded[1] == bodies[1]).all()
     assert loaded.get(2) is None and loaded.get(4) is None
     err = capsys.readouterr().err
     assert shard_filename(2) in err and shard_filename(4) in err
