@@ -110,20 +110,23 @@ def _massey(syn: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     syn = syn.T.astype(np.int64)
     conn = np.zeros((n_syn + 1, n_words), dtype=np.int64)
     conn[0] = 1
-    prev = conn.copy()  # the register before the last length change, times z^m
+    # z^m times the register before the last length change: in step n its
+    # coefficient i sits at row n_syn - n - 1 + i, so multiplying it by z
+    # starts its window one row earlier, on a row still zero
+    shifted = np.zeros((n_syn + 1, n_words), dtype=np.int64)
+    shifted[n_syn] = 1
     length = np.zeros(n_words, dtype=np.int64)
     last = np.ones(n_words, dtype=np.int64)  # the discrepancy at that change
     for n in range(n_syn):
         disc = (conn[: n + 1] * syn[n::-1]).sum(axis=0) % q
         top = n + 2  # conn and z * prev have degree at most n + 1
-        prev[1:top] = prev[: top - 1].copy()
-        prev[0] = 0
-        grow = (disc != 0) & (2 * length <= n)
-        new = (last * conn[:top] - disc * prev[:top]) % q
-        prev[:top] = np.where(grow, conn[:top], prev[:top])
-        conn[:top] = new
-        last = np.where(grow, disc, last)
-        length = np.where(grow, n + 1 - length, length)
+        prev, cur = shifted[n_syn - n - 1 :], conn[:top]  # top rows each
+        grow = (disc != 0) & (length <= n // 2)  # 2L <= n
+        new = (last * cur - disc * prev) % q
+        np.copyto(prev, cur, where=grow)
+        cur[...] = new
+        np.copyto(last, disc, where=grow)
+        np.copyto(length, n + 1 - length, where=grow)
     return conn.T, length
 
 

@@ -31,7 +31,9 @@ distinct points in the field, distinct lambda for MSR), sets an unknown
 flag or a block count that does not fit its byte length is an erasure like
 an unreadable one. `repair_blocks` and `reconstruct_blocks` read only the
 Delta or kappa lowest-id bodies they decode; a body that fails its checks
-there is an erasure, and the next id is read.
+there is an erasure, and the next id is read. An I/O error that says nothing
+about a shard's bytes (`_IO_FAULTS`: too many open files, no memory, a
+device error) is no erasure: it is raised, naming the file.
 
 The file-level commands hold a bounded part of a file, whatever its size:
 `repair_chunks` and `reconstruct_chunks` run `repair_blocks` and
@@ -89,6 +91,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import errno
 import functools
 import os
 import stat
@@ -303,6 +306,18 @@ def read_shard(path) -> tuple[ShardHeader, np.ndarray]:
     return header, body
 
 
+# errno values of an open or a read that fail for the host, not for the
+# shard's bytes: good shards must not be thrown away on them
+_IO_FAULTS = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOMEM, errno.EIO})
+
+
+def _raise_io_fault(error: Exception, path) -> None:
+    """Raise ``error`` again, as an OSError naming ``path``, when it is one
+    of `_IO_FAULTS`; any other error makes the shard an erasure."""
+    if isinstance(error, OSError) and error.errno in _IO_FAULTS:
+        raise OSError(error.errno, error.strerror, os.fspath(path)) from error
+
+
 def _warn_skipped(names: Sequence[str]) -> None:
     print(
         f"warning: skipped inconsistent shard files: {', '.join(names)}",
@@ -319,8 +334,9 @@ class ShardBodies(Mapping):
     q. A shard that cannot be opened, or whose rows are short or hold a
     symbol >= q, is skipped with a warning and its id drops out of the
     mapping: to the caller it is an erasure from that chunk on, and `rows`
-    (like ``get``) returns None for it. Indexing reads a whole body the same
-    way. The shards opened stay open until `close`."""
+    (like ``get``) returns None for it; one of `_IO_FAULTS` is raised.
+    Indexing reads a whole body the same way. The shards opened stay open
+    until `close`."""
 
     def __init__(self, header: ShardHeader, paths: dict[int, str]):
         self.header = header
@@ -359,7 +375,8 @@ class ShardBodies(Mapping):
                 raise ParameterError(f"shard body truncated: {path}")
             if body.size and int(body.max()) >= self.header.enc.field.q:
                 raise ParameterError(f"shard symbols exceed the field modulus: {path}")
-        except (ParameterError, ConstructionError, OSError):
+        except (ParameterError, ConstructionError, OSError) as e:
+            _raise_io_fault(e, path)
             if node_id in self._files:
                 self._files.pop(node_id).close()
             del self._paths[node_id]
@@ -398,7 +415,8 @@ def load_shard_set(directory) -> tuple[ShardHeader, ShardBodies]:
     q, n distinct points in the field, distinct lambda for MSR), files not
     named after their header's node id (so no id repeats), files whose id is
     outside 1..n and files of another set are skipped: a deleted, garbled or
-    misnamed shard is an erasure, not a fatal error. Returns the reference
+    misnamed shard is an erasure, not a fatal error; one of `_IO_FAULTS` is
+    raised (`_raise_io_fault`). Returns the reference
     header and the lazy `ShardBodies` of the rest, whose bodies are read only
     when a decode picks them."""
     names = shard_files(directory)
@@ -413,7 +431,8 @@ def load_shard_set(directory) -> tuple[ShardHeader, ShardBodies]:
                 header = _read_header(fp, path)
             if name != shard_filename(header.enc.check_node(header.node_id)):
                 raise ParameterError(f"shard misnamed: {path}")
-        except (ParameterError, ConstructionError, OSError):
+        except (ParameterError, ConstructionError, OSError) as e:
+            _raise_io_fault(e, path)
             skipped.append(name)
             continue
         readable.append((path, header))
@@ -617,7 +636,10 @@ def helper_symbols(
 
 def _stack(ys: list[np.ndarray]) -> np.ndarray:
     """np.stack(ys, axis=1) of R (nwords, w) arrays, each row copied as one
-    w-symbol item (`_rows`)."""
+    w-symbol item (`_rows`) when w > 1; one-symbol rows (a repair's) need
+    no items, and skip their per-array views."""
+    if ys[0].shape[1] == 1:
+        return np.concatenate(ys, axis=1)[:, :, None]
     dtype = np.result_type(*ys)
     rows = np.concatenate([_rows(y.astype(dtype, copy=False)) for y in ys], axis=1)
     return rows.view(dtype).reshape(rows.shape[0], len(ys), ys[0].shape[1])
@@ -778,8 +800,8 @@ def _locate_then_erase(
         for n_set, (rows, js) in enumerate(ranked):
             if not n_set:  # the chunk's most common rows: over every undecided word
                 them = left
-            else:
-                them = idx[js]
+            else:  # ascending, as `run` needs: masks that share rows interleave
+                them = np.sort(idx[js])
                 them = them[undecided[them]]
                 if not them.size:
                     continue
@@ -856,25 +878,35 @@ def _batch_product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return out.reshape(a.shape[0], nb, w).transpose(1, 0, 2)
 
 
-def _msr_pq(y: np.ndarray, ids: list[int], enc: EncodingMatrix):
-    """P and Q, (nb, R, R) each, of nb words of MSR shares y (nb, R, alpha')
-    of nodes ids: with Phi their phi rows, Y Phi^t = P + Lambda Q where
-    P = Phi S1 Phi^t and Q = Phi S2 Phi^t are symmetric, so each
-    off-diagonal pair (i, j), (j, i) of Y Phi^t gives P_ij and Q_ij. Their
-    diagonals are not decoded."""
+@functools.lru_cache(maxsize=256)
+def _lam_inverses(q: int, lam: tuple[int, ...]) -> np.ndarray:
+    """1 / (lam_i - lam_j) mod q for the contacted nodes' lambdas, (R, R)
+    read-only int64, 0 on the diagonal: built once per (q, lambdas), as
+    `decoding.parity_check` is."""
+    lam = np.asarray(lam, dtype=np.int64)
+    inv = linalg.inv_mod(lam[:, None] - lam, q)
+    inv.setflags(write=False)
+    return inv
+
+
+def _msr_cq(y: np.ndarray, ids: list[int], enc: EncodingMatrix):
+    """C = Y Phi^t and Q, (nb, R, R) int64 each, of nb words of MSR shares y
+    (nb, R, alpha') of nodes ids, with Phi their phi rows: C = P + Lambda Q
+    where P = Phi S1 Phi^t and Q = Phi S2 Phi^t are symmetric, so each
+    off-diagonal pair (i, j), (j, i) of C gives Q_ij, and P = C - Lambda Q.
+    Their diagonals are not decoded."""
     q, rows = enc.field.q, [i - 1 for i in ids]
     c = linalg.matmul_mod(y.reshape(-1, y.shape[2]), enc.phi[rows].T, q)
-    c = c.reshape(-1, len(ids), len(ids)).astype(np.int64)  # P_ij + lam_i Q_ij
-    lam = np.asarray(enc.lam, dtype=np.int64)[rows]
-    q_mat = (c - c.transpose(0, 2, 1)) * linalg.inv_mod(lam[:, None] - lam, q) % q
-    return (c - lam[:, None] * q_mat) % q, q_mat
+    c = c.reshape(-1, len(ids), len(ids)).astype(np.int64)
+    inv = _lam_inverses(q, tuple(enc.lam[r] for r in rows))
+    return c, (c - c.transpose(0, 2, 1)) * inv % q
 
 
 def _locate_msr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> np.ndarray:
     """(nb, R) masks of the wrong shares among nb MSR words of (R, alpha')
     shares y of nodes ids.
 
-    Off the diagonal, row i of Q (`_msr_pq`) holds the evaluations of S2
+    Off the diagonal, row i of Q (`_msr_cq`) holds the evaluations of S2
     phi_i at the other providers' points, and a wrong share y_j = y_j' + e_j
     spoils entry j of row i unless e_j . phi_i = 0. RS location of a clean
     row therefore flags only wrong providers; a wrong provider is flagged by
@@ -883,7 +915,7 @@ def _locate_msr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> n
     Every row of every word is located by one `decoding.locate` call, as an
     R-point word with its own point erased."""
     points = [enc.point_of(i) for i in ids]
-    q_mat = _msr_pq(y, ids, enc)[1]
+    q_mat = _msr_cq(y, ids, enc)[1]
     nb, r = q_mat.shape[:2]
     flagged = decoding.locate(q_mat.reshape(-1, r), points, enc.params.alpha_prime, t,
                               enc.field, erased=np.tile(np.arange(r), nb))
@@ -893,7 +925,7 @@ def _locate_msr(y: np.ndarray, ids: list[int], enc: EncodingMatrix, t: int) -> n
 def _msr_operands(y: np.ndarray, ids: list[int], enc: EncodingMatrix) -> np.ndarray:
     """The (nb, d, alpha') operands [S1; S2] of nb words of k MSR shares y
     (Rashmi-Shah-Kumar's MSR reconstruction): off its diagonal, row i of P
-    (`_msr_pq`) holds S1 phi_i at the other k - 1 providers' points, one
+    (`_msr_cq`) holds S1 phi_i at the other k - 1 providers' points, one
     (k-1)-point Vandermonde solve; rows 0..k-2 of those give S1 by one more.
     Q gives S2 the same way."""
     q, k = enc.field.q, enc.params.k
@@ -901,8 +933,10 @@ def _msr_operands(y: np.ndarray, ids: list[int], enc: EncodingMatrix) -> np.ndar
     others = np.array([[j for j in range(k) if j != i] for i in range(k)], dtype=np.int64)
     vinv = np.stack([linalg.vandermonde_inverse(enc.field, tuple(points[j] for j in o))
                      for o in others])
+    c, q_mat = _msr_cq(y, ids, enc)
+    lam = np.asarray(enc.lam, dtype=np.int64)[[i - 1 for i in ids]]
     halves = []
-    for m in _msr_pq(y, ids, enc):
+    for m in ((c - lam[:, None] * q_mat) % q, q_mat):
         v = np.einsum("iab,nib->nia", vinv, m[:, np.arange(k)[:, None], others]) % q
         halves.append(np.einsum("ab,nbc->nac", vinv[-1], v[:, :-1]) % q)
     return np.concatenate(halves, axis=1)

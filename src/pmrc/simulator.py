@@ -1,13 +1,15 @@
 """Block-granular storage-cluster simulator with fault injection.
 
-The cluster holds each node's shares for all blocks as one (nblocks, alpha)
-array and retains the ground truth (the payloads and their `encode_blocks`
-encoding), so every repair/reconstruction outcome is checked: the codec
-under test never sees the truth, the harness always does. Each event runs
-the batched codec of `pmrc.shards` once over all blocks. Adversaries act at
-block granularity: an erased helper drops its whole response, a corrupt
-helper replaces all of its response symbols with seeded-random values.
-Payloads and corrupt symbols each come from one seeded numpy draw.
+The cluster holds every node's shares for all blocks as one (n, nblocks,
+alpha) array with an alive mask, and retains the ground truth (the payloads
+and their `encode_blocks` encoding), so every repair/reconstruction outcome
+is checked: the codec under test never sees the truth, the harness always
+does. Each event runs the batched codec of `pmrc.shards` once over all
+blocks, and a repair computes every responding helper's symbols by one
+`helper_symbols` product over their rows. Adversaries act at block
+granularity: an erased helper drops its whole response, a corrupt helper
+replaces all of its response symbols with seeded-random values. Payloads
+and corrupt symbols each come from one seeded numpy draw.
 
 Helper/provider selection is deterministic (lowest alive ids) by default; an
 event may ask for a seeded permutation instead to exercise the "any Delta
@@ -17,6 +19,7 @@ event may ask for a seeded permutation instead to exercise the "any Delta
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -40,7 +43,7 @@ from .perblock import (  # noqa: F401
     mbr_encode, mbr_helper_symbol, mbr_reconstruct, mbr_repair,
     msr_encode, msr_helper_symbol, msr_reconstruct, msr_repair,
 )
-from .shards import decode_reconstruct, decode_repair, encode_blocks, helper_symbols
+from .shards import _rows, decode_reconstruct, decode_repair, encode_blocks, helper_symbols
 
 SUCCESS = "success"
 DETECTED = "detected-failure"
@@ -82,13 +85,16 @@ class EventReport:
 
 
 def _seeded_rng(tag: str) -> np.random.Generator:
-    """A numpy generator seeded by the bytes of a string tag."""
-    return np.random.default_rng(list(tag.encode()))
+    """A numpy generator seeded by the bytes of a string tag, one 32-bit
+    entropy word per byte (the words a list of the byte values gives)."""
+    return np.random.default_rng(np.frombuffer(tag.encode(), np.uint8).astype(np.uint32))
 
 
 class ClusterState:
-    """n node slots, each alive with an (nblocks, alpha) share array or
-    failed; the (nblocks, B) payloads are kept as one read-only array."""
+    """n node slots, each alive or failed, with the shares of all of them as
+    one (n, nblocks, alpha) array, a failed node's row unread until a repair
+    replaces it; the (nblocks, B) payloads are kept as one read-only array,
+    and their `encode_blocks` encoding as the truth."""
 
     def __init__(self, enc: EncodingMatrix, payloads: Sequence[Sequence[int]]):
         self.enc = enc
@@ -100,34 +106,51 @@ class ClusterState:
         self.payloads.setflags(write=False)
         self.blocks = list(range(len(self.payloads)))
         self._truth = encode_blocks(self.payloads, enc)
-        self._shares: dict[int, np.ndarray | None] = dict(self._truth)
+        self._alive = np.ones(self.params.n, dtype=bool)
+
+    @functools.cached_property
+    def _shares(self) -> np.ndarray:
+        """The (n, nblocks, alpha) share array, stacked from the truth when an
+        event first reads a share (a fail reads none), each row copied as one
+        item (`shards._rows`)."""
+        bodies = [_rows(self._truth[i]) for i in range(1, self.params.n + 1)]
+        return np.stack(bodies).view(self._truth[1].dtype).reshape(
+            self.params.n, len(self.blocks), self.params.alpha)
 
     def alive(self) -> list[int]:
-        return sorted(i for i, s in self._shares.items() if s is not None)
+        return (np.flatnonzero(self._alive) + 1).tolist()
 
     def is_alive(self, node: int) -> bool:
-        self.enc.check_node(node)
-        return self._shares[node] is not None
+        return bool(self._alive[self.enc.check_node(node) - 1])
 
     def share(self, node: int, block: int) -> tuple[int, ...]:
         if not self.is_alive(node):
             raise ParameterError(f"node {node} is failed")
-        return tuple(int(v) for v in self._shares[node][block])
+        return tuple(self._shares[node - 1, block].tolist())
 
     def fail(self, node: int) -> None:
         """Discard a live node's shares (it is replaced by an empty node)."""
         if not self.is_alive(node):
             raise ParameterError(f"node {node} already failed")
-        self._shares[node] = None
+        self._alive[node - 1] = False
+
+    def _shares_of(self, nodes: list[int]) -> np.ndarray:
+        """The (len(nodes), nblocks, alpha) shares of nodes in ascending id
+        order: a view when their ids are consecutive."""
+        rows = np.asarray(nodes) - 1
+        if rows.size and rows[-1] - rows[0] + 1 == rows.size:
+            return self._shares[rows[0] : rows[-1] + 1]
+        return self._shares[rows]
 
     def _event(
         self, kind: str, s: int, t: int, candidates: list[int], send, decode,
         adversary: AdversaryPlan | None, permute_rng: random.Random | None,
     ) -> tuple[EventReport, np.ndarray | None]:
         """Contact `connectivity` candidates (lowest ids, or a seeded pick),
-        drop the erased responses of send(node), replace the corrupt ones by
-        one seeded (blocks, corrupt nodes, width) draw in node order, and decode;
-        the result is None, and the report DETECTED, on DecodeFailure or when
+        drop the erased responses, take the others' (nodes, blocks, width)
+        responses from send(nodes), replace the corrupt ones by one seeded
+        (blocks, corrupt nodes, width) draw in node order, and decode; the
+        result is None, and the report DETECTED, on DecodeFailure or when
         more than s contacted responses are erased (then nothing is decoded)."""
         repair = kind == "repair"
         count = connectivity(self.params, s, t, repair)
@@ -150,7 +173,8 @@ class ClusterState:
         if erased > s:
             detail = f"{erased} erased responses exceeded the (s={s}) erasure budget"
             return dataclasses.replace(report, outcome=DETECTED, detail=detail), None
-        received = {i: send(i) for i in chosen if i not in plan.erase}
+        nodes = [i for i in chosen if i not in plan.erase]
+        received = dict(zip(nodes, send(nodes)))
         bad = [i for i in received if i in plan.corrupt]
         if bad:
             fake = _seeded_rng(f"corrupt:{plan.seed}").integers(
@@ -176,21 +200,28 @@ class ClusterState:
         truth so a beyond-budget adversary can never corrupt silently."""
         if self.is_alive(failed):
             raise ParameterError(f"node {failed} is alive; fail it first")
+
+        def send(nodes):  # every helper's symbols, by one product over their shares
+            shares = self._shares_of(nodes).reshape(-1, self.params.alpha)
+            symbols = helper_symbols(shares, failed, self.enc)
+            return symbols.reshape(len(nodes), len(self.blocks), self.params.beta)
+
         report, rebuilt = self._event(
-            "repair", s, t, [i for i in self.alive() if i != failed],
-            lambda h: helper_symbols(self._shares[h], failed, self.enc),
+            "repair", s, t, [i for i in self.alive() if i != failed], send,
             lambda received: decode_repair(received, failed, self.enc, t),
             adversary, permute_rng,
         )
         report = dataclasses.replace(report, node=failed)
         if rebuilt is not None:
-            mismatch = np.flatnonzero((rebuilt != self._truth[failed]).any(axis=1))
-            if mismatch.size:
+            truth = self._truth[failed]
+            if not np.array_equal(rebuilt, truth):  # whole-array first: the row scan is slow
+                block = np.flatnonzero((rebuilt != truth).any(axis=1))[0]
                 report = dataclasses.replace(
                     report, outcome=MISMATCH,
-                    detail=f"block {mismatch[0]} share differs from ground truth",
+                    detail=f"block {block} share differs from ground truth",
                 )
-            self._shares[failed] = rebuilt
+            self._shares[failed - 1] = rebuilt
+            self._alive[failed - 1] = True
         return report
 
     def reconstruct(
@@ -203,7 +234,7 @@ class ClusterState:
         """Data-collector read from kappa = k+s+2t providers; the recovered
         (nblocks, B) payload is compared against ground truth."""
         report, blocks = self._event(
-            "reconstruct", s, t, self.alive(), lambda i: self._shares[i],
+            "reconstruct", s, t, self.alive(), self._shares_of,
             lambda received: decode_reconstruct(received, self.enc, t),
             adversary, permute_rng,
         )

@@ -27,7 +27,9 @@ psi with a one-hot operand, the reference for the codec's scatter, and
 B'-sized elimination, the reference for the product-matrix build.
 ``msr_systematic_remap`` solves for the message under which k chosen nodes
 store the payload verbatim. ``rank`` is a matrix's rank mod q, by the
-library's elimination.
+library's elimination. ``massey_loop`` is `pmrc.decoding._massey` as first
+written, which rebuilds its arrays on every step: the reference for the
+in-place one.
 """
 
 from dataclasses import dataclass
@@ -143,6 +145,33 @@ def locate_then_erase_full(ys, gen, need, t, field, solve, locate, per_block, co
     raise DecodeFailure(
         f"block {undecided[0] // per_block} exceeded the (t={t}) corruption budget"
     )
+
+
+def massey_loop(syn: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inversion-free Berlekamp-Massey over the first axis of (N, 2t)
+    syndromes: (N, 2t + 1) connection polynomials C, low-first, and their
+    lengths L (N,), as `pmrc.decoding._massey` returns them. The register
+    before the last length change is kept times z^m, shifted by a copy on
+    every step, and every update is an ``np.where`` rebuild."""
+    n_words, n_syn = syn.shape
+    syn = syn.T.astype(np.int64)
+    conn = np.zeros((n_syn + 1, n_words), dtype=np.int64)
+    conn[0] = 1
+    prev = conn.copy()
+    length = np.zeros(n_words, dtype=np.int64)
+    last = np.ones(n_words, dtype=np.int64)
+    for n in range(n_syn):
+        disc = (conn[: n + 1] * syn[n::-1]).sum(axis=0) % q
+        top = n + 2
+        prev[1:top] = prev[: top - 1].copy()
+        prev[0] = 0
+        grow = (disc != 0) & (2 * length <= n)
+        new = (last * conn[:top] - disc * prev[:top]) % q
+        prev[:top] = np.where(grow, conn[:top], prev[:top])
+        conn[:top] = new
+        last = np.where(grow, disc, last)
+        length = np.where(grow, n + 1 - length, length)
+    return conn.T, length
 
 
 # --- the message-matrix view of the code --------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -745,6 +746,63 @@ def test_bad_body_on_a_picked_shard_is_an_erasure(tmp_path, capsys, monkeypatch,
     assert reads == first + [shard_filename(i) for i in (2, 3, 4)] + first + [
         shard_filename(i) for i in (2, 3, 4, 5, 6)
     ]
+
+
+def _failing_open(monkeypatch, name, nth, code):
+    """Make the nth open of shard file ``name`` by `pmrc.shards` (1: the
+    header vote, 2: its body's first read) raise OSError ``code``."""
+    opened = []
+
+    def fake(path, *args, **kwargs):
+        if os.path.basename(path) == name:
+            opened.append(path)
+            if len(opened) == nth:
+                raise OSError(code, os.strerror(code), os.fspath(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(shards, "open", fake, raising=False)
+
+
+@pytest.mark.parametrize("nth", [1, 2], ids=["header vote", "body read"])
+@pytest.mark.parametrize("command", ["reconstruct", "repair"])
+def test_too_many_open_files_is_an_io_error(tmp_path, capsys, monkeypatch, command, nth):
+    """An open that fails with EMFILE says nothing about the shard's bytes:
+    the command exits 5 naming the file, and skips no shard, whether the open
+    is the header vote's or the first body read's; ENOENT (the file is gone)
+    stays an erasure, and the next id is read."""
+    data, out = encode(tmp_path, mode="mbr", k=3, d=5, n=8)
+    original = (out / shard_filename(8)).read_bytes()
+    dest = tmp_path / "back"
+    argv = ([command, str(out), "-o", str(dest)]
+            + (["--node", "8"] if command == "repair" else []))
+    capsys.readouterr()
+    _failing_open(monkeypatch, shard_filename(2), nth, errno.EMFILE)
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "Too many open files" in err and str(out / shard_filename(2)) in err
+    assert "skipped" not in err and not dest.exists()
+    _failing_open(monkeypatch, shard_filename(2), nth, errno.ENOENT)
+    assert main(argv) == EXIT_OK
+    assert f"skipped inconsistent shard files: {shard_filename(2)}" in capsys.readouterr().err
+    if command == "repair":
+        assert (dest / shard_filename(8)).read_bytes() == original
+    else:
+        assert dest.read_bytes() == data
+
+
+def test_a_device_error_reading_a_body_is_an_io_error(tmp_path, capsys, monkeypatch):
+    """EIO from a body's positioned read exits 5 naming the shard file."""
+    _, out = encode(tmp_path, mode="mbr", k=3, d=5, n=8)
+    capsys.readouterr()
+
+    def failing(fd, buffers, offset):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(shards.os, "preadv", failing)
+    assert main(["reconstruct", str(out), "-o", str(tmp_path / "back.bin")]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert os.strerror(errno.EIO) in err and str(out / shard_filename(1)) in err
+    assert "skipped" not in err
 
 
 def test_reconstruct_checks_its_output_before_reading(tmp_path, monkeypatch):

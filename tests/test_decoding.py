@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from pmrc import DecodeFailure, Fq, ParameterError
 from pmrc.decoding import (
-    Response, consistency_reconstruct, locate, rs_decode_ee,
+    Response, _massey, consistency_reconstruct, locate, rs_decode_ee,
 )
 from pmrc.linalg import matmul_mod, solve, vandermonde
-from oracles import AmbiguityError, rank, subset_decode_oracle
+from oracles import AmbiguityError, massey_loop, rank, subset_decode_oracle
 
 F29 = Fq(29)
 
@@ -383,3 +383,22 @@ def test_locate_needs_room_for_the_budget():
         locate(np.zeros((1, 4), dtype=np.int64), [1, 2, 3, 4], 3, 1, F29)
     with pytest.raises(ParameterError):
         locate_rows_erased(np.zeros((1, 5, 5), dtype=np.int64), [1, 2, 3, 4, 5], 3, 1, F29)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_massey_equals_the_rebuilding_loop(data):
+    """`_massey`, which shifts its saved register by a window offset and
+    updates in place, gives the (C, L) of `oracles.massey_loop` on random
+    syndromes, some rows of them zero (a clean word) or with repeated
+    values."""
+    q = data.draw(st.sampled_from([29, 257, 65521]), label="q")
+    n_words = data.draw(st.integers(1, 40), label="words")
+    n_syn = data.draw(st.integers(1, 8), label="syndromes")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    syn = rng.integers(0, q, size=(n_words, n_syn))
+    syn[rng.random(n_words) < 0.2] = 0
+    syn[rng.random(n_words) < 0.2, 1:] = syn[0, 0]
+    conn, length = _massey(syn, q)
+    want_conn, want_length = massey_loop(syn, q)
+    assert np.array_equal(conn, want_conn) and np.array_equal(length, want_length)

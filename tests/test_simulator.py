@@ -16,7 +16,8 @@ from pmrc import (
     msr_params,
     run_scenario,
 )
-from pmrc.simulator import DETECTED, MISMATCH, SUCCESS, load_scenario
+from pmrc.shards import encode_blocks, helper_symbols
+from pmrc.simulator import DETECTED, MISMATCH, SUCCESS, _seeded_rng, load_scenario
 from util import OVER_BUDGET, random_payload, verify_consistent
 
 
@@ -255,3 +256,36 @@ def test_report_dict_keeps_field_order_and_drops_unset():
     assert list(bare.to_dict()) == [
         "kind", "s", "t", "connectivity", "downloaded", "outcome",
     ]
+
+
+@pytest.mark.parametrize("params", [
+    msr_params(k=3, n=7), msr_params(k=3, n=7, beta=2),
+    mbr_params(k=3, d=4, n=7), mbr_params(k=3, d=4, n=7, beta=2),
+], ids=str)
+def test_one_helper_product_equals_each_helpers(params):
+    """A repair's one `helper_symbols` product over the stacked shares of
+    all its helpers gives each helper the symbols its own call gives, and
+    the cluster's rows of consecutive ids are a view of its share array."""
+    c = small_cluster(params, q=257, blocks=5)
+    truth = encode_blocks(c.payloads, c.enc)
+    c.fail(1)
+    for nodes in ([2, 3, 4, 5], [2, 4, 5, 7]):
+        shares = c._shares_of(nodes)
+        one = helper_symbols(shares.reshape(-1, params.alpha), 1, c.enc)
+        one = one.reshape(len(nodes), 5, params.beta)
+        for symbols, i in zip(one, nodes):
+            assert np.array_equal(symbols, helper_symbols(truth[i], 1, c.enc))
+    assert np.shares_memory(c._shares_of([2, 3, 4]), c._shares_of([2]))
+    c.repair(1)
+    assert verify_consistent(c)
+
+
+@pytest.mark.parametrize("tag", ["payload:0", "payload:-3", "payload:61000",
+                                 "corrupt:0", "corrupt:6100301"])
+def test_seeded_rng_streams_equal_the_list_seeded_ones(tag):
+    """`_seeded_rng` seeds from a uint32 array of the tag's bytes: the same
+    entropy words as the list of byte values, so every draw is the same."""
+    got, want = _seeded_rng(tag), np.random.default_rng(list(tag.encode()))
+    assert np.array_equal(got.integers(0, 257, size=(40, 7)),
+                          want.integers(0, 257, size=(40, 7)))
+    assert np.array_equal(got.integers(0, 65521, size=99), want.integers(0, 65521, size=99))
