@@ -267,7 +267,7 @@ def rs_decode_ee(
 
 
 # Not called in src/: a test reference, bound here so the benchmark tracer
-# (perfbench/tracer.py) resolves it, until ROADMAP item 1 retargets the tracer.
+# (perfbench/tracer.py) resolves it, until ROADMAP item 2 retargets the tracer.
 def consistency_reconstruct(
     word: Sequence[Response],
     k: int,

@@ -703,8 +703,7 @@ def _locate_then_erase(
     when it makes no such promise (it need only give the message when those
     symbols are right). A candidate is accepted when it agrees with at least
     R - t positions; every symbol it does not reproduce is re-encoded and
-    compared, the code map of those symbols taken once per decode and set
-    of reproduced columns.
+    compared, each position's compared symbols ANDed into its first.
 
     Each word is located at most once, by one loop that repeats two steps
     until no word is undecided:
@@ -734,7 +733,6 @@ def _locate_then_erase(
     q = field.q
     maps = gen.reshape(-1, gen.shape[2])  # row r * w + j: symbol j of position r
     flat = word.reshape(nwords, n_pos * w)
-    checks: dict[bytes, tuple] = {}  # reproduced columns -> how to check the rest
 
     def attempt(rows: np.ndarray, part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         syms = (rows[:, None] * w + np.arange(w)).ravel()
@@ -743,28 +741,22 @@ def _locate_then_erase(
             again = linalg.matmul_mod(cand, maps.T, q).reshape(part.shape[0], n_pos, w)
             agree = (again == part.reshape(again.shape)).all(axis=2).sum(axis=1)
             return cand, agree >= n_pos - t
-        kept = syms[reproduced]
-        key = kept.tobytes()
-        if key not in checks:
-            unread = np.ones(flat.shape[1], dtype=bool)
-            unread[kept] = False
-            checked = unread.nonzero()[0]
-            groups: dict[int, list[int]] = {}  # position -> its checked columns
-            for c, r in enumerate((checked // w).tolist()):
-                groups.setdefault(r, []).append(c)
-            firsts = [cs[0] for cs in groups.values()]
-            pairs = [(cs[0], c) for cs in groups.values() for c in cs[1:]]
-            checks[key] = checked, firsts, pairs, maps[checked].T
-        checked, firsts, pairs, check_map = checks[key]
-        if not firsts:  # every position reproduced
+        unread = np.ones(flat.shape[1], dtype=bool)
+        unread[syms[reproduced]] = False
+        checked = unread.nonzero()[0]
+        if not checked.size:  # every position reproduced
             return cand, np.ones(cand.shape[0], dtype=bool)
-        same = linalg.matmul_mod(cand, check_map, q) == _columns(part, checked)
-        # whole-column ANDs per position: numpy's reductions along a short
-        # innermost axis cost several times more
-        for first, c in pairs:
-            same[:, first] &= same[:, c]
+        pos = checked // w
+        first = np.concatenate(([True], pos[1:] != pos[:-1]))  # a position's first column
+        firsts = first.nonzero()[0]
+        same = linalg.matmul_mod(cand, maps[checked].T, q) == _columns(part, checked)
+        # whole-column ANDs per position into its first: numpy's reductions
+        # along a short innermost axis cost several times more
+        for f, end in zip(firsts.tolist(), firsts[1:].tolist() + [checked.size]):
+            for c in range(f + 1, end):
+                same[:, f] &= same[:, c]
         # the reproduced positions agree; R - t in all needs len(firsts) - t here
-        return cand, same[:, firsts].sum(axis=1) >= len(firsts) - t
+        return cand, same[:, firsts].sum(axis=1) >= firsts.size - t
 
     out = None  # allocated once a pass leaves a word undecided
     undecided = np.ones(nwords, dtype=bool)

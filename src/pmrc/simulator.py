@@ -1,15 +1,17 @@
 """Block-granular storage-cluster simulator with fault injection.
 
-The cluster holds every node's shares for all blocks as one (n, nblocks,
-alpha) array with an alive mask, and retains the ground truth (the payloads
-and their `encode_blocks` encoding), so every repair/reconstruction outcome
-is checked: the codec under test never sees the truth, the harness always
-does. Each event runs the batched codec of `pmrc.shards` once over all
-blocks, and a repair computes every responding helper's symbols by one
-`helper_symbols` product over their rows. Adversaries act at block
-granularity: an erased helper drops its whole response, a corrupt helper
-replaces all of its response symbols with seeded-random values. Payloads
-and corrupt symbols each come from one seeded numpy draw.
+The cluster holds each node's shares for all blocks as the (nblocks, alpha)
+array `encode_blocks` gives (None for a failed node). That encoding and the
+payloads, read-only, are the ground truth every repair/reconstruction
+outcome is checked against: the codec under test gets the truth only as
+live nodes' shares, and can change none of it. Each event runs the batched
+codec of `pmrc.shards` once over all blocks: a reconstruct hands the
+decoder the providers' arrays as they are, and a repair computes every
+responding helper's symbols by one `helper_symbols` product over their
+joined shares. Adversaries act at block granularity: an erased helper
+drops its whole response, a corrupt helper replaces all of its response
+symbols with seeded-random values. Payloads and corrupt symbols each come
+from one seeded numpy draw.
 
 Helper/provider selection is deterministic (lowest alive ids) by default; an
 event may ask for a seeded permutation instead to exercise the "any Delta
@@ -19,7 +21,6 @@ event may ask for a seeded permutation instead to exercise the "any Delta
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import random
 from dataclasses import dataclass
@@ -38,12 +39,12 @@ from .params import (
     connectivity,
 )
 # msr_*/mbr_* are not called here: bound so the benchmark tracer
-# (perfbench/tracer.py) resolves them, until ROADMAP item 1 retargets it.
+# (perfbench/tracer.py) resolves them, until ROADMAP item 2 retargets it.
 from .perblock import (  # noqa: F401
     mbr_encode, mbr_helper_symbol, mbr_reconstruct, mbr_repair,
     msr_encode, msr_helper_symbol, msr_reconstruct, msr_repair,
 )
-from .shards import _rows, decode_reconstruct, decode_repair, encode_blocks, helper_symbols
+from .shards import decode_reconstruct, decode_repair, encode_blocks, helper_symbols
 
 SUCCESS = "success"
 DETECTED = "detected-failure"
@@ -91,10 +92,10 @@ def _seeded_rng(tag: str) -> np.random.Generator:
 
 
 class ClusterState:
-    """n node slots, each alive or failed, with the shares of all of them as
-    one (n, nblocks, alpha) array, a failed node's row unread until a repair
-    replaces it; the (nblocks, B) payloads are kept as one read-only array,
-    and their `encode_blocks` encoding as the truth."""
+    """n node slots in id order, each alive with an (nblocks, alpha) share
+    array or failed (None): at first its array of the truth, the read-only
+    `encode_blocks` encoding of the read-only (nblocks, B) payloads, and
+    after a repair that repair's result."""
 
     def __init__(self, enc: EncodingMatrix, payloads: Sequence[Sequence[int]]):
         self.enc = enc
@@ -106,52 +107,38 @@ class ClusterState:
         self.payloads.setflags(write=False)
         self.blocks = list(range(len(self.payloads)))
         self._truth = encode_blocks(self.payloads, enc)
-        self._alive = np.ones(self.params.n, dtype=bool)
-
-    @functools.cached_property
-    def _shares(self) -> np.ndarray:
-        """The (n, nblocks, alpha) share array, stacked from the truth when an
-        event first reads a share (a fail reads none), each row copied as one
-        item (`shards._rows`)."""
-        bodies = [_rows(self._truth[i]) for i in range(1, self.params.n + 1)]
-        return np.stack(bodies).view(self._truth[1].dtype).reshape(
-            self.params.n, len(self.blocks), self.params.alpha)
+        for body in self._truth.values():
+            body.setflags(write=False)
+        self._shares: dict[int, np.ndarray | None] = dict(self._truth)
 
     def alive(self) -> list[int]:
-        return (np.flatnonzero(self._alive) + 1).tolist()
+        return [i for i, s in self._shares.items() if s is not None]
 
     def is_alive(self, node: int) -> bool:
-        return bool(self._alive[self.enc.check_node(node) - 1])
+        return self._shares[self.enc.check_node(node)] is not None
 
     def share(self, node: int, block: int) -> tuple[int, ...]:
         if not self.is_alive(node):
             raise ParameterError(f"node {node} is failed")
-        return tuple(self._shares[node - 1, block].tolist())
+        return tuple(self._shares[node][block].tolist())
 
     def fail(self, node: int) -> None:
         """Discard a live node's shares (it is replaced by an empty node)."""
         if not self.is_alive(node):
             raise ParameterError(f"node {node} already failed")
-        self._alive[node - 1] = False
-
-    def _shares_of(self, nodes: list[int]) -> np.ndarray:
-        """The (len(nodes), nblocks, alpha) shares of nodes in ascending id
-        order: a view when their ids are consecutive."""
-        rows = np.asarray(nodes) - 1
-        if rows.size and rows[-1] - rows[0] + 1 == rows.size:
-            return self._shares[rows[0] : rows[-1] + 1]
-        return self._shares[rows]
+        self._shares[node] = None
 
     def _event(
         self, kind: str, s: int, t: int, candidates: list[int], send, decode,
         adversary: AdversaryPlan | None, permute_rng: random.Random | None,
     ) -> tuple[EventReport, np.ndarray | None]:
         """Contact `connectivity` candidates (lowest ids, or a seeded pick),
-        drop the erased responses, take the others' (nodes, blocks, width)
-        responses from send(nodes), replace the corrupt ones by one seeded
-        (blocks, corrupt nodes, width) draw in node order, and decode; the
-        result is None, and the report DETECTED, on DecodeFailure or when
-        more than s contacted responses are erased (then nothing is decoded)."""
+        drop the erased responses, take the others' (blocks, width)
+        responses, one per node, from send(nodes), replace the corrupt ones
+        by one seeded (blocks, corrupt nodes, width) draw in node order, and
+        decode; the result is None, and the report DETECTED, on DecodeFailure
+        or when more than s contacted responses are erased (then nothing is
+        decoded)."""
         repair = kind == "repair"
         count = connectivity(self.params, s, t, repair)
         if len(candidates) < count:
@@ -202,7 +189,7 @@ class ClusterState:
             raise ParameterError(f"node {failed} is alive; fail it first")
 
         def send(nodes):  # every helper's symbols, by one product over their shares
-            shares = self._shares_of(nodes).reshape(-1, self.params.alpha)
+            shares = np.concatenate([self._shares[i] for i in nodes])
             symbols = helper_symbols(shares, failed, self.enc)
             return symbols.reshape(len(nodes), len(self.blocks), self.params.beta)
 
@@ -220,8 +207,7 @@ class ClusterState:
                     report, outcome=MISMATCH,
                     detail=f"block {block} share differs from ground truth",
                 )
-            self._shares[failed - 1] = rebuilt
-            self._alive[failed - 1] = True
+            self._shares[failed] = rebuilt
         return report
 
     def reconstruct(
@@ -234,7 +220,8 @@ class ClusterState:
         """Data-collector read from kappa = k+s+2t providers; the recovered
         (nblocks, B) payload is compared against ground truth."""
         report, blocks = self._event(
-            "reconstruct", s, t, self.alive(), self._shares_of,
+            "reconstruct", s, t, self.alive(),
+            lambda nodes: [self._shares[i] for i in nodes],
             lambda received: decode_reconstruct(received, self.enc, t),
             adversary, permute_rng,
         )

@@ -16,7 +16,7 @@ from pmrc import (
     msr_params,
     run_scenario,
 )
-from pmrc.shards import encode_blocks, helper_symbols
+from pmrc.shards import decode_reconstruct, encode_blocks, helper_symbols
 from pmrc.simulator import DETECTED, MISMATCH, SUCCESS, _seeded_rng, load_scenario
 from util import OVER_BUDGET, random_payload, verify_consistent
 
@@ -262,22 +262,63 @@ def test_report_dict_keeps_field_order_and_drops_unset():
     msr_params(k=3, n=7), msr_params(k=3, n=7, beta=2),
     mbr_params(k=3, d=4, n=7), mbr_params(k=3, d=4, n=7, beta=2),
 ], ids=str)
-def test_one_helper_product_equals_each_helpers(params):
-    """A repair's one `helper_symbols` product over the stacked shares of
-    all its helpers gives each helper the symbols its own call gives, and
-    the cluster's rows of consecutive ids are a view of its share array."""
+def test_one_helper_product_equals_each_helpers(params, monkeypatch):
+    """A repair event makes one `helper_symbols` call over the joined shares
+    of all its responding helpers, consecutive ids or not, and it gives each
+    helper the symbols its own call gives."""
+    calls = []
+
+    def recorded(share, failed, enc):
+        calls.append((share, failed, helper_symbols(share, failed, enc)))
+        return calls[-1][2]
+
+    monkeypatch.setattr("pmrc.simulator.helper_symbols", recorded)
     c = small_cluster(params, q=257, blocks=5)
     truth = encode_blocks(c.payloads, c.enc)
-    c.fail(1)
-    for nodes in ([2, 3, 4, 5], [2, 4, 5, 7]):
-        shares = c._shares_of(nodes)
-        one = helper_symbols(shares.reshape(-1, params.alpha), 1, c.enc)
-        one = one.reshape(len(nodes), 5, params.beta)
-        for symbols, i in zip(one, nodes):
-            assert np.array_equal(symbols, helper_symbols(truth[i], 1, c.enc))
-    assert np.shares_memory(c._shares_of([2, 3, 4]), c._shares_of([2]))
-    c.repair(1)
+    events = [  # (failed, s, erased, the helpers that respond)
+        (1, 0, frozenset(), [2, 3, 4, 5]),
+        (3, 1, frozenset({4}), [1, 2, 5, 6]),  # node 1 as repaired above
+    ]
+    for failed, s, erase, nodes in events:
+        c.fail(failed)
+        calls.clear()
+        report = c.repair(failed, s=s, adversary=AdversaryPlan(erase=erase))
+        assert report.outcome == SUCCESS
+        [(share, called_for, one)] = calls
+        assert called_for == failed
+        assert np.array_equal(share, np.concatenate([truth[i] for i in nodes]))
+        for symbols, i in zip(one.reshape(len(nodes), 5, params.beta), nodes):
+            assert np.array_equal(symbols, helper_symbols(truth[i], failed, c.enc))
     assert verify_consistent(c)
+
+
+def test_reconstruct_reads_the_encoded_arrays_themselves(monkeypatch):
+    """A reconstruct hands `decode_reconstruct` the arrays `encode_blocks`
+    gave the providers, not copies of them, and read-only: they are the
+    ground truth too."""
+    encoded, handed = [], []
+
+    def encode(blocks, enc):
+        encoded.append(encode_blocks(blocks, enc))
+        return encoded[-1]
+
+    def decode(shares, enc, t):
+        handed.append(dict(shares))
+        return decode_reconstruct(shares, enc, t)
+
+    monkeypatch.setattr("pmrc.simulator.encode_blocks", encode)
+    monkeypatch.setattr("pmrc.simulator.decode_reconstruct", decode)
+    for params in (msr_params(k=3, n=7), mbr_params(k=3, d=4, n=7, beta=2)):
+        encoded.clear()
+        handed.clear()
+        c = small_cluster(params, q=257, blocks=4)
+        c.fail(2)
+        report, _ = c.reconstruct(t=1)
+        assert report.outcome == SUCCESS
+        [truth], [shares] = encoded, handed
+        assert list(shares) == [1, 3, 4, 5, 6]
+        assert all(np.shares_memory(shares[i], truth[i]) for i in shares)
+        assert not any(shares[i].flags.writeable for i in shares)
 
 
 @pytest.mark.parametrize("tag", ["payload:0", "payload:-3", "payload:61000",
