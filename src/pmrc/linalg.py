@@ -9,6 +9,8 @@ The codec's bulk products run on one kernel, `matmul_mod`, which returns
 uint16 residues. It makes each product whole on BLAS, in float32 when the
 whole inner sum of reduced residues stays below 2**22 and in float64 (any
 q < 2**16) otherwise, and reduces it once, exactly, with no fix-up pass.
+`matmul_mod_filled` is its twin for an operand that is never held whole and
+whose entries need not be reduced (a clean repair's helper symbols).
 Word-sized products run in int64. The product-matrix reconstruction's
 per-word solves bypass it: `shards._mbr_fill` multiplies int64 arrays with
 `@` and `shards._msr_operands` with `np.einsum`, neither on BLAS.
@@ -84,6 +86,28 @@ def matmul_mod(a, b, q: int) -> np.ndarray:
     for i in range(0, rows, step):
         out[i : i + step] = _reduce(a[i : i + step].astype(kind, copy=False) @ bk, q)
     return out.T if flip else out
+
+
+def matmul_mod_filled(fill, rows: int, b: np.ndarray, q: int, top: int) -> np.ndarray:
+    """Exact (a @ b) % q as uint16 for a (rows, inner) a that is never held
+    whole: ``fill(lo, part)`` writes rows lo.. of a, transposed, into the
+    float64 (inner, w) ``part``, as integers in [0, top] that need not be
+    reduced. Steps along the rows as `matmul_mod` does, each product in
+    float64; a part is reduced first only when inner * top * (q-1) reaches
+    2**51, the bound under which the unreduced product stays exact."""
+    inner, cols = b.shape
+    step = max(_STEP // max(inner, cols, 1), _STEP_ROWS)
+    exact = inner * top * (q - 1) < 2**51
+    bk = b.astype(np.float64)
+    out = np.empty((rows, cols), dtype=np.uint16)
+    part = np.empty((inner, min(step, rows)))
+    for lo in range(0, rows, step):
+        p = part[:, : min(step, rows - lo)]
+        fill(lo, p)
+        if not exact:
+            _reduce(p, q)
+        out[lo : lo + p.shape[1]] = _reduce(p.T @ bk, q)
+    return out
 
 
 def vandermonde(field: Fq, points: Sequence[int], width: int) -> np.ndarray:

@@ -62,9 +62,10 @@ whole from the payload or the product stays a view of it until `write_rows`
 copies it; that copy and every other body assembly move one row per numpy
 item (`_rows`), never a few symbols. The bulk products (encoding, the
 systematic map, repair symbols and the MSR repair fold, inverses, the
-located words' checks) run on `linalg.matmul_mod`; the reconstruction's
-per-word solves do not: `_mbr_fill` multiplies int64 arrays with `@` and
-`_msr_operands` with `np.einsum`.
+located words' checks) run on `linalg.matmul_mod`, and a clean repair's one
+product on `linalg.matmul_mod_filled`; the reconstruction's per-word solves
+do not: `_mbr_fill` multiplies int64 arrays with `@` and `_msr_operands`
+with `np.einsum`.
 
 This module is the package's one codec. Blocks are independent, and so is
 each beta-slice of a block (a copy of the beta = 1 code), so `encode_blocks`,
@@ -83,8 +84,12 @@ memoized in `linalg.vandermonde_inverse`; reconstruction gathers the layout
 when the pass reads nodes 1..k of a systematic code, reconstructs each of
 fewer than k * alpha' words, and otherwise applies the product-matrix
 inverse memoized in `_reconstruct_inverse`. So a later decode from the same
-providers builds no inverse. The file-level calls, the simulator and
-`pmrc.perblock` (batches of one block) all run them.
+providers builds no inverse. A repair at t = 0 from exactly d helpers has
+nothing to locate or check, and skips the loop: its one pass and the MSR
+fold are one product with a memoized map (`_one_map_repair`), whose operand
+`repair_blocks` fills with the helpers' repair symbols left unreduced. The
+file-level calls, the simulator and `pmrc.perblock` (batches of one block)
+all run them.
 """
 
 from __future__ import annotations
@@ -625,13 +630,15 @@ def helper_symbols(
     phi_f (MSR) or psi_f (MBR). They depend on the helper's own share and the
     failed id only, never on which other helpers take part."""
     params = enc.params
-    if params.mode is CodeMode.MSR:
-        target = enc.phi_row(failed_id)
-    else:
-        target = enc.psi_row(failed_id)
     slices = share.reshape(share.shape[0] * params.beta, params.alpha_prime)
-    symbols = linalg.matmul_mod(slices, target[:, None], enc.field.q)
+    symbols = linalg.matmul_mod(slices, _repair_target(enc, failed_id)[:, None], enc.field.q)
     return symbols.reshape(share.shape[0], params.beta)
+
+
+def _repair_target(enc: EncodingMatrix, failed_id: int) -> np.ndarray:
+    """The (alpha',) vector a helper dots each stored slice with for
+    ``failed_id``: phi_f (MSR) or psi_f (MBR)."""
+    return enc.phi_row(failed_id) if enc.params.mode is CodeMode.MSR else enc.psi_row(failed_id)
 
 
 def _stack(ys: list[np.ndarray]) -> np.ndarray:
@@ -846,12 +853,21 @@ def decode_repair(
     beta) repair symbols of the helpers that answered, up to t of them
     corrupt; exact when at least d + 2t answered. Per slice the symbols are
     evaluations of m_f = M phi_f (MSR) or M psi_f (MBR) at the helpers'
-    points, so all slices of all blocks decode as one batch of columns."""
+    points, so all slices of all blocks decode as one batch of columns; at t
+    = 0 from exactly d helpers, by one product (`_one_map_repair`)."""
     params = enc.params
     ap = params.alpha_prime
+    ys = [y.reshape(-1) for y in symbols.values()]
+    if t == 0 and len(ys) == params.d:
+
+        def fill(lo, part):
+            for row, y in zip(part, ys):
+                row[...] = y[lo : lo + row.size]
+
+        return _one_map_repair(fill, ys[0].size, enc.field.q - 1, failed_id,
+                               tuple(symbols), enc, counts)
     m = poly_decode(
-        [y.reshape(-1) for y in symbols.values()],
-        [enc.point_of(h) for h in symbols], params.d, t, enc.field, params.beta, counts,
+        ys, [enc.point_of(h) for h in symbols], params.d, t, enc.field, params.beta, counts,
     ).T
     if params.mode is CodeMode.MSR:
         # phi_f^t S1 + lambda_f phi_f^t S2, by the symmetry of S1 and S2
@@ -860,6 +876,39 @@ def decode_repair(
                               enc.field.q)
     # MBR: M is symmetric, so m_f itself is the lost slice share
     return m.reshape(-1, params.alpha)
+
+
+@functools.lru_cache(maxsize=256)
+def _repair_map(enc: EncodingMatrix, failed_id: int, helpers: tuple[int, ...]) -> np.ndarray:
+    """The (d, alpha') map G from d helpers' repair symbols of a word to the
+    failed node's slice share, read-only int64, built once per (code, failed
+    id, helpers in order): the transposed inverse Vandermonde of the helpers'
+    points, which gives m_f, then for MSR the fold [I; lambda_f I]."""
+    params = enc.params
+    g = linalg.vandermonde_inverse(enc.field, tuple(enc.point_of(h) for h in helpers)).T
+    if params.mode is CodeMode.MSR:
+        ap = params.alpha_prime
+        g = (g[:, :ap] + enc.lam_of(failed_id) * g[:, ap:]) % enc.field.q
+        g.setflags(write=False)
+    return g
+
+
+def _one_map_repair(fill, nwords: int, top: int, failed_id: int, helpers: tuple[int, ...],
+                    enc: EncodingMatrix, counts: dict | None) -> np.ndarray:
+    """The failed node's (nblocks, alpha) share from exactly d helpers at t =
+    0, where nothing is located or checked: the engine's one pass
+    (`poly_decode` of the d positions, then the MSR fold) as one product of
+    the (nwords, d) repair symbols, which ``fill`` writes
+    (`linalg.matmul_mod_filled`, entries at most ``top``), with the memoized
+    `_repair_map`. ``counts`` gets the engine's: one pass when there are
+    words, nothing located."""
+    if counts is not None:
+        counts.update(passes=counts.get("passes", 0) + int(nwords > 0),
+                      located=counts.get("located", 0),
+                      patterns=len(counts.get("masks", ())))
+    g = _repair_map(enc, failed_id, helpers)
+    share = linalg.matmul_mod_filled(fill, nwords, g, enc.field.q, top)
+    return share.reshape(-1, enc.params.alpha)
 
 
 def _batch_product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -1158,16 +1207,33 @@ def repair_blocks(
     """Regenerate the failed node's (nblocks, alpha) body from shard bodies.
 
     Helpers are the Delta = d+s+2t lowest-id present nodes; each contributes
-    its per-block repair symbols, computed exactly as a live helper would.
+    its per-block repair symbols, computed exactly as a live helper would. At
+    s = t = 0 they are one float product per helper, left unreduced, written
+    straight into the operand of `_one_map_repair`.
     ``counts`` is a file's, shared by its chunks (`repair_chunks`).
     """
     params = enc.params
     enc.check_node(failed_id)
     delta = connectivity(params, s, t, repair=True)
     helpers = _lowest_ids(bodies, delta, skip=failed_id)
-    symbols = {h: helper_symbols(body, failed_id, enc) for h, body in helpers.items()}
     counts = {} if counts is None else counts
-    share = decode_repair(symbols, failed_id, enc, t, counts)
+    if s == t == 0:
+        # each helper's repair symbols by one float product, left unreduced:
+        # in float32 while their whole sums stay exact there
+        ap, q = params.alpha_prime, enc.field.q
+        kind = np.float32 if ap * (q - 1) ** 2 < 2**24 else np.float64
+        target = _repair_target(enc, failed_id).astype(kind)
+        slices = [body.reshape(-1, ap) for body in helpers.values()]
+
+        def fill(lo, part):
+            for row, y in zip(part, slices):
+                row[...] = y[lo : lo + row.size].astype(kind) @ target
+
+        share = _one_map_repair(fill, slices[0].shape[0], ap * (q - 1) ** 2, failed_id,
+                                tuple(helpers), enc, counts)
+    else:
+        symbols = {h: helper_symbols(body, failed_id, enc) for h, body in helpers.items()}
+        share = decode_repair(symbols, failed_id, enc, t, counts)
     info = {
         "helpers": list(helpers),
         "connectivity": delta,

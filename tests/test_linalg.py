@@ -24,6 +24,7 @@ from pmrc.linalg import (
     left_inverse,
     _reduce,
     matmul_mod,
+    matmul_mod_filled,
     solve,
     solve_any,
     vandermonde,
@@ -298,3 +299,31 @@ def test_float_reduction_is_exact_up_to_the_bound(q):
         p = (m[:, None] * q + np.arange(-2, 3)).ravel()
         p = p[(p >= 0) & (p < bound)]
         assert np.array_equal(_reduce(p.astype(dtype), q), p % q)
+
+
+
+@pytest.mark.parametrize("q", [257, 4093, 65521])
+@pytest.mark.parametrize("inner, cols", [(8, 8), (6, 3), (2, 1), (14, 7)])
+def test_matmul_mod_filled_is_exact_at_its_bound(q, inner, cols):
+    """a @ b mod q for an a never held whole: ``fill`` writes a's rows,
+    transposed, a step at a time, as integers up to ``top``, here a repair
+    symbol's bound alpha' (q-1)^2. Rows of all ``top`` against a b of all
+    q - 1 reach the product's bound, past 2**53 at q = 65521 for (8, 8) and
+    (14, 7), where only a part reduced first gives the product; random rows
+    over three steps, the last one short, match int64, and so do none."""
+    top = cols * (q - 1) ** 2
+    rng = np.random.default_rng(q + inner)
+    worst = np.full((_STEP_ROWS + 5, inner), top), np.full((inner, cols), q - 1)
+    mixed = (rng.integers(0, top + 1, (2 * _STEP // inner + 7, inner)),
+             rng.integers(0, q, (inner, cols)))
+    for a, b in (worst, mixed, (np.zeros((0, inner), dtype=np.int64), worst[1])):
+        steps = []
+
+        def fill(lo, part):
+            steps.append(part.shape[1])
+            part[...] = a[lo : lo + part.shape[1]].T
+
+        got = matmul_mod_filled(fill, a.shape[0], b, q, top)
+        assert got.dtype == np.uint16 and np.array_equal(got, (a % q) @ b % q)
+        assert sum(steps) == a.shape[0]
+    assert len(steps) == 0 and got.shape == (0, cols)

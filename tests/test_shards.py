@@ -493,10 +493,10 @@ def test_decode_repair_matches_subset_oracle(data):
 @pytest.mark.parametrize("beta", [1, 2])
 def test_msr_repair_fold_matches_int64_formula(q, beta):
     """decode_repair folds each MSR word m_f = [S1; S2] phi_f into
-    phi_f^t S1 + lambda_f phi_f^t S2 as one product with [I; lambda_f I]: it
-    equals the int64 formula, and gives the lost share, at word counts that
-    run the kernel in int64 and on BLAS (one word with the product flipped,
-    and just under and over `linalg._SMALL` multiply-adds)."""
+    phi_f^t S1 + lambda_f phi_f^t S2 by [I; lambda_f I], which a clean
+    repair from d helpers composes into its one map: it equals the int64
+    formula, and gives the lost share, at one word and at word counts just
+    under and over `linalg._SMALL` multiply-adds of the fold alone."""
     params = msr_params(k=4, n=10, beta=beta)
     enc = build_encoding(params, Fq(q))
     ap, failed = params.alpha_prime, 3
@@ -516,6 +516,114 @@ def test_msr_repair_fold_matches_int64_formula(q, beta):
         assert got.dtype == np.uint16 and got.shape == (nb, params.alpha)
         assert np.array_equal(got, want.reshape(got.shape))
         assert np.array_equal(got, bodies[failed])
+
+
+ONE_MAP_CODES = [
+    msr_params(k=4, n=10), msr_params(k=2, n=5, beta=2),
+    mbr_params(k=5, d=8, n=16), mbr_params(k=3, d=5, n=8, beta=2),
+]
+
+
+def _engine_repair(bodies, helpers, failed, enc):
+    """The engine's t = 0 repair from ``helpers`` in that order: each
+    helper's reduced symbols, `poly_decode` at t = 0, then the MSR fold;
+    the share and the engine's counts."""
+    params, q = enc.params, enc.field.q
+    ap = params.alpha_prime
+    symbols = {h: helper_symbols(bodies[h], failed, enc) for h in helpers}
+    counts = {}
+    m = poly_decode([y.reshape(-1) for y in symbols.values()],
+                    [enc.point_of(h) for h in helpers], params.d, 0, enc.field,
+                    counts=counts).T
+    if params.mode is CodeMode.MSR:
+        m = (m[:, :ap] + enc.lam_of(failed) * m[:, ap:].astype(np.int64)) % q
+    return m.astype(np.uint16).reshape(-1, params.alpha), symbols, counts
+
+
+@pytest.mark.parametrize("q", [257, 4093, 65521])
+@pytest.mark.parametrize("params", ONE_MAP_CODES, ids=str)
+def test_one_map_repair_equals_the_engine_pass(monkeypatch, params, q):
+    """A clean repair from exactly d helpers (`repair_blocks` at s = t = 0,
+    `decode_repair` with R = d) is one product with a memoized map: it
+    equals the engine's pass bit for bit, with the same counts and info, at
+    0, 1 and many blocks (over several kernel steps, the last one short),
+    from consecutive and non-consecutive helper sets in any order."""
+    monkeypatch.setattr(linalg, "_STEP", 64)
+    monkeypatch.setattr(linalg, "_STEP_ROWS", 64)
+    enc = build_encoding(params, Fq(q))
+    rng = np.random.default_rng(q + params.n)
+    failed = 2
+    others = [i for i in range(1, params.n + 1) if i != failed]
+    apart = [int(i) for i in rng.permutation(others)[: params.d]]
+    for nb in (0, 1, 201):
+        bodies = encode_blocks(rng.integers(0, 256, size=(nb, params.message_symbols)), enc)
+        for helpers in (others[: params.d], apart):
+            want, symbols, counts = _engine_repair(bodies, helpers, failed, enc)
+            assert np.array_equal(want, bodies[failed])
+            got_counts = {}
+            got = decode_repair(symbols, failed, enc, 0, got_counts)
+            assert got.dtype == np.uint16 and np.array_equal(got, want)
+            assert got_counts == counts == {"passes": int(nb > 0), "located": 0,
+                                            "patterns": 0}
+            share, info = repair_blocks({h: bodies[h] for h in helpers}, failed, enc)
+            assert share.dtype == np.uint16 and np.array_equal(share, want)
+            assert info == {"helpers": sorted(helpers), "connectivity": params.d,
+                            "downloaded": params.d * params.beta * nb, **counts}
+
+
+@pytest.mark.parametrize("q", [257, 65521])
+def test_one_map_repair_reduces_its_buffer_past_the_float_bound(monkeypatch, q):
+    """MBR [16,5,8] at q = 65521: an unreduced repair symbol reaches
+    alpha' (q-1)^2 and its product with the map d alpha' (q-1)^3, past
+    2**51, so the buffer is reduced before the product; at q = 257 it is
+    not. Helper bodies of all q - 1, which bound every unreduced symbol,
+    repair as the engine does, and so do real shares."""
+    params = mbr_params(k=5, d=8, n=16)
+    enc = build_encoding(params, Fq(q))
+    helpers, failed, nb = list(range(2, params.d + 2)), 1, 300
+    buffers = []
+    reduce = linalg._reduce
+
+    def recorded(p, mod):
+        if p.shape[0] == params.d and p.shape[1] != params.alpha_prime:
+            buffers.append(p.shape)
+        return reduce(p, mod)
+
+    monkeypatch.setattr(linalg, "_reduce", recorded)
+    worst = {h: np.full((nb, params.alpha), q - 1, dtype=np.uint16) for h in helpers}
+    want = _engine_repair(worst, helpers, failed, enc)[0]
+    buffers.clear()
+    assert np.array_equal(repair_blocks(worst, failed, enc)[0], want)
+    assert bool(buffers) == (q == 65521)
+    blocks = np.random.default_rng(3).integers(0, 256, size=(nb, params.message_symbols))
+    bodies = encode_blocks(blocks, enc)
+    share, _ = repair_blocks({h: bodies[h] for h in helpers}, failed, enc)
+    assert np.array_equal(share, bodies[failed])
+
+
+@pytest.mark.parametrize("params", [msr_params(k=4, n=10), mbr_params(k=5, d=8, n=16)],
+                         ids=str)
+def test_one_map_repair_memory_is_within_the_helpers_bodies(params):
+    """One clean `repair_blocks` chunk allocates at most the size of its
+    helpers' bodies: the output and a few kernel steps' temporaries. The
+    same product unstepped, with a float64 buffer of every word, peaks at
+    1.6 to 2.8 times the bodies here."""
+    import tracemalloc
+
+    enc = build_encoding(params, Fq(257))
+    nb = shards.chunk_blocks(params)
+    blocks = np.random.default_rng(6).integers(0, 256, size=(nb, params.message_symbols))
+    bodies = {i: np.array(b) for i, b in encode_blocks(blocks, enc).items()}
+    helpers = {h: bodies[h] for h in range(2, params.d + 2)}
+    repair_blocks(helpers, 1, enc)  # the memoized map is built before measuring
+    tracemalloc.start()
+    try:
+        share, _ = repair_blocks(helpers, 1, enc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(share, bodies[1])
+    assert peak <= sum(b.nbytes for b in helpers.values())
 
 
 def _oracle_reconstruct(received, ids, enc, t):
